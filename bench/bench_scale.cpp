@@ -1,8 +1,11 @@
 // Scale sweep of the simulation core on the netgen scale families
 // (10²–10⁴ routers): topology build, flat fresh simulation, frozen
 // pre-refactor baseline simulation (the ISSUE-7 ≥2× gate), incremental vs
-// full re-simulation after a filter edit, and the full ConfMask pipeline
-// with per-phase span metrics (DESIGN.md §9) on the sizes it can afford.
+// full re-simulation after a filter edit, and the guarded ConfMask pipeline
+// (the path confmask_cli and confmaskd run) with per-phase span metrics
+// (DESIGN.md §9) on the sizes it can afford. Each pipeline point records
+// whether the run verified and how many attempts it took next to its time:
+// a fail-closed run is timed too, but it produced no anonymization.
 //
 //   bench_scale [--max-routers N] [--baseline-max N] [--pipeline-max N]
 //               [--jobs N] [--families LIST] [--out FILE]
@@ -24,6 +27,7 @@
 
 #include "bench/bench_common.hpp"
 #include "src/core/filters.hpp"
+#include "src/core/pipeline_runner.hpp"
 #include "src/core/pipeline_trace.hpp"
 #include "src/netgen/scale_families.hpp"
 #include "src/routing/baseline_sim.hpp"
@@ -143,10 +147,12 @@ int main(int argc, char** argv) {
               ThreadPool::shared().workers(),
               std::thread::hardware_concurrency(), max_routers, baseline_max,
               pipeline_max);
-  std::printf("%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %7s\n",
-              "family", "R", "hosts", "links", "topo (s)", "flat (s)",
-              "base (s)", "speedup", "fib=", "inc (s)", "full (s)",
-              "inc/fl");
+  std::printf(
+      "%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %7s | %8s %3s "
+      "%3s\n",
+      "family", "R", "hosts", "links", "topo (s)", "flat (s)", "base (s)",
+      "speedup", "fib=", "inc (s)", "full (s)", "inc/fl", "pipe (s)", "ok",
+      "att");
 
   bool all_fibs_identical = true;
   std::string json =
@@ -218,15 +224,19 @@ int main(int argc, char** argv) {
         full_s = min_time(repetitions, [&] { Simulation fresh(edited); });
       }
 
-      // Full pipeline with per-phase span metrics, on affordable sizes.
+      // Guarded pipeline with per-phase span metrics, on affordable sizes.
       double pipeline_s = -1.0;
+      bool pipeline_verified = false;
+      int pipeline_attempts = 0;
       std::string phases = "null";
       if (routers <= pipeline_max) {
         PipelineTrace trace;
         const auto start = std::chrono::steady_clock::now();
-        const auto outcome = run_confmask(configs, bench::default_options());
+        const auto outcome =
+            run_pipeline_guarded(configs, bench::default_options());
         pipeline_s = seconds_since(start);
-        (void)outcome;
+        pipeline_verified = outcome.ok();
+        pipeline_attempts = outcome.diagnostics.attempts;
         phases = "{";
         bool first_phase = true;
         for (const auto& span : trace.metrics()) {
@@ -243,8 +253,10 @@ int main(int argc, char** argv) {
       }
 
       const double speedup = baseline_ran ? base_s / flat_s : -1.0;
+      const bool pipeline_ran = pipeline_s >= 0;
       std::printf(
-          "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %7s\n",
+          "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %7s | "
+          "%8s %3s %3s\n",
           spec.name, routers, hosts, links, topo_s, flat_s,
           baseline_ran ? json_number(base_s).substr(0, 8).c_str() : "--",
           baseline_ran ? (json_number(speedup).substr(0, 6) + "x").c_str()
@@ -256,7 +268,10 @@ int main(int argc, char** argv) {
           (incremental_s > 0 && full_s > 0)
               ? (json_number(full_s / incremental_s).substr(0, 5) + "x")
                     .c_str()
-              : "--");
+              : "--",
+          pipeline_ran ? json_number(pipeline_s).substr(0, 8).c_str() : "--",
+          pipeline_ran ? (pipeline_verified ? "yes" : "NO") : "--",
+          pipeline_ran ? std::to_string(pipeline_attempts).c_str() : "--");
       bench::csv("scale," + std::string(spec.name) + "," +
                  std::to_string(routers) + "," + json_number(flat_s) + "," +
                  (baseline_ran ? json_number(base_s) : "") + "," +
@@ -280,7 +295,12 @@ int main(int argc, char** argv) {
               ", \"full_resim_s\": " +
               (full_s >= 0 ? json_number(full_s) : "null") +
               ", \"pipeline_s\": " +
-              (pipeline_s >= 0 ? json_number(pipeline_s) : "null") +
+              (pipeline_ran ? json_number(pipeline_s) : "null") +
+              ", \"pipeline_verified\": " +
+              (pipeline_ran ? (pipeline_verified ? "true" : "false")
+                            : "null") +
+              ", \"pipeline_attempts\": " +
+              (pipeline_ran ? std::to_string(pipeline_attempts) : "null") +
               ", \"pipeline_phases_s\": " + phases + "}";
       first = false;
     }

@@ -20,6 +20,7 @@
 #include "src/core/confmask.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/nethide/nethide.hpp"
+#include "src/routing/simulation.hpp"
 
 namespace {
 

@@ -20,10 +20,53 @@ namespace confmask {
 PipelineResult run_pipeline(const ConfigSet& original,
                             const ConfMaskOptions& options,
                             EquivalenceStrategy strategy) {
-  return run_pipeline(original, options, strategy, nullptr, nullptr);
+  return run_pipeline(original, preprocess(original, nullptr), options,
+                      strategy, nullptr, nullptr);
+}
+
+Preprocessed preprocess(const ConfigSet& original,
+                        const PatchContext* patch_base) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t runs_before = Simulation::runs_on_this_thread();
+
+  // Simulate the original network once and snapshot the baseline
+  // (topology, FIBs, data plane). With a patch base whose diff is
+  // filter-only, the simulation is seeded and — absent packet-ACL changes
+  // — the index is spliced from the prior snapshot with only the dirty
+  // destinations re-derived (original_index.hpp).
+  Preprocessed out;
+  auto span = PipelineTrace::begin("preprocess");
+  run_stage(PipelineStage::kPreprocess, [&] {
+    OriginalReusePlan reuse_plan;
+    if (patch_base != nullptr) {
+      reuse_plan = plan_original_reuse(original, *patch_base);
+    }
+    out.seeded = reuse_plan.sim != nullptr;
+    out.sim = out.seeded ? std::move(reuse_plan.sim)
+                         : std::make_shared<const Simulation>(original);
+    out.index =
+        out.seeded && reuse_plan.index_reusable &&
+                patch_base->index != nullptr
+            ? std::make_shared<const OriginalIndex>(
+                  *out.sim, *patch_base->index, reuse_plan.dirty)
+            : std::make_shared<const OriginalIndex>(*out.sim);
+  });
+  out.simulations = Simulation::runs_on_this_thread() - runs_before;
+  if (span) {
+    span.add("routers", original.routers.size());
+    span.add("hosts", original.hosts.size());
+    span.add("flows", out.index->data_plane().flows.size());
+    span.add("simulations", out.simulations);
+  }
+  span.end();
+  out.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return out;
 }
 
 PipelineResult run_pipeline(const ConfigSet& original,
+                            const Preprocessed& preprocessed,
                             const ConfMaskOptions& options,
                             EquivalenceStrategy strategy,
                             const PatchContext* patch_base,
@@ -74,49 +117,18 @@ PipelineResult run_pipeline(const ConfigSet& original,
     return seeded;
   };
 
-  // Preprocessing: simulate the original network once and snapshot the
-  // baseline (topology, FIBs, data plane, IGP distances). With a patch
-  // base whose diff is filter-only, the simulation is seeded and — absent
-  // packet-ACL changes — the index is spliced from the prior snapshot with
-  // only the dirty destinations re-derived (original_index.hpp).
-  OriginalReusePlan reuse_plan;
-  auto preprocess_span = PipelineTrace::begin("preprocess");
-  const OriginalIndex index =
-      run_stage(PipelineStage::kPreprocess, [&]() -> OriginalIndex {
-        std::shared_ptr<const Simulation> sim;
-        if (patch_base != nullptr) {
-          reuse_plan = plan_original_reuse(original, *patch_base);
-          sim = reuse_plan.sim;
-          if (sim != nullptr) {
-            ++result.stats.patched_stages;
-          } else {
-            ++result.stats.patch_fallbacks;
-          }
-        }
-        const bool seeded = sim != nullptr;
-        if (!seeded) sim = std::make_shared<const Simulation>(original);
-        if (patch_capture != nullptr) {
-          patch_capture->original.configs =
-              std::make_shared<const ConfigSet>(original);
-          patch_capture->original.live = sim;
-        }
-        if (seeded && reuse_plan.index_reusable &&
-            patch_base->index != nullptr) {
-          return OriginalIndex(*sim, *patch_base->index, reuse_plan.dirty);
-        }
-        return OriginalIndex(*sim);
-      });
+  const OriginalIndex& index = *preprocessed.index;
+  if (patch_base != nullptr) {
+    ++(preprocessed.seeded ? result.stats.patched_stages
+                           : result.stats.patch_fallbacks);
+  }
   if (patch_capture != nullptr) {
-    patch_capture->index = std::make_shared<const OriginalIndex>(index);
+    patch_capture->original.configs =
+        std::make_shared<const ConfigSet>(original);
+    patch_capture->original.live = preprocessed.sim;
+    patch_capture->index = preprocessed.index;
   }
   result.original_dp = index.data_plane();
-  if (preprocess_span) {
-    preprocess_span.add("routers", original.routers.size());
-    preprocess_span.add("hosts", original.hosts.size());
-    preprocess_span.add("flows", result.original_dp.flows.size());
-    preprocess_span.add("simulations", sims_since_mark());
-  }
-  preprocess_span.end();
 
   PrefixAllocator allocator(
       options.link_pool.value_or(PrefixAllocator::default_link_pool()),
@@ -134,8 +146,8 @@ PipelineResult run_pipeline(const ConfigSet& original,
       NodeAdditionOptions node_options;
       node_options.fake_routers = options.fake_routers;
       node_options.links_per_fake = options.links_per_fake_router;
-      const auto nodes = add_fake_routers(result.anonymized, index,
-                                          node_options, rng, allocator);
+      const auto nodes = add_fake_routers(
+          result.anonymized, *preprocessed.sim, node_options, rng, allocator);
       result.fake_routers = nodes.fake_routers;
     });
     if (span) {
@@ -148,11 +160,11 @@ PipelineResult run_pipeline(const ConfigSet& original,
   // base iff every stage input is proven unchanged: the originals diff
   // filter-only (graph, AS grouping and IGP costs untouched), the options
   // are identical (RNG stream, pricing policy, pools), no fake routers ran
-  // before it (their placement reads the shifted index), and
+  // before it (the captured stage input is the bare originals), and
   // graft_topology's own roster/interface checks pass.
   auto topo_span = PipelineTrace::begin("topology_anon");
   const auto topo_outcome = run_stage(PipelineStage::kTopologyAnon, [&] {
-    if (patch_base != nullptr && reuse_plan.sim != nullptr &&
+    if (patch_base != nullptr && preprocessed.seeded &&
         options.fake_routers == 0 && patch_base->options == options) {
       TopologyAnonymizationOutcome grafted;
       if (graft_topology(result.anonymized, *patch_base, rng, allocator,
@@ -162,8 +174,18 @@ PipelineResult run_pipeline(const ConfigSet& original,
       }
     }
     if (patch_base != nullptr) ++result.stats.patch_fallbacks;
-    return anonymize_topology(result.anonymized, options.k_r,
-                              options.cost_policy, rng, allocator);
+    // Fake links are priced on the network they are added to: the
+    // originals, or after node addition the enlarged configs (simulated
+    // only when the policy prices anything).
+    std::unique_ptr<const Simulation> enlarged;
+    if (options.fake_routers > 0 &&
+        options.cost_policy == FakeLinkCostPolicy::kMinCost) {
+      enlarged = std::make_unique<const Simulation>(result.anonymized);
+    }
+    return anonymize_topology(
+        result.anonymized,
+        options.fake_routers > 0 ? enlarged.get() : preprocessed.sim.get(),
+        options.k_r, options.cost_policy, rng, allocator);
   });
   if (patch_capture != nullptr && options.fake_routers == 0) {
     patch_capture->topology.result =
@@ -305,8 +327,10 @@ PipelineResult run_pipeline(const ConfigSet& original,
   verification_span.end();
 
   result.stats.anonymized_lines = config_set_line_stats(result.anonymized);
-  result.stats.simulations = Simulation::runs_on_this_thread() - runs_before;
+  result.stats.simulations = preprocessed.simulations +
+                             Simulation::runs_on_this_thread() - runs_before;
   result.stats.seconds =
+      preprocessed.seconds +
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return result;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,19 +105,46 @@ PipelineResult run_pipeline(const ConfigSet& original,
 
 struct PatchContext;
 struct PatchCapture;
+class OriginalIndex;
+class Simulation;
 
-/// Watch-mode variant (patch_mode.hpp, DESIGN.md §14). `patch_base`, when
-/// non-null, offers a prior run's stage snapshots: each of the three
-/// full-simulation points (preprocess, Algorithm 1 entry, Algorithm 2
-/// entry) independently reuses the snapshot iff its current entry configs
-/// differ only by filters, and falls back to a from-scratch build
-/// otherwise — output bytes are identical either way, only
-/// stats.patched_stages / patch_fallbacks and the per-stage reuse counters
-/// move. `patch_capture`, when non-null, collects this run's stage-entry
-/// state; pass it to finish_capture AFTER this returns to obtain the
-/// context for the next cycle. Both are ignored (and the capture reset)
-/// unless options.incremental_simulation is set.
+/// The preprocessing stage's output (paper Fig 3): the original network
+/// simulated once and snapshotted. It depends only on the originals and
+/// the patch base, never on what the guarded runner's retry ladder changes
+/// (seed, k_R, prefix pools, iteration budget), so one Preprocessed serves
+/// every attempt of a run. Every attempt's PipelineStats include its cost.
+struct Preprocessed {
+  std::shared_ptr<const Simulation> sim;
+  std::shared_ptr<const OriginalIndex> index;
+  /// Watch mode: `sim` was seeded from the patch base, whose originals
+  /// therefore differ from these only by filters.
+  bool seeded = false;
+  std::uint64_t simulations = 0;
+  double seconds = 0.0;
+};
+
+/// Runs the preprocessing stage (span "preprocess"). A non-null patch base
+/// seeds the simulation when the originals diff filter-only and — absent
+/// packet-ACL changes — splices its index instead of rebuilding it.
+[[nodiscard]] Preprocessed preprocess(const ConfigSet& original,
+                                      const PatchContext* patch_base);
+
+/// One pipeline attempt over `preprocessed`, which must come from
+/// preprocess(original, patch_base), with a null base whenever
+/// options.incremental_simulation is off. Watch mode (patch_mode.hpp,
+/// DESIGN.md §14): `patch_base`, when non-null, offers a prior run's stage
+/// snapshots: each of the three full-simulation points (preprocess,
+/// Algorithm 1 entry, Algorithm 2 entry) independently reuses the snapshot
+/// iff its current entry configs differ only by filters, and falls back to
+/// a from-scratch build otherwise — output bytes are identical either way,
+/// only stats.patched_stages / patch_fallbacks and the per-stage reuse
+/// counters move. `patch_capture`, when non-null, collects this run's
+/// stage-entry state, sharing the preprocess simulation and index; pass it
+/// to finish_capture AFTER this returns to obtain the context for the next
+/// cycle. Both are ignored (and the capture reset) unless
+/// options.incremental_simulation is set.
 PipelineResult run_pipeline(const ConfigSet& original,
+                            const Preprocessed& preprocessed,
                             const ConfMaskOptions& options,
                             EquivalenceStrategy strategy,
                             const PatchContext* patch_base,

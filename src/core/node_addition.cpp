@@ -4,6 +4,8 @@
 #include <cctype>
 #include <map>
 
+#include "src/routing/simulation.hpp"
+
 namespace confmask {
 
 namespace {
@@ -37,18 +39,23 @@ std::string fresh_router_name(const ConfigSet& configs) {
 }  // namespace
 
 NodeAdditionOutcome add_fake_routers(ConfigSet& configs,
-                                     const OriginalIndex& index,
+                                     const Simulation& original,
                                      const NodeAdditionOptions& options,
                                      Rng& rng, PrefixAllocator& allocator) {
   NodeAdditionOutcome outcome;
   if (options.fake_routers <= 0 || configs.routers.empty()) return outcome;
 
+  const Topology& topo = original.topology();
+  std::vector<std::string> originals;  // name-sorted: the RNG picks by index
+  for (int r = 0; r < topo.router_count(); ++r) {
+    originals.push_back(topo.node(r).name);
+  }
+  std::sort(originals.begin(), originals.end());
+
   for (int i = 0; i < options.fake_routers; ++i) {
     // Template: a random existing ORIGINAL router; the fake router joins
     // its AS and copies its protocol/boilerplate shape. Capture what we
     // need BEFORE push_back below invalidates references into the vector.
-    std::vector<std::string> originals(index.routers().begin(),
-                                       index.routers().end());
     const std::string template_name = rng.pick(originals);
     const bool tmpl_has_bgp =
         configs.find_router(template_name)->bgp.has_value();
@@ -84,7 +91,8 @@ NodeAdditionOutcome add_fake_routers(ConfigSet& configs,
       const bool same_as =
           (!tmpl_has_bgp && !router.bgp) ||
           (tmpl_has_bgp && router.bgp && router.bgp->local_as == tmpl_as);
-      if (same_as && index.routers().count(router.hostname) != 0) {
+      if (same_as && std::binary_search(originals.begin(), originals.end(),
+                                        router.hostname)) {
         candidates.push_back(router.hostname);
       }
     }
@@ -99,8 +107,9 @@ NodeAdditionOutcome add_fake_routers(ConfigSet& configs,
     long max_pair = 0;
     for (std::size_t a = 0; a < neighbors.size(); ++a) {
       for (std::size_t b = a + 1; b < neighbors.size(); ++b) {
-        max_pair = std::max(max_pair,
-                            index.igp_distance(neighbors[a], neighbors[b]));
+        max_pair = std::max(
+            max_pair, original.igp_distance(topo.find_node(neighbors[a]),
+                                            topo.find_node(neighbors[b])));
       }
     }
     const int cost = std::max<long>(1, (max_pair + 1) / 2);

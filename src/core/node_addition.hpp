@@ -10,7 +10,8 @@
 // traffic and survives the zero-traffic de-anonymization attack.
 //
 // Route safety: every link of a fake router x carries OSPF cost
-// ceil(D/2) with D = max original distance between x's neighbors, so a
+// max(1, ceil(D/2)) with D = max original IGP distance between x's
+// neighbors (read from the simulation of the originals), so a
 // path THROUGH x is never strictly shorter than an original path; the
 // equal-cost paths that can appear are rejected by Algorithm 1 like any
 // other fake-link path (real-router FIB entries towards x cross a fake
@@ -23,11 +24,12 @@
 #include <vector>
 
 #include "src/config/model.hpp"
-#include "src/core/original_index.hpp"
 #include "src/util/prefix_allocator.hpp"
 #include "src/util/rng.hpp"
 
 namespace confmask {
+
+class Simulation;
 
 struct NodeAdditionOptions {
   int fake_routers = 0;       ///< 0 disables the extension
@@ -41,8 +43,11 @@ struct NodeAdditionOutcome {
   std::vector<std::pair<std::string, std::string>> links;
 };
 
+/// `original` must simulate the original network (the configs before any
+/// fake router): its routers are the templates and attachment points, and
+/// its IGP distances price the fake links.
 NodeAdditionOutcome add_fake_routers(ConfigSet& configs,
-                                     const OriginalIndex& index,
+                                     const Simulation& original,
                                      const NodeAdditionOptions& options,
                                      Rng& rng, PrefixAllocator& allocator);
 

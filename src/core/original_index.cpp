@@ -9,7 +9,6 @@ OriginalIndex::OriginalIndex(const Simulation& sim) {
 
   for (int r = 0; r < topo.router_count(); ++r) {
     routers_.insert(topo.node(r).name);
-    router_index_[topo.node(r).name] = r;
   }
   for (int host : topo.host_ids()) real_hosts_.insert(topo.node(host).name);
 
@@ -32,18 +31,6 @@ OriginalIndex::OriginalIndex(const Simulation& sim) {
   }
 
   data_plane_ = sim.extract_data_plane();
-
-  const int n = topo.router_count();
-  igp_dist_.assign(static_cast<std::size_t>(n),
-                   std::vector<long>(static_cast<std::size_t>(n), -1));
-  sim.igp_matrix();  // bulk-fills all rows in parallel; igp_distance() below
-                     // then reads memoized rows lock-free
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      igp_dist_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-          sim.igp_distance(a, b);
-    }
-  }
 }
 
 OriginalIndex::OriginalIndex(const Simulation& sim,
@@ -53,9 +40,7 @@ OriginalIndex::OriginalIndex(const Simulation& sim,
       fib_(previous.fib_),
       data_plane_(previous.data_plane_),
       real_hosts_(previous.real_hosts_),
-      routers_(previous.routers_),
-      router_index_(previous.router_index_),
-      igp_dist_(previous.igp_dist_) {
+      routers_(previous.routers_) {
   const Topology& topo = sim.topology();
 
   std::vector<int> dirty_hosts;
@@ -111,15 +96,6 @@ bool OriginalIndex::is_original_next_hop(const std::string& router,
                                          const std::string& next_hop) const {
   const auto it = fib_.find({router, host});
   return it != fib_.end() && it->second.count(next_hop) != 0;
-}
-
-long OriginalIndex::igp_distance(const std::string& a,
-                                 const std::string& b) const {
-  const auto ia = router_index_.find(a);
-  const auto ib = router_index_.find(b);
-  if (ia == router_index_.end() || ib == router_index_.end()) return -1;
-  return igp_dist_[static_cast<std::size_t>(ia->second)]
-                  [static_cast<std::size_t>(ib->second)];
 }
 
 }  // namespace confmask

@@ -4,9 +4,10 @@
 // configurations once and records everything the later stages compare
 // against: the original edge set (to recognize fake links), the original
 // per-router FIBs (Algorithm 1's `DP[r̃, h̃_d]` lookup table), the original
-// data plane (the functional-equivalence ground truth), IGP distances (to
-// price fake links at min_cost), and the real host roster (fake hosts are
-// excluded from equivalence checks).
+// data plane (the functional-equivalence ground truth), and the real host
+// roster (fake hosts are excluded from equivalence checks). It holds no IGP
+// distances: fake-link pricing (Step 1, node addition) queries the few
+// pairs it needs from the preprocessing Simulation itself.
 #pragma once
 
 #include <map>
@@ -28,9 +29,9 @@ class OriginalIndex {
   /// the edit is FILTER-ONLY (same devices, same topology, same link
   /// costs) with no packet-ACL change, and `dirty` is the diff's
   /// conservative dirty-prefix set. Everything destination-independent
-  /// (edges, rosters, IGP distances) is copied from `previous`; FIB rows
-  /// and data-plane flows are re-derived from `sim` only for destination
-  /// hosts whose prefix overlaps `dirty` — the exact invalidation rule the
+  /// (edges, rosters) is copied from `previous`; FIB rows and data-plane
+  /// flows are re-derived from `sim` only for destination hosts whose
+  /// prefix overlaps `dirty` — the exact invalidation rule the
   /// incremental Simulation constructor applies to its FIB columns, so the
   /// result is bit-identical to OriginalIndex(sim). The ACL exclusion is
   /// load-bearing: an ACL edit reshapes data-plane flows for destinations
@@ -59,19 +60,12 @@ class OriginalIndex {
     return routers_;
   }
 
-  /// Original IGP distance between two routers by name (-1 unreachable /
-  /// unknown router).
-  [[nodiscard]] long igp_distance(const std::string& a,
-                                  const std::string& b) const;
-
  private:
   std::set<std::pair<std::string, std::string>> edges_;  // (min, max) names
   std::map<std::pair<std::string, std::string>, std::set<std::string>> fib_;
   DataPlane data_plane_;
   std::set<std::string> real_hosts_;
   std::set<std::string> routers_;
-  std::map<std::string, int> router_index_;
-  std::vector<std::vector<long>> igp_dist_;
 };
 
 }  // namespace confmask

@@ -8,7 +8,7 @@
 //    Algorithm 1 entry (post-Step-1 configs) and Algorithm 2 entry
 //    (post-fake-hosts configs) — each as a stable copy of the stage-entry
 //    configs plus the simulation over them;
-//  * the preprocessing OriginalIndex (FIB rows, data plane, IGP matrix);
+//  * the preprocessing OriginalIndex (FIB rows, data plane);
 //  * the topology-anonymization stage output: the post-Step-1 configs
 //    together with the RNG and prefix-allocator state the stage left
 //    behind.
@@ -71,9 +71,8 @@ struct PatchSnapshot {
 
 /// The topology-anonymization stage output of one run: the configs as the
 /// stage left them plus the RNG / allocator state it consumed up to. Valid
-/// only when the run added no fake routers (node addition reads the
-/// preprocessing index, whose content shifts under edits) — with it, the
-/// pre-stage configs are exactly PatchContext::original.configs.
+/// only when the run added no fake routers — only then are the pre-stage
+/// configs exactly PatchContext::original.configs.
 struct TopologyPatch {
   std::shared_ptr<const ConfigSet> result;  ///< configs after Step 1
   Rng rng{0};                               ///< RNG state after Step 1

@@ -96,6 +96,9 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
 
   int reseeds = 0;
   int pool_expansions = 0;
+  // Computed by the first attempt and shared by the rest: nothing the
+  // ladder changes feeds it (confmask.hpp).
+  std::optional<Preprocessed> preprocessed;
 
   const auto record = [&](FallbackKind kind, std::string detail) {
     // Fallback rungs are point events on the trace stream (not spans):
@@ -191,8 +194,12 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
     }
     PipelineResult result;
     try {
-      result = run_pipeline(original, opts, strategy, patch_base,
-                            patch_capture);
+      if (!preprocessed) {
+        preprocessed = preprocess(
+            original, options.incremental_simulation ? patch_base : nullptr);
+      }
+      result = run_pipeline(original, *preprocessed, opts, strategy,
+                            patch_base, patch_capture);
     } catch (const PipelineError& error) {
       if (!error.retryable()) {
         return fail_with(error.stage(), error.category(), error.message(),

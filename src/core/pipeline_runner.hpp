@@ -19,6 +19,9 @@
 //   Verification failed (anonymized ≠ original over real hosts)
 //       → reseed and retry; after all retries: FAIL CLOSED
 //
+// No rung changes what preprocessing reads, so it runs once, in the first
+// attempt, and every later attempt reuses its simulation and index.
+//
 // Fail closed means: the returned GuardedPipelineResult carries NO
 // anonymized configs — only diagnostics, including the first N divergent
 // ⟨router, host, next-hop⟩ triples (DataPlane::diff) so the operator can see

@@ -83,38 +83,26 @@ void materialize_fake_link(ConfigSet& configs, const std::string& name_a,
   }
 }
 
-TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs, int k_r,
+TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs,
+                                                const Simulation* network,
+                                                int k_r,
                                                 FakeLinkCostPolicy policy,
                                                 Rng& rng,
                                                 PrefixAllocator& allocator) {
   TopologyAnonymizationOutcome outcome;
   const Topology topo = Topology::build(configs);
 
-  // Fake-link prices must come from the network the links are ADDED TO:
-  // after the node-addition extension, configs contains fake routers the
-  // preprocessing index knows nothing about (and for original routers the
-  // two distance notions coincide because node addition never shortens
-  // paths).
-  std::vector<std::vector<long>> igp;
-  if (policy == FakeLinkCostPolicy::kMinCost) {
-    const Simulation sim(configs);
-    const int rc = topo.router_count();
-    igp.assign(static_cast<std::size_t>(rc),
-               std::vector<long>(static_cast<std::size_t>(rc), -1));
-    sim.igp_matrix();  // one parallel fill instead of rc² lazy-row checks
-    for (int a = 0; a < rc; ++a) {
-      for (int b = 0; b < rc; ++b) {
-        igp[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-            sim.igp_distance(a, b);
-      }
-    }
-  }
+  // Only the chosen pairs are priced, each by one lazily memoized IGP row
+  // of `network`. Names resolve through the network's own topology: a
+  // watch-mode seeded simulation reuses its snapshot's node ids.
   const auto min_cost_of = [&](const std::string& a, const std::string& b) {
-    if (igp.empty()) return -1L;
-    const int ia = topo.find_node(a);
-    const int ib = topo.find_node(b);
+    if (network == nullptr || policy != FakeLinkCostPolicy::kMinCost) {
+      return -1L;
+    }
+    const int ia = network->topology().find_node(a);
+    const int ib = network->topology().find_node(b);
     if (ia < 0 || ib < 0) return -1L;
-    return igp[static_cast<std::size_t>(ia)][static_cast<std::size_t>(ib)];
+    return network->igp_distance(ia, ib);
   };
 
   // Group routers by AS (-1 == no BGP == one flat IGP domain).

@@ -21,11 +21,12 @@
 #include <vector>
 
 #include "src/config/model.hpp"
-#include "src/core/original_index.hpp"
 #include "src/util/prefix_allocator.hpp"
 #include "src/util/rng.hpp"
 
 namespace confmask {
+
+class Simulation;
 
 enum class FakeLinkCostPolicy {
   kMinCost,  ///< cost = original shortest-path distance (ConfMask, §5.2)
@@ -43,9 +44,13 @@ struct TopologyAnonymizationOutcome {
   }
 };
 
-/// Mutates `configs` in place (only appending). `index` must be the
-/// preprocessing snapshot of the same configs.
-TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs, int k_r,
+/// Mutates `configs` in place (only appending). Under kMinCost every fake
+/// intra-AS link is priced with `network`'s IGP distance between its
+/// endpoints, so `network` must simulate `configs` as passed in (before any
+/// fake link); the other policies price nothing and accept null.
+TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs,
+                                                const Simulation* network,
+                                                int k_r,
                                                 FakeLinkCostPolicy policy,
                                                 Rng& rng,
                                                 PrefixAllocator& allocator);

@@ -1,6 +1,5 @@
 #include "src/nethide/nethide.hpp"
 
-#include "src/core/original_index.hpp"
 #include "src/core/topology_anonymization.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/util/prefix_allocator.hpp"
@@ -12,11 +11,6 @@ NetHideResult run_nethide(const ConfigSet& original,
                           const NetHideOptions& options) {
   NetHideResult result;
   result.obfuscated = original;
-
-  const OriginalIndex index = [&] {
-    const Simulation sim(original);
-    return OriginalIndex(sim);
-  }();
 
   PrefixAllocator allocator;
   for (const auto& prefix : original.used_prefixes()) {
@@ -60,7 +54,7 @@ NetHideResult run_nethide(const ConfigSet& original,
   // published forwarding trees follow the virtual topology's shortest
   // paths — no route fixing, no fake hosts.
   const auto outcome =
-      anonymize_topology(result.obfuscated, options.k_r,
+      anonymize_topology(result.obfuscated, nullptr, options.k_r,
                          FakeLinkCostPolicy::kDefault, rng, allocator);
   result.fake_links += outcome.total_links();
 

@@ -115,7 +115,7 @@ Simulation::Simulation(const ConfigSet& configs)
   // Hot-potato selection only ever consults distances TOWARDS border
   // routers, so those are the only rows computed eagerly (the old code
   // materialized the full R×R matrix here — an O(R²) memory cliff at
-  // 10⁴ routers). igp_distance()/igp_matrix() fill other rows lazily.
+  // 10⁴ routers). igp_distance() fills other rows lazily.
   if (!flat_->sessions().empty()) compute_border_distances();
   const auto& host_ids = topology_->host_ids();
   ThreadPool::shared().parallel_for(host_ids.size(), [&](std::size_t i) {
@@ -385,9 +385,6 @@ void Simulation::compute_border_distances() {
 
 const std::vector<long>& Simulation::igp_row(int from) const {
   IgpCache& cache = *igp_cache_;
-  if (cache.all_ready.load(std::memory_order_acquire)) {
-    return cache.rows[static_cast<std::size_t>(from)];
-  }
   std::lock_guard<std::mutex> lock(cache.mutex);
   auto& row = cache.rows[static_cast<std::size_t>(from)];
   if (cache.ready[static_cast<std::size_t>(from)] != 0) return row;
@@ -420,49 +417,6 @@ const std::vector<long>& Simulation::igp_row(int from) const {
 long Simulation::igp_distance(int from, int to) const {
   const long d = igp_row(from)[static_cast<std::size_t>(to)];
   return d >= kInf ? -1 : d;
-}
-
-const std::vector<std::vector<long>>& Simulation::igp_matrix() const {
-  IgpCache& cache = *igp_cache_;
-  if (cache.all_ready.load(std::memory_order_acquire)) return cache.rows;
-  // igp_row computes one row under the cache mutex; filling the rest here
-  // via igp_row would serialize R Dijkstras AND take the lock R times, so
-  // bulk consumers get one parallel fill instead. Workers write disjoint
-  // rows/ready flags while this thread holds the lock.
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  if (!cache.all_ready.load(std::memory_order_relaxed)) {
-    const FlatTopology& flat = *flat_;
-    const int n = topology_->router_count();
-    ThreadPool::shared().parallel_for(
-        static_cast<std::size_t>(n), [&](std::size_t src) {
-          if (cache.ready[src] != 0) return;
-          auto& row = cache.rows[src];
-          row.assign(static_cast<std::size_t>(n), kInf);
-          row[src] = 0;
-          std::vector<HeapItem> heap;
-          heap_push(heap, 0, static_cast<std::int32_t>(src));
-          while (!heap.empty()) {
-            const auto [d, u] = heap_pop(heap);
-            if (d != row[static_cast<std::size_t>(u)]) continue;
-            const std::int32_t last = flat.last_out(u);
-            for (std::int32_t e = flat.first_out(u); e < last; ++e) {
-              const std::uint8_t flags = flat.edge_flags(e);
-              if ((flags & FlatTopology::kIgp) == 0) continue;
-              const std::int32_t w = flat.edge_target(e);
-              const long cost = (flags & FlatTopology::kOspf) != 0
-                                    ? flat.edge_cost_out(e)
-                                    : 1;
-              if (d + cost < row[static_cast<std::size_t>(w)]) {
-                row[static_cast<std::size_t>(w)] = d + cost;
-                heap_push(heap, d + cost, w);
-              }
-            }
-          }
-          cache.ready[src] = 1;
-        });
-    cache.all_ready.store(true, std::memory_order_release);
-  }
-  return cache.rows;
 }
 
 void Simulation::compute_bgp_destination(

@@ -40,16 +40,14 @@
 // frozen topology, the IGP distance caches, and clean FIB columns from the
 // previous simulation instead of copying them.
 //
-// IGP distances are no longer materialized as an eager R×R matrix (an
-// O(R²) memory cliff at 10⁴ routers): hot-potato selection precomputes one
-// distance row per BORDER router only, `igp_distance()` memoizes per-source
-// rows on demand, and bulk consumers (OriginalIndex, topology
-// anonymization) call `igp_matrix()` which fills the whole cache once, in
-// parallel. The cache is shared across incremental generations — link-state
+// IGP distances are never materialized as an R×R matrix (an O(R²) memory
+// cliff at 10⁴ routers): hot-potato selection precomputes one distance row
+// per BORDER router only, and `igp_distance()` memoizes per-source rows on
+// demand, so pricing a few dozen fake links costs a few dozen Dijkstras.
+// The cache is shared across incremental generations — link-state
 // distances never see route filters.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -220,16 +218,10 @@ class Simulation {
 
   /// Converged IGP distance between two routers of the same AS (router
   /// node ids), or a negative value when unreachable. This is the paper's
-  /// min_cost(r, r') used to price fake OSPF links. Per-source rows are
-  /// computed on first use and memoized (thread-safe); callers that need
-  /// all pairs should use igp_matrix() instead.
+  /// min_cost(r, r') used to price fake OSPF links. The row of `from` is
+  /// computed on first use and memoized (thread-safe); only the sources
+  /// actually queried ever get a row.
   [[nodiscard]] long igp_distance(int from, int to) const;
-
-  /// The full R×R IGP distance matrix, indexed [from][to]; unreachable /
-  /// cross-AS pairs hold a value >= kInf (igp_distance maps those to -1).
-  /// Rows are filled in parallel on first call and memoized; the cache is
-  /// shared across incremental generations of the same topology.
-  [[nodiscard]] const std::vector<std::vector<long>>& igp_matrix() const;
 
   /// Number of Simulation instances constructed since process start; the
   /// paper's §5.4 complexity discussion counts exactly these jobs.
@@ -261,15 +253,14 @@ class Simulation {
     std::vector<NextHop> pool;
   };
 
-  /// Per-source IGP distance rows, memoized lazily and shared (by
-  /// shared_ptr) across incremental generations — link-state distances
-  /// are filter-free, so the cache never invalidates while the topology
-  /// is frozen.
+  /// Per-source IGP distance rows, one per queried source, memoized
+  /// lazily and shared (by shared_ptr) across incremental generations —
+  /// link-state distances are filter-free, so the cache never invalidates
+  /// while the topology is frozen.
   struct IgpCache {
     std::mutex mutex;
     std::vector<std::vector<long>> rows;  // [from] -> distances, lazily set
     std::vector<char> ready;
-    std::atomic<bool> all_ready{false};
   };
 
   /// One `neighbor <peer> prefix-list ... in` binding: `count` lists
@@ -346,7 +337,7 @@ class Simulation {
   // the only rows hot-potato selection needs. Computed eagerly iff eBGP
   // sessions exist; shared across incremental generations.
   std::shared_ptr<const std::vector<std::vector<long>>> to_border_;
-  // Lazily memoized per-source rows for igp_distance()/igp_matrix().
+  // Lazily memoized per-source rows for igp_distance().
   std::shared_ptr<IgpCache> igp_cache_;
 
   // Per destination host (index host - router_count): the converged IGP

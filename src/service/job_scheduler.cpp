@@ -722,8 +722,10 @@ void JobScheduler::execute(std::uint64_t id) {
       const std::lock_guard<std::mutex> lock(mutex_);
       Job& done = jobs_.at(id);
       if (primed != nullptr) prime_context_locked(done.key.hex(), primed);
-      if (patch_base_context != nullptr && stored != StoreResult::kIoError) {
-        if (patched) {
+      if (!job->patch_base.empty() && stored != StoreResult::kIoError) {
+        if (patch_base_context == nullptr) {
+          ++stats_.watch_context_misses;
+        } else if (patched) {
           ++stats_.patched_jobs;
         } else {
           ++stats_.patch_fallbacks;

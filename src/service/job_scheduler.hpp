@@ -206,6 +206,11 @@ struct SchedulerStats {
   /// (structural edit, options drift, fail-closed seed rejection): the
   /// run was correct but paid full cost.
   std::uint64_t patch_fallbacks = 0;
+  /// Completed resubmits whose base had no resident watch context (evicted
+  /// from the LRU, or never captured): they ran cold without being offered
+  /// one. With the two counters above it splits every resubmit this
+  /// scheduler computed and published.
+  std::uint64_t watch_context_misses = 0;
   /// Watch contexts currently resident (<= watch_context_capacity).
   std::size_t watch_contexts = 0;
   /// Local misses whose key another fleet member owned and served: the job

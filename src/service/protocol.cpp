@@ -346,6 +346,7 @@ std::string ProtocolHandler::handle(std::string_view line,
         .number_u64("resubmitted", stats.resubmitted)
         .number_u64("patched_jobs", stats.patched_jobs)
         .number_u64("patch_fallbacks", stats.patch_fallbacks)
+        .number_u64("watch_context_misses", stats.watch_context_misses)
         .number_u64("watch_contexts", stats.watch_contexts)
         .number_u64("peer_hits", stats.peer_hits)
         .number_u64("peer_misses", stats.peer_misses)

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "src/core/confmask.hpp"
 #include "src/core/deanonymize.hpp"
 #include "src/core/metrics.hpp"
 #include "src/core/utility_properties.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
 
 namespace confmask {
@@ -17,15 +21,13 @@ namespace {
 TEST(NodeAddition, FakeRoutersBlendIntoTheNamingScheme) {
   const auto original = make_bics();
   const Simulation sim(original);
-  const OriginalIndex index(sim);
   ConfigSet configs = original;
   PrefixAllocator allocator;
   for (const auto& p : original.used_prefixes()) allocator.reserve(p);
   Rng rng(4);
   NodeAdditionOptions options;
   options.fake_routers = 3;
-  const auto outcome =
-      add_fake_routers(configs, index, options, rng, allocator);
+  const auto outcome = add_fake_routers(configs, sim, options, rng, allocator);
 
   ASSERT_EQ(outcome.fake_routers.size(), 3u);
   for (const auto& name : outcome.fake_routers) {
@@ -44,14 +46,64 @@ TEST(NodeAddition, FakeRoutersBlendIntoTheNamingScheme) {
 TEST(NodeAddition, ZeroFakeRoutersIsNoOp) {
   const auto original = make_figure2();
   const Simulation sim(original);
-  const OriginalIndex index(sim);
   ConfigSet configs = original;
   PrefixAllocator allocator;
   Rng rng(4);
   const auto outcome =
-      add_fake_routers(configs, index, NodeAdditionOptions{}, rng, allocator);
+      add_fake_routers(configs, sim, NodeAdditionOptions{}, rng, allocator);
   EXPECT_TRUE(outcome.fake_routers.empty());
   EXPECT_EQ(configs.routers.size(), original.routers.size());
+}
+
+// Route safety rests on the fake links' price: every link of fake router
+// x costs max(1, ceil(D/2)), D the largest original IGP distance between
+// x's neighbours, so no path through x undercuts an original path.
+TEST(NodeAddition, FakeLinksCostHalfTheLongestNeighbourDistance) {
+  // Waxman link costs vary, so neighbour distances come out odd as well
+  // as even (the hand-built networks cost every link 10).
+  const auto original = make_scale_network(ScaleFamily::kWaxman, 60, 5);
+  const Simulation sim(original);
+  const Topology& topo = sim.topology();
+  ConfigSet configs = original;
+  PrefixAllocator allocator;
+  for (const auto& p : original.used_prefixes()) allocator.reserve(p);
+  Rng rng(1);
+  NodeAdditionOptions options;
+  options.fake_routers = 4;
+  options.links_per_fake = 3;
+  const auto outcome = add_fake_routers(configs, sim, options, rng, allocator);
+  ASSERT_EQ(outcome.links.size(), 4u * 3u);
+
+  const auto cost_towards = [&](const std::string& router,
+                                const std::string& peer) {
+    for (const auto& iface : configs.find_router(router)->interfaces) {
+      if (iface.description == "to-" + peer) return iface.ospf_cost;
+    }
+    return std::optional<int>{};
+  };
+  bool saw_odd_distance = false;
+  for (const auto& fake : outcome.fake_routers) {
+    std::vector<std::string> neighbors;
+    for (const auto& [from, to] : outcome.links) {
+      if (from == fake) neighbors.push_back(to);
+    }
+    long longest = 0;
+    for (std::size_t a = 0; a < neighbors.size(); ++a) {
+      for (std::size_t b = a + 1; b < neighbors.size(); ++b) {
+        longest = std::max(
+            longest, sim.igp_distance(topo.find_node(neighbors[a]),
+                                      topo.find_node(neighbors[b])));
+      }
+    }
+    const int expected = static_cast<int>(std::max(1L, (longest + 1) / 2));
+    saw_odd_distance = saw_odd_distance || longest % 2 == 1;
+    for (const auto& neighbor : neighbors) {
+      EXPECT_EQ(cost_towards(fake, neighbor), expected) << fake;
+      EXPECT_EQ(cost_towards(neighbor, fake), expected) << neighbor;
+    }
+  }
+  // The pin must see an odd distance, where rounding up matters.
+  EXPECT_TRUE(saw_odd_distance);
 }
 
 class NodeAdditionE2E : public ::testing::TestWithParam<std::size_t> {};

@@ -65,7 +65,7 @@ TEST(PipelineRunner, SingleIterationBudgetIsGenuinelyNonConvergent) {
     allocator.reserve(prefix);
   }
   Rng rng(3);
-  const auto topo = anonymize_topology(configs, 4,
+  const auto topo = anonymize_topology(configs, &sim, 4,
                                        FakeLinkCostPolicy::kMinCost, rng,
                                        allocator);
   ASSERT_GT(topo.total_links(), 0u);
@@ -92,6 +92,34 @@ TEST(PipelineRunner, EscalatesIterationBudgetOnNonConvergence) {
   EXPECT_EQ(guarded.effective_options.max_equivalence_iterations, 64);
   EXPECT_TRUE(guarded.result->equivalence_converged);
   EXPECT_TRUE(guarded.result->functionally_equivalent);
+}
+
+// ... sharing one preprocess across its attempts: the originals are
+// simulated once per guarded run, and the output equals a single shot at
+// the options the ladder settled on.
+TEST(PipelineRunner, AttemptsShareOnePreprocess) {
+  const ConfigSet original = make_figure2();
+  auto options = figure2_options();
+  options.max_equivalence_iterations = 1;
+  RetryPolicy policy;
+  policy.equivalence_iteration_ladder = {64};
+
+  const std::uint64_t guarded_before = Simulation::runs_on_this_thread();
+  const auto guarded = run_pipeline_guarded(original, options, policy);
+  const std::uint64_t guarded_runs =
+      Simulation::runs_on_this_thread() - guarded_before;
+  ASSERT_TRUE(guarded.ok());
+  ASSERT_EQ(guarded.diagnostics.attempts, 2);
+
+  const std::uint64_t single_before = Simulation::runs_on_this_thread();
+  (void)run_confmask(original, options);
+  const auto single = run_confmask(original, guarded.effective_options);
+  const std::uint64_t single_runs =
+      Simulation::runs_on_this_thread() - single_before;
+
+  EXPECT_EQ(guarded_runs + 1, single_runs);
+  EXPECT_EQ(canonical_config_set_text(guarded.result->anonymized),
+            canonical_config_set_text(single.anonymized));
 }
 
 // ... and with no escalation left it fails CLOSED: no configs, diagnostics

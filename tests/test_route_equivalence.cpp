@@ -28,8 +28,8 @@ Prepared prepare(const ConfigSet& original, int k_r,
     allocator.reserve(prefix);
   }
   Rng rng(seed);
-  prepared.topo_outcome = anonymize_topology(prepared.configs, k_r, policy, rng,
-                                             allocator);
+  prepared.topo_outcome = anonymize_topology(prepared.configs, &sim, k_r,
+                                             policy, rng, allocator);
   return prepared;
 }
 

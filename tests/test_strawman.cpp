@@ -61,7 +61,7 @@ TEST(Strawman, Strawman1NeedsNoSimulationForFixing) {
   for (const auto& p : configs.used_prefixes()) allocator.reserve(p);
   Rng rng(43);
   ConfigSet work = configs;
-  (void)anonymize_topology(work, 6, FakeLinkCostPolicy::kMinCost, rng,
+  (void)anonymize_topology(work, &sim, 6, FakeLinkCostPolicy::kMinCost, rng,
                            allocator);
   const auto runs_before = Simulation::total_runs();
   const auto outcome = strawman1_route_fix(work, index);
@@ -79,7 +79,7 @@ TEST(Strawman, Strawman1DeniesEveryRealHostOnEveryFakeEnd) {
   Rng rng(47);
   ConfigSet work = configs;
   const auto topo_outcome = anonymize_topology(
-      work, 4, FakeLinkCostPolicy::kMinCost, rng, allocator);
+      work, &sim, 4, FakeLinkCostPolicy::kMinCost, rng, allocator);
   ASSERT_GT(topo_outcome.total_links(), 0u);
   const auto outcome = strawman1_route_fix(work, index);
   // 2 ends per fake link x 3 real hosts (the unified pattern §4.3 warns

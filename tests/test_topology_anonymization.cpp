@@ -23,17 +23,14 @@ Stage1 run_stage1(const ConfigSet& original, int k_r,
                   std::uint64_t seed = 11) {
   Stage1 stage;
   stage.configs = original;
-  const OriginalIndex index = [&] {
-    const Simulation sim(original);
-    return OriginalIndex(sim);
-  }();
+  const Simulation sim(original);
   PrefixAllocator allocator;
   for (const auto& prefix : original.used_prefixes()) {
     allocator.reserve(prefix);
   }
   Rng rng(seed);
   stage.outcome =
-      anonymize_topology(stage.configs, k_r, policy, rng, allocator);
+      anonymize_topology(stage.configs, &sim, k_r, policy, rng, allocator);
   return stage;
 }
 
@@ -94,10 +91,8 @@ TEST(TopologyAnonymization, FakeLinksLookLikeRealOnes) {
 
 TEST(TopologyAnonymization, MinCostPolicySetsOriginalDistance) {
   const auto original = make_bics();
-  const OriginalIndex index = [&] {
-    const Simulation sim(original);
-    return OriginalIndex(sim);
-  }();
+  const Simulation sim(original);
+  const Topology& topo = sim.topology();
   const auto stage = run_stage1(original, 6, FakeLinkCostPolicy::kMinCost);
   for (const auto& [name_a, name_b] : stage.outcome.intra_as_links) {
     const auto* ra = stage.configs.find_router(name_a);
@@ -110,7 +105,8 @@ TEST(TopologyAnonymization, MinCostPolicySetsOriginalDistance) {
       if (iface.description != "to-" + name_b) continue;
       ASSERT_TRUE(iface.ospf_cost.has_value());
       EXPECT_EQ(*iface.ospf_cost,
-                static_cast<int>(index.igp_distance(name_a, name_b)));
+                static_cast<int>(sim.igp_distance(topo.find_node(name_a),
+                                                  topo.find_node(name_b))));
       found = true;
     }
     EXPECT_TRUE(found) << name_a << "-" << name_b;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/config/diff.hpp"
 #include "src/config/emit.hpp"
@@ -17,6 +18,10 @@
 #include "src/netgen/networks.hpp"
 #include "src/service/job_scheduler.hpp"
 #include "src/util/ipv4.hpp"
+
+#if defined(CONFMASK_FAULT_INJECTION)
+#include "tests/fault_injection.hpp"
+#endif
 
 namespace confmask {
 namespace {
@@ -144,6 +149,44 @@ TEST(WatchMode, FrontInterfaceExtraLineEditStaysByteIdentical) {
   EXPECT_GT(stats.patched_stages, 0);
 }
 
+#if defined(CONFMASK_FAULT_INJECTION)
+// A patched run that needs a retry: the reseeded attempt reuses the shared,
+// seeded preprocess, so it still reports a patched stage (what the
+// scheduler counts as a patched job) and still matches a cold run that took
+// the same retry.
+TEST(WatchMode, RetriedPatchedRunStaysPatchedAndByteIdentical) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = small_options(7);
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  ConfigSet edited = base;
+  bind_filter(edited, "r2");
+  edited = canonicalize(std::move(edited));
+
+  const auto run = [&](const PatchContext* patch_base) {
+    const ScopedFault diverge(faults::kVerificationDiverge, 1);
+    return run_pipeline_guarded(edited, options, RetryPolicy{},
+                                EquivalenceStrategy::kConfMask, nullptr,
+                                patch_base, nullptr);
+  };
+  const auto cold = run(nullptr);
+  const auto patched = run(context.get());
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE(patched.ok());
+  EXPECT_EQ(cold.diagnostics.attempts, 2);
+  EXPECT_EQ(patched.diagnostics.attempts, 2);
+  EXPECT_GE(patched.result->stats.patched_stages, 1);
+  // The retried attempt tallies all four reuse decisions, the shared
+  // preprocess's included: preprocess, Step 1, Algorithm 1, Algorithm 2.
+  EXPECT_EQ(patched.result->stats.patched_stages +
+                patched.result->stats.patch_fallbacks,
+            4);
+  EXPECT_EQ(canonical_config_set_text(cold.result->anonymized),
+            canonical_config_set_text(patched.result->anonymized));
+}
+#endif
+
 TEST(WatchMode, SchedulerResubmitPatchesAndConvergesWithPlainSubmit) {
   ArtifactCache cache(fresh_dir("watch_resubmit"));
   JobScheduler scheduler(&cache, {});
@@ -241,6 +284,71 @@ TEST(WatchMode, DeleteThenReaddResubmitRehitsTheOriginalEntry) {
   EXPECT_TRUE(readd_status->cache_hit);
   EXPECT_EQ(readd_status->cache_key, base_status->cache_key);
   EXPECT_EQ(scheduler.stats().simulations, sims_after_remove);
+  scheduler.shutdown(JobScheduler::ShutdownMode::kDrain);
+}
+
+TEST(WatchMode, ResubmitAgainstAnEvictedContextCountsAMiss) {
+  ArtifactCache cache(fresh_dir("watch_evicted"));
+  const JobScheduler::Options scheduler_options;
+  JobScheduler scheduler(&cache, scheduler_options);
+  const std::size_t capacity = scheduler_options.watch_context_capacity;
+  ASSERT_GT(capacity, 0u);
+
+  // capacity + 1 published entries, one at a time so the LRU order is the
+  // publication order: the first base's context is the one evicted.
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i <= capacity; ++i) {
+    JobRequest request;
+    request.configs = make_figure2();
+    request.options = small_options(100 + i);
+    const SubmitOutcome outcome = scheduler.submit_ex(std::move(request));
+    ASSERT_TRUE(outcome.accepted());
+    ASSERT_TRUE(scheduler.wait(*outcome.id));
+    const auto status = scheduler.status(*outcome.id);
+    ASSERT_TRUE(status.has_value());
+    ASSERT_EQ(status->state, JobState::kDone);
+    keys.push_back(status->cache_key);
+  }
+  EXPECT_EQ(scheduler.stats().watch_contexts, capacity);
+
+  // Resubmits the canonical edit against `base_key`; returns its terminal
+  // state.
+  const auto resubmit_against = [&](const std::string& base_key) {
+    ConfigSet edited = make_figure2();
+    bind_filter(edited, "r2");
+    ResubmitRequest resubmit;
+    resubmit.base_key_hex = base_key;
+    resubmit.diff_text = render_bundle_diff(make_figure2(), edited);
+    resubmit.options = small_options(100);
+    const SubmitOutcome outcome = scheduler.resubmit(std::move(resubmit));
+    EXPECT_TRUE(outcome.accepted()) << outcome.error;
+    if (!outcome.accepted()) return JobStatus{};
+    EXPECT_TRUE(scheduler.wait(*outcome.id));
+    return scheduler.status(*outcome.id).value_or(JobStatus{});
+  };
+
+#if defined(CONFMASK_FAULT_INJECTION)
+  // A resubmit that fails closed counts nowhere, whether or not its base
+  // still had a context.
+  {
+    const ScopedFault diverge(faults::kVerificationDiverge, 99);
+    EXPECT_EQ(resubmit_against(keys.front()).state, JobState::kFailed);
+    EXPECT_EQ(resubmit_against(keys.back()).state, JobState::kFailed);
+  }
+  const SchedulerStats failed = scheduler.stats();
+  EXPECT_EQ(failed.watch_context_misses, 0u);
+  EXPECT_EQ(failed.patched_jobs, 0u);
+  EXPECT_EQ(failed.patch_fallbacks, 0u);
+#endif
+
+  const JobStatus status = resubmit_against(keys.front());
+  ASSERT_EQ(status.state, JobState::kDone);
+  EXPECT_FALSE(status.patched);
+
+  const SchedulerStats after = scheduler.stats();
+  EXPECT_EQ(after.watch_context_misses, 1u);
+  EXPECT_EQ(after.patched_jobs, 0u);
+  EXPECT_EQ(after.patch_fallbacks, 0u);
   scheduler.shutdown(JobScheduler::ShutdownMode::kDrain);
 }
 
