@@ -10,9 +10,10 @@
 // traffic and survives the zero-traffic de-anonymization attack.
 //
 // Route safety: every link of a fake router x carries OSPF cost
-// max(1, ceil(D/2)) with D = max original IGP distance between x's
-// neighbors (read from the simulation of the originals), so a
-// path THROUGH x is never strictly shorter than an original path; the
+// max(1, ceil(D/2)) with D = max original IGP distance over ORDERED pairs
+// of x's neighbors (read from the simulation of the originals; per-side
+// link costs make D(a→b) and D(b→a) differ), so a path THROUGH x is
+// never strictly shorter than an original path in either direction; the
 // equal-cost paths that can appear are rejected by Algorithm 1 like any
 // other fake-link path (real-router FIB entries towards x cross a fake
 // link). Run this BEFORE Step 1 so the k-degree anonymization also covers

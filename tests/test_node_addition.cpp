@@ -87,12 +87,14 @@ TEST(NodeAddition, FakeLinksCostHalfTheLongestNeighbourDistance) {
     for (const auto& [from, to] : outcome.links) {
       if (from == fake) neighbors.push_back(to);
     }
+    // Ordered pairs: per-side link costs make D(a→b) and D(b→a) differ,
+    // and a path through the fake router must not undercut either.
     long longest = 0;
-    for (std::size_t a = 0; a < neighbors.size(); ++a) {
-      for (std::size_t b = a + 1; b < neighbors.size(); ++b) {
-        longest = std::max(
-            longest, sim.igp_distance(topo.find_node(neighbors[a]),
-                                      topo.find_node(neighbors[b])));
+    for (const auto& from : neighbors) {
+      for (const auto& to : neighbors) {
+        if (from == to) continue;
+        longest = std::max(longest, sim.igp_distance(topo.find_node(from),
+                                                     topo.find_node(to)));
       }
     }
     const int expected = static_cast<int>(std::max(1L, (longest + 1) / 2));

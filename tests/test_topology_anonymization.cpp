@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "src/core/metrics.hpp"
 #include "src/netgen/builder.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
 
 namespace confmask {
@@ -89,28 +93,61 @@ TEST(TopologyAnonymization, FakeLinksLookLikeRealOnes) {
   EXPECT_TRUE(rb->ospf->covers(*ib->address));
 }
 
+/// The `ip ospf cost` of `router`'s fake interface towards `peer`: the one
+/// outside the original 10/8 space described as pointing at the peer.
+std::optional<int> fake_cost_towards(const ConfigSet& configs,
+                                     const std::string& router,
+                                     const std::string& peer) {
+  const Ipv4Prefix original_space{Ipv4Address{10, 0, 0, 0}, 8};
+  for (const auto& iface : configs.find_router(router)->interfaces) {
+    if (!iface.address || original_space.contains(*iface.address)) continue;
+    if (iface.description == "to-" + peer) return iface.ospf_cost;
+  }
+  ADD_FAILURE() << "no fake interface " << router << " -> " << peer;
+  return std::nullopt;
+}
+
 TEST(TopologyAnonymization, MinCostPolicySetsOriginalDistance) {
   const auto original = make_bics();
   const Simulation sim(original);
   const Topology& topo = sim.topology();
   const auto stage = run_stage1(original, 6, FakeLinkCostPolicy::kMinCost);
   for (const auto& [name_a, name_b] : stage.outcome.intra_as_links) {
-    const auto* ra = stage.configs.find_router(name_a);
-    // Find the fake interface for THIS pair: outside the original 10/8
-    // space, described as pointing at name_b.
-    const Ipv4Prefix original_space{Ipv4Address{10, 0, 0, 0}, 8};
-    bool found = false;
-    for (const auto& iface : ra->interfaces) {
-      if (!iface.address || original_space.contains(*iface.address)) continue;
-      if (iface.description != "to-" + name_b) continue;
-      ASSERT_TRUE(iface.ospf_cost.has_value());
-      EXPECT_EQ(*iface.ospf_cost,
-                static_cast<int>(sim.igp_distance(topo.find_node(name_a),
-                                                  topo.find_node(name_b))));
-      found = true;
-    }
-    EXPECT_TRUE(found) << name_a << "-" << name_b;
+    const int a = topo.find_node(name_a);
+    const int b = topo.find_node(name_b);
+    EXPECT_EQ(fake_cost_towards(stage.configs, name_a, name_b),
+              static_cast<int>(sim.igp_distance(a, b)));
+    EXPECT_EQ(fake_cost_towards(stage.configs, name_b, name_a),
+              static_cast<int>(sim.igp_distance(b, a)));
   }
+}
+
+TEST(TopologyAnonymization, MinCostPricesEachSideByItsOwnDirection) {
+  // Waxman links carry random per-side OSPF costs, so D(a→b) and D(b→a)
+  // differ for some fake pairs. OSPF cost applies to the outgoing
+  // interface: a's fake interface must cost D(a→b) and b's D(b→a), or the
+  // cheaper direction's fake hop undercuts an original route.
+  const auto original = make_scale_network(ScaleFamily::kWaxman, 100, 1);
+  const Simulation sim(original);
+  const Topology& topo = sim.topology();
+  const auto stage = run_stage1(original, 6, FakeLinkCostPolicy::kMinCost);
+  ASSERT_FALSE(stage.outcome.intra_as_links.empty());
+  bool saw_asymmetric = false;
+  for (const auto& [name_a, name_b] : stage.outcome.intra_as_links) {
+    const long ab = sim.igp_distance(topo.find_node(name_a),
+                                     topo.find_node(name_b));
+    const long ba = sim.igp_distance(topo.find_node(name_b),
+                                     topo.find_node(name_a));
+    saw_asymmetric = saw_asymmetric || ab != ba;
+    EXPECT_EQ(fake_cost_towards(stage.configs, name_a, name_b),
+              static_cast<int>(ab))
+        << name_a << " -> " << name_b;
+    EXPECT_EQ(fake_cost_towards(stage.configs, name_b, name_a),
+              static_cast<int>(ba))
+        << name_b << " -> " << name_a;
+  }
+  // The case must contain a pair whose directions differ.
+  EXPECT_TRUE(saw_asymmetric);
 }
 
 TEST(TopologyAnonymization, LargeAndDefaultCostPolicies) {
