@@ -211,8 +211,9 @@ int main(int argc, char** argv) {
         if (incident.empty()) continue;
         const Ipv4Prefix target =
             edited.hosts.front().prefix();
-        if (add_route_filter(edited, topo, r, topo.link(incident.front()),
-                             target)) {
+        if (add_route_filter(&edited.routers[static_cast<std::size_t>(
+                                 topo.node(r).config_index)],
+                             r, topo.link(incident.front()), target)) {
           delta.record(r, target);
         }
       }

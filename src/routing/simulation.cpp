@@ -199,11 +199,7 @@ FibView Simulation::fib(int router, int host) const {
   }
   const auto& column = fib_columns_[static_cast<std::size_t>(host - n)];
   if (column == nullptr) return {};
-  const std::uint32_t first =
-      column->offset[static_cast<std::size_t>(router)];
-  const std::uint32_t last =
-      column->offset[static_cast<std::size_t>(router) + 1];
-  return FibView{column->pool.data() + first, last - first};
+  return column->view(router);
 }
 
 void Simulation::index_filters() {

@@ -102,7 +102,8 @@ void add_random_filters(ConfigSet& configs, const Topology& topo, Rng& rng,
     if (incident.empty()) continue;
     const Link& link = topo.link(
         incident[static_cast<std::size_t>(rng.below(incident.size()))]);
-    add_route_filter(configs, topo, node, link, random_prefix(rng, configs));
+    add_route_filter(&configs.routers[static_cast<std::size_t>(node)], node,
+                     link, random_prefix(rng, configs));
   }
 }
 
@@ -414,8 +415,9 @@ DifferentialResult run_differential_checks(const ConfigSet& configs,
         const std::size_t victim =
             static_cast<std::size_t>(rng.below(applied.size()));
         const AppliedFilter edit = applied[victim];
-        if (remove_route_filter(edited, topo, edit.node,
-                                topo.link(edit.link), edit.prefix)) {
+        if (remove_route_filter(
+                &edited.routers[static_cast<std::size_t>(edit.node)],
+                edit.node, topo.link(edit.link), edit.prefix)) {
           delta.record(edit.node, edit.prefix);
           applied.erase(applied.begin() +
                         static_cast<std::ptrdiff_t>(victim));
@@ -428,7 +430,8 @@ DifferentialResult run_differential_checks(const ConfigSet& configs,
       const int link_id =
           incident[static_cast<std::size_t>(rng.below(incident.size()))];
       const Ipv4Prefix prefix = random_prefix(rng, edited);
-      if (add_route_filter(edited, topo, node, topo.link(link_id), prefix)) {
+      if (add_route_filter(&edited.routers[static_cast<std::size_t>(node)],
+                           node, topo.link(link_id), prefix)) {
         delta.record(node, prefix);
         applied.push_back(AppliedFilter{node, link_id, prefix});
       }

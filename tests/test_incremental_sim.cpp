@@ -40,11 +40,12 @@ bool deny_first_transit_hop(ConfigSet& configs, const Simulation& sim,
   const Ipv4Prefix prefix =
       configs.hosts[static_cast<std::size_t>(topo.node(host).config_index)]
           .prefix();
+  const auto routers = router_configs(configs, topo);
   for (int router = 0; router < topo.router_count(); ++router) {
     for (const NextHop& hop : sim.fib(router, host)) {
       if (hop.neighbor == host) continue;
-      if (add_route_filter(configs, topo, router, topo.link(hop.link),
-                           prefix)) {
+      if (add_route_filter(routers[static_cast<std::size_t>(router)], router,
+                           topo.link(hop.link), prefix)) {
         delta.record(router, prefix);
         return true;
       }
@@ -140,10 +141,12 @@ TEST(IncrementalSim, RemovalIsInvalidatedLikeAddition) {
   delta.clear();
   const auto& topo = filtered.topology();
   bool removed = false;
+  RouterConfig* router =
+      router_configs(configs, topo)[static_cast<std::size_t>(change.router)];
   const int link_count = static_cast<int>(topo.links().size());
   for (int link_id = 0; link_id < link_count && !removed; ++link_id) {
-    removed = remove_route_filter(configs, topo, change.router,
-                                  topo.link(link_id), change.prefix);
+    removed = remove_route_filter(router, change.router, topo.link(link_id),
+                                  change.prefix);
   }
   ASSERT_TRUE(removed);
   delta.record(change.router, change.prefix);

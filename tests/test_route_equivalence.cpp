@@ -85,6 +85,7 @@ TEST(RouteEquivalence, FiltersTargetOnlyFakeScopes) {
   // Any interface carrying a distribute-list must be a fake-link end:
   // its link peer must NOT be an original neighbor.
   const Topology topo = Topology::build(prepared.configs);
+  const std::vector<int> original = prepared.index.original_ids(topo);
   for (const auto& router : prepared.configs.routers) {
     if (!router.ospf) continue;
     for (const auto& dl : router.ospf->distribute_lists) {
@@ -93,10 +94,12 @@ TEST(RouteEquivalence, FiltersTargetOnlyFakeScopes) {
       for (int link_id : topo.links_of(node)) {
         const Link& link = topo.link(link_id);
         if (link.end_of(node).interface != dl.interface) continue;
-        const auto& peer = topo.node(link.other_end(node).node);
-        EXPECT_FALSE(
-            prepared.index.is_original_edge(router.hostname, peer.name))
-            << router.hostname << " filters real neighbor " << peer.name;
+        const int peer = link.other_end(node).node;
+        EXPECT_FALSE(prepared.index.is_original_edge(
+            original[static_cast<std::size_t>(node)],
+            original[static_cast<std::size_t>(peer)]))
+            << router.hostname << " filters real neighbor "
+            << topo.node(peer).name;
         found_fake_peer = true;
       }
       EXPECT_TRUE(found_fake_peer) << router.hostname << " " << dl.interface;
