@@ -69,6 +69,15 @@ bool RipConfig::covers(Ipv4Address addr) const {
   });
 }
 
+void RipConfig::cover(Ipv4Address addr) {
+  const Ipv4Address classful{
+      addr.bits() &
+      Ipv4Prefix{addr, addr.classful_prefix_length()}.mask_bits()};
+  if (std::find(networks.begin(), networks.end(), classful) == networks.end()) {
+    networks.push_back(classful);
+  }
+}
+
 BgpNeighbor* BgpConfig::find_neighbor(Ipv4Address addr) {
   for (auto& neighbor : neighbors) {
     if (neighbor.address == addr) return &neighbor;
@@ -118,6 +127,18 @@ std::string RouterConfig::fresh_interface_name() const {
     std::string candidate = "Ethernet" + std::to_string(100 + i);
     if (find_interface(candidate) == nullptr) return candidate;
   }
+}
+
+InterfaceConfig& RouterConfig::add_lookalike_interface(
+    Ipv4Address address, int prefix_length, std::string description) {
+  InterfaceConfig iface;
+  iface.name = fresh_interface_name();
+  iface.address = address;
+  iface.prefix_length = prefix_length;
+  iface.description = std::move(description);
+  if (!interfaces.empty()) iface.extra_lines = interfaces.front().extra_lines;
+  interfaces.push_back(std::move(iface));
+  return interfaces.back();
 }
 
 std::string RouterConfig::fresh_prefix_list_name(std::string_view stem) const {

@@ -142,6 +142,8 @@ struct RipConfig {
   std::vector<std::string> extra_lines;
 
   [[nodiscard]] bool covers(Ipv4Address addr) const;
+  /// Adds the classful `network` statement for `addr`, once.
+  void cover(Ipv4Address addr);
 
   friend bool operator==(const RipConfig&, const RipConfig&) = default;
 };
@@ -203,6 +205,12 @@ struct RouterConfig {
   [[nodiscard]] const AccessList* find_access_list(int number) const;
   /// Fresh interface name not clashing with existing ones.
   [[nodiscard]] std::string fresh_interface_name() const;
+  /// Appends an interface under a fresh name that copies the first
+  /// interface's passthrough lines (L2 boilerplate etc.), so an added
+  /// interface is not identifiable by its sparseness.
+  InterfaceConfig& add_lookalike_interface(Ipv4Address address,
+                                           int prefix_length,
+                                           std::string description);
   /// Fresh prefix-list name with the given stem.
   [[nodiscard]] std::string fresh_prefix_list_name(
       std::string_view stem) const;

@@ -32,8 +32,8 @@ Preprocessed preprocess(const ConfigSet& original,
   // Simulate the original network once and snapshot the baseline
   // (topology, FIBs, data plane). With a patch base whose diff is
   // filter-only, the simulation is seeded and — absent packet-ACL changes
-  // — the index is spliced from the prior snapshot with only the dirty
-  // destinations re-derived (original_index.hpp).
+  // — the index is spliced from the prior snapshot with only the flows
+  // toward dirty destinations re-derived (original_index.hpp).
   Preprocessed out;
   auto span = PipelineTrace::begin("preprocess");
   run_stage(PipelineStage::kPreprocess, [&] {

@@ -8,7 +8,7 @@
 //    Algorithm 1 entry (post-Step-1 configs) and Algorithm 2 entry
 //    (post-fake-hosts configs) — each as a stable copy of the stage-entry
 //    configs plus the simulation over them;
-//  * the preprocessing OriginalIndex (FIB rows, data plane);
+//  * the preprocessing OriginalIndex (shared FIB columns, data plane);
 //  * the topology-anonymization stage output: the post-Step-1 configs
 //    together with the RNG and prefix-allocator state the stage left
 //    behind.
@@ -19,9 +19,10 @@
 //  * a stage simulation is seeded through the incremental constructor iff
 //    the stage-entry diff (diff_config_sets) is filter-only, with the
 //    diff's conservative dirty set;
-//  * the OriginalIndex is spliced (dirty destinations re-derived, the rest
-//    copied) iff the diff is additionally free of packet-ACL changes —
-//    ACLs reshape data-plane flows without contributing dirty prefixes;
+//  * the OriginalIndex is spliced (flows toward dirty destinations
+//    re-derived, the rest copied) iff the diff is additionally free of
+//    packet-ACL changes — ACLs reshape data-plane flows without
+//    contributing dirty prefixes;
 //  * the topology stage is replayed from the snapshot (graft_topology:
 //    append the same fake interfaces / networks / neighbors, restore the
 //    RNG and allocator) iff the diff is filter-only, the effective options
@@ -86,8 +87,8 @@ struct PatchContext {
   PatchSnapshot original;     ///< preprocess: the submitted bundle
   PatchSnapshot equivalence;  ///< Algorithm 1 entry (post Step 1)
   PatchSnapshot anonymity;    ///< Algorithm 2 entry (post fake hosts)
-  /// Preprocessing snapshot of the run (self-contained: names and bytes
-  /// only, no simulation references).
+  /// Preprocessing snapshot of the run (self-contained: no pointer into
+  /// a ConfigSet).
   std::shared_ptr<const OriginalIndex> index;
   /// Step-1 stage output, replayable via graft_topology.
   TopologyPatch topology;

@@ -11,17 +11,6 @@ namespace {
 const Ipv4Prefix kLinkPool{Ipv4Address{10, 0, 0, 0}, 16};
 const Ipv4Prefix kLanPool{Ipv4Address{10, 128, 0, 0}, 16};
 
-/// Adds the classful network statement for `addr` to a RIP process once.
-void rip_cover(RipConfig& rip, Ipv4Address addr) {
-  const Ipv4Address classful{
-      addr.bits() &
-      Ipv4Prefix{addr, addr.classful_prefix_length()}.mask_bits()};
-  for (const auto existing : rip.networks) {
-    if (existing == classful) return;
-  }
-  rip.networks.push_back(classful);
-}
-
 }  // namespace
 
 NetworkBuilder::NetworkBuilder() = default;
@@ -95,8 +84,8 @@ Ipv4Prefix NetworkBuilder::link(const std::string& a, const std::string& b,
     ra.ospf->networks.push_back(OspfNetwork{prefix, 0});
     rb.ospf->networks.push_back(OspfNetwork{prefix, 0});
   } else if (ra.rip && rb.rip) {
-    rip_cover(*ra.rip, prefix.network());
-    rip_cover(*rb.rip, prefix.network());
+    ra.rip->cover(prefix.network());
+    rb.rip->cover(prefix.network());
   }
   return prefix;
 }
@@ -146,7 +135,7 @@ void NetworkBuilder::host(const std::string& name,
   if (router.ospf) {
     router.ospf->networks.push_back(OspfNetwork{lan, 0});
   } else if (router.rip) {
-    rip_cover(*router.rip, lan.network());
+    router.rip->cover(lan.network());
   }
   if (router.bgp) router.bgp->networks.push_back(lan);
 
