@@ -21,9 +21,9 @@ int main() {
       auto options = bench::default_options();
       options.noise_p = p;
       const auto result = run_confmask(network.configs, options);
+      const auto lines = bundle_line_stats(network.configs, result.anonymized);
       const auto nr = route_anonymity_nr(result.anonymized_dp);
-      const double uc = config_utility(result.stats.original_lines,
-                                       result.stats.anonymized_lines);
+      const double uc = config_utility(lines.original, lines.anonymized);
       std::printf("%-3s %-11s %6.2f %8.2f %8d %10d %7.1f%% %6s\n",
                   network.id.c_str(), network.name.c_str(), p, nr.average,
                   result.stats.anonymity_filters,

@@ -19,13 +19,13 @@ int main() {
       options.fake_routers =
           static_cast<int>(fraction * topo.router_count());
       const auto result = run_confmask(network.configs, options);
+      const auto lines = bundle_line_stats(network.configs, result.anonymized);
       const auto anon_topo = Topology::build(result.anonymized);
       const auto flagged =
           zero_traffic_links(result.anonymized, result.anonymized_dp);
       const auto attack =
           score_attack(network.configs, result.anonymized, flagged);
-      const double uc = config_utility(result.stats.original_lines,
-                                       result.stats.anonymized_lines);
+      const double uc = config_utility(lines.original, lines.anonymized);
       std::printf("%-3s %-11s %7d %9d %9d %4s %7.1f%% %10.0f%%\n",
                   network.id.c_str(), network.name.c_str(),
                   options.fake_routers, topo.router_count(),

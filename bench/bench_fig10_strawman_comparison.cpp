@@ -29,7 +29,8 @@ int main() {
     std::size_t lines[3];
     for (int i = 0; i < 3; ++i) {
       nr[i] = route_anonymity_nr(results[i].anonymized_dp).average;
-      lines[i] = results[i].stats.added_lines();
+      lines[i] =
+          bundle_line_stats(network.configs, results[i].anonymized).added();
       nr_totals[i] += nr[i];
       line_totals[i] += lines[i];
     }

@@ -15,8 +15,8 @@ int main() {
       auto options = bench::default_options();
       options.k_r = krs[i];
       const auto result = run_confmask(network.configs, options);
-      uc[i] = config_utility(result.stats.original_lines,
-                             result.stats.anonymized_lines);
+      const auto lines = bundle_line_stats(network.configs, result.anonymized);
+      uc[i] = config_utility(lines.original, lines.anonymized);
     }
     std::printf("%-3s %-11s %9.1f%% %9.1f%% %9.1f%%\n", network.id.c_str(),
                 network.name.c_str(), 100 * uc[0], 100 * uc[1], 100 * uc[2]);

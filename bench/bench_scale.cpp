@@ -4,8 +4,12 @@
 // full re-simulation after a filter edit, and the guarded ConfMask pipeline
 // (the path confmask_cli and confmaskd run) with per-phase span metrics
 // (DESIGN.md §9) on the sizes it can afford. Each pipeline point records
-// whether the run verified and how many attempts it took next to its time:
-// a fail-closed run is timed too, but it produced no anonymization.
+// whether the run verified and how many attempts it took next to its time
+// (a fail-closed run is timed too, but it produced no anonymization), and
+// the process's peak RSS during the run: free heap pages are returned and
+// the peak mark (VmHWM) is reset through /proc/self/clear_refs before each
+// point, and a note is printed when the kernel refuses, in which case the
+// figure is the peak so far.
 //
 //   bench_scale [--max-routers N] [--baseline-max N] [--pipeline-max N]
 //               [--jobs N] [--families LIST] [--out FILE]
@@ -19,9 +23,14 @@
 // the exit status nonzero, so the sweep doubles as a correctness gate.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <thread>
 #include <vector>
 
@@ -83,6 +92,35 @@ bool fibs_identical(const Simulation& fast, const BaselineSimulation& base) {
 }
 
 std::string json_number(double value) { return std::to_string(value); }
+
+/// Resets the process's peak-RSS mark (VmHWM) to its current RSS; false
+/// when the kernel refuses. Free heap pages go back to the kernel first, so
+/// an earlier, larger point does not set the floor.
+bool reset_peak_rss() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  std::FILE* file = std::fopen("/proc/self/clear_refs", "w");
+  if (file == nullptr) return false;
+  const bool written = std::fputs("5", file) >= 0;
+  return std::fclose(file) == 0 && written;
+}
+
+/// VmHWM in MB, or -1 when /proc/self/status does not report it.
+double peak_rss_mb() {
+  std::FILE* file = std::fopen("/proc/self/status", "r");
+  if (file == nullptr) return -1.0;
+  double mb = -1.0;
+  char line[256];
+  while (std::fgets(line, sizeof line, file) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      mb = std::strtod(line + 6, nullptr) / 1024.0;
+      break;
+    }
+  }
+  std::fclose(file);
+  return mb;
+}
 
 }  // namespace
 
@@ -149,10 +187,10 @@ int main(int argc, char** argv) {
               pipeline_max);
   std::printf(
       "%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %7s | %8s %3s "
-      "%3s\n",
+      "%3s %7s\n",
       "family", "R", "hosts", "links", "topo (s)", "flat (s)", "base (s)",
       "speedup", "fib=", "inc (s)", "full (s)", "inc/fl", "pipe (s)", "ok",
-      "att");
+      "att", "rss(MB)");
 
   bool all_fibs_identical = true;
   std::string json =
@@ -165,6 +203,7 @@ int main(int argc, char** argv) {
       ",\n  \"pipeline_max_routers\": " + std::to_string(pipeline_max) +
       ",\n  \"sweep\": [";
   bool first = true;
+  bool rss_note_printed = false;
 
   for (const auto& spec : families) {
     for (const int routers : sizes) {
@@ -229,13 +268,20 @@ int main(int argc, char** argv) {
       double pipeline_s = -1.0;
       bool pipeline_verified = false;
       int pipeline_attempts = 0;
+      double pipeline_rss_mb = -1.0;
       std::string phases = "null";
       if (routers <= pipeline_max) {
+        if (!reset_peak_rss() && !rss_note_printed) {
+          std::printf("note: the kernel refused to reset VmHWM; "
+                      "pipeline_peak_rss_mb is the process peak so far\n");
+          rss_note_printed = true;
+        }
         PipelineTrace trace;
         const auto start = std::chrono::steady_clock::now();
         const auto outcome =
             run_pipeline_guarded(configs, bench::default_options());
         pipeline_s = seconds_since(start);
+        pipeline_rss_mb = peak_rss_mb();
         pipeline_verified = outcome.ok();
         pipeline_attempts = outcome.diagnostics.attempts;
         phases = "{";
@@ -257,7 +303,7 @@ int main(int argc, char** argv) {
       const bool pipeline_ran = pipeline_s >= 0;
       std::printf(
           "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %7s | "
-          "%8s %3s %3s\n",
+          "%8s %3s %3s %7s\n",
           spec.name, routers, hosts, links, topo_s, flat_s,
           baseline_ran ? json_number(base_s).substr(0, 8).c_str() : "--",
           baseline_ran ? (json_number(speedup).substr(0, 6) + "x").c_str()
@@ -272,7 +318,10 @@ int main(int argc, char** argv) {
               : "--",
           pipeline_ran ? json_number(pipeline_s).substr(0, 8).c_str() : "--",
           pipeline_ran ? (pipeline_verified ? "yes" : "NO") : "--",
-          pipeline_ran ? std::to_string(pipeline_attempts).c_str() : "--");
+          pipeline_ran ? std::to_string(pipeline_attempts).c_str() : "--",
+          pipeline_rss_mb >= 0
+              ? std::to_string(std::lround(pipeline_rss_mb)).c_str()
+              : "--");
       bench::csv("scale," + std::string(spec.name) + "," +
                  std::to_string(routers) + "," + json_number(flat_s) + "," +
                  (baseline_ran ? json_number(base_s) : "") + "," +
@@ -302,6 +351,8 @@ int main(int argc, char** argv) {
                             : "null") +
               ", \"pipeline_attempts\": " +
               (pipeline_ran ? std::to_string(pipeline_attempts) : "null") +
+              ", \"pipeline_peak_rss_mb\": " +
+              (pipeline_rss_mb >= 0 ? json_number(pipeline_rss_mb) : "null") +
               ", \"pipeline_phases_s\": " + phases + "}";
       first = false;
     }

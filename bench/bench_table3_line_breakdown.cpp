@@ -33,14 +33,14 @@ int main() {
     options.k_r = test_case.k_r;
     options.k_h = test_case.k_h;
     const auto result = run_confmask(network->configs, options);
-    const auto added =
-        result.stats.anonymized_lines - result.stats.original_lines;
+    const auto lines = bundle_line_stats(network->configs, result.anonymized);
+    const auto added = lines.anonymized - lines.original;
     const std::string label = network->name + ", kR=" +
                               std::to_string(test_case.k_r) +
                               ", kH=" + std::to_string(test_case.k_h);
     std::printf("%-28s %10zu %8zu %11zu %8zu %8zu\n", label.c_str(),
                 added.protocol, added.filter, added.interface,
-                added.total(), result.stats.anonymized_lines.total());
+                added.total(), lines.anonymized.total());
     bench::csv("table3," + std::string(network->id) + "," +
                std::to_string(test_case.k_r) + "," +
                std::to_string(test_case.k_h) + "," +
@@ -48,7 +48,7 @@ int main() {
                std::to_string(added.filter) + "," +
                std::to_string(added.interface) + "," +
                std::to_string(added.total()) + "," +
-               std::to_string(result.stats.anonymized_lines.total()));
+               std::to_string(lines.anonymized.total()));
   }
   return 0;
 }

@@ -10,8 +10,8 @@
 // budget still covers a deterministic prefix of the corpus and any failure
 // is replayable by seed. --scale switches the corpus from tiny random
 // networks to the netgen scale families (Waxman OSPF / Waxman RIP /
-// multi-AS, round-robin by seed) at --scale-routers routers each, running
-// the same check ladder. Exit status: 0 when every case agreed, 1 on any
+// multi-AS / preferential attachment, round-robin by seed) at
+// --scale-routers routers each, running the same check ladder. Exit status: 0 when every case agreed, 1 on any
 // divergence (repros land under --repros), 2 on usage errors.
 #include <chrono>
 #include <cstdio>
@@ -34,7 +34,8 @@ namespace {
   std::exit(2);
 }
 
-/// The scale corpus: seed i picks family i%3, generates + decorates at the
+/// The scale corpus: seed i picks family i%4 (Waxman OSPF, Waxman RIP,
+/// multi-AS, preferential attachment), generates + decorates at the
 /// requested size, and runs the standard check ladder. Reference-oracle
 /// work grows steeply with size, so the default stays at 500 routers.
 confmask::DifferentialCorpusStats run_scale_corpus(

@@ -336,7 +336,8 @@ int main(int argc, char** argv) {
               effective.k_r, effective.k_h, effective.noise_p,
               static_cast<unsigned long long>(effective.seed),
               result.stats.fake_intra_links + result.stats.fake_inter_links,
-              result.stats.fake_hosts, result.stats.added_lines(),
+              result.stats.fake_hosts,
+              bundle_line_stats(original, result.anonymized).added(),
               result.stats.equivalence_filters + result.stats.anonymity_filters,
               result.stats.seconds,
               static_cast<unsigned long long>(result.stats.simulations),

@@ -30,6 +30,7 @@ int main() {
   options.k_h = 2;
   options.seed = 2024;
   const PipelineResult result = run_confmask(original, options);
+  const BundleLineStats lines = bundle_line_stats(original, result.anonymized);
 
   std::printf("\n--- what ConfMask did ---\n");
   std::printf("fake links added:       %zu\n",
@@ -44,9 +45,8 @@ int main() {
               result.stats.anonymity_filters,
               result.stats.anonymity_rollbacks);
   std::printf("lines injected:         %zu (U_C = %.1f%%)\n",
-              result.stats.added_lines(),
-              100.0 * config_utility(result.stats.original_lines,
-                                     result.stats.anonymized_lines));
+              lines.added(),
+              100.0 * config_utility(lines.original, lines.anonymized));
 
   // 3. The guarantee: every real host-to-host path is EXACTLY preserved.
   std::printf("\nfunctionally equivalent: %s\n",

@@ -34,13 +34,13 @@ int main(int argc, char** argv) {
   options.k_h = 2;
   options.seed = 0xBEEF;
   const auto result = run_confmask(original, options);
+  const auto lines = bundle_line_stats(original, result.anonymized);
   std::printf("anonymized in %.2fs: +%zu fake links, +%zu fake hosts, "
               "U_C %.1f%%\n",
               result.stats.seconds,
               result.stats.fake_intra_links + result.stats.fake_inter_links,
               result.stats.fake_hosts,
-              100.0 * config_utility(result.stats.original_lines,
-                                     result.stats.anonymized_lines));
+              100.0 * config_utility(lines.original, lines.anonymized));
   if (!result.functionally_equivalent) {
     std::printf("functional equivalence verification FAILED — not sharing\n");
     return 1;

@@ -237,6 +237,11 @@ std::size_t config_set_total_lines(const ConfigSet& configs) {
   return config_set_line_stats(configs).total();
 }
 
+BundleLineStats bundle_line_stats(const ConfigSet& original,
+                                  const ConfigSet& anonymized) {
+  return {config_set_line_stats(original), config_set_line_stats(anonymized)};
+}
+
 ConfigSet canonicalize(ConfigSet configs) {
   const auto by_hostname = [](const auto& a, const auto& b) {
     return a.hostname < b.hostname;

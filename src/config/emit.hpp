@@ -58,6 +58,21 @@ struct LineStats {
 /// Total emitted line count of a configuration set (the paper's P_l).
 [[nodiscard]] std::size_t config_set_total_lines(const ConfigSet& configs);
 
+/// Line counts of a network before and after anonymization: what Table 3,
+/// U_C and N_l read. Emits both bundles, so only reports pay for it, not
+/// the pipeline.
+struct BundleLineStats {
+  LineStats original;
+  LineStats anonymized;
+
+  /// Lines injected, N_l.
+  [[nodiscard]] std::size_t added() const {
+    return anonymized.total() - original.total();
+  }
+};
+[[nodiscard]] BundleLineStats bundle_line_stats(const ConfigSet& original,
+                                                const ConfigSet& anonymized);
+
 /// Marker line opening each device in the canonical bundle format
 /// ("!>> device <hostname>"). Starts with "!" so it reads as a comment to
 /// every config-line consumer (count_config_lines skips it).

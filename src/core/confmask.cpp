@@ -57,6 +57,9 @@ Preprocessed preprocess(const ConfigSet& original,
     span.add("hosts", original.hosts.size());
     span.add("flows", out.index->data_plane().flows.size());
     span.add("simulations", out.simulations);
+    span.add("vectors_computed",
+             static_cast<std::uint64_t>(
+                 out.sim->incremental_stats().distance_vectors_recomputed));
   }
   span.end();
   out.seconds =
@@ -100,7 +103,6 @@ PipelineResult run_pipeline(const ConfigSet& original,
 
   PipelineResult result;
   result.anonymized = original;
-  result.stats.original_lines = config_set_line_stats(original);
 
   // Seeds a stage's first simulation from the prior run's snapshot when
   // the stage-entry diff allows it (patch_mode.hpp); tallies the reuse
@@ -118,6 +120,11 @@ PipelineResult run_pipeline(const ConfigSet& original,
   };
 
   const OriginalIndex& index = *preprocessed.index;
+  // The route stages' entry builds carry OSPF distance vectors over from
+  // the preprocess simulation where they provably still hold; the serial
+  // baseline computes everything itself.
+  const Simulation* carry =
+      options.incremental_simulation ? preprocessed.sim.get() : nullptr;
   if (patch_base != nullptr) {
     ++(preprocessed.seeded ? result.stats.patched_stages
                            : result.stats.patch_fallbacks);
@@ -236,7 +243,8 @@ PipelineResult run_pipeline(const ConfigSet& original,
                                          options.max_equivalence_iterations,
                                          options.incremental_simulation,
                                          patch_equivalence ? &equivalence_seed
-                                                           : nullptr);
+                                                           : nullptr,
+                                         carry);
       });
   if (patch_capture != nullptr) {
     patch_capture->equivalence.live = equivalence_seed.entry_sim;
@@ -276,7 +284,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
     const auto anonymity = anonymize_routes(
         result.anonymized, result.fake_hosts, options.noise_p, rng,
         options.incremental_simulation, &final_simulation,
-        patch_anonymity ? &anonymity_seed : nullptr);
+        patch_anonymity ? &anonymity_seed : nullptr, carry);
     result.stats.anonymity_filters = anonymity.filters_added;
     result.stats.anonymity_rollbacks = anonymity.filters_rolled_back;
   });
@@ -326,7 +334,6 @@ PipelineResult run_pipeline(const ConfigSet& original,
   }
   verification_span.end();
 
-  result.stats.anonymized_lines = config_set_line_stats(result.anonymized);
   result.stats.simulations = preprocessed.simulations +
                              Simulation::runs_on_this_thread() - runs_before;
   result.stats.seconds =

@@ -75,13 +75,6 @@ struct PipelineStats {
   int patch_fallbacks = 0;
   std::uint64_t simulations = 0;  ///< simulation jobs (paper §5.4 cost unit)
   double seconds = 0.0;           ///< end-to-end wall-clock
-  LineStats original_lines;
-  LineStats anonymized_lines;
-
-  /// Lines injected, N_l.
-  [[nodiscard]] std::size_t added_lines() const {
-    return anonymized_lines.total() - original_lines.total();
-  }
 };
 
 struct PipelineResult {

@@ -74,7 +74,8 @@ std::vector<std::string> add_fake_hosts(ConfigSet& configs,
 RouteAnonymityOutcome anonymize_routes(
     ConfigSet& configs, const std::vector<std::string>& fake_hosts,
     double noise_p, Rng& rng, bool incremental,
-    std::shared_ptr<Simulation>* final_simulation, StageSeed* seed) {
+    std::shared_ptr<Simulation>* final_simulation, StageSeed* seed,
+    const Simulation* carry) {
   RouteAnonymityOutcome outcome;
   if (final_simulation != nullptr) final_simulation->reset();
   if (fake_hosts.empty() || noise_p <= 0.0) return outcome;
@@ -92,9 +93,17 @@ RouteAnonymityOutcome anonymize_routes(
   if (seed != nullptr && seed->initial != nullptr) {
     current = std::move(seed->initial);
   } else {
-    current = std::make_shared<Simulation>(configs);
+    current = std::make_shared<Simulation>(configs, carry);
   }
   if (seed != nullptr) seed->entry_sim = current;
+  PipelineTrace::count(
+      "vectors_carried",
+      static_cast<std::uint64_t>(
+          current->incremental_stats().distance_vectors_reused));
+  PipelineTrace::count(
+      "vectors_computed",
+      static_cast<std::uint64_t>(
+          current->incremental_stats().distance_vectors_recomputed));
   // Shared ownership: the rollback rounds replace `current`, and a fresh
   // (non-incremental) rebuild constructs its own Topology — node ids are
   // identical since the node set is frozen, but the original object would

@@ -51,12 +51,14 @@ struct RouteAnonymityOutcome {
 /// exact behavior.
 ///
 /// `seed` (watch mode) optionally supplies the stage's first simulation
-/// and/or receives a handle to it — see stage_seed.hpp. The RNG draw
+/// and/or receives a handle to it — see stage_seed.hpp. `carry` (optional)
+/// is an earlier stage's simulation whose OSPF distance vectors a fresh
+/// first build may adopt (Simulation's carrying constructor). The RNG draw
 /// sequence of the noise pass is identical either way.
 RouteAnonymityOutcome anonymize_routes(
     ConfigSet& configs, const std::vector<std::string>& fake_hosts,
     double noise_p, Rng& rng, bool incremental = true,
     std::shared_ptr<Simulation>* final_simulation = nullptr,
-    StageSeed* seed = nullptr);
+    StageSeed* seed = nullptr, const Simulation* carry = nullptr);
 
 }  // namespace confmask

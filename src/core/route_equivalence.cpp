@@ -15,7 +15,8 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
                                                   const OriginalIndex& index,
                                                   int max_iterations,
                                                   bool incremental,
-                                                  StageSeed* seed) {
+                                                  StageSeed* seed,
+                                                  const Simulation* carry) {
   RouteEquivalenceOutcome outcome;
   // Step 1 froze the topology (all fake edges exist already); Algorithm 1
   // only edits route filters. So after the first full build, each
@@ -38,7 +39,7 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
       if (seed != nullptr && seed->initial != nullptr) {
         simulation = std::move(seed->initial);
       } else {
-        simulation = std::make_shared<Simulation>(configs);
+        simulation = std::make_shared<Simulation>(configs, carry);
       }
       if (seed != nullptr) seed->entry_sim = simulation;
     }
@@ -55,6 +56,12 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
                          static_cast<std::uint64_t>(inc.destinations_reused));
       iteration_span.add("destinations_recomputed",
                          static_cast<std::uint64_t>(inc.destinations_recomputed));
+      iteration_span.add(
+          "vectors_carried",
+          static_cast<std::uint64_t>(inc.distance_vectors_reused));
+      iteration_span.add(
+          "vectors_computed",
+          static_cast<std::uint64_t>(inc.distance_vectors_recomputed));
     }
 
     SimulationDelta delta;

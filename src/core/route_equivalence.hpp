@@ -19,6 +19,8 @@
 
 namespace confmask {
 
+class Simulation;
+
 struct RouteEquivalenceOutcome {
   int iterations = 0;     ///< simulations performed (including the clean one)
   int filters_added = 0;  ///< deny entries written
@@ -31,12 +33,13 @@ struct RouteEquivalenceOutcome {
 /// recomputed. Results are bit-identical to `incremental = false`.
 ///
 /// `seed` (watch mode) optionally supplies the stage's first simulation
-/// and/or receives a handle to it — see stage_seed.hpp. Filter decisions
-/// are unaffected: the stage scans the same FIBs either way.
-RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
-                                                  const OriginalIndex& index,
-                                                  int max_iterations = 64,
-                                                  bool incremental = true,
-                                                  StageSeed* seed = nullptr);
+/// and/or receives a handle to it — see stage_seed.hpp. `carry` (optional)
+/// is an earlier stage's simulation whose OSPF distance vectors a fresh
+/// first build may adopt (Simulation's carrying constructor). Filter
+/// decisions are unaffected: the stage scans the same FIBs either way.
+RouteEquivalenceOutcome enforce_route_equivalence(
+    ConfigSet& configs, const OriginalIndex& index, int max_iterations = 64,
+    bool incremental = true, StageSeed* seed = nullptr,
+    const Simulation* carry = nullptr);
 
 }  // namespace confmask

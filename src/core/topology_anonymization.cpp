@@ -72,16 +72,20 @@ TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs,
         topo.node(node).config_index)];
   };
 
-  // Only the chosen pairs are priced, each direction by one lazily
-  // memoized IGP row of `network`. Names resolve through the network's own
-  // topology: a watch-mode seeded simulation reuses its snapshot's node
+  // Only the chosen pairs are priced, each direction by one memoized IGP
+  // row of `network`; an AS's missing rows are computed in one pool batch
+  // before its links are materialized. Names resolve through the network's
+  // own topology: a watch-mode seeded simulation reuses its snapshot's node
   // ids.
+  const bool priced =
+      network != nullptr && policy == FakeLinkCostPolicy::kMinCost;
+  const auto network_id = [&](int node) {
+    return network->topology().find_node(topo.node(node).name);
+  };
   const auto min_cost_of = [&](int a, int b) {
-    if (network == nullptr || policy != FakeLinkCostPolicy::kMinCost) {
-      return -1L;
-    }
-    const int ia = network->topology().find_node(topo.node(a).name);
-    const int ib = network->topology().find_node(topo.node(b).name);
+    if (!priced) return -1L;
+    const int ia = network_id(a);
+    const int ib = network_id(b);
     if (ia < 0 || ib < 0) return -1L;
     return network->igp_distance(ia, ib);
   };
@@ -111,6 +115,16 @@ TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs,
       }
     }
     const auto result = k_degree_anonymize(subgraph, k_r, rng);
+    if (priced) {
+      std::vector<int> sources;
+      for (const auto& [u, v] : result.added_edges) {
+        for (const int local : {u, v}) {
+          const int id = network_id(members[static_cast<std::size_t>(local)]);
+          if (id >= 0) sources.push_back(id);
+        }
+      }
+      network->prefetch_igp_rows(std::move(sources));
+    }
     for (const auto& [u, v] : result.added_edges) {
       const int node_u = members[static_cast<std::size_t>(u)];
       const int node_v = members[static_cast<std::size_t>(v)];

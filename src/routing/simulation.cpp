@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "src/util/cancellation.hpp"
@@ -40,6 +44,7 @@ using HeapItem = std::pair<long, std::int32_t>;
 struct DestScratch {
   std::vector<long> dist;
   std::vector<HeapItem> heap;
+  std::vector<std::int32_t> queue;  // RIP BFS frontier
   std::vector<std::vector<NextHop>> slots;
   std::vector<std::int32_t> touched;  // may contain duplicates
 };
@@ -83,7 +88,90 @@ HeapItem heap_pop(std::vector<HeapItem>& heap) {
   return top;
 }
 
+std::uint32_t mask_of(int length) {
+  return length == 0 ? 0u : ~std::uint32_t{0} << (32 - length);
+}
+
+/// Hash key of `bits` masked to `length` (length ≤ 32 < 2^6, so no key
+/// equals KeySet::kEmpty). `slot` (< 2^26) prefixes it for the deny index.
+std::uint64_t prefix_key(std::uint32_t bits, int length,
+                         std::uint64_t slot = 0) {
+  return slot << 38 | static_cast<std::uint64_t>(length) << 32 |
+         (bits & mask_of(length));
+}
+
+// Interface slots the deny index can key (26 bits of the 64-bit key).
+constexpr std::int32_t kMaxIndexedSlots = std::int32_t{1} << 26;
+
+/// An entry matching every candidate. Stricter than the editing helpers'
+/// check, which ignores `ge`: a `ge` above 0 leaves short prefixes
+/// unmatched, and the deny index must not assume they are permitted.
+bool is_permit_all(const PrefixListEntry& entry) {
+  return entry.permit && entry.prefix.length() == 0 && entry.le == 32 &&
+         entry.ge.value_or(0) == 0;
+}
+
+/// True for a list that denies exactly its deny prefixes: exact-prefix
+/// denies (no ge/le, so each matches only its own prefix), then a
+/// permit-all whose match ends every later scan. What
+/// add_deny_keeping_permit_all writes.
+bool is_deny_shaped(const PrefixList& list) {
+  for (const PrefixListEntry& entry : list.entries) {
+    if (!entry.permit && !entry.ge && !entry.le) continue;
+    return is_permit_all(entry);
+  }
+  return false;  // no permit-all: the implicit deny-all applies
+}
+
+/// One OSPF half-edge: `from` forwards to `to` at `cost`.
+using Arc = std::tuple<std::int32_t, std::int32_t, std::int32_t>;
+
+/// The OSPF half-edges among the first `routers` nodes, sorted.
+std::vector<Arc> ospf_arcs(const FlatTopology& flat, int routers) {
+  std::vector<Arc> arcs;
+  for (int u = 0; u < routers; ++u) {
+    const std::int32_t last = flat.last_out(u);
+    for (std::int32_t e = flat.first_out(u); e < last; ++e) {
+      if ((flat.edge_flags(e) & FlatTopology::kOspf) == 0) continue;
+      arcs.emplace_back(u, flat.edge_target(e), flat.edge_cost_out(e));
+    }
+  }
+  std::sort(arcs.begin(), arcs.end());
+  return arcs;
+}
+
 }  // namespace
+
+void Simulation::KeySet::reset(std::size_t expected) {
+  std::size_t capacity = 16;
+  while (capacity < 2 * expected) capacity <<= 1;
+  slots_.assign(capacity, kEmpty);
+  mask_ = capacity - 1;
+}
+
+std::size_t Simulation::KeySet::home(std::uint64_t key) const {
+  // Fibonacci hashing: the top bits of the product are well mixed.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) &
+         mask_;
+}
+
+void Simulation::KeySet::insert(std::uint64_t key) {
+  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    if (slots_[i] == key) return;
+    if (slots_[i] == kEmpty) {
+      slots_[i] = key;
+      return;
+    }
+  }
+}
+
+bool Simulation::KeySet::contains(std::uint64_t key) const {
+  if (slots_.empty()) return false;
+  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    if (slots_[i] == key) return true;
+    if (slots_[i] == kEmpty) return false;
+  }
+}
 
 std::uint64_t Simulation::total_runs() {
   return g_simulation_runs.load(std::memory_order_relaxed);
@@ -93,7 +181,7 @@ void Simulation::reset_run_counter() {
 }
 std::uint64_t Simulation::runs_on_this_thread() { return t_simulation_runs; }
 
-Simulation::Simulation(const ConfigSet& configs)
+Simulation::Simulation(const ConfigSet& configs, const Simulation* carry)
     : configs_(&configs),
       topology_(std::make_shared<const Topology>(Topology::build(configs))) {
   // Poll on the orchestration thread before fanning out to the pool (pool
@@ -117,10 +205,74 @@ Simulation::Simulation(const ConfigSet& configs)
   // materialized the full R×R matrix here — an O(R²) memory cliff at
   // 10⁴ routers). igp_distance() fills other rows lazily.
   if (!flat_->sessions().empty()) compute_border_distances();
+  const std::vector<Distances> carried =
+      carry != nullptr ? carried_vectors(*carry) : std::vector<Distances>{};
   const auto& host_ids = topology_->host_ids();
+  std::vector<signed char> actions(host_ids.size());
   ThreadPool::shared().parallel_for(host_ids.size(), [&](std::size_t i) {
-    compute_destination(host_ids[i], nullptr);
+    const int gateway = flat_->host_gateway(host_ids[i] - n);
+    actions[i] = static_cast<signed char>(compute_destination(
+        host_ids[i], carried.empty() || gateway < 0
+                         ? nullptr
+                         : carried[static_cast<std::size_t>(gateway)]));
   });
+  for (const signed char action : actions) {
+    count_vector(static_cast<DestAction>(action));
+  }
+}
+
+std::vector<Simulation::Distances> Simulation::carried_vectors(
+    const Simulation& donor) const {
+  const int n = topology_->router_count();
+  std::vector<Distances> by_gateway;
+  if (donor.topology_->router_count() != n) return by_gateway;
+  // Check 1: the donor's OSPF graph survives, every half-edge at its cost,
+  // so no distance grew. What remains is the set of half-edges added since.
+  const std::vector<Arc> before = ospf_arcs(*donor.flat_, n);
+  const std::vector<Arc> now = ospf_arcs(*flat_, n);
+  if (!std::includes(now.begin(), now.end(), before.begin(), before.end())) {
+    return by_gateway;
+  }
+  std::vector<Arc> added;
+  std::set_difference(now.begin(), now.end(), before.begin(), before.end(),
+                      std::back_inserter(added));
+  // Check 2, per gateway: no added half-edge u→w relaxes the vector
+  // (dist[u] ≤ cost + dist[w]), so no distance shrank either. The donor's
+  // own half-edges satisfy this already: its vector is their fixpoint.
+  by_gateway.resize(static_cast<std::size_t>(n));
+  std::vector<char> checked(static_cast<std::size_t>(n), 0);
+  const int donor_hosts = donor.topology_->host_count();
+  for (int h = 0; h < donor_hosts; ++h) {
+    const auto& vector = donor.dest_dist_[static_cast<std::size_t>(h)];
+    const int gateway = donor.flat_->host_gateway(h);
+    if (vector == nullptr || gateway < 0 ||
+        checked[static_cast<std::size_t>(gateway)] != 0) {
+      continue;
+    }
+    checked[static_cast<std::size_t>(gateway)] = 1;
+    const std::vector<long>& dist = *vector;
+    const bool exact =
+        std::all_of(added.begin(), added.end(), [&](const Arc& arc) {
+          const auto [from, to, cost] = arc;
+          return dist[static_cast<std::size_t>(from)] <=
+                 cost + dist[static_cast<std::size_t>(to)];
+        });
+    if (exact) by_gateway[static_cast<std::size_t>(gateway)] = vector;
+  }
+  return by_gateway;
+}
+
+void Simulation::count_vector(DestAction action) {
+  switch (action) {
+    case DestAction::kDistReused:
+      ++incremental_stats_.distance_vectors_reused;
+      break;
+    case DestAction::kDistComputed:
+      ++incremental_stats_.distance_vectors_recomputed;
+      break;
+    case DestAction::kFresh:
+      break;
+  }
 }
 
 Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
@@ -147,20 +299,42 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
   index_filters();
 
   const auto& host_ids = topology_->host_ids();
+  // A change can affect a destination iff their prefixes overlap, i.e.
+  // agree on the shorter of the two lengths. So for each (change length,
+  // host length) pair present, the change networks masked to the shorter
+  // one go into a hash set, and a destination costs one lookup per
+  // distinct change length instead of a scan over every change.
+  std::uint64_t change_lengths = 0;  // bit L set: some prefix of length L
+  std::uint64_t host_lengths = 0;
+  for (const auto& change : delta.changes) {
+    change_lengths |= std::uint64_t{1} << change.prefix.length();
+  }
+  for (int h = 0; h < hosts; ++h) {
+    host_lengths |= std::uint64_t{1} << flat_->host_prefix(h).length();
+  }
+  KeySet dirty_keys;
+  dirty_keys.reset(delta.changes.size() *
+                   static_cast<std::size_t>(std::popcount(host_lengths)));
+  for (const auto& change : delta.changes) {
+    for (int length = 0; length <= 32; ++length) {
+      if ((host_lengths >> length & 1) == 0) continue;
+      dirty_keys.insert(prefix_key(change.prefix.network().bits(),
+                                   std::min(length, change.prefix.length())));
+    }
+  }
   // -1 = column inherited; otherwise the DestAction taken. Written by
   // disjoint indices in the parallel loop, tallied serially below.
   std::vector<signed char> actions(host_ids.size(), -1);
   ThreadPool::shared().parallel_for(host_ids.size(), [&](std::size_t i) {
     const int host = host_ids[i];
     const std::size_t idx = static_cast<std::size_t>(host - n);
-    const Ipv4Prefix host_prefix =
-        flat_->host_prefix(static_cast<int>(idx));
+    const Ipv4Prefix& host_prefix = flat_->host_prefix(static_cast<int>(idx));
     bool dirty = false;
-    for (const auto& change : delta.changes) {
-      if (change.prefix.overlaps(host_prefix)) {
-        dirty = true;
-        break;
-      }
+    for (int length = 0; length <= 32 && !dirty; ++length) {
+      dirty = (change_lengths >> length & 1) != 0 &&
+              dirty_keys.contains(
+                  prefix_key(host_prefix.network().bits(),
+                             std::min(length, host_prefix.length())));
     }
     if (!dirty) {
       // Clean destination: alias the previous generation's immutable
@@ -178,16 +352,7 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
       continue;
     }
     ++incremental_stats_.destinations_recomputed;
-    switch (static_cast<DestAction>(action)) {
-      case DestAction::kDistReused:
-        ++incremental_stats_.distance_vectors_reused;
-        break;
-      case DestAction::kDistComputed:
-        ++incremental_stats_.distance_vectors_recomputed;
-        break;
-      case DestAction::kFresh:
-        break;
-    }
+    count_vector(static_cast<DestAction>(action));
   }
 }
 
@@ -231,15 +396,37 @@ void Simulation::index_filters() {
   bgp_filters_.assign(routers.size(), {});
   bgp_filter_pool_.clear();
   std::vector<std::pair<std::uint32_t, const PrefixList*>> bgp_pairs;
+  // One router's prefix lists sorted by name (stable: same-named lists
+  // keep config order), so each binding resolves by binary search.
+  std::vector<std::pair<std::string_view, const PrefixList*>> by_name;
+  const auto lists_named = [&by_name](std::string_view name) {
+    return std::equal_range(
+        by_name.begin(), by_name.end(),
+        std::pair<std::string_view, const PrefixList*>{name, nullptr},
+        [](const auto& lhs, const auto& rhs) {
+          return lhs.first < rhs.first;
+        });
+  };
+  std::size_t bound_entries = 0;
   for (int r = 0; r < n; ++r) {
     const auto& router = routers[static_cast<std::size_t>(
         topology_->node(r).config_index)];
+    by_name.clear();
+    for (const auto& pl : router.prefix_lists) {
+      by_name.emplace_back(pl.name, &pl);
+    }
+    std::stable_sort(by_name.begin(), by_name.end(),
+                     [](const auto& lhs, const auto& rhs) {
+                       return lhs.first < rhs.first;
+                     });
     const auto bind_igp = [&](const std::vector<DistributeList>& lists) {
       for (const auto& dl : lists) {
         const std::int32_t slot = slot_of(r, router, dl.interface);
         if (slot < 0) continue;
-        for (const auto& pl : router.prefix_lists) {
-          if (pl.name == dl.prefix_list) igp_pairs.emplace_back(slot, &pl);
+        const auto [first, last] = lists_named(dl.prefix_list);
+        for (auto it = first; it != last; ++it) {
+          igp_pairs.emplace_back(slot, it->second);
+          bound_entries += it->second->entries.size();
         }
       }
     };
@@ -259,10 +446,9 @@ void Simulation::index_filters() {
       bgp_pairs.clear();
       for (const auto& neighbor : router.bgp->neighbors) {
         for (const auto& name : neighbor.prefix_lists_in) {
-          for (const auto& pl : router.prefix_lists) {
-            if (pl.name == name) {
-              bgp_pairs.emplace_back(neighbor.address.bits(), &pl);
-            }
+          const auto [first, last] = lists_named(name);
+          for (auto it = first; it != last; ++it) {
+            bgp_pairs.emplace_back(neighbor.address.bits(), it->second);
           }
         }
       }
@@ -284,6 +470,23 @@ void Simulation::index_filters() {
       }
     }
   }
+  // A slot denies when any of its lists denies, so the deny-shaped lists
+  // of all slots fold into one (slot, prefix) set; the rest keep the
+  // ordered scan.
+  deny_index_.reset(bound_entries);
+  slot_has_denies_.assign(slot_count, 0);
+  std::erase_if(igp_pairs, [&](const auto& pair) {
+    const auto [slot, list] = pair;
+    if (slot >= kMaxIndexedSlots || !is_deny_shaped(*list)) return false;
+    for (const PrefixListEntry& entry : list->entries) {
+      if (entry.permit) break;
+      deny_index_.insert(prefix_key(entry.prefix.network().bits(),
+                                    entry.prefix.length(),
+                                    static_cast<std::uint64_t>(slot)));
+      slot_has_denies_[static_cast<std::size_t>(slot)] = 1;
+    }
+    return true;
+  });
   std::stable_sort(igp_pairs.begin(), igp_pairs.end(),
                    [](const auto& lhs, const auto& rhs) {
                      return lhs.first < rhs.first;
@@ -306,6 +509,12 @@ void Simulation::index_filters() {
 bool Simulation::denied_igp(std::int32_t iface_slot,
                             const Ipv4Prefix& dest) const {
   if (iface_slot < 0) return false;
+  if (slot_has_denies_[static_cast<std::size_t>(iface_slot)] != 0 &&
+      deny_index_.contains(
+          prefix_key(dest.network().bits(), dest.length(),
+                     static_cast<std::uint64_t>(iface_slot)))) {
+    return true;
+  }
   const std::int32_t first =
       igp_filter_offset_[static_cast<std::size_t>(iface_slot)];
   const std::int32_t last =
@@ -381,12 +590,16 @@ void Simulation::compute_border_distances() {
 
 const std::vector<long>& Simulation::igp_row(int from) const {
   IgpCache& cache = *igp_cache_;
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  auto& row = cache.rows[static_cast<std::size_t>(from)];
-  if (cache.ready[static_cast<std::size_t>(from)] != 0) return row;
+  const auto source = static_cast<std::size_t>(from);
+  {
+    std::lock_guard<std::mutex> lock(cache.mutex);
+    if (cache.ready[source] != 0) return cache.rows[source];
+  }
+  // Computed outside the lock so a prefetch batch runs its Dijkstras in
+  // parallel; a row, once ready, is never written again.
   const FlatTopology& flat = *flat_;
   const int n = topology_->router_count();
-  row.assign(static_cast<std::size_t>(n), kInf);
+  std::vector<long> row(static_cast<std::size_t>(n), kInf);
   row[static_cast<std::size_t>(from)] = 0;
   std::vector<HeapItem> heap;
   heap_push(heap, 0, from);
@@ -406,13 +619,25 @@ const std::vector<long>& Simulation::igp_row(int from) const {
       }
     }
   }
-  cache.ready[static_cast<std::size_t>(from)] = 1;
-  return row;
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  if (cache.ready[source] == 0) {
+    cache.rows[source] = std::move(row);
+    cache.ready[source] = 1;
+  }
+  return cache.rows[source];
 }
 
 long Simulation::igp_distance(int from, int to) const {
   const long d = igp_row(from)[static_cast<std::size_t>(to)];
   return d >= kInf ? -1 : d;
+}
+
+void Simulation::prefetch_igp_rows(std::vector<int> sources) const {
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+  ThreadPool::shared().parallel_for(sources.size(), [&](std::size_t i) {
+    (void)igp_row(sources[i]);
+  });
 }
 
 void Simulation::compute_bgp_destination(
@@ -530,7 +755,7 @@ void Simulation::compute_bgp_destination(
 }
 
 Simulation::DestAction Simulation::compute_destination(
-    int host, const std::shared_ptr<const std::vector<long>>& reuse_dist) {
+    int host, const Distances& reuse_dist) {
   const FlatTopology& flat = *flat_;
   const int n = topology_->router_count();
   const int hidx = host - n;
@@ -590,33 +815,28 @@ Simulation::DestAction Simulation::compute_destination(
     }
     dist = scratch.dist.data();
   } else if (in_rip) {
-    // Distance-vector: filters affect propagation, so they participate in
-    // the Bellman-Ford relaxation itself — a cached vector from before a
-    // filter edit would be stale, hence always recomputed.
+    // Distance-vector: filters act at import, so they shape the distances
+    // themselves — a cached vector from before a filter edit would be
+    // stale, hence always recomputed. With hop metrics the distance-vector
+    // fixpoint is the BFS distance from the gateway over the RIP half-edges
+    // u→w whose importing interface at w admits the destination.
     action = DestAction::kDistComputed;
     scratch.dist.assign(static_cast<std::size_t>(n), kInf);
     scratch.dist[static_cast<std::size_t>(gateway)] = 0;
-    auto& rip_dist = scratch.dist;
-    const int link_count = static_cast<int>(topology_->links().size());
-    for (int round = 0; round < n + 1; ++round) {
-      bool changed = false;
-      for (int l = 0; l < link_count; ++l) {
-        if ((flat.link_flags(l) & FlatTopology::kRip) == 0) continue;
-        const auto relax = [&](int from, int to, std::int32_t to_iface) {
-          if (rip_dist[static_cast<std::size_t>(from)] >= kInf) return;
-          if (denied_igp(to_iface, dest_prefix)) return;
-          const long cand = rip_dist[static_cast<std::size_t>(from)] + 1;
-          if (cand < rip_dist[static_cast<std::size_t>(to)]) {
-            rip_dist[static_cast<std::size_t>(to)] = cand;
-            changed = true;
-          }
-        };
-        const int a = flat.link_node_a(l);
-        const int b = flat.link_node_b(l);
-        relax(a, b, flat.link_iface_at(l, b));
-        relax(b, a, flat.link_iface_at(l, a));
+    auto& queue = scratch.queue;
+    queue.assign(1, gateway);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::int32_t u = queue[head];
+      const long next = scratch.dist[static_cast<std::size_t>(u)] + 1;
+      const std::int32_t last = flat.last_out(u);
+      for (std::int32_t e = flat.first_out(u); e < last; ++e) {
+        if ((flat.edge_flags(e) & FlatTopology::kRip) == 0) continue;
+        const std::int32_t w = flat.edge_target(e);
+        if (scratch.dist[static_cast<std::size_t>(w)] != kInf) continue;
+        if (denied_igp(flat.edge_peer_iface(e), dest_prefix)) continue;
+        scratch.dist[static_cast<std::size_t>(w)] = next;
+        queue.push_back(w);
       }
-      if (!changed) break;
     }
     dist = scratch.dist.data();
   }
@@ -712,7 +932,7 @@ Simulation::DestAction Simulation::compute_destination(
   }
   fib_columns_[static_cast<std::size_t>(hidx)] = std::move(column);
 
-  if (in_ospf || in_rip) {
+  if (in_ospf) {
     if (action == DestAction::kDistReused) {
       dest_dist_[static_cast<std::size_t>(hidx)] = reuse_dist;
     } else {

@@ -43,9 +43,17 @@
 // IGP distances are never materialized as an R×R matrix (an O(R²) memory
 // cliff at 10⁴ routers): hot-potato selection precomputes one distance row
 // per BORDER router only, and `igp_distance()` memoizes per-source rows on
-// demand, so pricing a few dozen fake links costs a few dozen Dijkstras.
-// The cache is shared across incremental generations — link-state
-// distances never see route filters.
+// demand, so pricing a few dozen fake links costs a few dozen Dijkstras
+// (`prefetch_igp_rows` computes a batch of them over the pool). The cache
+// is shared across incremental generations — link-state distances never
+// see route filters.
+//
+// Work that scales with the change (DESIGN.md §13): ConfMask-shaped prefix
+// lists are answered by one (interface slot, prefix) hash lookup instead of
+// an entry scan, RIP distances come from one BFS, the incremental
+// constructor finds dirty destinations by hash, and a fresh build may carry
+// OSPF distance vectors over from an earlier stage's simulation when two
+// checks prove them still exact.
 #pragma once
 
 #include <cstdint>
@@ -120,15 +128,17 @@ struct SimulationDelta {
   void clear() { changes.clear(); }
 };
 
-/// What an incremental rebuild actually recomputed (all zero for a fresh
-/// build). Distance-vector counters only cover IGP-routed destinations:
-/// OSPF distances are filter-independent (computed over the full LSDB) and
-/// are reused even for dirty destinations, while RIP distances embed
-/// filter effects in the Bellman-Ford relaxation and must be recomputed.
+/// What a build adopted instead of computing. Destination counters cover
+/// incremental rebuilds only (zero for a fresh build). Distance-vector
+/// counters cover IGP-routed destinations that were (re)built: OSPF
+/// distances are filter-independent (computed over the full LSDB), so an
+/// incremental rebuild reuses them even for dirty destinations and a fresh
+/// build with a donor carries them over where they provably still hold;
+/// RIP distances embed filter effects and are always computed.
 struct IncrementalStats {
   int destinations_reused = 0;
   int destinations_recomputed = 0;
-  int distance_vectors_reused = 0;
+  int distance_vectors_reused = 0;  ///< adopted: aliased, not computed
   int distance_vectors_recomputed = 0;
 };
 
@@ -150,7 +160,16 @@ class Simulation {
 
   /// Builds the topology and converges all routing protocols. `configs`
   /// must outlive the simulation.
-  explicit Simulation(const ConfigSet& configs);
+  ///
+  /// `carry` (optional) is an earlier stage's simulation over a network
+  /// this one only appended to (routers keep their ids). An OSPF
+  /// destination adopts `carry`'s distance vector for the same gateway
+  /// when (1) every OSPF half-edge of `carry` survives here at its cost and
+  /// (2) no half-edge added since relaxes the vector; it is computed
+  /// otherwise. Either way the result is bit-identical to a build without
+  /// `carry`. `carry` need only live through the constructor.
+  explicit Simulation(const ConfigSet& configs,
+                      const Simulation* carry = nullptr);
 
   /// Incremental re-simulation. `previous` must have been built over the
   /// SAME frozen topology (identical routers, hosts, interfaces and
@@ -247,6 +266,11 @@ class Simulation {
   /// actually queried ever get a row.
   [[nodiscard]] long igp_distance(int from, int to) const;
 
+  /// Computes the memoized IGP rows of `sources` that are still missing,
+  /// fanned out over the pool, so later `igp_distance` calls from them are
+  /// cache hits.
+  void prefetch_igp_rows(std::vector<int> sources) const;
+
   /// Number of Simulation instances constructed since process start; the
   /// paper's §5.4 complexity discussion counts exactly these jobs.
   ///
@@ -269,6 +293,25 @@ class Simulation {
   static std::uint64_t runs_on_this_thread();
 
  private:
+  /// A destination's IGP distance vector, shared across generations.
+  using Distances = std::shared_ptr<const std::vector<long>>;
+
+  /// Open-addressing set of 64-bit keys in one flat array: no per-entry
+  /// allocation, so rebuilding it on every construction stays cheap. Keys
+  /// must differ from kEmpty.
+  class KeySet {
+   public:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    /// Empties the set, sized for about `expected` keys.
+    void reset(std::size_t expected);
+    void insert(std::uint64_t key);
+    [[nodiscard]] bool contains(std::uint64_t key) const;
+
+   private:
+    [[nodiscard]] std::size_t home(std::uint64_t key) const;
+    std::vector<std::uint64_t> slots_;
+    std::size_t mask_ = 0;
+  };
 
   /// Per-source IGP distance rows, one per queried source, memoized
   /// lazily and shared (by shared_ptr) across incremental generations —
@@ -290,21 +333,26 @@ class Simulation {
 
   void index_filters();
   void compute_border_distances();
-  /// Converges one destination host's FIB column. `reuse_dist` (from a
-  /// previous simulation over the same topology) is adopted verbatim for
-  /// OSPF-routed destinations — link-state distances are filter-free —
-  /// and ignored (recomputed) for RIP ones. Returns the action taken for
-  /// the incremental-stats tally.
+  /// Per router id: the OSPF distance vector of `donor` towards that
+  /// gateway when it is exact on this simulation's graph too (see the
+  /// carrying constructor), else null. Empty when no vector carries.
+  [[nodiscard]] std::vector<Distances> carried_vectors(
+      const Simulation& donor) const;
+  /// Converges one destination host's FIB column. `reuse_dist` (exact for
+  /// this destination's gateway on this topology: a previous generation's
+  /// or a carried vector) is adopted verbatim for OSPF-routed destinations
+  /// — link-state distances are filter-free — and ignored (recomputed)
+  /// for RIP ones. Returns the action taken for the stats tally.
   enum class DestAction : signed char {
     kFresh,         ///< no distance vector applicable (static/BGP only)
     kDistReused,    ///< OSPF: distances adopted from `reuse_dist`
     kDistComputed,  ///< distances computed from scratch
   };
+  void count_vector(DestAction action);
   /// `reuse_dist` may be null; when adopted, the column's distance vector
   /// ALIASES it (no copy) — the shared_ptr keeps it alive across
   /// generations.
-  DestAction compute_destination(
-      int host, const std::shared_ptr<const std::vector<long>>& reuse_dist);
+  DestAction compute_destination(int host, const Distances& reuse_dist);
   /// BGP part of compute_destination: FIBs of routers outside the origin
   /// AS (AS-level path-vector + hot-potato egress selection). Appends into
   /// the caller's per-router slot builders.
@@ -313,7 +361,8 @@ class Simulation {
                                std::vector<std::vector<NextHop>>& slots,
                                std::vector<std::int32_t>& touched) const;
   /// Route-filter check on an interned interface slot (-1 = no interface,
-  /// never filtered).
+  /// never filtered): the deny index first, then an ordered scan of the
+  /// slot's lists that are not ConfMask-shaped.
   [[nodiscard]] bool denied_igp(std::int32_t iface_slot,
                                 const Ipv4Prefix& dest) const;
   /// Packet-filter check: true if the inbound ACL on interface slot
@@ -342,7 +391,12 @@ class Simulation {
 
   // Flat filter tables over interned interface slots, rebuilt per
   // constructor over the CURRENT configs (PrefixList/AccessList pointers
-  // may dangle across config generations; slots never do).
+  // may dangle across config generations; slots never do). A ConfMask-
+  // shaped list (exact-prefix denies, then a permit-all) denies exactly
+  // its deny prefixes, which go into deny_index_ keyed by (slot, prefix);
+  // every other list stays in the per-slot scan pool.
+  KeySet deny_index_;
+  std::vector<char> slot_has_denies_;            // per slot
   std::vector<std::int32_t> igp_filter_offset_;  // iface_slot_count + 1
   std::vector<const PrefixList*> igp_filter_pool_;
   std::vector<const AccessList*> acl_slot_;      // per slot, nullable
@@ -357,11 +411,12 @@ class Simulation {
   // Lazily memoized per-source rows for igp_distance().
   std::shared_ptr<IgpCache> igp_cache_;
 
-  // Per destination host (index host - router_count): the converged IGP
+  // Per destination host (index host - router_count): the converged OSPF
   // distance vector towards that host, kept so incremental rebuilds can
-  // adopt it for dirty OSPF destinations. Null when the destination is
-  // not IGP-routed; aliased (not copied) by clean inheritance.
-  std::vector<std::shared_ptr<const std::vector<long>>> dest_dist_;
+  // adopt it for dirty destinations and later stages can carry it. Null
+  // when the destination is not OSPF-routed; aliased (not copied) by
+  // clean inheritance and by carrying.
+  std::vector<Distances> dest_dist_;
   // Per destination host: the packed FIB column (null = no routes
   // anywhere, e.g. gateway-less hosts). Clean columns alias the previous
   // generation's arenas.

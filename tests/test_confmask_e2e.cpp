@@ -101,11 +101,10 @@ TEST_P(ConfMaskE2E, DefaultParameters) {
   }
 
   // Line accounting is self-consistent and U_C is sane.
-  EXPECT_EQ(result.stats.added_lines(),
-            result.stats.anonymized_lines.total() -
-                result.stats.original_lines.total());
-  const double uc = config_utility(result.stats.original_lines,
-                                   result.stats.anonymized_lines);
+  const BundleLineStats lines =
+      bundle_line_stats(network.configs, result.anonymized);
+  EXPECT_EQ(lines.added(), lines.anonymized.total() - lines.original.total());
+  const double uc = config_utility(lines.original, lines.anonymized);
   EXPECT_GT(uc, 0.0) << network.name;
   EXPECT_LT(uc, 1.0) << network.name;
 

@@ -10,6 +10,7 @@
 #include "src/config/emit.hpp"
 #include "src/core/confmask.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/netgen/scale_families.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace confmask {
@@ -70,6 +71,18 @@ TEST_F(DeterminismTest, IncrementalNeverChangesResults) {
     const auto incremental = run_with(network.configs, 4, true);
     expect_identical(fresh, incremental,
                      "network " + network.id + " fresh vs incremental");
+  }
+  // One network per scale family: hundreds of CMF_ lists, RIP and BGP
+  // destinations, and vectors carried across stages.
+  for (const ScaleFamily family :
+       {ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs,
+        ScaleFamily::kPreferentialAttachment}) {
+    const ConfigSet configs = make_scale_network(family, 316, 1);
+    const auto fresh = run_with(configs, 1, false);
+    const auto incremental = run_with(configs, 4, true);
+    expect_identical(fresh, incremental,
+                     std::string(scale_family_name(family)) +
+                         " 316 fresh vs incremental");
   }
 }
 

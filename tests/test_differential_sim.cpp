@@ -5,10 +5,14 @@
 // engines share by contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/config/emit.hpp"
+#include "src/core/pipeline_runner.hpp"
+#include "src/netgen/builder.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/netgen/random_network.hpp"
 #include "src/netgen/scale_families.hpp"
@@ -99,6 +103,126 @@ TEST(DifferentialOracle, ScaleFamilyCorpusAgrees) {
         << (result.finding
                 ? result.finding->check + " — " + result.finding->detail
                 : std::string{});
+  }
+}
+
+// The pipeline's own artifacts carry CMF_ deny lists by the dozen to the
+// thousand, the shape the deny index compiles; the corpora above decorate
+// through a few add_route_filter calls per network. Every scale family at
+// 316 routers, seeds 1-2, anonymized by the guarded runner: the engines
+// must agree on every (router, host) FIB entry, fake hosts included, and
+// on the data plane.
+TEST(DifferentialOracle, AgreesOnPipelineArtifacts) {
+  for (const ScaleFamily family :
+       {ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs,
+        ScaleFamily::kPreferentialAttachment}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const std::string label = std::string(scale_family_name(family)) +
+                                " seed " + std::to_string(seed);
+      ConfMaskOptions options;
+      options.k_r = 6;
+      options.k_h = 2;
+      options.noise_p = 0.1;
+      options.seed = seed;
+      const auto guarded =
+          run_pipeline_guarded(make_scale_network(family, 316, seed), options);
+      ASSERT_TRUE(guarded.ok()) << label;
+      const ConfigSet& artifact = guarded.result->anonymized;
+      std::size_t denies = 0;
+      for (const auto& router : artifact.routers) {
+        for (const auto& list : router.prefix_lists) {
+          for (const auto& entry : list.entries) denies += entry.permit ? 0 : 1;
+        }
+      }
+      EXPECT_GT(denies, 0u) << label;  // the deny index is exercised
+      expect_oracle_agrees(artifact, label);
+    }
+  }
+}
+
+/// r1 reaches r3 over three equal-cost two-hop paths (via r2, r4, r5),
+/// under OSPF or RIP, with h1 behind r1 and ha..hd behind r3. r1's
+/// interface towards r2 is bound to a ConfMask-shaped list denying ha and
+/// to a list with a permit before a ge/le range deny (hb passes, every
+/// other /24 is denied); towards r4 to a list whose only permit is not a
+/// permit-all (hc passes, everything else is denied); towards r5 to a list
+/// of exact denies alone (everything is denied).
+ConfigSet mixed_filter_network(bool rip) {
+  NetworkBuilder builder;
+  for (const char* name : {"r1", "r2", "r3", "r4", "r5"}) {
+    builder.router(name);
+    if (rip) {
+      builder.enable_rip(name);
+    } else {
+      builder.enable_ospf(name);
+    }
+  }
+  for (const char* middle : {"r2", "r4", "r5"}) {
+    builder.link("r1", middle);
+    builder.link(middle, "r3");
+  }
+  builder.host("h1", "r1");
+  for (const char* name : {"ha", "hb", "hc", "hd"}) builder.host(name, "r3");
+  ConfigSet configs = builder.take();
+  const auto prefix = [&](const char* host) {
+    return configs.find_host(host)->prefix();
+  };
+  const Topology topo = Topology::build(configs);
+  const int r1_node = topo.find_node("r1");
+  const auto towards = [&](const char* peer) {
+    for (const int link : topo.links_of(r1_node)) {
+      if (topo.link(link).other_end(r1_node).node == topo.find_node(peer)) {
+        return topo.link(link).end_of(r1_node).interface;
+      }
+    }
+    return std::string{};
+  };
+  const Ipv4Prefix any{Ipv4Address{0u}, 0};
+  RouterConfig& r1 = *configs.find_router("r1");
+  PrefixList& shaped = r1.ensure_prefix_list("CMF_TO_R2");
+  shaped.add_deny(prefix("ha"));
+  shaped.add_permit_all();
+  r1.ensure_prefix_list("RANGE").entries = {
+      PrefixListEntry{5, true, prefix("hb"), std::nullopt, std::nullopt},
+      PrefixListEntry{10, false, any, 24, 24},
+      PrefixListEntry{15, true, any, 32, std::nullopt}};
+  r1.ensure_prefix_list("ONLY_HC").entries = {
+      PrefixListEntry{5, false, prefix("hd"), std::nullopt, std::nullopt},
+      PrefixListEntry{10, true, prefix("hc"), std::nullopt, std::nullopt}};
+  r1.ensure_prefix_list("DENY_HB").add_deny(prefix("hb"));
+  auto& bindings = rip ? r1.rip->distribute_lists : r1.ospf->distribute_lists;
+  bindings.push_back(DistributeList{"CMF_TO_R2", towards("r2")});
+  bindings.push_back(DistributeList{"RANGE", towards("r2")});
+  bindings.push_back(DistributeList{"ONLY_HC", towards("r4")});
+  bindings.push_back(DistributeList{"DENY_HB", towards("r5")});
+  return configs;
+}
+
+// The deny index answers only ConfMask-shaped lists; ranges, a permit
+// ahead of a deny and a missing permit-all keep the ordered scan. A slot
+// denies when any of its lists denies.
+TEST(DifferentialOracle, MixedFilterShapesOnOneSlot) {
+  for (const bool rip : {false, true}) {
+    const ConfigSet configs = mixed_filter_network(rip);
+    const std::string label = rip ? "rip" : "ospf";
+    expect_oracle_agrees(configs, label);
+    const Simulation sim(configs);
+    const Topology& topo = sim.topology();
+    const int r1 = topo.find_node("r1");
+    const auto next_hops = [&](const char* host) {
+      std::vector<std::string> names;
+      for (const NextHop& hop : sim.fib(r1, topo.find_node(host))) {
+        names.push_back(topo.node(hop.neighbor).name);
+      }
+      std::sort(names.begin(), names.end());
+      return names;
+    };
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(sim.fib(r1, topo.find_node("h1")).size(), 1u) << label;
+    EXPECT_EQ(next_hops("ha"), Names{}) << label;
+    EXPECT_EQ(next_hops("hb"), Names{"r2"}) << label;
+    EXPECT_EQ(next_hops("hc"), Names{"r4"}) << label;
+    EXPECT_EQ(next_hops("hd"), Names{}) << label;
   }
 }
 

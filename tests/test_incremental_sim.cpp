@@ -9,10 +9,16 @@
 #include <string>
 #include <vector>
 
+#include "src/core/confmask.hpp"
 #include "src/core/filters.hpp"
+#include "src/core/pipeline_trace.hpp"
+#include "src/core/topology_anonymization.hpp"
+#include "src/netgen/builder.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/util/ipv4.hpp"
+#include "src/util/prefix_allocator.hpp"
 
 namespace confmask {
 namespace {
@@ -156,6 +162,143 @@ TEST(IncrementalSim, RemovalIsInvalidatedLikeAddition) {
   expect_same_fibs(back, fresh);
   // Round trip: removing the only filter restores the original routing.
   expect_same_fibs(back, original);
+}
+
+// Dirty matching hashes each change masked to the shorter of its own and
+// the destination's length, so a change dirties exactly the destinations
+// it overlaps: a covering supernet all of them, a longer prefix inside
+// one LAN only that LAN.
+TEST(IncrementalSim, DirtySetFollowsPrefixOverlapAtAnyLength) {
+  const auto configs = make_figure2();
+  const Simulation base(configs);
+  const int hosts = base.topology().host_count();
+  const int h4 = base.topology().find_node("h4");
+  const Ipv4Prefix& lan = base.host_prefix(h4);
+  const auto recomputed = [&](const Ipv4Prefix& prefix) {
+    SimulationDelta delta;
+    delta.record(0, prefix);
+    const Simulation incremental(configs, base, delta);
+    expect_same_fibs(incremental, base);
+    return incremental.incremental_stats().destinations_recomputed;
+  };
+  EXPECT_EQ(recomputed(Ipv4Prefix{lan.network(), 0}), hosts);
+  EXPECT_EQ(recomputed(Ipv4Prefix{lan.network(), 30}), 1);
+  EXPECT_EQ(recomputed(lan), 1);
+  EXPECT_EQ(recomputed(Ipv4Prefix{lan.host(1), 32}), 1);
+}
+
+/// Chain r1-r2-r3-r4 under OSPF (cost 10 per hop) with a host at each end.
+ConfigSet ospf_chain() {
+  NetworkBuilder builder;
+  for (const char* name : {"r1", "r2", "r3", "r4"}) {
+    builder.router(name);
+    builder.enable_ospf(name);
+  }
+  builder.link("r1", "r2");
+  builder.link("r2", "r3");
+  builder.link("r3", "r4");
+  builder.host("h1", "r1");
+  builder.host("h4", "r4");
+  return builder.take();
+}
+
+// A fresh build handed an earlier simulation carries its OSPF vectors only
+// when no added half-edge relaxes them: a fake r1–r4 link priced at the
+// path cost (30) keeps every distance, one at the default cost (10)
+// shortens both end-to-end routes. Either way the FIBs are a fresh build's.
+TEST(CarriedVectors, AdoptedOnlyWhenNoAddedEdgeRelaxesThem) {
+  for (const auto policy :
+       {FakeLinkCostPolicy::kMinCost, FakeLinkCostPolicy::kDefault}) {
+    ConfigSet configs = ospf_chain();
+    const Simulation donor(configs);
+    PrefixAllocator allocator;
+    materialize_fake_link(*configs.find_router("r1"),
+                          *configs.find_router("r4"), policy, 30, 30,
+                          allocator, /*inter_as=*/false);
+    const Simulation carried(configs, &donor);
+    const Simulation fresh(configs);
+    expect_same_fibs(carried, fresh);
+    const IncrementalStats& stats = carried.incremental_stats();
+    if (policy == FakeLinkCostPolicy::kMinCost) {
+      EXPECT_EQ(stats.distance_vectors_reused, 2);
+      EXPECT_EQ(stats.distance_vectors_recomputed, 0);
+    } else {
+      EXPECT_EQ(stats.distance_vectors_reused, 0);
+      EXPECT_EQ(stats.distance_vectors_recomputed, 2);
+    }
+  }
+}
+
+// Removing a donor edge can lengthen distances, which no relaxation check
+// sees, so nothing carries.
+TEST(CarriedVectors, NoneCarriedWhenADonorEdgeIsGone) {
+  ConfigSet configs = ospf_chain();
+  const Simulation donor(configs);
+  configs.find_router("r2")->interfaces.front().shutdown = true;  // r1–r2
+  const Simulation carried(configs, &donor);
+  expect_same_fibs(carried, Simulation(configs));
+  EXPECT_EQ(carried.incremental_stats().distance_vectors_reused, 0);
+}
+
+/// Sum of counter `name` over the spans whose path is `path`.
+std::uint64_t counter(const PipelineTrace& trace, const std::string& path,
+                      const std::string& name) {
+  for (const SpanMetrics& span : trace.metrics()) {
+    if (span.path != path) continue;
+    const auto it = span.counters.find(name);
+    return it == span.counters.end() ? 0 : it->second;
+  }
+  return 0;
+}
+
+ConfMaskOptions paper_options(FakeLinkCostPolicy policy,
+                              bool incremental = true) {
+  ConfMaskOptions options;
+  options.k_r = 6;
+  options.k_h = 2;
+  options.noise_p = 0.1;
+  options.seed = 3;
+  options.cost_policy = policy;
+  options.incremental_simulation = incremental;
+  return options;
+}
+
+// Min-cost pricing never shortens a distance (DESIGN §5), so both route
+// stages carry every OSPF vector from the preprocess simulation and the
+// run computes them once.
+TEST(CarriedVectors, MinCostPipelineComputesEachVectorOnce) {
+  const ConfigSet configs = make_scale_network(ScaleFamily::kWaxman, 316, 1);
+  PipelineTrace trace;
+  const PipelineResult result =
+      run_confmask(configs, paper_options(FakeLinkCostPolicy::kMinCost));
+  ASSERT_TRUE(result.functionally_equivalent);
+  ASSERT_GT(result.stats.fake_intra_links, 0u);
+  EXPECT_EQ(counter(trace, "preprocess", "vectors_computed"),
+            configs.hosts.size());
+  EXPECT_EQ(counter(trace, "route_equivalence/iteration", "vectors_computed"),
+            0u);
+  EXPECT_EQ(counter(trace, "route_anonymity", "vectors_computed"), 0u);
+  EXPECT_EQ(counter(trace, "route_anonymity", "vectors_carried"),
+            result.anonymized.hosts.size());
+}
+
+// Default-cost fake links undercut routes on Bics, so some vectors fail
+// the relaxation check and are computed; the bundle is still exactly the
+// from-scratch reference's.
+TEST(CarriedVectors, DefaultCostPipelineRejectsSomeAndMatchesReference) {
+  const ConfigSet configs = make_bics();
+  PipelineTrace trace;
+  const PipelineResult carried =
+      run_confmask(configs, paper_options(FakeLinkCostPolicy::kDefault));
+  EXPECT_GT(counter(trace, "route_equivalence/iteration", "vectors_computed"),
+            0u);
+  EXPECT_GT(counter(trace, "route_anonymity", "vectors_computed"), 0u);
+  const PipelineResult reference = run_confmask(
+      configs, paper_options(FakeLinkCostPolicy::kDefault, false));
+  EXPECT_EQ(canonical_config_set_text(carried.anonymized),
+            canonical_config_set_text(reference.anonymized));
+  EXPECT_EQ(carried.functionally_equivalent,
+            reference.functionally_equivalent);
 }
 
 TEST(IncrementalSim, ChainedIncrementalStepsStayExact) {

@@ -72,10 +72,14 @@ TEST(Composition, StatsAreInternallyConsistent) {
   ConfMaskOptions options;
   options.seed = 9;
   options.k_h = 3;
-  const auto result = run_confmask(make_enterprise(), options);
-  // Line accounting: emitted totals match the recorded stats.
-  EXPECT_EQ(config_set_line_stats(result.anonymized).total(),
-            result.stats.anonymized_lines.total());
+  const ConfigSet original = make_enterprise();
+  const auto result = run_confmask(original, options);
+  // Line accounting: the bundle counts match the emitted totals, and
+  // anonymization only adds lines.
+  const BundleLineStats lines = bundle_line_stats(original, result.anonymized);
+  EXPECT_EQ(lines.anonymized.total(), config_set_total_lines(result.anonymized));
+  EXPECT_EQ(lines.original.total(), config_set_total_lines(original));
+  EXPECT_GT(lines.added(), 0u);
   // Host bookkeeping: every reported fake host exists in the output.
   for (const auto& name : result.fake_hosts) {
     EXPECT_NE(result.anonymized.find_host(name), nullptr) << name;

@@ -39,7 +39,8 @@ TEST(Strawman, Strawman1InjectsMoreFilterLinesThanConfMask) {
   options.seed = 37;
   const auto cm = run_confmask(configs, options);
   const auto s1 = run_strawman1(configs, options);
-  EXPECT_GT(s1.stats.anonymized_lines.filter, cm.stats.anonymized_lines.filter);
+  EXPECT_GT(bundle_line_stats(configs, s1.anonymized).anonymized.filter,
+            bundle_line_stats(configs, cm.anonymized).anonymized.filter);
 }
 
 TEST(Strawman, Strawman2NeedsMoreSimulationsThanConfMask) {
