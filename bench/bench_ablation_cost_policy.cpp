@@ -36,7 +36,8 @@ int main() {
       options.cost_policy = policy;
       const auto result = run_confmask(network.configs, options);
       const auto flagged =
-          zero_traffic_links(result.anonymized, result.anonymized_dp);
+          zero_traffic_links(result.anonymized,
+                             simulated_data_plane(result.anonymized));
       const auto attack =
           score_attack(network.configs, result.anonymized, flagged);
       std::snprintf(buffer, sizeof buffer, " %3s %8d %10.0f%% |",

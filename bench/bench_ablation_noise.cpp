@@ -22,7 +22,8 @@ int main() {
       options.noise_p = p;
       const auto result = run_confmask(network.configs, options);
       const auto lines = bundle_line_stats(network.configs, result.anonymized);
-      const auto nr = route_anonymity_nr(result.anonymized_dp);
+      const auto nr =
+          route_anonymity_nr(simulated_data_plane(result.anonymized));
       const double uc = config_utility(lines.original, lines.anonymized);
       std::printf("%-3s %-11s %6.2f %8.2f %8d %10d %7.1f%% %6s\n",
                   network.id.c_str(), network.name.c_str(), p, nr.average,

@@ -22,7 +22,8 @@ int main() {
       const auto lines = bundle_line_stats(network.configs, result.anonymized);
       const auto anon_topo = Topology::build(result.anonymized);
       const auto flagged =
-          zero_traffic_links(result.anonymized, result.anonymized_dp);
+          zero_traffic_links(result.anonymized,
+                             simulated_data_plane(result.anonymized));
       const auto attack =
           score_attack(network.configs, result.anonymized, flagged);
       const double uc = config_utility(lines.original, lines.anonymized);

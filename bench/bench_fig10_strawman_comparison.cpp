@@ -28,7 +28,8 @@ int main() {
     double nr[3];
     std::size_t lines[3];
     for (int i = 0; i < 3; ++i) {
-      nr[i] = route_anonymity_nr(results[i].anonymized_dp).average;
+      nr[i] = route_anonymity_nr(simulated_data_plane(results[i].anonymized))
+                  .average;
       lines[i] =
           bundle_line_stats(network.configs, results[i].anonymized).added();
       nr_totals[i] += nr[i];

@@ -17,7 +17,8 @@ int main() {
       auto options = bench::default_options();
       options.k_h = khs[i];
       const auto result = run_confmask(network.configs, options);
-      nr[i] = route_anonymity_nr(result.anonymized_dp).average;
+      nr[i] =
+          route_anonymity_nr(simulated_data_plane(result.anonymized)).average;
       totals[i] += nr[i];
     }
     std::printf("%-3s %-11s %10.2f %10.2f %10.2f\n", network.id.c_str(),

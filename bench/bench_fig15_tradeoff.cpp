@@ -43,7 +43,9 @@ int main() {
         options.k_h = k_h;
         const auto result = run_confmask(network.configs, options);
         const auto lines = bundle_line_stats(network.configs, result.anonymized);
-        const double nr = route_anonymity_nr(result.anonymized_dp).average;
+        const double nr =
+            route_anonymity_nr(simulated_data_plane(result.anonymized))
+                .average;
         const double uc = config_utility(lines.original, lines.anonymized);
         std::printf("%-3s %4d %4d %8.2f %7.1f%%\n", network.id.c_str(), k_r,
                     k_h, nr, 100 * uc);

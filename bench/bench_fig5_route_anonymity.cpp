@@ -12,8 +12,10 @@ int main() {
   int count = 0;
   for (const auto& network : bench::networks()) {
     const auto result = run_confmask(network.configs, bench::default_options());
-    const auto original = route_anonymity_nr(result.original_dp);
-    const auto anonymized = route_anonymity_nr(result.anonymized_dp);
+    const auto original =
+        route_anonymity_nr(simulated_data_plane(network.configs));
+    const auto anonymized =
+        route_anonymity_nr(simulated_data_plane(result.anonymized));
     std::printf("%-3s %-11s %12.2f %12.2f %10d %10s\n", network.id.c_str(),
                 network.name.c_str(), original.average, anonymized.average,
                 anonymized.minimum,

@@ -3,7 +3,6 @@
 // fat trees).
 #include "bench/bench_common.hpp"
 #include "src/nethide/nethide.hpp"
-#include "src/routing/simulation.hpp"
 
 int main() {
   using namespace confmask;
@@ -16,8 +15,9 @@ int main() {
   for (const auto& network : bench::networks()) {
     const auto confmask_result =
         run_confmask(network.configs, bench::default_options());
+    const DataPlane original_dp = simulated_data_plane(network.configs);
     const double confmask_kept = DataPlane::exactly_kept_fraction(
-        confmask_result.original_dp, confmask_result.anonymized_dp);
+        original_dp, simulated_data_plane(confmask_result.anonymized));
 
     NetHideOptions nethide_options;
     // NetHide's obfuscation budget mirrors ConfMask's k_R; when the
@@ -27,7 +27,7 @@ int main() {
         topology_min_degree_class(network.configs) >= 6 ? 10 : 6;
     const auto nethide_result = run_nethide(network.configs, nethide_options);
     const double nethide_kept = DataPlane::exactly_kept_fraction(
-        confmask_result.original_dp, nethide_result.data_plane);
+        original_dp, nethide_result.data_plane);
 
     std::printf("%-3s %-11s %13.1f%% %13.1f%%\n", network.id.c_str(),
                 network.name.c_str(), 100.0 * confmask_kept,

@@ -35,9 +35,12 @@ int main() {
     for (const auto& host : network.configs.hosts) {
       real_hosts.insert(host.hostname);
     }
-    const auto original = mine_policies(confmask_result.original_dp);
+    const auto original =
+        mine_policies(simulated_data_plane(network.configs));
     const auto cm = compare_policies(
-        original, mine_policies(confmask_result.anonymized_dp), real_hosts);
+        original,
+        mine_policies(simulated_data_plane(confmask_result.anonymized)),
+        real_hosts);
     const auto nh = compare_policies(
         original, mine_policies(nethide_result.data_plane), real_hosts);
 

@@ -13,7 +13,7 @@
 // benchmark doubles as a correctness gate. --min-speedup X additionally
 // fails the run when cold/patched at the LARGEST executed scale point is
 // below X (CI passes 4.5; the ratio reads ~1.7 at 316 routers today, see
-// ROADMAP.md item 2).
+// ROADMAP.md item 4).
 //
 // Writes BENCH_watch.json (schema confmask.bench-watch/1).
 #include <chrono>
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   bench::header("Watch mode: patched vs cold re-anonymization",
                 "single-device edit re-anonymized byte-identically, ~1.7x "
                 "faster than a cold run at 316 routers (target >=4.5x, "
-                "ROADMAP.md item 2)");
+                "ROADMAP.md item 4)");
   std::printf("jobs=%u max_routers=%d min_speedup=%s\n\n",
               ThreadPool::shared().workers(), max_routers,
               min_speedup > 0 ? json_number(min_speedup).c_str() : "off");

@@ -14,6 +14,7 @@
 
 #include "src/core/confmask.hpp"
 #include "src/core/deanonymize.hpp"
+#include "src/core/metrics.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/routing/simulation.hpp"
 
@@ -76,7 +77,7 @@ int main() {
     options.seed = 42;
     const auto result = run_confmask(original, options);
     evaluate("strawman: cost = 60000", result.anonymized,
-             result.anonymized_dp);
+             simulated_data_plane(result.anonymized));
   }
 
   // 3. Full ConfMask (min-cost fake links, fake hosts, noise filters).
@@ -85,7 +86,7 @@ int main() {
     options.seed = 42;
     const auto result = run_confmask(original, options);
     evaluate("ConfMask (min-cost + Alg.2)", result.anonymized,
-             result.anonymized_dp);
+             simulated_data_plane(result.anonymized));
   }
 
   // 4. ConfMask + fake routers (the §9 extension).
@@ -95,7 +96,7 @@ int main() {
     options.fake_routers = 5;
     const auto result = run_confmask(original, options);
     evaluate("ConfMask + 5 fake routers", result.anonymized,
-             result.anonymized_dp);
+             simulated_data_plane(result.anonymized));
   }
 
   std::printf(

@@ -18,6 +18,7 @@
 
 #include "src/config/emit.hpp"
 #include "src/core/confmask.hpp"
+#include "src/core/metrics.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/nethide/nethide.hpp"
 #include "src/routing/simulation.hpp"
@@ -98,7 +99,8 @@ int main() {
   ConfMaskOptions options;
   options.seed = 7;
   const auto confmask_result = run_confmask(network, options);
-  const bool cm_path = root_cause_visible(confmask_result.anonymized_dp);
+  const bool cm_path =
+      root_cause_visible(simulated_data_plane(confmask_result.anonymized));
   const bool cm_lines = qos_lines_present(confmask_result.anonymized);
   std::printf("ConfMask         : trace path %s, QoS config %s  => %s\n",
               cm_path ? "visible" : "HIDDEN",

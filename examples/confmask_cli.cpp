@@ -360,6 +360,7 @@ int main(int argc, char** argv) {
               argv[2]);
   std::printf("topology k-anonymity: %d; route anonymity N_r: %.2f avg\n",
               topology_min_degree_class_two_level(result.anonymized),
-              route_anonymity_nr(result.anonymized_dp).average);
+              route_anonymity_nr(simulated_data_plane(result.anonymized))
+                  .average);
   return 0;
 }

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
               dp.flows.size(), policies.size());
 
   // Research value: every policy of the original network still holds.
-  const auto original_policies = mine_policies(result.original_dp);
+  const auto original_policies = mine_policies(simulated_data_plane(original));
   std::set<std::string> real_hosts;
   for (const auto& host : original.hosts) real_hosts.insert(host.hostname);
   const auto comparison =

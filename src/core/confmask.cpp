@@ -30,10 +30,10 @@ Preprocessed preprocess(const ConfigSet& original,
   const std::uint64_t runs_before = Simulation::runs_on_this_thread();
 
   // Simulate the original network once and snapshot the baseline
-  // (topology, FIBs, data plane). With a patch base whose diff is
+  // (topology, FIBs, delivered paths). With a patch base whose diff is
   // filter-only, the simulation is seeded and — absent packet-ACL changes
-  // — the index is spliced from the prior snapshot with only the flows
-  // toward dirty destinations re-derived (original_index.hpp).
+  // — the index is spliced from the prior snapshot with only the flow
+  // columns toward dirty destinations re-walked (original_index.hpp).
   Preprocessed out;
   auto span = PipelineTrace::begin("preprocess");
   run_stage(PipelineStage::kPreprocess, [&] {
@@ -55,7 +55,7 @@ Preprocessed preprocess(const ConfigSet& original,
   if (span) {
     span.add("routers", original.routers.size());
     span.add("hosts", original.hosts.size());
-    span.add("flows", out.index->data_plane().flows.size());
+    span.add("flows", out.index->flow_count());
     span.add("simulations", out.simulations);
     span.add("vectors_computed",
              static_cast<std::uint64_t>(
@@ -135,7 +135,6 @@ PipelineResult run_pipeline(const ConfigSet& original,
     patch_capture->original.live = preprocessed.sim;
     patch_capture->index = preprocessed.index;
   }
-  result.original_dp = index.data_plane();
 
   PrefixAllocator allocator(
       options.link_pool.value_or(PrefixAllocator::default_link_pool()),
@@ -300,34 +299,32 @@ PipelineResult run_pipeline(const ConfigSet& original,
   }
   anonymity_span.end();
 
-  // Final verification: the anonymized data plane over real hosts must be
-  // EXACTLY the original data plane.
-  auto verification_span = PipelineTrace::begin("verification");
-  run_stage(PipelineStage::kVerification, [&] {
-    if (final_simulation != nullptr) {
-      result.anonymized_dp = final_simulation->extract_data_plane();
-    } else {
-      const Simulation sim(result.anonymized);
-      result.anonymized_dp = sim.extract_data_plane();
-    }
-    final_simulation.reset();
-  });
+  // Final verification: over every ordered pair of real hosts, the
+  // anonymized network must deliver EXACTLY the original paths.
   if (faults::fire(faults::kVerificationDiverge)) {
-    // Injected divergence: drop one real-host flow so the comparison below
-    // genuinely fails — this is how tests prove the fail-closed gate.
-    for (auto it = result.anonymized_dp.flows.begin();
-         it != result.anonymized_dp.flows.end(); ++it) {
-      if (result.original_dp.flows.count(it->first) != 0) {
-        result.anonymized_dp.flows.erase(it);
-        break;
-      }
+    // Injected divergence: the first real flow in name order counts as
+    // undelivered, so the comparison below genuinely fails — this is how
+    // tests prove the fail-closed gate.
+    const DataPlane original_dp = index.data_plane();
+    if (!original_dp.flows.empty()) {
+      result.injected_undelivered_flow = original_dp.flows.begin()->first;
     }
   }
-  result.functionally_equivalent =
-      result.anonymized_dp.equals_restricted(result.original_dp,
-                                             index.real_hosts());
+  auto verification_span = PipelineTrace::begin("verification");
+  OriginalIndex::FlowComparison verdict;
+  run_stage(PipelineStage::kVerification, [&] {
+    if (final_simulation == nullptr) {
+      final_simulation = std::make_shared<Simulation>(result.anonymized);
+    }
+    verdict = index.compare_real_flows(
+        *final_simulation, result.injected_undelivered_flow
+                               ? &*result.injected_undelivered_flow
+                               : nullptr);
+    final_simulation.reset();
+  });
+  result.functionally_equivalent = verdict.equal;
   if (verification_span) {
-    verification_span.add("flows_compared", result.anonymized_dp.flows.size());
+    verification_span.add("real_flows_compared", verdict.real_flows_compared);
     verification_span.add("equivalent",
                           result.functionally_equivalent ? 1 : 0);
     verification_span.add("simulations", sims_since_mark());

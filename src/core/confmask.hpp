@@ -77,18 +77,23 @@ struct PipelineStats {
   double seconds = 0.0;           ///< end-to-end wall-clock
 };
 
+/// What a run produced. It holds no data plane: a path metric simulates
+/// what it measures (simulated_data_plane in metrics.hpp), which the
+/// incremental-build invariant makes equal to what the run checked.
 struct PipelineResult {
   ConfigSet anonymized;
   PipelineStats stats;
-  DataPlane original_dp;
-  DataPlane anonymized_dp;
   std::vector<std::string> fake_hosts;
   std::vector<std::string> fake_routers;  ///< node-addition extension
-  /// True iff the anonymized data plane restricted to real hosts equals
-  /// the original data plane exactly (functional equivalence verified by
-  /// simulation, not assumed from the SFE proof).
+  /// True iff the anonymized network delivers exactly the original paths
+  /// between every ordered pair of real hosts (functional equivalence
+  /// verified by simulation, not assumed from the SFE proof; see
+  /// OriginalIndex::compare_real_flows).
   bool functionally_equivalent = false;
   bool equivalence_converged = false;
+  /// Fault injection only (faults::kVerificationDiverge): the real flow
+  /// the gate treated as undelivered. Divergence reports drop it too.
+  std::optional<FlowKey> injected_undelivered_flow;
 };
 
 /// Runs the full pipeline with the chosen Step-2.1 strategy.

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "src/routing/simulation.hpp"
 #include "src/routing/topology.hpp"
 
 namespace confmask {
@@ -19,6 +20,10 @@ std::vector<std::string> router_sequence(const Path& path) {
 }
 
 }  // namespace
+
+DataPlane simulated_data_plane(const ConfigSet& configs) {
+  return Simulation(configs).extract_data_plane();
+}
 
 RouteAnonymityMetric route_anonymity_nr(const DataPlane& dp) {
   std::map<std::pair<std::string, std::string>,

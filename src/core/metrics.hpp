@@ -14,6 +14,11 @@
 
 namespace confmask {
 
+/// The data plane a path metric measures: `configs` simulated from scratch
+/// and every flow walked, by device name. A pipeline result holds no data
+/// plane, so readers of the original or anonymized paths call this.
+[[nodiscard]] DataPlane simulated_data_plane(const ConfigSet& configs);
+
 struct RouteAnonymityMetric {
   double average = 0.0;  ///< mean N_r over edge-router pairs with traffic
   int minimum = 0;       ///< min N_r

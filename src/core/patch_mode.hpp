@@ -8,7 +8,7 @@
 //    Algorithm 1 entry (post-Step-1 configs) and Algorithm 2 entry
 //    (post-fake-hosts configs) — each as a stable copy of the stage-entry
 //    configs plus the simulation over them;
-//  * the preprocessing OriginalIndex (shared FIB columns, data plane);
+//  * the preprocessing OriginalIndex (shared FIB and flow columns);
 //  * the topology-anonymization stage output: the post-Step-1 configs
 //    together with the RNG and prefix-allocator state the stage left
 //    behind.
@@ -19,9 +19,9 @@
 //  * a stage simulation is seeded through the incremental constructor iff
 //    the stage-entry diff (diff_config_sets) is filter-only, with the
 //    diff's conservative dirty set;
-//  * the OriginalIndex is spliced (flows toward dirty destinations
-//    re-derived, the rest copied) iff the diff is additionally free of
-//    packet-ACL changes — ACLs reshape data-plane flows without
+//  * the OriginalIndex is spliced (flow columns toward dirty destinations
+//    re-walked, the rest shared by pointer) iff the diff is additionally
+//    free of packet-ACL changes — ACLs reshape data-plane flows without
 //    contributing dirty prefixes;
 //  * the topology stage is replayed from the snapshot (graft_topology:
 //    append the same fake interfaces / networks / neighbors, restore the

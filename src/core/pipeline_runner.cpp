@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/core/original_index.hpp"
+#include "src/routing/simulation.hpp"
 #include "src/util/observability.hpp"
 #include "src/util/prefix_allocator.hpp"
 
@@ -52,11 +54,17 @@ std::optional<int> next_iteration_budget(const RetryPolicy& policy,
 
 /// The divergence between the original data plane and the anonymized one,
 /// restricted to the hosts the original knows (fake-host flows are not
-/// divergences — they are the anonymization).
+/// divergences — they are the anonymization). Failure path only: the gate
+/// compares node ids, so both name planes are built here.
 std::vector<DataPlaneDiffEntry> divergence_of(const PipelineResult& result,
+                                              const OriginalIndex& index,
                                               std::size_t limit) {
-  return result.original_dp.diff(
-      result.anonymized_dp.restricted_to(result.original_dp.hosts()), limit);
+  const DataPlane original = index.data_plane();
+  DataPlane anonymized = Simulation(result.anonymized).extract_data_plane();
+  if (result.injected_undelivered_flow) {
+    anonymized.flows.erase(*result.injected_undelivered_flow);
+  }
+  return original.diff(anonymized.restricted_to(original.hosts()), limit);
 }
 
 }  // namespace
@@ -245,7 +253,7 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
               " iterations (escalation ladder exhausted)",
           std::move(context));
       failed.diagnostics.divergence =
-          divergence_of(result, policy.diff_limit);
+          divergence_of(result, *preprocessed->index, policy.diff_limit);
       return failed;
     }
 
@@ -256,7 +264,7 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
           "anonymized data plane diverges from the original over real hosts"
           " (all retries exhausted); refusing to return configs");
       failed.diagnostics.divergence =
-          divergence_of(result, policy.diff_limit);
+          divergence_of(result, *preprocessed->index, policy.diff_limit);
       return failed;
     }
 

@@ -65,6 +65,9 @@ RouteEquivalenceOutcome strawman2_route_fix(ConfigSet& configs,
   const Topology frozen = Topology::build(configs);
   const std::vector<int> original = index.original_ids(frozen);
   const std::vector<RouterConfig*> routers = router_configs(configs, frozen);
+  // The traceroute compares device names, in the original plane's flow
+  // order.
+  const DataPlane original_dp = index.data_plane();
   for (int iteration = 0; iteration < max_iterations; ++iteration) {
     const Simulation sim(configs);
     const Topology& topo = sim.topology();
@@ -77,7 +80,7 @@ RouteEquivalenceOutcome strawman2_route_fix(ConfigSet& configs,
     // re-converges (BGP "selects a local equilibrium rather than a global
     // optimum", §4.3) — this per-filter re-simulation is exactly the
     // impractical cost the paper measures in Fig 16.
-    for (const auto& [flow, original_paths] : index.data_plane().flows) {
+    for (const auto& [flow, original_paths] : original_dp.flows) {
       if (added > 0) break;
       const int src = topo.find_node(flow.first);
       const int dst = topo.find_node(flow.second);

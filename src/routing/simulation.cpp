@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <string_view>
 #include <tuple>
 #include <utility>
@@ -65,6 +64,8 @@ DestScratch& dest_scratch(int routers) {
 struct WalkScratch {
   std::vector<char> visited;
   std::vector<int> current;
+  std::vector<std::int32_t> gateway_group;  // flow_column, per router
+  std::vector<char> gateway_capped;
   std::vector<std::int32_t> rev_offset;
   std::vector<std::int32_t> rev_cursor;
   std::vector<std::int32_t> rev_edges;
@@ -1032,115 +1033,158 @@ std::vector<Path> Simulation::paths(int src_host, int dst_host,
   return named;
 }
 
-DataPlane Simulation::extract_data_plane() const {
-  return extract_data_plane(topology_->host_ids());
-}
-
-DataPlane Simulation::extract_data_plane(
-    const std::vector<int>& dst_hosts) const {
-  DataPlane dp;
-  const auto& hosts = topology_->host_ids();
-  // When no inbound packet ACL exists anywhere, the walk from a gateway to
-  // a destination does not depend on the source host, so all sources
-  // behind one gateway share a single enumeration (and the per-source ACL
-  // checks in node_paths are no-ops by construction).
-  const bool acl_free = acl_free_;
-
-  // One slot per destination: the destinations fan out over the pool and
-  // each writes only its own slot; the merge below is serial and ordered.
-  std::vector<std::vector<std::pair<int, std::vector<Path>>>> per_dst(
-      dst_hosts.size());
-  std::vector<unsigned> truncated_flows(dst_hosts.size(), 0);
-  ThreadPool::shared().parallel_for(dst_hosts.size(), [&](std::size_t di) {
-    const int dst = dst_hosts[di];
-    auto& flows_out = per_dst[di];
-    if (!acl_free) {
-      for (const int src : hosts) {
-        if (src == dst) continue;
-        bool hit_caps = false;
-        auto flow_paths = paths(src, dst, &hit_caps);
-        if (hit_caps) ++truncated_flows[di];
-        if (flow_paths.empty()) continue;
-        flows_out.emplace_back(src, std::move(flow_paths));
-      }
-      return;
+Simulation::FlowColumn Simulation::flow_column(
+    int dst_host, const std::vector<char>* sources) const {
+  const int n = topology_->router_count();
+  const int host_count = topology_->node_count() - n;
+  FlowColumn column;
+  column.group_of.assign(static_cast<std::size_t>(host_count), -1);
+  // Appends `paths` (each starting `skip` nodes before the gateway) as the
+  // next group, sorted and duplicate-free; -1 when there are none.
+  const auto add_group = [&column](std::vector<std::vector<int>>& paths,
+                                   std::size_t skip) -> std::int32_t {
+    if (paths.empty()) return -1;
+    std::sort(paths.begin(), paths.end());
+    paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
+    for (const auto& path : paths) {
+      column.nodes.insert(column.nodes.end(),
+                          path.begin() + static_cast<std::ptrdiff_t>(skip),
+                          path.end());
+      column.path_first.push_back(
+          static_cast<std::uint32_t>(column.nodes.size()));
     }
-    const int n = topology_->router_count();
-    const Ipv4Prefix dst_prefix = flat_->host_prefix(dst - n);
-    // gateway -> (named gateway→dst path suffixes, sorted and deduped;
-    // enumeration hit the caps). Prepending the (per-source) host name
-    // later keeps the sort order: all entries share that first element.
-    std::map<int, std::pair<std::vector<Path>, bool>> by_gateway;
-    for (const int src : hosts) {
-      if (src == dst) continue;
-      const int gateway = flat_->host_gateway(src - n);
+    column.group_first.push_back(
+        static_cast<std::uint32_t>(column.path_first.size() - 1));
+    return static_cast<std::int32_t>(column.group_first.size() - 2);
+  };
+  const auto walked = [&](int s) {
+    return n + s != dst_host &&
+           (sources == nullptr || (*sources)[static_cast<std::size_t>(s)]);
+  };
+
+  if (!acl_free_) {
+    // Inbound packet ACLs make every walk depend on its source.
+    for (int s = 0; s < host_count; ++s) {
+      if (!walked(s)) continue;
+      bool hit_caps = false;
+      auto paths = node_paths(n + s, dst_host, &hit_caps);
+      column.truncated += hit_caps ? 1 : 0;
+      column.group_of[static_cast<std::size_t>(s)] = add_group(paths, 1);
+    }
+  } else {
+    // No ACL anywhere: the walk from a gateway does not depend on the
+    // source, so all sources behind one gateway share one enumeration.
+    // Per gateway: its group (kUnwalked until walked, -1 when nothing is
+    // delivered) and whether its walk hit the caps.
+    constexpr std::int32_t kUnwalked = std::numeric_limits<std::int32_t>::min();
+    const Ipv4Prefix dst_prefix = flat_->host_prefix(dst_host - n);
+    WalkScratch& scratch = walk_scratch();
+    auto& gateway_group = scratch.gateway_group;
+    gateway_group.assign(static_cast<std::size_t>(n), kUnwalked);
+    auto& gateway_capped = scratch.gateway_capped;
+    gateway_capped.assign(static_cast<std::size_t>(n), 0);
+    std::vector<std::vector<int>> paths;
+    for (int s = 0; s < host_count; ++s) {
+      if (!walked(s)) continue;
+      const int gateway = flat_->host_gateway(s);
       if (gateway < 0) continue;
-      auto it = by_gateway.find(gateway);
-      if (it == by_gateway.end()) {
-        WalkScratch& scratch = walk_scratch();
+      std::int32_t& group = gateway_group[static_cast<std::size_t>(gateway)];
+      if (group == kUnwalked) {
         scratch.visited.assign(
             static_cast<std::size_t>(topology_->node_count()), 0);
         scratch.visited[static_cast<std::size_t>(gateway)] = 1;
         scratch.current.clear();
         scratch.current.push_back(gateway);
-        std::vector<std::vector<int>> from_gateway;
+        paths.clear();
         bool hit_caps = false;
-        walk(gateway, dst, nullptr, dst_prefix, scratch.visited,
-             scratch.current, from_gateway, 0, hit_caps);
-        std::vector<Path> suffixes;
-        suffixes.reserve(from_gateway.size());
-        for (const auto& node_path : from_gateway) {
+        walk(gateway, dst_host, nullptr, dst_prefix, scratch.visited,
+             scratch.current, paths, 0, hit_caps);
+        gateway_capped[static_cast<std::size_t>(gateway)] = hit_caps ? 1 : 0;
+        group = add_group(paths, 0);
+      }
+      column.truncated += gateway_capped[static_cast<std::size_t>(gateway)];
+      column.group_of[static_cast<std::size_t>(s)] = group;
+    }
+  }
+  return column;
+}
+
+std::vector<std::shared_ptr<const Simulation::FlowColumn>>
+Simulation::flow_columns(const std::vector<int>& dst_hosts) const {
+  // One slot per destination: the destinations fan out over the pool and
+  // each writes only its own slot.
+  std::vector<std::shared_ptr<const FlowColumn>> columns(dst_hosts.size());
+  ThreadPool::shared().parallel_for(dst_hosts.size(), [&](std::size_t i) {
+    columns[i] = std::make_shared<const FlowColumn>(flow_column(dst_hosts[i]));
+  });
+  std::size_t truncated = 0;
+  for (const auto& column : columns) truncated += column->truncated;
+  report_truncated(truncated);
+  return columns;
+}
+
+DataPlane Simulation::extract_data_plane() const {
+  return named_data_plane(*topology_, flow_columns(topology_->host_ids()));
+}
+
+DataPlane Simulation::named_data_plane(
+    const Topology& topology,
+    const std::vector<std::shared_ptr<const FlowColumn>>& columns) {
+  DataPlane dp;
+  const int n = topology.router_count();
+  std::vector<std::vector<Path>> named;  // per group, lazily
+  for (std::size_t d = 0; d < columns.size(); ++d) {
+    if (columns[d] == nullptr) continue;
+    const FlowColumn& column = *columns[d];
+    const std::string& dst_name = topology.node(n + static_cast<int>(d)).name;
+    named.assign(column.group_first.size() - 1, {});
+    for (std::size_t s = 0; s < column.group_of.size(); ++s) {
+      const std::int32_t group = column.group_of[s];
+      if (group < 0) continue;
+      // A group's gateway…destination suffixes, sorted by name. Prepending
+      // the source keeps that order: all paths of a flow share it.
+      auto& suffixes = named[static_cast<std::size_t>(group)];
+      if (suffixes.empty()) {
+        const std::uint32_t last =
+            column.group_first[static_cast<std::size_t>(group) + 1];
+        for (std::uint32_t p = column.group_first[static_cast<std::size_t>(
+                 group)];
+             p < last; ++p) {
           Path path;
-          path.reserve(node_path.size() + 1);
-          for (int node : node_path) {
-            path.push_back(topology_->node(node).name);
+          for (std::uint32_t i = column.path_first[p];
+               i < column.path_first[p + 1]; ++i) {
+            path.push_back(topology.node(column.nodes[i]).name);
           }
           suffixes.push_back(std::move(path));
         }
         std::sort(suffixes.begin(), suffixes.end());
-        suffixes.erase(std::unique(suffixes.begin(), suffixes.end()),
-                       suffixes.end());
-        it = by_gateway
-                 .emplace(gateway,
-                          std::make_pair(std::move(suffixes), hit_caps))
-                 .first;
       }
-      const auto& [suffixes, hit_caps] = it->second;
-      if (hit_caps) ++truncated_flows[di];
-      if (suffixes.empty()) continue;
-      std::vector<Path> named;
-      named.reserve(suffixes.size());
-      const std::string& src_name = topology_->node(src).name;
-      for (const auto& suffix : suffixes) {
+      const std::string& src_name =
+          topology.node(n + static_cast<int>(s)).name;
+      std::vector<Path> flow_paths;
+      flow_paths.reserve(suffixes.size());
+      for (const Path& suffix : suffixes) {
         Path path;
         path.reserve(suffix.size() + 1);
         path.push_back(src_name);
         path.insert(path.end(), suffix.begin(), suffix.end());
-        named.push_back(std::move(path));
+        flow_paths.push_back(std::move(path));
       }
-      flows_out.emplace_back(src, std::move(named));
+      dp.flows.emplace(FlowKey{src_name, dst_name}, std::move(flow_paths));
     }
-  });
-
-  std::size_t total_truncated = 0;
-  for (std::size_t di = 0; di < dst_hosts.size(); ++di) {
-    total_truncated += truncated_flows[di];
-    const std::string& dst_name = topology_->node(dst_hosts[di]).name;
-    for (auto& [src, flow_paths] : per_dst[di]) {
-      dp.flows.emplace(FlowKey{topology_->node(src).name, dst_name},
-                       std::move(flow_paths));
-    }
-  }
-  if (total_truncated > 0) {
-    // Once per extraction: capped enumeration must never be silently
-    // mistaken for complete coverage.
-    std::fprintf(stderr,
-                 "confmask: path enumeration truncated for %zu flow(s) "
-                 "(caps: %zu paths/flow, depth %d); data-plane coverage is "
-                 "partial\n",
-                 total_truncated, kMaxPathsPerFlow, kMaxPathDepth);
   }
   return dp;
+}
+
+void Simulation::report_truncated(std::size_t flows) {
+  if (flows == 0) return;
+  // Capped enumeration must never be silently mistaken for complete
+  // coverage.
+  std::fprintf(stderr,
+               "confmask: path enumeration truncated for %zu flow(s) "
+               "(caps: %zu paths/flow, depth %d); data-plane coverage is "
+               "partial\n",
+               flows, kMaxPathsPerFlow, kMaxPathDepth);
 }
 
 const Ipv4Prefix& Simulation::host_prefix(int host) const {

@@ -9,8 +9,9 @@
 //
 //  * per-router FIBs keyed by destination host (the ⟨r̃, h̃_d, nxt⟩ entries
 //    Algorithm 1 of the paper scans),
-//  * host-to-host path enumeration and full data-plane extraction
-//    (the traceroute the strawman 2 baseline performs),
+//  * host-to-host path enumeration, per destination as id-keyed flow
+//    columns and in full as the name-keyed data plane (the traceroute the
+//    strawman 2 baseline performs),
 //  * per-router host reachability (the check Algorithm 2 performs before
 //    keeping a random filter).
 //
@@ -229,18 +230,56 @@ class Simulation {
   [[nodiscard]] std::vector<Path> paths(int src_host, int dst_host,
                                         bool* truncated = nullptr) const;
 
-  /// Full data plane over all ordered host pairs. Flows whose enumeration
-  /// hit the path/depth caps are logged once per extraction (capped
-  /// coverage must never be mistaken for complete coverage).
+  /// One destination host's column of the data plane: the delivered paths
+  /// from every source host, as node ids. Sources with the same path set
+  /// share a group — every source behind one gateway when no packet ACL
+  /// exists, each source alone otherwise. Immutable once built; ids only,
+  /// so holders may outlive the simulation and its configs.
+  struct FlowColumn {
+    /// Per source host (index host − router_count): its group, or -1 when
+    /// no path is delivered, the source was not walked, or it is the
+    /// destination itself.
+    std::vector<std::int32_t> group_of;
+    /// Group g holds paths [group_first[g], group_first[g + 1]), sorted and
+    /// duplicate-free. Path p is nodes[path_first[p], path_first[p + 1]),
+    /// gateway … destination: the source host, first on every path of its
+    /// flow, is left implicit.
+    std::vector<std::uint32_t> group_first{0};
+    std::vector<std::uint32_t> path_first{0};
+    std::vector<int> nodes;
+    std::uint32_t truncated = 0;  ///< walked flows that hit the caps
+  };
+
+  /// The column toward `dst_host`. `sources` (per host index, nonzero =
+  /// walk) limits the walk; null walks every source. The one
+  /// per-destination walker: the original index, the verification gate
+  /// and extract_data_plane() all use it, and each source's paths are
+  /// node_paths(source, dst_host) without the source.
+  [[nodiscard]] FlowColumn flow_column(
+      int dst_host, const std::vector<char>* sources = nullptr) const;
+
+  /// The columns toward `dst_hosts` (all sources), walked over the pool.
+  /// Flows that hit the caps are reported once per call.
+  [[nodiscard]] std::vector<std::shared_ptr<const FlowColumn>> flow_columns(
+      const std::vector<int>& dst_hosts) const;
+
+  /// Full data plane over all ordered host pairs: every column, named.
+  /// Flows whose enumeration hit the path/depth caps are logged once per
+  /// extraction (capped coverage must never be mistaken for complete
+  /// coverage).
   [[nodiscard]] DataPlane extract_data_plane() const;
 
-  /// Data plane restricted to flows TOWARD the given destination host node
-  /// ids (all sources). Watch mode re-extracts only the destinations a
-  /// config diff may have redirected and splices them into a prior
-  /// snapshot; per-destination results are identical to the full
-  /// extraction's.
-  [[nodiscard]] DataPlane extract_data_plane(
-      const std::vector<int>& dst_hosts) const;
+  /// The name-keyed data plane of `columns`, one per host of `topology`
+  /// by host index (null: nothing delivered). Each flow's paths are sorted
+  /// by name, so this equals extract_data_plane() of the simulation that
+  /// walked them.
+  [[nodiscard]] static DataPlane named_data_plane(
+      const Topology& topology,
+      const std::vector<std::shared_ptr<const FlowColumn>>& columns);
+
+  /// Logs, once, that `flows` flow walks hit the path or depth cap (a
+  /// no-op for zero).
+  static void report_truncated(std::size_t flows);
 
   /// The /N LAN prefix of a host node id (destination prefix of every flow
   /// toward it).

@@ -79,6 +79,7 @@ void JobScheduler::restore_from_journal() {
     Job job;
     job.request = recovered.request;
     job.canonical = canonicalize(recovered.request.configs);
+    job.canonical_text = canonical_config_set_text(job.canonical);
     job.key = recovered.key;
     job.status.id = recovered.id;
     job.status.state = JobState::kQueued;
@@ -152,7 +153,7 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
   // Canonicalize and key OUTSIDE the lock: emitting a large network is the
   // expensive part of admission and must not stall status queries.
   ConfigSet canonical = canonicalize(request.configs);
-  const std::string canonical_text = canonical_config_set_text(canonical);
+  std::string canonical_text = canonical_config_set_text(canonical);
   const CacheKey key =
       compute_cache_key(canonical_text, request.options, request.policy,
                         request.strategy, request.tenant);
@@ -226,6 +227,7 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
       Job job;
       job.request = std::move(request);
       job.canonical = std::move(canonical);
+      job.canonical_text = std::move(canonical_text);
       job.key = key;
       job.status.id = id;
       job.status.state = JobState::kQueued;
@@ -366,10 +368,15 @@ void JobScheduler::set_tenant_table(TenantTable table) {
   work_cv_.notify_all();
 }
 
-void JobScheduler::prime_context_locked(
+std::vector<std::shared_ptr<const PatchContext>>
+JobScheduler::prime_context_locked(
     const std::string& key_hex, std::shared_ptr<const PatchContext> context) {
-  if (options_.watch_context_capacity == 0 || context == nullptr) return;
+  std::vector<std::shared_ptr<const PatchContext>> released;
+  if (options_.watch_context_capacity == 0 || context == nullptr) {
+    return released;
+  }
   WatchContext& slot = contexts_[key_hex];
+  if (slot.context != nullptr) released.push_back(std::move(slot.context));
   slot.context = std::move(context);
   slot.last_used = ++context_counter_;
   while (contexts_.size() > options_.watch_context_capacity) {
@@ -380,8 +387,10 @@ void JobScheduler::prime_context_locked(
          ++it) {
       if (it->second.last_used < victim->second.last_used) victim = it;
     }
+    released.push_back(std::move(victim->second.context));
     contexts_.erase(victim);
   }
+  return released;
 }
 
 void JobScheduler::shutdown(ShutdownMode mode) {
@@ -539,12 +548,16 @@ void JobScheduler::execute(std::uint64_t id) {
   // After submit, a job's request/canonical/key/token fields are immutable
   // and this worker is the only writer of its result — so they are safe to
   // read unlocked while the pipeline runs. Status transitions stay locked.
+  // The admission-time bundle text moves out here, once, for the artifact.
   const Job* job = nullptr;
   JobStatus running_snapshot;
+  std::string original_text;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    job = &jobs_.at(id);
+    Job& running = jobs_.at(id);
+    job = &running;
     running_snapshot = job->status;
+    original_text = std::move(running.canonical_text);
   }
   journal_state(running_snapshot, job->key.secondary);
   const CancelToken* token = job->token.get();
@@ -697,7 +710,7 @@ void JobScheduler::execute(std::uint64_t id) {
     CacheArtifacts artifacts;
     artifacts.anonymized_configs =
         canonical_config_set_text(run.result->anonymized);
-    artifacts.original_configs = canonical_config_set_text(job->canonical);
+    artifacts.original_configs = std::move(original_text);
     artifacts.diagnostics_json = std::move(diagnostics);
     artifacts.metrics_json = trace.metrics_json(/*include_timings=*/false);
     std::string store_error;
@@ -718,10 +731,13 @@ void JobScheduler::execute(std::uint64_t id) {
 
     JobStatus snapshot;
     std::uint64_t secondary = 0;
+    std::vector<std::shared_ptr<const PatchContext>> released;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       Job& done = jobs_.at(id);
-      if (primed != nullptr) prime_context_locked(done.key.hex(), primed);
+      if (primed != nullptr) {
+        released = prime_context_locked(done.key.hex(), std::move(primed));
+      }
       if (!job->patch_base.empty() && stored != StoreResult::kIoError) {
         if (patch_base_context == nullptr) {
           ++stats_.watch_context_misses;
@@ -767,6 +783,7 @@ void JobScheduler::execute(std::uint64_t id) {
       snapshot = done.status;
       secondary = done.key.secondary;
     }
+    released.clear();  // evicted contexts are freed unlocked
     journal_state(snapshot, secondary);
     return;
   }

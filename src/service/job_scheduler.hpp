@@ -340,6 +340,10 @@ class JobScheduler {
   struct Job {
     JobRequest request;
     ConfigSet canonical;  ///< canonicalize(request.configs): what executes
+    /// canonical_config_set_text(canonical), rendered once at admission
+    /// (or restore) for the cache key; the executing worker moves it into
+    /// the artifact.
+    std::string canonical_text;
     CacheKey key;
     JobStatus status;
     JobResult result;
@@ -368,9 +372,13 @@ class JobScheduler {
   [[nodiscard]] SubmitOutcome admit(JobRequest request,
                                     std::string patch_base);
   /// Installs `context` under `key_hex`, evicting least-recently-used
-  /// contexts beyond watch_context_capacity. Caller holds mutex_.
-  void prime_context_locked(const std::string& key_hex,
-                            std::shared_ptr<const PatchContext> context);
+  /// contexts beyond watch_context_capacity. Caller holds mutex_ and drops
+  /// the returned contexts (replaced or evicted) only after unlocking:
+  /// freeing one releases simulations, config clones and an index, which
+  /// must not stall status queries, admissions or the other workers.
+  [[nodiscard]] std::vector<std::shared_ptr<const PatchContext>>
+  prime_context_locked(const std::string& key_hex,
+                       std::shared_ptr<const PatchContext> context);
 
   /// Live scheduling state of one tenant namespace.
   struct TenantState {

@@ -64,14 +64,14 @@ TEST_P(ConfMaskE2E, DefaultParameters) {
   options.seed = 0xC0FFEE + GetParam();
 
   const auto result = run_confmask(network.configs, options);
+  const DataPlane anonymized_dp = simulated_data_plane(result.anonymized);
 
   // The headline guarantee: route equivalence verified by simulation.
   EXPECT_TRUE(result.equivalence_converged) << network.name;
   EXPECT_TRUE(result.functionally_equivalent) << network.name;
   EXPECT_DOUBLE_EQ(
-      DataPlane::exactly_kept_fraction(
-          result.original_dp,
-          result.anonymized_dp),
+      DataPlane::exactly_kept_fraction(simulated_data_plane(network.configs),
+                                       anonymized_dp),
       1.0)
       << network.name;
 
@@ -81,7 +81,7 @@ TEST_P(ConfMaskE2E, DefaultParameters) {
       << network.name;
 
   // Route anonymity: k_H companions per (ingress, egress) pair.
-  EXPECT_GE(min_route_companions(result.anonymized_dp), options.k_h)
+  EXPECT_GE(min_route_companions(anonymized_dp), options.k_h)
       << network.name;
   EXPECT_EQ(result.stats.fake_hosts,
             static_cast<std::size_t>(options.k_h - 1) *
@@ -139,7 +139,8 @@ TEST_P(ConfMaskParamSweep, EquivalenceHoldsAcrossParameters) {
   const auto result = run_confmask(network.configs, options);
   EXPECT_TRUE(result.functionally_equivalent)
       << network.name << " k_r=" << options.k_r << " k_h=" << options.k_h;
-  EXPECT_GE(min_route_companions(result.anonymized_dp), options.k_h);
+  EXPECT_GE(min_route_companions(simulated_data_plane(result.anonymized)),
+            options.k_h);
   EXPECT_GE(topology_min_degree_class_two_level(result.anonymized),
             achievable_k(network.configs, options.k_r));
 }
@@ -168,7 +169,8 @@ TEST(ConfMaskE2EDeterminism, SameSeedSameOutput) {
     EXPECT_EQ(emit_router(a.anonymized.routers[i]),
               emit_router(b.anonymized.routers[i]));
   }
-  EXPECT_EQ(a.anonymized_dp, b.anonymized_dp);
+  EXPECT_EQ(simulated_data_plane(a.anonymized),
+            simulated_data_plane(b.anonymized));
 }
 
 TEST(ConfMaskE2EDeterminism, DifferentSeedsDifferentFakeTopology) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/confmask.hpp"
+#include "src/core/metrics.hpp"
 #include "src/netgen/builder.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/routing/simulation.hpp"
@@ -76,7 +77,8 @@ TEST(Deanonymize, MinCostWithFakeHostsCarriesTrafficOnFakeLinks) {
   ASSERT_TRUE(result.functionally_equivalent);
 
   const auto flagged =
-      zero_traffic_links(result.anonymized, result.anonymized_dp);
+      zero_traffic_links(result.anonymized,
+                         simulated_data_plane(result.anonymized));
   const auto cm = score_attack(original, result.anonymized, flagged);
 
   // Compare with the large-cost ablation on the same network.
@@ -84,7 +86,8 @@ TEST(Deanonymize, MinCostWithFakeHostsCarriesTrafficOnFakeLinks) {
   large.cost_policy = FakeLinkCostPolicy::kLarge;
   const auto large_result = run_confmask(original, large);
   const auto large_flagged =
-      zero_traffic_links(large_result.anonymized, large_result.anonymized_dp);
+      zero_traffic_links(large_result.anonymized,
+                         simulated_data_plane(large_result.anonymized));
   const auto lc = score_attack(original, large_result.anonymized,
                                large_flagged);
 

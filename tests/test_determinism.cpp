@@ -9,6 +9,7 @@
 
 #include "src/config/emit.hpp"
 #include "src/core/confmask.hpp"
+#include "src/core/metrics.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/netgen/scale_families.hpp"
 #include "src/util/thread_pool.hpp"
@@ -23,8 +24,15 @@ std::string emit_all(const ConfigSet& configs) {
   return out;
 }
 
-PipelineResult run_with(const ConfigSet& configs, unsigned workers,
-                        bool incremental) {
+/// A pipeline result plus both data planes, walked under the same worker
+/// count as the run.
+struct Run {
+  PipelineResult result;
+  DataPlane original_dp;
+  DataPlane anonymized_dp;
+};
+
+Run run_with(const ConfigSet& configs, unsigned workers, bool incremental) {
   ThreadPool::configure(workers);
   ConfMaskOptions options;
   options.k_r = 6;
@@ -32,13 +40,17 @@ PipelineResult run_with(const ConfigSet& configs, unsigned workers,
   options.noise_p = 0.1;
   options.seed = 0xC0DE;
   options.incremental_simulation = incremental;
-  return run_confmask(configs, options);
+  Run run{run_confmask(configs, options), simulated_data_plane(configs), {}};
+  run.anonymized_dp = simulated_data_plane(run.result.anonymized);
+  return run;
 }
 
-void expect_identical(const PipelineResult& a, const PipelineResult& b,
+void expect_identical(const Run& a_run, const Run& b_run,
                       const std::string& label) {
-  EXPECT_TRUE(a.anonymized_dp == b.anonymized_dp) << label;
-  EXPECT_TRUE(a.original_dp == b.original_dp) << label;
+  EXPECT_TRUE(a_run.anonymized_dp == b_run.anonymized_dp) << label;
+  EXPECT_TRUE(a_run.original_dp == b_run.original_dp) << label;
+  const PipelineResult& a = a_run.result;
+  const PipelineResult& b = b_run.result;
   EXPECT_EQ(emit_all(a.anonymized), emit_all(b.anonymized)) << label;
   EXPECT_EQ(a.functionally_equivalent, b.functionally_equivalent) << label;
   EXPECT_EQ(a.stats.equivalence_filters, b.stats.equivalence_filters)
@@ -61,7 +73,7 @@ TEST_F(DeterminismTest, WorkerCountNeverChangesResults) {
     const auto one = run_with(network.configs, 1, true);
     const auto four = run_with(network.configs, 4, true);
     expect_identical(one, four, "network " + network.id + " jobs 1 vs 4");
-    EXPECT_TRUE(one.functionally_equivalent) << network.id;
+    EXPECT_TRUE(one.result.functionally_equivalent) << network.id;
   }
 }
 

@@ -8,10 +8,12 @@
 //       CLOSED — an error with non-empty DataPlane::diff diagnostics and no
 //       anonymized configs.
 #include <cstdlib>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/core/metrics.hpp"
 #include "src/core/pipeline_runner.hpp"
 #include "src/graph/k_degree_anonymize.hpp"
 #include "src/netgen/networks.hpp"
@@ -223,6 +225,37 @@ TEST(FaultLadder, VerificationFailureFailsClosedWithDivergence) {
   EXPECT_FALSE(entry.destination.empty());
   EXPECT_FALSE(entry.lhs_next_hops.empty() && entry.rhs_next_hops.empty() &&
                !entry.router.empty());
+}
+
+// The injected divergence reaches the id comparison itself: the gate treats
+// the first real flow (in name order) as undelivered, the configs stay
+// equivalent, and the fail-closed report names exactly that flow.
+TEST(FaultLadder, InjectedDivergenceDropsOneRealFlowAndTheReportNamesIt) {
+  const ConfigSet original = make_figure2();
+  const FlowKey first = simulated_data_plane(original).flows.begin()->first;
+  {
+    const ScopedFault fault(faults::kVerificationDiverge, 1);
+    const PipelineResult result = run_confmask(original, figure2_options());
+    EXPECT_FALSE(result.functionally_equivalent);
+    ASSERT_TRUE(result.injected_undelivered_flow.has_value());
+    EXPECT_EQ(*result.injected_undelivered_flow, first);
+    std::set<std::string> real_hosts;
+    for (const auto& host : original.hosts) real_hosts.insert(host.hostname);
+    EXPECT_TRUE(simulated_data_plane(result.anonymized)
+                    .equals_restricted(simulated_data_plane(original),
+                                       real_hosts));
+  }
+  const ScopedFault fault(faults::kVerificationDiverge, 1);
+  RetryPolicy policy;
+  policy.max_reseeds = 0;
+  const auto guarded =
+      run_pipeline_guarded(original, figure2_options(), policy);
+  ASSERT_FALSE(guarded.ok());
+  ASSERT_EQ(guarded.diagnostics.divergence.size(), 1u);
+  const auto& entry = guarded.diagnostics.divergence.front();
+  EXPECT_EQ(entry.source, first.first);
+  EXPECT_EQ(entry.destination, first.second);
+  EXPECT_TRUE(entry.router.empty());  // the flow is missing, not rerouted
 }
 
 // Recovery resumes once the injected fault clears: the same divergence

@@ -53,7 +53,7 @@ TEST(NetHide, DoesNotPreservePathsExactly) {
   ConfMaskOptions options;
   const auto confmask = run_confmask(configs, options);
   const double confmask_kept = DataPlane::exactly_kept_fraction(
-      original_dp, confmask.anonymized_dp);
+      original_dp, simulated_data_plane(confmask.anonymized));
   EXPECT_DOUBLE_EQ(confmask_kept, 1.0);
   EXPECT_LT(nethide_kept, confmask_kept);
 }

@@ -122,9 +122,9 @@ TEST_P(NodeAdditionE2E, PipelineStaysFunctionallyEquivalent) {
   EXPECT_EQ(result.fake_routers.size(), 4u);
   EXPECT_EQ(result.anonymized.routers.size(),
             network.configs.routers.size() + 4u);
-  EXPECT_TRUE(
-      check_utility_properties(result.original_dp, result.anonymized_dp)
-          .all())
+  EXPECT_TRUE(check_utility_properties(simulated_data_plane(network.configs),
+                                       simulated_data_plane(result.anonymized))
+                  .all())
       << network.name;
   // The augmented router graph is still k-degree anonymous.
   EXPECT_GE(min_reidentification_candidates(result.anonymized),
@@ -147,7 +147,8 @@ TEST(NodeAddition, FakeRoutersCarryTrafficAndEvadeZeroTrafficAttack) {
   // Each fake router terminates a fake host, so at least its host-facing
   // traffic exists: the fake router must appear in some data-plane path.
   std::set<std::string> seen;
-  for (const auto& [flow, paths] : result.anonymized_dp.flows) {
+  for (const auto& [flow, paths] :
+       simulated_data_plane(result.anonymized).flows) {
     for (const auto& path : paths) {
       for (const auto& hop : path) seen.insert(hop);
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -110,9 +111,57 @@ TEST(OriginalIndex, SplicedIndexAnswersLikeAFullSnapshot) {
   const auto expected = all_answers(full);
   EXPECT_EQ(all_answers(spliced), expected);
   EXPECT_EQ(spliced.data_plane(), full.data_plane());
+  EXPECT_EQ(spliced.flow_count(), full.flow_count());
   EXPECT_EQ(spliced.real_hosts(), full.real_hosts());
   // The edit moved some FIB entry, so the pre-edit answers differ.
   EXPECT_NE(all_answers(before), expected);
+  // Only the dirty destinations' flow columns were walked again.
+  const Topology& topo = full.topology();
+  int rewalked = 0;
+  for (int host : topo.host_ids()) {
+    const auto column = static_cast<std::size_t>(host - topo.router_count());
+    const bool dirty = std::any_of(
+        plan.dirty.begin(), plan.dirty.end(), [&](const Ipv4Prefix& region) {
+          return region.overlaps(fresh.host_prefix(host));
+        });
+    EXPECT_EQ(spliced.flow_columns()[column] == before.flow_columns()[column],
+              !dirty)
+        << topo.node(host).name;
+    rewalked += dirty ? 1 : 0;
+  }
+  EXPECT_GT(rewalked, 0);
+  EXPECT_LT(rewalked, static_cast<int>(topo.host_ids().size()));
+}
+
+TEST(OriginalIndex, SpliceSharesEveryFlowColumnWhenTheEditMissesEveryHost) {
+  // A filter-only edit whose denied prefix belongs to no host: nothing is
+  // dirty, so the spliced index walks no flow and copies none.
+  const auto base = std::make_shared<const ConfigSet>(
+      make_scale_network(ScaleFamily::kWaxman, 100, 4));
+  PatchContext context;
+  context.original.configs = base;
+  context.original.sim = std::make_shared<const Simulation>(*base);
+  const OriginalIndex before(*context.original.sim);
+
+  ConfigSet edited = *base;
+  {
+    const Topology& topo = context.original.sim->topology();
+    const auto routers = router_configs(edited, topo);
+    const int link = topo.links_of(0).front();
+    ASSERT_TRUE(add_route_filter(routers[0], 0, topo.link(link),
+                                 *Ipv4Prefix::parse("203.0.113.0/24")));
+  }
+  const OriginalReusePlan plan = plan_original_reuse(edited, context);
+  ASSERT_NE(plan.sim, nullptr);
+  ASSERT_TRUE(plan.index_reusable);
+  ASSERT_FALSE(plan.dirty.empty());
+  const OriginalIndex spliced(*plan.sim, before, plan.dirty);
+  ASSERT_EQ(spliced.flow_columns().size(), before.flow_columns().size());
+  for (std::size_t i = 0; i < before.flow_columns().size(); ++i) {
+    EXPECT_EQ(spliced.flow_columns()[i], before.flow_columns()[i]) << i;
+  }
+  const Simulation fresh(edited);
+  EXPECT_EQ(spliced.data_plane(), OriginalIndex(fresh).data_plane());
 }
 
 TEST(OriginalIndex, OutlivesTheSimulationAndConfigsItWasBuiltFrom) {

@@ -107,7 +107,7 @@ TEST(Composition, VerificationCatchesTampering) {
     real_hosts.insert(host.hostname);
   }
   EXPECT_NE(sim.extract_data_plane().restricted_to(real_hosts),
-            result.original_dp);
+            simulated_data_plane(make_figure2()));
 }
 
 }  // namespace

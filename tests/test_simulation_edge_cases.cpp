@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/confmask.hpp"
+#include "src/core/metrics.hpp"
 #include "src/netgen/builder.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/routing/simulation.hpp"
@@ -148,7 +149,7 @@ TEST(SimulationEdgeCases, ConfMaskRefusesNothingButReportsNonEquivalence) {
   // trivially preserved.
   EXPECT_TRUE(result.equivalence_converged);
   EXPECT_TRUE(result.functionally_equivalent);
-  EXPECT_TRUE(result.original_dp.flows.empty());
+  EXPECT_TRUE(simulated_data_plane(configs).flows.empty());
 }
 
 TEST(SimulationEdgeCases, SelfFlowIsEmpty) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/confmask.hpp"
+#include "src/core/metrics.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/nethide/nethide.hpp"
 #include "src/routing/simulation.hpp"
@@ -65,8 +66,9 @@ TEST(SpecComparisonTest, ConfMaskKeepsAllSpecsIntroductionsAreFake) {
   options.seed = 61;
   const auto result = run_confmask(configs, options);
 
-  const auto original = mine_policies(result.original_dp);
-  const auto anonymized = mine_policies(result.anonymized_dp);
+  const auto original = mine_policies(simulated_data_plane(configs));
+  const auto anonymized =
+      mine_policies(simulated_data_plane(result.anonymized));
   std::set<std::string> real_hosts;
   for (const auto& host : configs.hosts) real_hosts.insert(host.hostname);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/confmask.hpp"
+#include "src/core/metrics.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/nethide/nethide.hpp"
 #include "src/routing/simulation.hpp"
@@ -23,7 +24,8 @@ TEST_P(UtilityProperties, ConfMaskPreservesEverything) {
   const auto result = run_confmask(network.configs, options);
 
   const auto report =
-      check_utility_properties(result.original_dp, result.anonymized_dp);
+      check_utility_properties(simulated_data_plane(network.configs),
+                               simulated_data_plane(result.anonymized));
   EXPECT_TRUE(report.reachability) << network.name;
   EXPECT_TRUE(report.path_lengths) << network.name;
   EXPECT_TRUE(report.waypointing) << network.name;
@@ -104,9 +106,9 @@ TEST(UtilityPropertiesRip, DistanceVectorNetworkEndToEnd) {
   const auto result = run_confmask(configs, options);
   EXPECT_TRUE(result.equivalence_converged);
   EXPECT_TRUE(result.functionally_equivalent);
-  EXPECT_TRUE(
-      check_utility_properties(result.original_dp, result.anonymized_dp)
-          .all());
+  EXPECT_TRUE(check_utility_properties(simulated_data_plane(configs),
+                                       simulated_data_plane(result.anonymized))
+                  .all());
 }
 
 TEST(UtilityPropertiesRip, StrawmenAlsoConvergeOnRip) {
