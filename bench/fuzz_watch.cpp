@@ -4,12 +4,13 @@
 //
 //   fuzz_watch [--cases N] [--start-seed S] [--budget-seconds B]
 //              [--repros DIR] [--jobs N] [--min-routers N]
-//              [--max-routers N] [--max-edits N]
+//              [--max-routers N] [--max-edits N] [--require-replay]
 //
 // Seeds are sequential from --start-seed, so a budgeted CI run still
 // covers a deterministic prefix of the corpus and every failure replays
 // by seed. Exit status: 0 when every case agreed, 1 on any divergence
-// (repros land under --repros), 2 on usage errors.
+// (repros land under --repros) or, with --require-replay, when no case's
+// patched run replayed Algorithm 2; 2 on usage errors.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -23,7 +24,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s [--cases N] [--start-seed S] [--budget-seconds B]"
                " [--repros DIR] [--jobs N] [--min-routers N]"
-               " [--max-routers N] [--max-edits N]\n",
+               " [--max-routers N] [--max-edits N] [--require-replay]\n",
                argv0);
   std::exit(2);
 }
@@ -35,6 +36,7 @@ int main(int argc, char** argv) {
   std::uint64_t start_seed = 1;
   double budget_seconds = 0.0;
   unsigned jobs = 0;
+  bool require_replay = false;
   confmask::WatchFuzzOptions options;
   options.repro_dir = "repros";
 
@@ -60,6 +62,8 @@ int main(int argc, char** argv) {
       options.max_routers = std::atoi(value());
     } else if (arg == "--max-edits") {
       options.max_edits = std::atoi(value());
+    } else if (arg == "--require-replay") {
+      require_replay = true;
     } else {
       usage(argv[0]);
     }
@@ -76,9 +80,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "fuzz_watch: %d case(s) from seed %llu — %d divergence(s), "
-      "%d base skip(s), %d patched case(s)\n",
+      "%d base skip(s), %d patched case(s), %d replayed case(s)\n",
       stats.cases, static_cast<unsigned long long>(start_seed),
-      stats.failures, stats.base_skips, stats.patched_cases);
+      stats.failures, stats.base_skips, stats.patched_cases,
+      stats.replayed_cases);
   for (const auto& finding : stats.findings) {
     std::printf("  seed %llu: check '%s' failed: %s\n",
                 static_cast<unsigned long long>(finding.seed),
@@ -91,6 +96,10 @@ int main(int argc, char** argv) {
     // Diagnostic, not a failure: an all-fallback corpus would silently
     // stop testing the patch path (e.g. a capture regression).
     std::printf("warning: no case reused any stage — patch path untested\n");
+  }
+  if (require_replay && stats.replayed_cases == 0) {
+    std::printf("no case replayed Algorithm 2 — replay path untested\n");
+    return 1;
   }
   return stats.failures == 0 ? 0 : 1;
 }

@@ -66,22 +66,10 @@ bool entries_equal(const PrefixListEntry& a, const PrefixListEntry& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical views. The diff runs on every watch cycle against bundles that
-// are canonical by construction (daemon submissions, cache contents), so
-// re-sorting copies of both sides would dominate the diff itself at scale.
-// canonicalize() is exactly a stable hostname sort of routers and hosts;
-// when both sequences are already sorted it is the identity, and the
-// original bundle can be viewed in place.
-
-bool hostname_sorted(const ConfigSet& configs) {
-  const auto by_hostname = [](const auto& a, const auto& b) {
-    return a.hostname < b.hostname;
-  };
-  return std::is_sorted(configs.routers.begin(), configs.routers.end(),
-                        by_hostname) &&
-         std::is_sorted(configs.hosts.begin(), configs.hosts.end(),
-                        by_hostname);
-}
+// Canonical order. The diff runs on every watch cycle, often against a
+// bundle that is not hostname-sorted (stage-entry configs with fake hosts
+// appended), so it walks canonical_order()'s pointer views instead of
+// sorting copies of both sides.
 
 /// Merge-walks two hostname-sorted device sequences: `removed` for devices
 /// only in `base`, `added` for devices only in `next`, `matched` for pairs.
@@ -89,47 +77,37 @@ bool hostname_sorted(const ConfigSet& configs) {
 /// runs per stage per watch cycle), where per-device find_router lookups
 /// would be quadratic.
 template <typename Device, typename Removed, typename Added, typename Matched>
-void merge_devices(const std::vector<Device>& base,
-                   const std::vector<Device>& next, Removed&& removed,
+void merge_devices(const std::vector<const Device*>& base,
+                   const std::vector<const Device*>& next, Removed&& removed,
                    Added&& added, Matched&& matched) {
   std::size_t bi = 0;
   std::size_t ni = 0;
   while (bi < base.size() && ni < next.size()) {
-    const int cmp = base[bi].hostname.compare(next[ni].hostname);
+    const int cmp = base[bi]->hostname.compare(next[ni]->hostname);
     if (cmp < 0) {
-      removed(base[bi++]);
+      removed(*base[bi++]);
     } else if (cmp > 0) {
-      added(next[ni++]);
+      added(*next[ni++]);
     } else {
-      matched(base[bi++], next[ni++]);
+      matched(*base[bi++], *next[ni++]);
     }
   }
-  while (bi < base.size()) removed(base[bi++]);
-  while (ni < next.size()) added(next[ni++]);
+  while (bi < base.size()) removed(*base[bi++]);
+  while (ni < next.size()) added(*next[ni++]);
 }
 
-/// A canonical-order view of a bundle: aliases the input when it is
-/// already hostname-sorted, otherwise owns a canonicalized copy.
-class CanonicalView {
- public:
-  explicit CanonicalView(const ConfigSet& configs) {
-    if (hostname_sorted(configs)) {
-      view_ = &configs;
-    } else {
-      storage_ = canonicalize(configs);
-      view_ = &storage_;
-    }
-  }
-  CanonicalView(const CanonicalView&) = delete;
-  CanonicalView& operator=(const CanonicalView&) = delete;
-
-  const ConfigSet& operator*() const { return *view_; }
-  const ConfigSet* operator->() const { return view_; }
-
- private:
-  ConfigSet storage_;
-  const ConfigSet* view_ = nullptr;
-};
+/// The first device named `name` in a hostname-sorted view (what
+/// find_router / find_host return on the canonicalized bundle), or null.
+template <typename Device>
+const Device* find_sorted(const std::vector<const Device*>& devices,
+                          const std::string& name) {
+  const auto it = std::lower_bound(
+      devices.begin(), devices.end(), name,
+      [](const Device* device, const std::string& key) {
+        return device->hostname < key;
+      });
+  return it != devices.end() && (*it)->hostname == name ? *it : nullptr;
+}
 
 /// Widened match region of one entry: every candidate prefix the entry can
 /// match lies inside W(e). An entry matches candidates whose network falls
@@ -319,10 +297,8 @@ std::vector<Ipv4Prefix> compact(std::vector<Ipv4Prefix> dirty) {
 }  // namespace
 
 ConfigSetDiff diff_config_sets(const ConfigSet& base, const ConfigSet& next) {
-  const CanonicalView canonical_base_view(base);
-  const CanonicalView canonical_next_view(next);
-  const ConfigSet& canonical_base = *canonical_base_view;
-  const ConfigSet& canonical_next = *canonical_next_view;
+  const CanonicalOrder canonical_base = canonical_order(base);
+  const CanonicalOrder canonical_next = canonical_order(next);
   ConfigSetDiff diff;
 
   // Device-name sequences must match exactly for any reuse: simulation node
@@ -407,24 +383,22 @@ ConfigSetDiff diff_config_sets(const ConfigSet& base, const ConfigSet& next) {
 }
 
 std::string render_bundle_diff(const ConfigSet& base, const ConfigSet& next) {
-  const CanonicalView canonical_base_view(base);
-  const CanonicalView canonical_next_view(next);
-  const ConfigSet& canonical_base = *canonical_base_view;
-  const ConfigSet& canonical_next = *canonical_next_view;
+  const CanonicalOrder canonical_base = canonical_order(base);
+  const CanonicalOrder canonical_next = canonical_order(next);
 
   std::string out;
   out += kBundleDiffHeader;
   out += '\n';
 
   std::vector<std::string> deletions;
-  for (const RouterConfig& router : canonical_base.routers) {
-    if (canonical_next.find_router(router.hostname) == nullptr) {
-      deletions.push_back(router.hostname);
+  for (const RouterConfig* router : canonical_base.routers) {
+    if (find_sorted(canonical_next.routers, router->hostname) == nullptr) {
+      deletions.push_back(router->hostname);
     }
   }
-  for (const HostConfig& host : canonical_base.hosts) {
-    if (canonical_next.find_host(host.hostname) == nullptr) {
-      deletions.push_back(host.hostname);
+  for (const HostConfig* host : canonical_base.hosts) {
+    if (find_sorted(canonical_next.hosts, host->hostname) == nullptr) {
+      deletions.push_back(host->hostname);
     }
   }
   std::sort(deletions.begin(), deletions.end());
@@ -441,18 +415,20 @@ std::string render_bundle_diff(const ConfigSet& base, const ConfigSet& next) {
     out += '\n';
     out += body;
   };
-  for (const RouterConfig& router : canonical_next.routers) {
-    const RouterConfig* before = canonical_base.find_router(router.hostname);
-    const std::string body = emit_router(router);
+  for (const RouterConfig* router : canonical_next.routers) {
+    const RouterConfig* before =
+        find_sorted(canonical_base.routers, router->hostname);
+    const std::string body = emit_router(*router);
     if (before == nullptr || emit_router(*before) != body) {
-      emit_section(router.hostname, body);
+      emit_section(router->hostname, body);
     }
   }
-  for (const HostConfig& host : canonical_next.hosts) {
-    const HostConfig* before = canonical_base.find_host(host.hostname);
-    const std::string body = emit_host(host);
+  for (const HostConfig* host : canonical_next.hosts) {
+    const HostConfig* before =
+        find_sorted(canonical_base.hosts, host->hostname);
+    const std::string body = emit_host(*host);
     if (before == nullptr || emit_host(*before) != body) {
-      emit_section(host.hostname, body);
+      emit_section(host->hostname, body);
     }
   }
   return out;

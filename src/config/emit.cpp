@@ -1,6 +1,7 @@
 #include "src/config/emit.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 namespace confmask {
 
@@ -252,16 +253,35 @@ ConfigSet canonicalize(ConfigSet configs) {
   return configs;
 }
 
+CanonicalOrder canonical_order(const ConfigSet& configs) {
+  // The same stable hostname sort as canonicalize(), over pointers.
+  // Bundles usually arrive sorted already, which one pass confirms.
+  const auto sorted = [](const auto& devices) {
+    using Device = std::remove_cvref_t<decltype(devices.front())>;
+    std::vector<const Device*> view;
+    view.reserve(devices.size());
+    for (const Device& device : devices) view.push_back(&device);
+    const auto by_hostname = [](const Device* a, const Device* b) {
+      return a->hostname < b->hostname;
+    };
+    if (!std::is_sorted(view.begin(), view.end(), by_hostname)) {
+      std::stable_sort(view.begin(), view.end(), by_hostname);
+    }
+    return view;
+  };
+  return CanonicalOrder{sorted(configs.routers), sorted(configs.hosts)};
+}
+
 std::string canonical_config_set_text(const ConfigSet& configs) {
-  const ConfigSet canonical = canonicalize(configs);
+  const CanonicalOrder canonical = canonical_order(configs);
   std::string out;
-  for (const auto& router : canonical.routers) {
-    out += std::string(kDeviceMarker) + router.hostname + "\n";
-    out += emit_router(router);
+  for (const RouterConfig* router : canonical.routers) {
+    out += std::string(kDeviceMarker) + router->hostname + "\n";
+    out += emit_router(*router);
   }
-  for (const auto& host : canonical.hosts) {
-    out += std::string(kDeviceMarker) + host.hostname + "\n";
-    out += emit_host(host);
+  for (const HostConfig* host : canonical.hosts) {
+    out += std::string(kDeviceMarker) + host->hostname + "\n";
+    out += emit_host(*host);
   }
   return out;
 }

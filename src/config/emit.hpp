@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/config/model.hpp"
 
@@ -94,5 +95,13 @@ inline constexpr std::string_view kDeviceMarker = "!>> device ";
 /// canonical order — this is what makes one cache key correspond to one
 /// byte-exact artifact regardless of how the submitter enumerated files.
 [[nodiscard]] ConfigSet canonicalize(ConfigSet configs);
+
+/// The devices of `configs` in canonical order, by pointer: canonicalize()
+/// without copying a device. Valid while `configs` is unchanged.
+struct CanonicalOrder {
+  std::vector<const RouterConfig*> routers;
+  std::vector<const HostConfig*> hosts;
+};
+[[nodiscard]] CanonicalOrder canonical_order(const ConfigSet& configs);
 
 }  // namespace confmask

@@ -108,9 +108,10 @@ PipelineResult run_pipeline(const ConfigSet& original,
   // the stage-entry diff allows it (patch_mode.hpp); tallies the reuse
   // outcome either way.
   const auto stage_seed_from = [&](const PatchSnapshot& snapshot,
-                                   const ConfigSet& configs)
+                                   const ConfigSet& configs,
+                                   ConfigSetDiff* diff = nullptr)
       -> std::shared_ptr<Simulation> {
-    auto seeded = seed_simulation(configs, snapshot);
+    auto seeded = seed_simulation(configs, snapshot, diff);
     if (seeded != nullptr) {
       ++result.stats.patched_stages;
     } else {
@@ -261,9 +262,11 @@ PipelineResult run_pipeline(const ConfigSet& original,
 
   // Step 2.2: route anonymity. In incremental mode Algorithm 2 hands back
   // the simulation matching its final config state, sparing verification a
-  // from-scratch rebuild.
+  // from-scratch rebuild. Replayed from the patch base's edit log when
+  // anonymity_replayable proves the stage would decide the same edits.
   std::shared_ptr<Simulation> final_simulation;
   StageSeed anonymity_seed;
+  AnonymityPatch anonymity_replay;
   const bool patch_anonymity =
       patch_base != nullptr || patch_capture != nullptr;
   auto anonymity_span = PipelineTrace::begin("route_anonymity");
@@ -275,20 +278,37 @@ PipelineResult run_pipeline(const ConfigSet& original,
       patch_capture->anonymity.configs =
           std::make_shared<const ConfigSet>(result.anonymized);
     }
+    ConfigSetDiff entry_diff;
     if (patch_base != nullptr && !result.fake_hosts.empty() &&
         options.noise_p > 0.0) {
-      anonymity_seed.initial =
-          stage_seed_from(patch_base->anonymity, result.anonymized);
+      anonymity_seed.initial = stage_seed_from(
+          patch_base->anonymity, result.anonymized, &entry_diff);
     }
-    const auto anonymity = anonymize_routes(
-        result.anonymized, result.fake_hosts, options.noise_p, rng,
-        options.incremental_simulation, &final_simulation,
-        patch_anonymity ? &anonymity_seed : nullptr, carry);
+    anonymity_replay.rng = rng;
+    RouteAnonymityOutcome anonymity;
+    if (anonymity_seed.initial != nullptr &&
+        anonymity_replayable(*patch_base, options, rng, result.anonymized,
+                             entry_diff, *anonymity_seed.initial,
+                             result.fake_hosts)) {
+      const AnonymityLog& captured = patch_base->anonymity_replay.log;
+      anonymity = replay_route_anonymity(result.anonymized, captured,
+                                         anonymity_seed, &final_simulation);
+      if (patch_capture != nullptr) anonymity_replay.log = captured;
+      result.stats.anonymity_replayed = true;
+    } else {
+      anonymity = anonymize_routes(
+          result.anonymized, result.fake_hosts, options.noise_p, rng,
+          options.incremental_simulation, &final_simulation,
+          patch_anonymity ? &anonymity_seed : nullptr, carry,
+          patch_capture != nullptr ? &anonymity_replay.log : nullptr);
+    }
+    anonymity_replay.valid = anonymity_seed.entry_sim != nullptr;
     result.stats.anonymity_filters = anonymity.filters_added;
     result.stats.anonymity_rollbacks = anonymity.filters_rolled_back;
   });
   if (patch_capture != nullptr) {
     patch_capture->anonymity.live = anonymity_seed.entry_sim;
+    patch_capture->anonymity_replay = std::move(anonymity_replay);
   }
   if (anonymity_span) {
     anonymity_span.add("fake_hosts", result.stats.fake_hosts);
@@ -316,15 +336,25 @@ PipelineResult run_pipeline(const ConfigSet& original,
     if (final_simulation == nullptr) {
       final_simulation = std::make_shared<Simulation>(result.anonymized);
     }
+    // Destinations the patch base's own gate matched need no new walk
+    // when the edit provably left their inputs untouched.
+    VerifiedBase verified_base;
+    if (patch_base != nullptr && patch_base->verified) {
+      verified_base = {patch_base->index.get(),
+                       patch_base->anonymity.sim.get()};
+    }
     verdict = index.compare_real_flows(
-        *final_simulation, result.injected_undelivered_flow
-                               ? &*result.injected_undelivered_flow
-                               : nullptr);
+        *final_simulation,
+        result.injected_undelivered_flow ? &*result.injected_undelivered_flow
+                                         : nullptr,
+        verified_base);
     final_simulation.reset();
   });
   result.functionally_equivalent = verdict.equal;
+  if (patch_capture != nullptr) patch_capture->verified = verdict.equal;
   if (verification_span) {
     verification_span.add("real_flows_compared", verdict.real_flows_compared);
+    verification_span.add("real_flows_proved", verdict.real_flows_proved);
     verification_span.add("equivalent",
                           result.functionally_equivalent ? 1 : 0);
     verification_span.add("simulations", sims_since_mark());

@@ -73,6 +73,9 @@ struct PipelineStats {
   /// offered but the stage-entry diff was structural (full rebuild).
   int patched_stages = 0;
   int patch_fallbacks = 0;
+  /// Watch mode: Algorithm 2 replayed the patch base's edit log instead
+  /// of running its noise pass and rollback rounds.
+  bool anonymity_replayed = false;
   std::uint64_t simulations = 0;  ///< simulation jobs (paper §5.4 cost unit)
   double seconds = 0.0;           ///< end-to-end wall-clock
 };

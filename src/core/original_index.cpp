@@ -144,7 +144,8 @@ DataPlane OriginalIndex::data_plane() const {
 }
 
 OriginalIndex::FlowComparison OriginalIndex::compare_real_flows(
-    const Simulation& sim, const FlowKey* undelivered) const {
+    const Simulation& sim, const FlowKey* undelivered,
+    const VerifiedBase& base) const {
   const Topology& now = sim.topology();
   const std::vector<int> ids = original_ids(now);
   const int routers = topology_->router_count();
@@ -210,20 +211,43 @@ OriginalIndex::FlowComparison OriginalIndex::compare_real_flows(
     return true;
   };
 
+  // Destinations the base run's gate already matched (see VerifiedBase).
+  const bool same_network =
+      base.index != nullptr && base.sim != nullptr &&
+      base.index->flows_.size() == flows_.size() &&
+      &sim.topology() == &base.sim->topology();
+  const auto proved = [&](int d) {
+    const int dst_now = current[static_cast<std::size_t>(d)];
+    if (!same_network || d == skip_dst || dst_now < 0) return false;
+    const auto column = static_cast<std::size_t>(dst_now - now_routers);
+    return flows_[static_cast<std::size_t>(d)] ==
+               base.index->flows_[static_cast<std::size_t>(d)] &&
+           sim.fib_columns()[column] == base.sim->fib_columns()[column];
+  };
+  std::vector<char> proven(static_cast<std::size_t>(hosts), 0);
+  std::vector<int> walked;
+  for (int d = 0; d < hosts; ++d) {
+    if (proved(d)) {
+      proven[static_cast<std::size_t>(d)] = 1;
+    } else {
+      walked.push_back(d);
+    }
+  }
+
   // Destinations run in any order; the count stays deterministic because
   // every destination below the first mismatching one runs to completion.
   std::atomic<int> first_mismatch{hosts};
   std::vector<std::size_t> compared(static_cast<std::size_t>(hosts), 0);
   std::vector<std::uint32_t> truncated(static_cast<std::size_t>(hosts), 0);
-  ThreadPool::shared().parallel_for(
-      static_cast<std::size_t>(hosts), [&](std::size_t i) {
-        const int d = static_cast<int>(i);
-        if (d > first_mismatch.load()) return;
-        if (compare_destination(d, compared[i], truncated[i])) return;
-        int seen = first_mismatch.load();
-        while (d < seen && !first_mismatch.compare_exchange_weak(seen, d)) {
-        }
-      });
+  ThreadPool::shared().parallel_for(walked.size(), [&](std::size_t i) {
+    const int d = walked[i];
+    const auto slot = static_cast<std::size_t>(d);
+    if (d > first_mismatch.load()) return;
+    if (compare_destination(d, compared[slot], truncated[slot])) return;
+    int seen = first_mismatch.load();
+    while (d < seen && !first_mismatch.compare_exchange_weak(seen, d)) {
+    }
+  });
   Simulation::report_truncated(
       std::accumulate(truncated.begin(), truncated.end(), std::size_t{0}));
 
@@ -231,7 +255,11 @@ OriginalIndex::FlowComparison OriginalIndex::compare_real_flows(
   const int stop = first_mismatch.load();
   out.equal = stop == hosts;
   for (int d = 0; d < std::min(stop + 1, hosts); ++d) {
-    out.real_flows_compared += compared[static_cast<std::size_t>(d)];
+    const auto slot = static_cast<std::size_t>(d);
+    out.real_flows_compared += compared[slot];
+    if (proven[slot] != 0) {
+      out.real_flows_proved += static_cast<std::size_t>(hosts - 1);
+    }
   }
   return out;
 }

@@ -28,6 +28,17 @@
 
 namespace confmask {
 
+class OriginalIndex;
+
+/// A prior run whose verification gate passed (watch mode, DESIGN.md §14):
+/// its index, and a simulation sharing the topology object its gate walked
+/// whose real-host FIB columns hold what that gate walked (its Algorithm 2
+/// entry snapshot: Algorithm 2 edits only fake-host prefixes).
+struct VerifiedBase {
+  const OriginalIndex* index = nullptr;
+  const Simulation* sim = nullptr;
+};
+
 class OriginalIndex {
  public:
   /// Snapshots `sim`, which must be a simulation of the ORIGINAL configs.
@@ -87,9 +98,12 @@ class OriginalIndex {
 
   struct FlowComparison {
     bool equal = true;
-    /// Ordered pairs of real hosts compared: all of them when equal, else
-    /// every pair up to the first mismatch in destination order.
+    /// Ordered pairs of real hosts walked and compared, and those proved
+    /// equal without a walk (see VerifiedBase). On a pass the two sum to
+    /// every ordered pair; on a failure both stop at the first mismatching
+    /// destination.
     std::size_t real_flows_compared = 0;
+    std::size_t real_flows_proved = 0;
   };
 
   /// The verification gate (DESIGN.md §7): whether `sim`, a simulation of
@@ -99,9 +113,18 @@ class OriginalIndex {
   /// an undelivered flow is an empty set. Walks one destination at a time
   /// over the pool, real sources only, and stops at the first mismatch.
   /// `undelivered` names one real flow to treat as undelivered in `sim`
-  /// (the verification fault's injected divergence).
+  /// (the verification fault's injected divergence); its destination is
+  /// always walked.
+  ///
+  /// With `base`, a destination d is proved instead of walked when this
+  /// index's flow column for d is base.index's object (spliced clean) and
+  /// `sim` shares base.sim's topology object and FIB column for d. A walk
+  /// toward d reads only that topology, column d and the ACLs, and an ACL
+  /// edit rebuilds the index; so the walk would repeat one the base's gate
+  /// already matched against the same original column.
   [[nodiscard]] FlowComparison compare_real_flows(
-      const Simulation& sim, const FlowKey* undelivered = nullptr) const;
+      const Simulation& sim, const FlowKey* undelivered = nullptr,
+      const VerifiedBase& base = {}) const;
 
  private:
   OriginalIndex(const Simulation& sim,

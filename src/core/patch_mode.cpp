@@ -1,5 +1,6 @@
 #include "src/core/patch_mode.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/routing/simulation.hpp"
@@ -73,15 +74,73 @@ std::shared_ptr<const PatchContext> finish_capture(
       context->topology = capture.topology;
     }
   }
+  // The edit log is in the ids of the anonymity snapshot's topology.
+  if (context->anonymity.valid()) {
+    context->anonymity_replay = capture.anonymity_replay;
+  }
   context->options = capture.options;
+  context->verified = capture.verified;
   return context;
 }
 
 std::shared_ptr<Simulation> seed_simulation(const ConfigSet& configs,
-                                            const PatchSnapshot& snapshot) {
+                                            const PatchSnapshot& snapshot,
+                                            ConfigSetDiff* diff) {
   if (!snapshot.valid()) return nullptr;
-  return seed_from_diff(configs, snapshot,
-                        diff_config_sets(*snapshot.configs, configs));
+  ConfigSetDiff computed = diff_config_sets(*snapshot.configs, configs);
+  auto seeded = seed_from_diff(configs, snapshot, computed);
+  if (diff != nullptr) *diff = std::move(computed);
+  return seeded;
+}
+
+bool anonymity_replayable(const PatchContext& context,
+                          const ConfMaskOptions& options, const Rng& rng,
+                          const ConfigSet& configs,
+                          const ConfigSetDiff& entry_diff,
+                          const Simulation& seeded,
+                          const std::vector<std::string>& fake_hosts) {
+  const AnonymityPatch& patch = context.anonymity_replay;
+  if (!patch.valid || !context.anonymity.valid() ||
+      !(context.options == options) || !(patch.rng == rng) ||
+      &seeded.topology() != &context.anonymity.sim->topology()) {
+    return false;
+  }
+  std::vector<Ipv4Prefix> fake_lans;
+  fake_lans.reserve(fake_hosts.size());
+  for (const std::string& name : fake_hosts) {
+    const int node = seeded.topology().find_node(name);
+    if (node < seeded.topology().router_count()) return false;
+    fake_lans.push_back(seeded.host_prefix(node));
+  }
+  std::sort(fake_lans.begin(), fake_lans.end());
+  const auto names_fake_lan = [&](const RouterConfig* router) {
+    if (router == nullptr) return false;
+    for (const PrefixList& list : router->prefix_lists) {
+      for (const PrefixListEntry& entry : list.entries) {
+        if (!entry.permit && std::binary_search(fake_lans.begin(),
+                                                fake_lans.end(),
+                                                entry.prefix)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  for (const DeviceChange& change : entry_diff.devices) {
+    for (const Ipv4Prefix& dirty : change.dirty) {
+      for (const Ipv4Prefix& lan : fake_lans) {
+        if (dirty.overlaps(lan)) return false;
+      }
+    }
+    // add_route_filter and remove_route_filter act on exact-prefix deny
+    // entries: none may exist for a fake LAN on a device the edit changed,
+    // or an edit could take effect in one run and not the other.
+    if (names_fake_lan(context.anonymity.configs->find_router(change.name)) ||
+        names_fake_lan(configs.find_router(change.name))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 OriginalReusePlan plan_original_reuse(const ConfigSet& configs,

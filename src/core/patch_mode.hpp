@@ -11,7 +11,10 @@
 //  * the preprocessing OriginalIndex (shared FIB and flow columns);
 //  * the topology-anonymization stage output: the post-Step-1 configs
 //    together with the RNG and prefix-allocator state the stage left
-//    behind.
+//    behind;
+//  * Algorithm 2's decisions: its effective filter edits in order, with the
+//    RNG state at stage entry;
+//  * whether the run's verification gate passed.
 //
 // On the next run, reuse is decided per snapshot, each time by PROVING the
 // snapshot's inputs unchanged — never by assuming it:
@@ -28,7 +31,18 @@
 //    RNG and allocator) iff the diff is filter-only, the effective options
 //    are IDENTICAL (the RNG stream and fake-link pricing depend on every
 //    knob) and no input the stage reads — device roster, interface
-//    surface, first-interface passthrough lines — moved.
+//    surface, first-interface passthrough lines — moved;
+//  * Algorithm 2 is replayed from the edit log (replay_route_anonymity)
+//    iff its stage was seeded from the anonymity snapshot, the options and
+//    the RNG state at stage entry are identical, the entry diff's dirty
+//    prefixes overlap no fake-host LAN, and no changed device denies a
+//    fake-host LAN in either version (anonymity_replayable). Every
+//    fake-host FIB column, all the stage reads, is then aliased from the
+//    captured run, so every draw and every rollback repeats;
+//  * the verification gate skips a destination whose original flow column
+//    is the context index's and whose final FIB column is the anonymity
+//    snapshot's, when the context's run passed its gate
+//    (OriginalIndex::compare_real_flows).
 //
 // Any condition that fails falls back to the from-scratch path for that
 // snapshot (fail closed — reuse is an optimization, never a semantic
@@ -44,12 +58,14 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/config/diff.hpp"
 #include "src/config/model.hpp"
 #include "src/core/confmask.hpp"
 #include "src/core/original_index.hpp"
+#include "src/core/route_anonymity.hpp"
 #include "src/core/stage_seed.hpp"
 #include "src/util/prefix_allocator.hpp"
 #include "src/util/rng.hpp"
@@ -82,6 +98,14 @@ struct TopologyPatch {
   bool valid = false;
 };
 
+/// Algorithm 2 of one run: its decisions and the RNG state they drew
+/// from. Valid only when the stage ran over an entry simulation.
+struct AnonymityPatch {
+  AnonymityLog log;
+  Rng rng{0};  ///< RNG state at stage entry
+  bool valid = false;
+};
+
 /// Everything a later run can reuse from one pipeline execution.
 struct PatchContext {
   PatchSnapshot original;     ///< preprocess: the submitted bundle
@@ -92,9 +116,15 @@ struct PatchContext {
   std::shared_ptr<const OriginalIndex> index;
   /// Step-1 stage output, replayable via graft_topology.
   TopologyPatch topology;
+  /// Algorithm 2's decisions, replayable via replay_route_anonymity.
+  AnonymityPatch anonymity_replay;
   /// The options the run executed with. Topology replay requires equality:
   /// every knob feeds the stage's RNG stream, pricing or pool choice.
   ConfMaskOptions options;
+  /// The run's verification gate passed: every real flow of its output
+  /// matched `index`. Only then may a later gate skip destinations on its
+  /// word.
+  bool verified = false;
 };
 
 /// Raw material collected DURING a pipeline run: stage-entry config clones
@@ -111,7 +141,9 @@ struct PatchCapture {
   Stage anonymity;
   std::shared_ptr<const OriginalIndex> index;
   TopologyPatch topology;
+  AnonymityPatch anonymity_replay;
   ConfMaskOptions options;
+  bool verified = false;
 
   void reset() {
     original = {};
@@ -119,7 +151,9 @@ struct PatchCapture {
     anonymity = {};
     index = nullptr;
     topology = {};
+    anonymity_replay = {};
     options = {};
+    verified = false;
   }
 };
 
@@ -137,9 +171,24 @@ struct PatchCapture {
 /// returns a simulation seeded from the snapshot through the incremental
 /// constructor with the mapped dirty set. Returns null — caller builds
 /// from scratch — on any structural difference, an unknown device, or an
-/// invalid snapshot.
+/// invalid snapshot. `diff`, when non-null, receives the diff whenever one
+/// was computed.
 [[nodiscard]] std::shared_ptr<Simulation> seed_simulation(
-    const ConfigSet& configs, const PatchSnapshot& snapshot);
+    const ConfigSet& configs, const PatchSnapshot& snapshot,
+    ConfigSetDiff* diff = nullptr);
+
+/// Algorithm 2's replay decision. `seeded` is the stage's entry simulation
+/// over `configs`, seeded from context.anonymity with `entry_diff`;
+/// `options`, `rng` and `fake_hosts` are the stage's. True iff, beyond
+/// that seed, the context holds a log, the options and RNG state equal
+/// the captured run's, no dirty prefix of `entry_diff` overlaps a
+/// fake-host LAN (so every fake-host FIB column is aliased), and no
+/// changed device carries a deny entry for a fake-host LAN in either
+/// version (so every filter edit takes effect exactly as it did).
+[[nodiscard]] bool anonymity_replayable(
+    const PatchContext& context, const ConfMaskOptions& options,
+    const Rng& rng, const ConfigSet& configs, const ConfigSetDiff& entry_diff,
+    const Simulation& seeded, const std::vector<std::string>& fake_hosts);
 
 /// The preprocess-stage reuse decision against the context's `original`
 /// snapshot, carrying everything that stage can exploit beyond the seeded

@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "src/core/filters.hpp"
@@ -71,13 +72,29 @@ std::vector<std::string> add_fake_hosts(ConfigSet& configs,
   return fake_hosts;
 }
 
+namespace {
+
+/// The entry simulation's distance-vector reuse, for the stage span.
+void count_entry_vectors(const Simulation& entry) {
+  const IncrementalStats& stats = entry.incremental_stats();
+  PipelineTrace::count(
+      "vectors_carried",
+      static_cast<std::uint64_t>(stats.distance_vectors_reused));
+  PipelineTrace::count(
+      "vectors_computed",
+      static_cast<std::uint64_t>(stats.distance_vectors_recomputed));
+}
+
+}  // namespace
+
 RouteAnonymityOutcome anonymize_routes(
     ConfigSet& configs, const std::vector<std::string>& fake_hosts,
     double noise_p, Rng& rng, bool incremental,
     std::shared_ptr<Simulation>* final_simulation, StageSeed* seed,
-    const Simulation* carry) {
+    const Simulation* carry, AnonymityLog* log) {
   RouteAnonymityOutcome outcome;
   if (final_simulation != nullptr) final_simulation->reset();
+  if (log != nullptr) *log = {};
   if (fake_hosts.empty() || noise_p <= 0.0) return outcome;
 
   const std::set<std::string> fake_set(fake_hosts.begin(), fake_hosts.end());
@@ -96,14 +113,7 @@ RouteAnonymityOutcome anonymize_routes(
     current = std::make_shared<Simulation>(configs, carry);
   }
   if (seed != nullptr) seed->entry_sim = current;
-  PipelineTrace::count(
-      "vectors_carried",
-      static_cast<std::uint64_t>(
-          current->incremental_stats().distance_vectors_reused));
-  PipelineTrace::count(
-      "vectors_computed",
-      static_cast<std::uint64_t>(
-          current->incremental_stats().distance_vectors_recomputed));
+  count_entry_vectors(*current);
   // Shared ownership: the rollback rounds replace `current`, and a fresh
   // (non-incremental) rebuild constructs its own Topology — node ids are
   // identical since the node set is frozen, but the original object would
@@ -149,6 +159,7 @@ RouteAnonymityOutcome anonymize_routes(
                              topo.link(hop.link), prefix)) {
           added[{r, fh}].push_back(hop.link);
           delta.record(r, prefix);
+          if (log != nullptr) log->edits.push_back({true, r, hop.link, fh});
         }
       }
     }
@@ -213,6 +224,7 @@ RouteAnonymityOutcome anonymize_routes(
                                 topo.link(link_id), prefix)) {
           ++outcome.filters_rolled_back;
           delta.record(r, prefix);
+          if (log != nullptr) log->edits.push_back({false, r, link_id, fh});
         }
       }
       it = added.erase(it);
@@ -229,6 +241,7 @@ RouteAnonymityOutcome anonymize_routes(
   for (const auto& [key, links] : added) {
     outcome.filters_added += static_cast<int>(links.size());
   }
+  if (log != nullptr) log->outcome = outcome;
 
   // Hand the simulation matching the final config state to the caller so
   // verification need not rebuild from scratch. Only in incremental mode —
@@ -241,6 +254,39 @@ RouteAnonymityOutcome anonymize_routes(
     *final_simulation = std::move(current);
   }
   return outcome;
+}
+
+RouteAnonymityOutcome replay_route_anonymity(
+    ConfigSet& configs, const AnonymityLog& log, StageSeed& seed,
+    std::shared_ptr<Simulation>* final_simulation) {
+  std::shared_ptr<Simulation> current = std::move(seed.initial);
+  seed.entry_sim = current;
+  count_entry_vectors(*current);
+  PipelineTrace::count("replayed_edits", log.edits.size());
+  const std::shared_ptr<const Topology> topo_ref = current->topology_ptr();
+  const Topology& topo = *topo_ref;
+  const std::vector<RouterConfig*> routers = router_configs(configs, topo);
+
+  SimulationDelta delta;
+  for (const AnonymityEdit& edit : log.edits) {
+    RouterConfig* router = routers[static_cast<std::size_t>(edit.router)];
+    const Link& link = topo.link(edit.link);
+    const Ipv4Prefix& prefix = current->host_prefix(edit.fake_host);
+    const bool applied =
+        edit.add ? add_route_filter(router, edit.router, link, prefix)
+                 : remove_route_filter(router, edit.router, link, prefix);
+    if (!applied) {
+      throw std::logic_error("Algorithm 2 replay: a " +
+                             std::string(edit.add ? "filter add" : "rollback") +
+                             " for " + prefix.str() + " took no effect");
+    }
+    delta.record(edit.router, prefix);
+  }
+  if (!delta.empty()) {
+    current = std::make_shared<Simulation>(configs, *current, delta);
+  }
+  if (final_simulation != nullptr) *final_simulation = std::move(current);
+  return log.outcome;
 }
 
 }  // namespace confmask

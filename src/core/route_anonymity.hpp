@@ -38,6 +38,23 @@ struct RouteAnonymityOutcome {
   int filters_rolled_back = 0;
 };
 
+/// One filter edit Algorithm 2 made and that took effect: a noise-pass add
+/// or a rollback remove, in the ids of the stage's frozen topology.
+struct AnonymityEdit {
+  bool add = true;
+  int router = -1;
+  int link = -1;
+  int fake_host = -1;
+};
+
+/// What one run of Algorithm 2 decided: its effective filter edits in
+/// order, and the outcome it reported. Watch mode replays it
+/// (replay_route_anonymity).
+struct AnonymityLog {
+  std::vector<AnonymityEdit> edits;
+  RouteAnonymityOutcome outcome;
+};
+
 /// Algorithm 2 (randomized filters + reachability rollback).
 ///
 /// The reachability checks batch into one reverse sweep per fake host
@@ -54,11 +71,29 @@ struct RouteAnonymityOutcome {
 /// and/or receives a handle to it — see stage_seed.hpp. `carry` (optional)
 /// is an earlier stage's simulation whose OSPF distance vectors a fresh
 /// first build may adopt (Simulation's carrying constructor). The RNG draw
-/// sequence of the noise pass is identical either way.
+/// sequence of the noise pass is identical either way. `log`, when
+/// non-null, receives the stage's decisions (watch-mode capture).
 RouteAnonymityOutcome anonymize_routes(
     ConfigSet& configs, const std::vector<std::string>& fake_hosts,
     double noise_p, Rng& rng, bool incremental = true,
     std::shared_ptr<Simulation>* final_simulation = nullptr,
-    StageSeed* seed = nullptr, const Simulation* carry = nullptr);
+    StageSeed* seed = nullptr, const Simulation* carry = nullptr,
+    AnonymityLog* log = nullptr);
+
+/// Watch mode: Algorithm 2 without the noise pass or rollback rounds.
+/// Applies `log`'s edits to `configs` in order through add_route_filter /
+/// remove_route_filter — so list creation order, bindings and the
+/// permit-all-only lists rolled-back filters leave come out as a run
+/// would leave them — and hands back as `final_simulation` one
+/// incremental rebuild of the entry simulation over the edited prefixes.
+/// `seed.initial` must be the stage's entry simulation over `configs`, on
+/// the topology `log` was recorded on; `seed.entry_sim` receives it as
+/// anonymize_routes would. The caller must have proven that the stage
+/// would decide exactly `log` now (patch_mode.hpp, anonymity_replayable).
+/// Throws std::logic_error if an edit does not take effect, which that
+/// proof rules out.
+RouteAnonymityOutcome replay_route_anonymity(
+    ConfigSet& configs, const AnonymityLog& log, StageSeed& seed,
+    std::shared_ptr<Simulation>* final_simulation);
 
 }  // namespace confmask

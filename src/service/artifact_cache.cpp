@@ -327,6 +327,15 @@ std::optional<CacheArtifacts> ArtifactCache::lookup(const CacheKey& key) {
   return artifacts;
 }
 
+bool ArtifactCache::touch_entry(const std::string& key_hex,
+                                const std::string& tenant) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key_hex);
+  if (it == index_.end() || it->second.tenant != tenant) return false;
+  it->second.last_used = ++use_counter_;
+  return true;
+}
+
 std::optional<CachedOriginal> ArtifactCache::lookup_original(
     const std::string& key_hex, const std::string& tenant) {
   const std::lock_guard<std::mutex> lock(mutex_);

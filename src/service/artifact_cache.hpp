@@ -149,6 +149,14 @@ class ArtifactCache {
   [[nodiscard]] std::optional<CachedOriginal> lookup_original(
       const std::string& key_hex, const std::string& tenant = "default");
 
+  /// True iff `key_hex` names an indexed entry published under `tenant`:
+  /// lookup_original's scoping, answered from the in-memory index (no
+  /// file read, no hit or miss counted). Refreshes LRU recency on success,
+  /// as a lookup_original hit does. For callers that hold the original
+  /// bundle already (a resident watch context).
+  [[nodiscard]] bool touch_entry(const std::string& key_hex,
+                                 const std::string& tenant);
+
   /// The full entry named by `key_hex`, for serving a peer-fetch. Same
   /// validation as lookup_original (format, key, stamp) plus the stored
   /// secondary digest parsed back into the returned key. Does NOT filter

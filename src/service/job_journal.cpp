@@ -261,14 +261,15 @@ JournalTombstone failed_tombstone(std::uint64_t id, const std::string& key,
 
 std::string JobJournal::encode_submit(std::uint64_t id,
                                       const JobRequest& request,
-                                      const CacheKey& key) {
+                                      const CacheKey& key,
+                                      std::string_view canonical_text) {
   JsonLineWriter writer;
   writer.string("type", "submit")
       .number_u64("job", id)
       .string("tenant", request.tenant)
       .string("key", key.hex())
       .string("secondary", hex64(key.secondary))
-      .string("configs", canonical_config_set_text(request.configs))
+      .string("configs", canonical_text)
       .number("k_r", request.options.k_r)
       .number("k_h", request.options.k_h)
       .real("noise_p", request.options.noise_p)
@@ -448,7 +449,8 @@ void JobJournal::recover_and_compact(std::size_t max_tombstones) {
     compacted += "\n";
   }
   for (const RecoveredJob& job : recovery_.pending) {
-    compacted += encode_submit(job.id, job.request, job.key);
+    compacted += encode_submit(job.id, job.request, job.key,
+                               canonical_config_set_text(job.request.configs));
     compacted += "\n";
   }
   const fs::path tmp = path_.string() + ".compact";
@@ -499,10 +501,18 @@ bool JobJournal::append_line_locked(const std::string& line,
 }
 
 bool JobJournal::append_submit(std::uint64_t id, const JobRequest& request,
-                               const CacheKey& key, std::string* error) {
-  const std::string line = encode_submit(id, request, key);
+                               const CacheKey& key,
+                               std::string_view canonical_text,
+                               std::string* error) {
+  const std::string line = encode_submit(id, request, key, canonical_text);
   const std::lock_guard<std::mutex> lock(mutex_);
   return append_line_locked(line, error);
+}
+
+bool JobJournal::append_submit(std::uint64_t id, const JobRequest& request,
+                               const CacheKey& key, std::string* error) {
+  return append_submit(id, request, key,
+                       canonical_config_set_text(request.configs), error);
 }
 
 bool JobJournal::append_state(const JobStatus& status, std::uint64_t secondary,

@@ -40,6 +40,7 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/service/job_scheduler.hpp"
@@ -107,9 +108,16 @@ class JobJournal {
   [[nodiscard]] const JournalRecovery& recovery() const { return recovery_; }
 
   /// Appends + fsyncs the write-ahead record for an accepted submission.
-  /// False (with *error filled) on any I/O failure — the caller must then
-  /// REJECT the submission: acknowledging a job the journal never saw
-  /// would break the durability contract.
+  /// `canonical_text` is canonical_config_set_text(request.configs), which
+  /// admission has already rendered for the cache key. False (with *error
+  /// filled) on any I/O failure — the caller must then REJECT the
+  /// submission: acknowledging a job the journal never saw would break the
+  /// durability contract.
+  [[nodiscard]] bool append_submit(std::uint64_t id, const JobRequest& request,
+                                   const CacheKey& key,
+                                   std::string_view canonical_text,
+                                   std::string* error = nullptr);
+  /// The same, rendering the canonical text of request.configs itself.
   [[nodiscard]] bool append_submit(std::uint64_t id, const JobRequest& request,
                                    const CacheKey& key,
                                    std::string* error = nullptr);
@@ -126,9 +134,9 @@ class JobJournal {
   /// Serialization helpers, exposed for tests (round-trip assertions) and
   /// recovery. encode_* emit complete journal lines (with CRC, no trailing
   /// newline).
-  [[nodiscard]] static std::string encode_submit(std::uint64_t id,
-                                                 const JobRequest& request,
-                                                 const CacheKey& key);
+  [[nodiscard]] static std::string encode_submit(
+      std::uint64_t id, const JobRequest& request, const CacheKey& key,
+      std::string_view canonical_text);
   [[nodiscard]] static std::string encode_state(const JobStatus& status,
                                                 std::uint64_t secondary);
   /// Verifies the CRC of one journal line. False = torn/corrupt.

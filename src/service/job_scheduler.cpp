@@ -78,7 +78,7 @@ void JobScheduler::restore_from_journal() {
   for (const RecoveredJob& recovered : recovery.pending) {
     Job job;
     job.request = recovered.request;
-    job.canonical = canonicalize(recovered.request.configs);
+    job.canonical = canonicalize(std::move(job.request.configs));
     job.canonical_text = canonical_config_set_text(job.canonical);
     job.key = recovered.key;
     job.status.id = recovered.id;
@@ -108,10 +108,29 @@ SubmitOutcome JobScheduler::resubmit(ResubmitRequest request) {
   // reconstructed bundle (same key derivation, same journal record, same
   // cache entry), plus a patch hint the executor may exploit.
   SubmitOutcome out;
+  // A resident watch context holds the base bundle already parsed. It
+  // stands in for the cached original under lookup_original's rules: the
+  // same tenant, and the entry still published.
+  std::shared_ptr<const PatchContext> resident;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = contexts_.find(request.base_key_hex);
+    if (it != contexts_.end() && it->second.tenant == request.tenant &&
+        it->second.context->original.configs != nullptr) {
+      resident = it->second.context;
+    }
+  }
+  if (resident != nullptr &&
+      !cache_->touch_entry(request.base_key_hex, request.tenant)) {
+    resident = nullptr;
+  }
   // Tenant-scoped base lookup: another namespace's entry is as good as
   // absent, so a resubmit can never read across the tenant boundary.
-  auto base = cache_->lookup_original(request.base_key_hex, request.tenant);
-  if (!base) {
+  std::optional<CachedOriginal> base;
+  if (resident == nullptr) {
+    base = cache_->lookup_original(request.base_key_hex, request.tenant);
+  }
+  if (resident == nullptr && !base) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.rejected;
     ++tenants_[request.tenant].counters.rejected;
@@ -124,8 +143,12 @@ SubmitOutcome JobScheduler::resubmit(ResubmitRequest request) {
 
   JobRequest full;
   try {
-    const ConfigSet base_set = parse_config_set(base->original_configs);
-    full.configs = apply_bundle_diff(base_set, request.diff_text);
+    full.configs =
+        resident != nullptr
+            ? apply_bundle_diff(*resident->original.configs,
+                                request.diff_text)
+            : apply_bundle_diff(parse_config_set(base->original_configs),
+                                request.diff_text);
   } catch (const ConfigParseError& err) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.rejected;
@@ -143,6 +166,7 @@ SubmitOutcome JobScheduler::resubmit(ResubmitRequest request) {
   if (out.accepted()) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.resubmitted;
+    if (resident != nullptr) ++stats_.resident_bases;
   }
   return out;
 }
@@ -152,7 +176,7 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
   if (request.tenant.empty()) request.tenant = std::string(kDefaultTenant);
   // Canonicalize and key OUTSIDE the lock: emitting a large network is the
   // expensive part of admission and must not stall status queries.
-  ConfigSet canonical = canonicalize(request.configs);
+  ConfigSet canonical = canonicalize(std::move(request.configs));
   std::string canonical_text = canonical_config_set_text(canonical);
   const CacheKey key =
       compute_cache_key(canonical_text, request.options, request.policy,
@@ -203,7 +227,8 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
   // durability we cannot deliver.
   if (options_.journal != nullptr) {
     std::string journal_error;
-    if (!options_.journal->append_submit(id, request, key, &journal_error)) {
+    if (!options_.journal->append_submit(id, request, key, canonical_text,
+                                         &journal_error)) {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.rejected;
       out.error = "journal append failed: " + journal_error;
@@ -299,6 +324,7 @@ std::optional<JobResult> JobScheduler::result(std::uint64_t id) const {
 bool JobScheduler::cancel(std::uint64_t id) {
   JobStatus snapshot;
   std::uint64_t secondary = 0;
+  ConfigSet canonical;  // freed after the notification
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -319,6 +345,7 @@ bool JobScheduler::cancel(std::uint64_t id) {
         break;
       }
     }
+    canonical = std::move(job.canonical);
     job.status.state = JobState::kCancelled;
     job.status.error_message = "cancelled while queued";
     ++stats_.cancelled;
@@ -370,7 +397,8 @@ void JobScheduler::set_tenant_table(TenantTable table) {
 
 std::vector<std::shared_ptr<const PatchContext>>
 JobScheduler::prime_context_locked(
-    const std::string& key_hex, std::shared_ptr<const PatchContext> context) {
+    const std::string& key_hex, const std::string& tenant,
+    std::shared_ptr<const PatchContext> context) {
   std::vector<std::shared_ptr<const PatchContext>> released;
   if (options_.watch_context_capacity == 0 || context == nullptr) {
     return released;
@@ -378,6 +406,7 @@ JobScheduler::prime_context_locked(
   WatchContext& slot = contexts_[key_hex];
   if (slot.context != nullptr) released.push_back(std::move(slot.context));
   slot.context = std::move(context);
+  slot.tenant = tenant;
   slot.last_used = ++context_counter_;
   while (contexts_.size() > options_.watch_context_capacity) {
     // Linear LRU scan: the capacity is single-digit by design, so an
@@ -528,9 +557,14 @@ void JobScheduler::complete_with_artifacts(std::uint64_t id,
                                            bool cache_hit) {
   JobStatus snapshot;
   std::uint64_t secondary = 0;
+  // What result() never returns leaves the job table, and is freed after
+  // the done notification.
+  const std::string original = std::move(artifacts.original_configs);
+  ConfigSet canonical;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     Job& done = jobs_.at(id);
+    canonical = std::move(done.canonical);
     done.result.artifacts = std::move(artifacts);
     done.result.cache_hit = cache_hit;
     done.status.state = JobState::kDone;
@@ -578,9 +612,11 @@ void JobScheduler::execute(std::uint64_t id) {
     diag.context.detail = std::string("reason=") + to_string(early);
     JobStatus snapshot;
     std::uint64_t secondary = 0;
+    ConfigSet canonical;  // freed after the notification
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       Job& dead = jobs_.at(id);
+      canonical = std::move(dead.canonical);
       dead.failure_diagnostics = diagnostics_to_json(diag);
       dead.status.error_stage = to_string(diag.stage);
       dead.status.error_category = to_string(diag.category);
@@ -731,12 +767,19 @@ void JobScheduler::execute(std::uint64_t id) {
 
     JobStatus snapshot;
     std::uint64_t secondary = 0;
+    // Freed when this returns, after the done notification: the replaced
+    // or evicted contexts, and the job's inputs, which result() never
+    // returns (the cache keeps the original for resubmits).
     std::vector<std::shared_ptr<const PatchContext>> released;
+    const std::string original = std::move(artifacts.original_configs);
+    ConfigSet canonical;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       Job& done = jobs_.at(id);
+      canonical = std::move(done.canonical);
       if (primed != nullptr) {
-        released = prime_context_locked(done.key.hex(), std::move(primed));
+        released = prime_context_locked(done.key.hex(), done.request.tenant,
+                                        std::move(primed));
       }
       if (!job->patch_base.empty() && stored != StoreResult::kIoError) {
         if (patch_base_context == nullptr) {
@@ -783,7 +826,6 @@ void JobScheduler::execute(std::uint64_t id) {
       snapshot = done.status;
       secondary = done.key.secondary;
     }
-    released.clear();  // evicted contexts are freed unlocked
     journal_state(snapshot, secondary);
     return;
   }
@@ -797,9 +839,11 @@ void JobScheduler::execute(std::uint64_t id) {
 
   JobStatus snapshot;
   std::uint64_t secondary = 0;
+  ConfigSet canonical;  // freed after the notification
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     Job& failed = jobs_.at(id);
+    canonical = std::move(failed.canonical);
     failed.failure_diagnostics = std::move(diagnostics);
     failed.status.error_stage = to_string(run.diagnostics.stage);
     failed.status.error_category = to_string(run.diagnostics.category);

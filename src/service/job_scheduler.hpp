@@ -213,6 +213,10 @@ struct SchedulerStats {
   std::uint64_t watch_context_misses = 0;
   /// Watch contexts currently resident (<= watch_context_capacity).
   std::size_t watch_contexts = 0;
+  /// Accepted resubmits whose base bundle came from a resident watch
+  /// context, with no cache read or parse (the cache's hit count does not
+  /// see these lookups).
+  std::uint64_t resident_bases = 0;
   /// Local misses whose key another fleet member owned and served: the job
   /// completed from the peer's bytes with zero local simulations.
   std::uint64_t peer_hits = 0;
@@ -338,11 +342,14 @@ class JobScheduler {
 
  private:
   struct Job {
+    /// The request; admission moves its configs into `canonical`.
     JobRequest request;
-    ConfigSet canonical;  ///< canonicalize(request.configs): what executes
+    /// canonicalize(request.configs): what executes. Freed once the job
+    /// is terminal — result() never returns it.
+    ConfigSet canonical;
     /// canonical_config_set_text(canonical), rendered once at admission
-    /// (or restore) for the cache key; the executing worker moves it into
-    /// the artifact.
+    /// (or restore) for the cache key and the journal; the executing
+    /// worker moves it into the published artifact.
     std::string canonical_text;
     CacheKey key;
     JobStatus status;
@@ -364,6 +371,7 @@ class JobScheduler {
   /// Captured pipeline state of a completed job, reusable by resubmits.
   struct WatchContext {
     std::shared_ptr<const PatchContext> context;
+    std::string tenant;           ///< the producing job's namespace
     std::uint64_t last_used = 0;  ///< recency sequence, larger = fresher
   };
 
@@ -371,13 +379,14 @@ class JobScheduler {
   /// journal, enqueue. `patch_base` (may be empty) rides into the Job.
   [[nodiscard]] SubmitOutcome admit(JobRequest request,
                                     std::string patch_base);
-  /// Installs `context` under `key_hex`, evicting least-recently-used
-  /// contexts beyond watch_context_capacity. Caller holds mutex_ and drops
-  /// the returned contexts (replaced or evicted) only after unlocking:
-  /// freeing one releases simulations, config clones and an index, which
-  /// must not stall status queries, admissions or the other workers.
+  /// Installs `context` under `key_hex` for `tenant`, evicting
+  /// least-recently-used contexts beyond watch_context_capacity. Caller
+  /// holds mutex_ and drops the returned contexts (replaced or evicted)
+  /// only after unlocking: freeing one releases simulations, config clones
+  /// and an index, which must not stall status queries, admissions or the
+  /// other workers.
   [[nodiscard]] std::vector<std::shared_ptr<const PatchContext>>
-  prime_context_locked(const std::string& key_hex,
+  prime_context_locked(const std::string& key_hex, const std::string& tenant,
                        std::shared_ptr<const PatchContext> context);
 
   /// Live scheduling state of one tenant namespace.

@@ -348,6 +348,7 @@ std::string ProtocolHandler::handle(std::string_view line,
         .number_u64("patch_fallbacks", stats.patch_fallbacks)
         .number_u64("watch_context_misses", stats.watch_context_misses)
         .number_u64("watch_contexts", stats.watch_contexts)
+        .number_u64("resident_bases", stats.resident_bases)
         .number_u64("peer_hits", stats.peer_hits)
         .number_u64("peer_misses", stats.peer_misses)
         .number_u64("coalesced_jobs", stats.coalesced_jobs)

@@ -233,7 +233,7 @@ bool apply_structural_edit(ConfigSet& configs, Rng& rng,
 /// edited canonical bundles, the wire diff, and a README naming the seed,
 /// check, and the edit sequence that got there.
 std::string write_watch_repro(const std::string& repro_dir,
-                              const WatchFuzzFinding& finding,
+                              const WatchFuzzFinding& finding, int k_h,
                               const std::string& base_text,
                               const std::string& edited_text,
                               const std::string& diff_text,
@@ -248,6 +248,7 @@ std::string write_watch_repro(const std::string& repro_dir,
   std::ofstream readme(dir / "README.md");
   readme << "# Watch-mode repro\n\n"
          << "- seed: " << finding.seed << "\n"
+         << "- k_h: " << k_h << "\n"
          << "- failing check: " << finding.check << "\n"
          << "- detail: " << finding.detail << "\n"
          << "- edits:\n";
@@ -320,6 +321,8 @@ WatchFuzzResult run_watch_fuzz_case(std::uint64_t seed,
 
   ConfMaskOptions pipeline = options.pipeline;
   pipeline.seed = seed * 0x9E3779B97F4A7C15ULL + 1;
+  pipeline.k_h = 1 + static_cast<int>(seed % 2);
+  result.k_h = pipeline.k_h;
 
   // The daemon's publish path: cold run with capture, then re-base the
   // captured stage state into the resident context.
@@ -353,8 +356,8 @@ WatchFuzzResult run_watch_fuzz_case(std::uint64_t seed,
     finding.detail = std::move(detail);
     if (!options.repro_dir.empty()) {
       finding.repro_path = write_watch_repro(
-          options.repro_dir, finding, base_text, edited_text, diff_text,
-          edit_log);
+          options.repro_dir, finding, pipeline.k_h, base_text, edited_text,
+          diff_text, edit_log);
     }
     result.finding = std::move(finding);
   };
@@ -382,6 +385,7 @@ WatchFuzzResult run_watch_fuzz_case(std::uint64_t seed,
       nullptr, context.get(), nullptr);
   if (patched.ok()) {
     result.patched_stages = patched.result->stats.patched_stages;
+    result.replayed = patched.result->stats.anonymity_replayed;
   }
   if (cold.ok() != patched.ok()) {
     fail("verdict", std::string("cold ") +
@@ -421,6 +425,7 @@ WatchFuzzStats run_watch_fuzz_corpus(std::uint64_t start_seed, int cases,
     ++stats.cases;
     if (result.base_skip) ++stats.base_skips;
     if (result.patched_stages > 0) ++stats.patched_cases;
+    if (result.replayed) ++stats.replayed_cases;
     if (!result.ok && result.finding) {
       ++stats.failures;
       stats.findings.push_back(*result.finding);

@@ -19,6 +19,8 @@
 //   5. run the edited bundle twice — cold, and patched against the base's
 //      context — and assert the runs agree exactly: same ok/fail verdict,
 //      and byte-identical anonymized bundles when they succeed.
+// k_h alternates between 1 and 2 with the seed, so half the cases run
+// Algorithm 2 and their patched runs may replay it.
 // Any disagreement is a finding; when `repro_dir` is set the base bundle,
 // edited bundle and diff script are dumped with a README naming the seed
 // and the failing check.
@@ -42,10 +44,11 @@ struct WatchFuzzOptions {
   /// Pipeline knobs for both runs of a case. Small on purpose: the fuzz
   /// property is patched ≡ cold, which holds (or breaks) identically at
   /// k_r=2 and k_r=6 — the smaller run just covers more seeds per budget.
+  /// Each case overrides k_h with 1 + seed % 2: k_h = 1 adds no fake
+  /// hosts, k_h = 2 runs (or replays) Algorithm 2.
   ConfMaskOptions pipeline = [] {
     ConfMaskOptions options;
     options.k_r = 2;
-    options.k_h = 1;
     return options;
   }();
   /// When non-empty, failing cases are dumped under
@@ -72,7 +75,10 @@ struct WatchFuzzResult {
   bool base_skip = false;
   int edits = 0;
   bool structural = false;   ///< the sequence contained a structural edit
+  int k_h = 1;               ///< the case's fake hosts per real host
   int patched_stages = 0;    ///< stages the patched run actually reused
+  /// The patched run replayed Algorithm 2 from the base's edit log.
+  bool replayed = false;
   std::optional<WatchFuzzFinding> finding;
 };
 
@@ -88,6 +94,9 @@ struct WatchFuzzStats {
   /// self-check that the fuzzer is exercising the patch path at all, not
   /// just falling back everywhere.
   int patched_cases = 0;
+  /// Cases whose patched run replayed Algorithm 2 — the self-check that
+  /// the replay path is exercised at all.
+  int replayed_cases = 0;
   std::vector<WatchFuzzFinding> findings;
 };
 

@@ -49,6 +49,9 @@ class Rng {
     return items[static_cast<std::size_t>(below(items.size()))];
   }
 
+  /// Equal states draw equal streams.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   std::uint64_t state_[4];
 };

@@ -5,13 +5,18 @@
 // acknowledging an un-journaled job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "src/config/emit.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/service/artifact_cache.hpp"
 #include "src/service/cache_key.hpp"
 #include "src/service/job_journal.hpp"
+#include "src/service/job_scheduler.hpp"
 #include "src/util/hash.hpp"
 
 #if defined(CONFMASK_FAULT_INJECTION)
@@ -43,6 +48,13 @@ JobRequest sample_request(std::uint64_t seed) {
   return request;
 }
 
+/// The submit record of `request`, as admission would journal it.
+std::string submit_record(std::uint64_t id, const JobRequest& request,
+                          const CacheKey& key) {
+  return JobJournal::encode_submit(
+      id, request, key, canonical_config_set_text(request.configs));
+}
+
 CacheKey key_of(const JobRequest& request) {
   return compute_cache_key(request.configs, request.options, request.policy,
                            request.strategy);
@@ -59,7 +71,7 @@ JobStatus done_status(std::uint64_t id, const CacheKey& key) {
 TEST(JobJournal, EncodedRecordsCarryValidCrcAndDetectCorruption) {
   const JobRequest request = sample_request(7);
   const CacheKey key = key_of(request);
-  const std::string submit = JobJournal::encode_submit(3, request, key);
+  const std::string submit = submit_record(3, request, key);
   EXPECT_TRUE(JobJournal::crc_ok(submit));
   const std::string state = JobJournal::encode_state(done_status(3, key),
                                                      key.secondary);
@@ -75,6 +87,59 @@ TEST(JobJournal, EncodedRecordsCarryValidCrcAndDetectCorruption) {
   // A truncated record (the classic torn write) never passes.
   EXPECT_FALSE(JobJournal::crc_ok(submit.substr(0, submit.size() - 1)));
   EXPECT_FALSE(JobJournal::crc_ok(""));
+}
+
+// Admission hands the journal the canonical text it rendered for the
+// cache key. The submit record is byte-identical to one that renders the
+// request's bundle itself, also for a bundle submitted out of canonical
+// order.
+TEST(JobJournal, AdmissionRecordMatchesARenderedOne) {
+  const fs::path path = fresh_journal("admission_text");
+  const fs::path cache_dir =
+      fs::path(testing::TempDir()) / "confmask_journal_admission_cache";
+  fs::remove_all(cache_dir);
+  JobRequest request = sample_request(5);
+  std::reverse(request.configs.routers.begin(), request.configs.routers.end());
+  std::reverse(request.configs.hosts.begin(), request.configs.hosts.end());
+  const std::string text = canonical_config_set_text(request.configs);
+  const CacheKey key = compute_cache_key(text, request.options,
+                                         request.policy, request.strategy);
+  const std::string rendered = JobJournal::encode_submit(1, request, key, text);
+  {
+    JobJournal journal(path);
+    ArtifactCache cache(cache_dir);
+    JobScheduler scheduler(&cache, [&] {
+      JobScheduler::Options options;
+      options.journal = &journal;
+      return options;
+    }());
+    const SubmitOutcome outcome = scheduler.submit_ex(request);
+    ASSERT_TRUE(outcome.accepted()) << outcome.error;
+    ASSERT_EQ(*outcome.id, 1u);
+    scheduler.shutdown(JobScheduler::ShutdownMode::kDrain);
+  }
+  std::ifstream in(path);
+  std::vector<std::string> submits;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"type\": \"submit\"") != std::string::npos) {
+      submits.push_back(line);
+    }
+  }
+  ASSERT_EQ(submits.size(), 1u);
+  EXPECT_EQ(submits.front(), rendered);
+
+  // The overload that renders for itself writes the same bytes.
+  const fs::path other = fresh_journal("admission_rendered");
+  {
+    JobJournal journal(other);
+    ASSERT_TRUE(journal.append_submit(1, request, key));
+  }
+  std::ifstream reread(other);
+  std::string line;
+  std::getline(reread, line);  // header
+  std::getline(reread, line);
+  EXPECT_EQ(line, rendered);
+  fs::remove_all(cache_dir);
 }
 
 TEST(JobJournal, AcknowledgedSubmitSurvivesReopenWithFullRequest) {
@@ -134,8 +199,7 @@ TEST(JobJournal, TornTailIsTruncatedAndEarlierRecordsSurvive) {
   }
   // Simulate the crash: a record half-written when power died (no newline,
   // CRC never completed).
-  const std::string torn =
-      JobJournal::encode_submit(2, request, key).substr(0, 40);
+  const std::string torn = submit_record(2, request, key).substr(0, 40);
   {
     std::ofstream out(path, std::ios::app);
     out << torn;
@@ -157,9 +221,9 @@ TEST(JobJournal, NothingAfterACorruptRecordIsTrusted) {
   // A corrupt COMPLETE line followed by a valid one: WAL discipline says
   // the valid-looking survivor may itself be a torn-write artifact, so
   // recovery must stop at the first bad record, not skip over it.
-  std::string corrupt = JobJournal::encode_submit(2, request, key);
+  std::string corrupt = submit_record(2, request, key);
   corrupt[corrupt.size() / 2] ^= 1;
-  const std::string valid = JobJournal::encode_submit(3, request, key);
+  const std::string valid = submit_record(3, request, key);
   {
     std::ofstream out(path, std::ios::app);
     out << corrupt << "\n" << valid << "\n";

@@ -311,5 +311,61 @@ TEST(Gate, CountsEveryRealFlowOnAPassAndIsDeterministicOnAFailure) {
   EXPECT_LT(serial.real_flows_compared, hosts * (hosts - 1));
 }
 
+// --- (c) watch mode: destinations a verified base already matched ---
+
+// A destination is proved only while its original flow column is the
+// base index's object and its FIB column the base simulation's, on the
+// base's topology object; every other one, and the injected divergence's,
+// is walked.
+TEST(Gate, ProvesOnlyDestinationsTheVerifiedBaseAlreadyMatched) {
+  const ConfigSet original = make_bics();
+  ConfMaskOptions options;
+  options.seed = 3;
+  const PipelineResult result = run_confmask(original, options);
+  ASSERT_TRUE(result.functionally_equivalent);
+  const Simulation original_sim(original);
+  const OriginalIndex index(original_sim);
+  const Simulation anonymized(result.anonymized);
+  const VerifiedBase base{&index, &anonymized};
+  const std::size_t hosts = original.hosts.size();
+  const std::size_t pairs = hosts * (hosts - 1);
+
+  const auto all = index.compare_real_flows(anonymized, nullptr, base);
+  EXPECT_TRUE(all.equal);
+  EXPECT_EQ(all.real_flows_compared, 0u);
+  EXPECT_EQ(all.real_flows_proved, pairs);
+
+  // A rebuild has its own topology object: nothing is proved.
+  const auto rebuilt = index.compare_real_flows(
+      Simulation(result.anonymized), nullptr, base);
+  EXPECT_TRUE(rebuilt.equal);
+  EXPECT_EQ(rebuilt.real_flows_compared, pairs);
+  EXPECT_EQ(rebuilt.real_flows_proved, 0u);
+
+  // One FIB column recomputed: that destination is walked.
+  const HostConfig& first = original.hosts.front();
+  SimulationDelta delta;
+  delta.record(0, first.prefix());
+  const Simulation touched(result.anonymized, anonymized, delta);
+  const auto one_fib = index.compare_real_flows(touched, nullptr, base);
+  EXPECT_TRUE(one_fib.equal);
+  EXPECT_EQ(one_fib.real_flows_compared, hosts - 1);
+  EXPECT_EQ(one_fib.real_flows_proved, pairs - (hosts - 1));
+
+  // One original flow column re-walked: that destination is walked.
+  const HostConfig& last = original.hosts.back();
+  const OriginalIndex spliced(original_sim, index, {last.prefix()});
+  const auto one_flow =
+      spliced.compare_real_flows(anonymized, nullptr, base);
+  EXPECT_TRUE(one_flow.equal);
+  EXPECT_EQ(one_flow.real_flows_compared, hosts - 1);
+
+  // The injected divergence's destination is walked, and fails.
+  const FlowKey injected{first.hostname, last.hostname};
+  const auto diverged = index.compare_real_flows(anonymized, &injected, base);
+  EXPECT_FALSE(diverged.equal);
+  EXPECT_GT(diverged.real_flows_compared, 0u);
+}
+
 }  // namespace
 }  // namespace confmask

@@ -7,17 +7,22 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/config/diff.hpp"
 #include "src/config/emit.hpp"
+#include "src/core/filters.hpp"
 #include "src/core/patch_mode.hpp"
 #include "src/core/pipeline_runner.hpp"
+#include "src/core/pipeline_trace.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/routing/simulation.hpp"
 #include "src/service/job_scheduler.hpp"
 #include "src/util/ipv4.hpp"
+#include "src/util/prefix_allocator.hpp"
 
 #if defined(CONFMASK_FAULT_INJECTION)
 #include "tests/fault_injection.hpp"
@@ -43,14 +48,17 @@ ConfMaskOptions small_options(std::uint64_t seed) {
 }
 
 /// The canonical watch edit: a fresh prefix list (deny + permit-all)
-/// bound as an OSPF distribute-list on the named router.
-void bind_filter(ConfigSet& configs, const std::string& router_name) {
+/// bound as an OSPF distribute-list on the named router. The default
+/// denied prefix lies outside every host LAN, real and fake.
+void bind_filter(ConfigSet& configs, const std::string& router_name,
+                 const Ipv4Prefix& denied = Ipv4Prefix{
+                     Ipv4Address{10, 200, 200, 0}, 24}) {
   RouterConfig* router = configs.find_router(router_name);
   ASSERT_NE(router, nullptr);
   ASSERT_TRUE(router->ospf.has_value());
   PrefixList list;
   list.name = "WATCH-TEST";
-  list.add_deny(Ipv4Prefix{Ipv4Address{10, 200, 200, 0}, 24});
+  list.add_deny(denied);
   list.add_permit_all();
   router->prefix_lists.push_back(std::move(list));
   router->ospf->distribute_lists.push_back(
@@ -69,24 +77,201 @@ std::shared_ptr<const PatchContext> capture_context(
   return finish_capture(capture);
 }
 
-/// Runs `edited` cold and patched and asserts byte-identical artifacts.
-/// Returns the patched run's stats for reuse-depth assertions.
-PipelineStats expect_patched_matches_cold(
-    const ConfigSet& edited, const ConfMaskOptions& options,
-    const PatchContext* context) {
+/// A traced patched run, checked against a cold run of the same bundle.
+struct TracedPatch {
+  PipelineStats stats;               ///< for reuse-depth assertions
+  std::uint64_t flows_compared = 0;  ///< the gate's walked real pairs
+  std::uint64_t flows_proved = 0;    ///< and those it proved
+  std::shared_ptr<const PatchContext> context;  ///< captured by the run
+};
+
+/// Runs `edited` cold and patched (traced, with capture) and asserts
+/// byte-identical artifacts.
+TracedPatch expect_patched_matches_cold(const ConfigSet& edited,
+                                        const ConfMaskOptions& options,
+                                        const PatchContext* context) {
   const auto cold =
       run_pipeline_guarded(edited, options, RetryPolicy{},
                            EquivalenceStrategy::kConfMask, nullptr, nullptr,
                            nullptr);
-  const auto patched =
-      run_pipeline_guarded(edited, options, RetryPolicy{},
-                           EquivalenceStrategy::kConfMask, nullptr, context,
-                           nullptr);
-  EXPECT_TRUE(cold.ok());
-  EXPECT_TRUE(patched.ok());
-  EXPECT_EQ(canonical_config_set_text(cold.result->anonymized),
-            canonical_config_set_text(patched.result->anonymized));
-  return patched.result->stats;
+  TracedPatch out;
+  PatchCapture capture;
+  {
+    PipelineTrace trace;
+    const auto patched =
+        run_pipeline_guarded(edited, options, RetryPolicy{},
+                             EquivalenceStrategy::kConfMask, nullptr,
+                             context, &capture);
+    EXPECT_TRUE(cold.ok());
+    EXPECT_TRUE(patched.ok());
+    if (!cold.ok() || !patched.ok()) return out;
+    EXPECT_EQ(canonical_config_set_text(cold.result->anonymized),
+              canonical_config_set_text(patched.result->anonymized));
+    out.stats = patched.result->stats;
+    for (const SpanMetrics& span : trace.metrics()) {
+      if (span.path != "verification") continue;
+      const auto counter = [&span](const std::string& name) {
+        const auto it = span.counters.find(name);
+        return it == span.counters.end() ? std::uint64_t{0} : it->second;
+      };
+      out.flows_compared = counter("real_flows_compared");
+      out.flows_proved = counter("real_flows_proved");
+    }
+  }
+  out.context = finish_capture(capture);
+  return out;
+}
+
+/// Options under which Algorithm 2 keeps and rolls back filters even on
+/// the Fig 2 network.
+ConfMaskOptions noisy_options(std::uint64_t seed) {
+  ConfMaskOptions options = small_options(seed);
+  options.noise_p = 0.5;
+  return options;
+}
+
+TEST(WatchReplay, FilterEditReplaysAlgorithm2AndWalksNoDestination) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+  ASSERT_TRUE(context->anonymity_replay.valid);
+  ASSERT_TRUE(context->verified);
+  ASSERT_FALSE(context->anonymity_replay.log.edits.empty());
+  const std::uint64_t hosts = base.hosts.size();
+
+  ConfigSet edited = base;
+  bind_filter(edited, "r2");
+  edited = canonicalize(std::move(edited));
+  const TracedPatch first =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_TRUE(first.stats.anonymity_replayed);
+  EXPECT_EQ(first.flows_compared, 0u);
+  EXPECT_EQ(first.flows_proved, hosts * (hosts - 1));
+
+  // The replayed run captures the same log, so the next cycle replays too.
+  ASSERT_NE(first.context, nullptr);
+  EXPECT_EQ(first.context->anonymity_replay.log.edits.size(),
+            context->anonymity_replay.log.edits.size());
+  ConfigSet again = edited;
+  RouterConfig* router = again.find_router("r3");
+  ASSERT_NE(router, nullptr);
+  router->extra_lines.push_back("ip domain-name example.net");
+  again = canonicalize(std::move(again));
+  const TracedPatch second =
+      expect_patched_matches_cold(again, options, first.context.get());
+  EXPECT_TRUE(second.stats.anonymity_replayed);
+  EXPECT_EQ(second.flows_compared, 0u);
+  EXPECT_EQ(second.flows_proved, hosts * (hosts - 1));
+}
+
+TEST(WatchReplay, EditCoveringAFakeHostLanRunsAlgorithm2) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  // The whole fake-host pool: its dirty region covers every fake LAN, so
+  // the fake-host FIB columns are rebuilt and the log proves nothing.
+  ConfigSet edited = base;
+  bind_filter(edited, "r2", PrefixAllocator::default_host_pool());
+  edited = canonicalize(std::move(edited));
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_FALSE(run.stats.anonymity_replayed);
+  EXPECT_GT(run.stats.patched_stages, 0);
+  // Algorithm 2 touched only fake-host prefixes, so every real column is
+  // still the snapshot's and the gate proves every flow.
+  const std::uint64_t hosts = base.hosts.size();
+  EXPECT_EQ(run.flows_compared + run.flows_proved, hosts * (hosts - 1));
+}
+
+// An edit can leave a deny for a fake-host LAN in a list that is bound
+// nowhere: it moves no FIB column, yet the stage's own filter add on that
+// list then takes no effect. The replay must not be taken.
+TEST(WatchReplay, UnboundDenyForAFakeHostLanRunsAlgorithm2) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  // The list an IGP filter add of the captured log writes to.
+  const Topology& topo = context->anonymity.sim->topology();
+  std::optional<AnonymityEdit> add;
+  for (const AnonymityEdit& edit : context->anonymity_replay.log.edits) {
+    const RouterConfig* router =
+        base.find_router(topo.node(edit.router).name);
+    if (edit.add && router != nullptr && !router->bgp) {
+      add = edit;
+      break;
+    }
+  }
+  ASSERT_TRUE(add.has_value());
+  ConfigSet edited = base;
+  RouterConfig* router = edited.find_router(topo.node(add->router).name);
+  ASSERT_NE(router, nullptr);
+  PrefixList list;
+  list.name =
+      igp_filter_name(topo.link(add->link).end_of(add->router).interface);
+  list.add_deny(context->anonymity.sim->host_prefix(add->fake_host));
+  list.add_permit_all();
+  router->prefix_lists.push_back(std::move(list));
+  edited = canonicalize(std::move(edited));
+
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_FALSE(run.stats.anonymity_replayed);
+}
+
+// The gate takes a context's word only when that context's own gate
+// passed: against a run that failed verification, a patched run with the
+// same defect must fail verification too.
+TEST(WatchReplay, UnverifiedContextProvesNothing) {
+  const ConfigSet base = canonicalize(make_figure2());
+  // No Algorithm 1 iteration, and fake links priced as real ones: fake
+  // shortcuts keep real traffic, so the gate fails.
+  ConfMaskOptions options = noisy_options(7);
+  options.max_equivalence_iterations = 0;
+  options.cost_policy = FakeLinkCostPolicy::kDefault;
+  const auto run = [&](const ConfigSet& configs, const PatchContext* context,
+                       PatchCapture* capture) {
+    return run_pipeline(configs, preprocess(configs, context), options,
+                        EquivalenceStrategy::kConfMask, context, capture);
+  };
+  PatchCapture capture;
+  const PipelineResult failed = run(base, nullptr, &capture);
+  ASSERT_FALSE(failed.functionally_equivalent);
+  const auto context = finish_capture(capture);
+  ASSERT_NE(context, nullptr);
+  EXPECT_FALSE(context->verified);
+
+  ConfigSet edited = base;
+  bind_filter(edited, "r2");
+  edited = canonicalize(std::move(edited));
+  const PipelineResult cold = run(edited, nullptr, nullptr);
+  const PipelineResult patched = run(edited, context.get(), nullptr);
+  EXPECT_FALSE(cold.functionally_equivalent);
+  EXPECT_FALSE(patched.functionally_equivalent);
+  EXPECT_EQ(canonical_config_set_text(cold.anonymized),
+            canonical_config_set_text(patched.anonymized));
+}
+
+TEST(WatchReplay, DenyingARealHostPrefixWalksThatDestination) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  ConfigSet edited = base;
+  bind_filter(edited, "r2", base.hosts.front().prefix());
+  edited = canonicalize(std::move(edited));
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  // Real prefixes never overlap fake LANs: the replay still holds.
+  EXPECT_TRUE(run.stats.anonymity_replayed);
+  const std::uint64_t hosts = base.hosts.size();
+  EXPECT_EQ(run.flows_compared, hosts - 1);
+  EXPECT_EQ(run.flows_proved, (hosts - 1) * (hosts - 1));
 }
 
 TEST(WatchMode, FilterEditPatchesAndStaysByteIdentical) {
@@ -100,7 +285,7 @@ TEST(WatchMode, FilterEditPatchesAndStaysByteIdentical) {
   edited = canonicalize(std::move(edited));
 
   const PipelineStats stats =
-      expect_patched_matches_cold(edited, options, context.get());
+      expect_patched_matches_cold(edited, options, context.get()).stats;
   // The filter-only edit must actually reuse captured state — otherwise
   // the patched path silently degraded to a cold run.
   EXPECT_GT(stats.patched_stages, 0);
@@ -121,7 +306,7 @@ TEST(WatchMode, StructuralEditFallsBackColdButByteIdentical) {
   edited = canonicalize(std::move(edited));
 
   const PipelineStats stats =
-      expect_patched_matches_cold(edited, options, context.get());
+      expect_patched_matches_cold(edited, options, context.get()).stats;
   // A new device shifts node ids: every snapshot must be rejected.
   EXPECT_EQ(stats.patched_stages, 0);
   EXPECT_GT(stats.patch_fallbacks, 0);
@@ -145,7 +330,7 @@ TEST(WatchMode, FrontInterfaceExtraLineEditStaysByteIdentical) {
   edited = canonicalize(std::move(edited));
 
   const PipelineStats stats =
-      expect_patched_matches_cold(edited, options, context.get());
+      expect_patched_matches_cold(edited, options, context.get()).stats;
   EXPECT_GT(stats.patched_stages, 0);
 }
 
@@ -184,6 +369,27 @@ TEST(WatchMode, RetriedPatchedRunStaysPatchedAndByteIdentical) {
             4);
   EXPECT_EQ(canonical_config_set_text(cold.result->anonymized),
             canonical_config_set_text(patched.result->anonymized));
+}
+
+// The gate's proof never covers the injected divergence: a patched run
+// that would prove every other destination still fails closed.
+TEST(WatchReplay, InjectedDivergenceStillFailsClosedWhenPatched) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  ConfigSet edited = base;
+  bind_filter(edited, "r2");
+  edited = canonicalize(std::move(edited));
+  const ScopedFault diverge(faults::kVerificationDiverge, 99);
+  const auto patched =
+      run_pipeline_guarded(edited, options, RetryPolicy{},
+                           EquivalenceStrategy::kConfMask, nullptr,
+                           context.get(), nullptr);
+  EXPECT_FALSE(patched.ok());
+  EXPECT_EQ(patched.diagnostics.stage, PipelineStage::kVerification);
+  EXPECT_FALSE(patched.diagnostics.divergence.empty());
 }
 #endif
 
@@ -350,6 +556,103 @@ TEST(WatchMode, ResubmitAgainstAnEvictedContextCountsAMiss) {
   EXPECT_EQ(after.patched_jobs, 0u);
   EXPECT_EQ(after.patch_fallbacks, 0u);
   scheduler.shutdown(JobScheduler::ShutdownMode::kDrain);
+}
+
+// A resubmit against a resident watch context takes its base bundle from
+// the context instead of reading and parsing the cached original. Along
+// two edit chains, a scheduler that keeps contexts and one that keeps
+// none reconstruct the same bundles (canonical text and cache key) and
+// publish the same anonymized bytes.
+TEST(WatchMode, ResidentBaseMatchesTheCachedBaseAlongEditChains) {
+  const std::vector<std::pair<std::string, ConfigSet>> networks = {
+      {"uscarrier", make_uscarrier()}, {"fattree08", make_fattree08()}};
+  for (const auto& [name, network] : networks) {
+    ArtifactCache resident_cache(fresh_dir("watch_resident_" + name));
+    JobScheduler resident(&resident_cache, {});
+    JobScheduler::Options no_contexts;
+    no_contexts.watch_context_capacity = 0;
+    ArtifactCache cached_cache(fresh_dir("watch_cached_" + name));
+    JobScheduler cached(&cached_cache, no_contexts);
+
+    // Waits for `outcome` and returns its cache key ("" on failure).
+    const auto finished_key = [](JobScheduler& scheduler,
+                                 const SubmitOutcome& outcome) {
+      EXPECT_TRUE(outcome.accepted()) << outcome.error;
+      if (!outcome.accepted()) return std::string();
+      EXPECT_TRUE(scheduler.wait(*outcome.id));
+      const auto status = scheduler.status(*outcome.id);
+      EXPECT_TRUE(status.has_value() && status->state == JobState::kDone);
+      return status.has_value() ? status->cache_key : std::string();
+    };
+    const auto submit = [&](JobScheduler& scheduler) {
+      JobRequest request;
+      request.configs = network;
+      request.options = small_options(5);
+      return finished_key(scheduler, scheduler.submit_ex(std::move(request)));
+    };
+    std::string resident_key = submit(resident);
+    std::string cached_key = submit(cached);
+    ASSERT_FALSE(resident_key.empty());
+    ASSERT_EQ(resident_key, cached_key);
+    // The anonymized bytes a scheduler published under `hex`.
+    const auto published = [](ArtifactCache& cache, const std::string& hex) {
+      const auto entry = cache.lookup_by_hex(hex);
+      EXPECT_TRUE(entry.has_value());
+      return entry.has_value() ? entry->artifacts.anonymized_configs
+                               : std::string();
+    };
+
+    ConfigSet current = canonicalize(network);
+    constexpr int kEdits = 3;
+    for (int edit = 0; edit < kEdits; ++edit) {
+      ConfigSet next = current;
+      RouterConfig& router =
+          next.routers[static_cast<std::size_t>(edit * 7) %
+                       next.routers.size()];
+      ASSERT_TRUE(router.ospf.has_value()) << router.hostname;
+      PrefixList list;
+      list.name = "WATCH-CHAIN-" + std::to_string(edit);
+      list.add_deny(Ipv4Prefix{
+          Ipv4Address{10, 224, static_cast<std::uint8_t>(edit), 0}, 24});
+      list.add_permit_all();
+      router.prefix_lists.push_back(std::move(list));
+      router.ospf->distribute_lists.push_back(DistributeList{
+          "WATCH-CHAIN-" + std::to_string(edit),
+          router.interfaces.front().name});
+      const std::string diff = render_bundle_diff(current, next);
+      const auto resubmit = [&](JobScheduler& scheduler,
+                                const std::string& base_key) {
+        ResubmitRequest request;
+        request.base_key_hex = base_key;
+        request.diff_text = diff;
+        request.options = small_options(5);
+        return finished_key(scheduler, scheduler.resubmit(std::move(request)));
+      };
+      resident_key = resubmit(resident, resident_key);
+      cached_key = resubmit(cached, cached_key);
+      ASSERT_FALSE(resident_key.empty()) << name << " edit " << edit;
+      EXPECT_EQ(resident_key, cached_key) << name << " edit " << edit;
+      const auto resident_original =
+          resident_cache.lookup_original(resident_key);
+      const auto cached_original = cached_cache.lookup_original(cached_key);
+      ASSERT_TRUE(resident_original && cached_original);
+      EXPECT_EQ(resident_original->original_configs,
+                cached_original->original_configs);
+      EXPECT_EQ(resident_original->original_configs,
+                canonical_config_set_text(next));
+      EXPECT_EQ(published(resident_cache, resident_key),
+                published(cached_cache, cached_key))
+          << name << " edit " << edit;
+      current = std::move(next);
+    }
+    const SchedulerStats with_contexts = resident.stats();
+    const auto edits = static_cast<std::uint64_t>(kEdits);
+    EXPECT_EQ(with_contexts.resident_bases, edits);
+    EXPECT_EQ(with_contexts.patched_jobs, edits);
+    EXPECT_EQ(cached.stats().resident_bases, 0u);
+    resident.shutdown(JobScheduler::ShutdownMode::kDrain);
+    cached.shutdown(JobScheduler::ShutdownMode::kDrain);
+  }
 }
 
 TEST(WatchMode, ResubmitAgainstUnknownBaseIsPermanentRejection) {
