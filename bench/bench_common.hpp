@@ -42,4 +42,7 @@ inline void csv(const std::string& line) {
   std::printf("CSV,%s\n", line.c_str());
 }
 
+/// A JSON number with six decimals (std::to_string), the BENCH_*.json form.
+inline std::string json_number(double value) { return std::to_string(value); }
+
 }  // namespace confmask::bench

@@ -1,26 +1,29 @@
 // Scale sweep of the simulation core on the netgen scale families
-// (10²–10⁴ routers): topology build, flat fresh simulation, frozen
-// pre-refactor baseline simulation (the ISSUE-7 ≥2× gate), incremental vs
-// full re-simulation after a filter edit, and the guarded ConfMask pipeline
-// (the path confmask_cli and confmaskd run) with per-phase span metrics
-// (DESIGN.md §9) on the sizes it can afford. Each pipeline point records
-// whether the run verified and how many attempts it took next to its time
-// (a fail-closed run is timed too, but it produced no anonymization), and
-// the process's peak RSS during the run: free heap pages are returned and
-// the peak mark (VmHWM) is reset through /proc/self/clear_refs before each
-// point, and a note is printed when the kernel refuses, in which case the
-// figure is the peak so far.
+// (10²–10⁴ routers): topology build, fresh simulation, incremental vs
+// full re-simulation after a filter edit, and the guarded ConfMask
+// pipeline (the path confmask_cli and confmaskd run) on the sizes it can
+// afford. Each pipeline point records whether the run verified (a
+// fail-closed run is timed too, but it produced no anonymization), how
+// many attempts it took, the k_R it was asked for and the k_R its final
+// attempt used (the fallback ladder may relax it), its per-phase span
+// times (DESIGN.md §9), and the process's peak RSS during the run: free
+// heap pages are returned and the peak mark (VmHWM) is reset through
+// /proc/self/clear_refs before each point, and a note is printed when the
+// kernel refuses, in which case the figure is the peak so far. It also
+// records the run's work, the trace's deterministic half
+// (PipelineTrace::metrics_json(false): span counters and histograms, no
+// durations), which is the same for a given seed at any --jobs.
 //
-//   bench_scale [--max-routers N] [--baseline-max N] [--pipeline-max N]
-//               [--jobs N] [--families LIST] [--out FILE]
+//   bench_scale [--max-routers N] [--pipeline-max N] [--jobs N]
+//               [--families LIST] [--out FILE]
 //
-// Writes BENCH_scale.json (schema confmask.bench-scale/1). Sizes above the
-// caps are skipped and logged, never silently dropped: --baseline-max
-// (default 3162) bounds the old engine, whose eager R×R IGP matrix costs
-// O(R²) memory (~800 MB at 10⁴); --pipeline-max (default 316) bounds the
-// full anonymization pipeline. Wherever the baseline does run, every FIB
-// column must be bit-identical between the engines — any mismatch makes
-// the exit status nonzero, so the sweep doubles as a correctness gate.
+// Writes BENCH_scale.json (schema confmask.bench-scale/2). Sizes above the
+// caps are skipped and logged, never silently dropped: --pipeline-max
+// (default 316) bounds the full anonymization pipeline. Two gates read the
+// file: bench/scale_work_gate.py compares every pipeline point's work
+// exactly with bench/BENCH_scale.work.json, and bench/scale_ab.py times
+// fresh simulation against another build of this program on the same
+// machine.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -39,7 +42,6 @@
 #include "src/core/pipeline_runner.hpp"
 #include "src/core/pipeline_trace.hpp"
 #include "src/netgen/scale_families.hpp"
-#include "src/routing/baseline_sim.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/routing/topology.hpp"
 #include "src/testing/differential.hpp"
@@ -51,9 +53,8 @@ using namespace confmask;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--max-routers N] [--baseline-max N]"
-               " [--pipeline-max N] [--jobs N] [--families LIST]"
-               " [--out FILE]\n",
+               "usage: %s [--max-routers N] [--pipeline-max N] [--jobs N]"
+               " [--families LIST] [--out FILE]\n",
                argv0);
   std::exit(2);
 }
@@ -76,22 +77,7 @@ double min_time(int repetitions, Body&& body) {
   return best;
 }
 
-bool fibs_identical(const Simulation& fast, const BaselineSimulation& base) {
-  const Topology& topo = fast.topology();
-  for (int router = 0; router < topo.router_count(); ++router) {
-    for (const int host : topo.host_ids()) {
-      const auto lhs = fast.fib(router, host);
-      const auto& rhs = base.fib(router, host);
-      if (lhs.size() != rhs.size()) return false;
-      for (std::size_t i = 0; i < lhs.size(); ++i) {
-        if (!(lhs[i] == rhs[i])) return false;
-      }
-    }
-  }
-  return true;
-}
-
-std::string json_number(double value) { return std::to_string(value); }
+using bench::json_number;
 
 /// Resets the process's peak-RSS mark (VmHWM) to its current RSS; false
 /// when the kernel refuses. Free heap pages go back to the kernel first, so
@@ -126,7 +112,6 @@ double peak_rss_mb() {
 
 int main(int argc, char** argv) {
   int max_routers = 10000;
-  int baseline_max = 3162;
   int pipeline_max = 316;
   unsigned jobs = 0;
   std::string out_path = "BENCH_scale.json";
@@ -140,8 +125,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--max-routers") {
       max_routers = std::atoi(value());
-    } else if (arg == "--baseline-max") {
-      baseline_max = std::atoi(value());
     } else if (arg == "--pipeline-max") {
       pipeline_max = std::atoi(value());
     } else if (arg == "--jobs") {
@@ -177,29 +160,25 @@ int main(int argc, char** argv) {
 
   const int sizes[] = {100, 316, 1000, 3162, 10000};
 
-  bench::header("Simulation core scale sweep (flat CSR/SoA vs pre-refactor)",
-                "fresh simulation >=2x over the old engine at 10^3 routers, "
-                "bit-identical FIBs");
+  bench::header("Simulation core and pipeline scale sweep",
+                "simulation is the pipeline's dominant cost (section 5.4); "
+                "every pipeline point must verify at the requested k_R");
   std::printf("jobs=%u hardware_concurrency=%u max_routers=%d "
-              "baseline_max=%d pipeline_max=%d\n\n",
+              "pipeline_max=%d\n\n",
               ThreadPool::shared().workers(),
-              std::thread::hardware_concurrency(), max_routers, baseline_max,
-              pipeline_max);
+              std::thread::hardware_concurrency(), max_routers, pipeline_max);
   std::printf(
-      "%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %7s | %8s %3s "
-      "%3s %7s\n",
-      "family", "R", "hosts", "links", "topo (s)", "flat (s)", "base (s)",
-      "speedup", "fib=", "inc (s)", "full (s)", "inc/fl", "pipe (s)", "ok",
-      "att", "rss(MB)");
+      "%-12s %6s %6s %6s | %8s %8s | %8s %8s %7s | %8s %3s %3s %3s %7s\n",
+      "family", "R", "hosts", "links", "topo (s)", "flat (s)", "inc (s)",
+      "full (s)", "inc/fl", "pipe (s)", "ok", "att", "kR", "rss(MB)");
 
-  bool all_fibs_identical = true;
+  const int k_r_requested = bench::default_options().k_r;
   std::string json =
-      std::string("{\n  \"schema\": \"confmask.bench-scale/1\",\n") +
+      std::string("{\n  \"schema\": \"confmask.bench-scale/2\",\n") +
       "  \"jobs\": " + std::to_string(ThreadPool::shared().workers()) +
       ",\n  \"hardware_concurrency\": " +
       std::to_string(std::thread::hardware_concurrency()) +
       ",\n  \"max_routers\": " + std::to_string(max_routers) +
-      ",\n  \"baseline_max_routers\": " + std::to_string(baseline_max) +
       ",\n  \"pipeline_max_routers\": " + std::to_string(pipeline_max) +
       ",\n  \"sweep\": [";
   bool first = true;
@@ -228,20 +207,6 @@ int main(int argc, char** argv) {
           min_time(repetitions, [&] { Simulation sim(configs); });
       const Simulation sim(configs);
 
-      // The frozen pre-refactor engine — the ≥2× acceptance gate. Skipped
-      // above --baseline-max (eager R×R matrix, O(R²) memory).
-      double base_s = -1.0;
-      bool fib_ok = true;
-      bool baseline_ran = false;
-      if (routers <= baseline_max) {
-        base_s = min_time(repetitions,
-                          [&] { BaselineSimulation baseline(configs); });
-        const BaselineSimulation baseline(configs);
-        fib_ok = fibs_identical(sim, baseline);
-        all_fibs_identical = all_fibs_identical && fib_ok;
-        baseline_ran = true;
-      }
-
       // Incremental vs full re-simulation after one route-filter edit.
       ConfigSet edited = configs;
       SimulationDelta delta;
@@ -268,8 +233,10 @@ int main(int argc, char** argv) {
       double pipeline_s = -1.0;
       bool pipeline_verified = false;
       int pipeline_attempts = 0;
+      int k_r_used = 0;
       double pipeline_rss_mb = -1.0;
       std::string phases = "null";
+      std::string work = "null";
       if (routers <= pipeline_max) {
         if (!reset_peak_rss() && !rss_note_printed) {
           std::printf("note: the kernel refused to reset VmHWM; "
@@ -284,6 +251,7 @@ int main(int argc, char** argv) {
         pipeline_rss_mb = peak_rss_mb();
         pipeline_verified = outcome.ok();
         pipeline_attempts = outcome.diagnostics.attempts;
+        k_r_used = outcome.effective_options.k_r;
         phases = "{";
         bool first_phase = true;
         for (const auto& span : trace.metrics()) {
@@ -294,21 +262,18 @@ int main(int argc, char** argv) {
           first_phase = false;
         }
         phases += "}";
+        work = trace.metrics_json(/*include_timings=*/false);
+        work.pop_back();  // the trailing newline
       } else {
         std::printf("%-12s %6d  -- pipeline skipped (--pipeline-max %d)\n",
                     spec.name, routers, pipeline_max);
       }
 
-      const double speedup = baseline_ran ? base_s / flat_s : -1.0;
       const bool pipeline_ran = pipeline_s >= 0;
       std::printf(
-          "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %7s | "
-          "%8s %3s %3s %7s\n",
+          "%-12s %6d %6d %6zu | %8.4f %8.4f | %8s %8s %7s | %8s %3s %3s %3s "
+          "%7s\n",
           spec.name, routers, hosts, links, topo_s, flat_s,
-          baseline_ran ? json_number(base_s).substr(0, 8).c_str() : "--",
-          baseline_ran ? (json_number(speedup).substr(0, 6) + "x").c_str()
-                       : "--",
-          baseline_ran ? (fib_ok ? "ok" : "FAIL") : "--",
           incremental_s >= 0 ? json_number(incremental_s).substr(0, 8).c_str()
                              : "--",
           full_s >= 0 ? json_number(full_s).substr(0, 8).c_str() : "--",
@@ -319,13 +284,12 @@ int main(int argc, char** argv) {
           pipeline_ran ? json_number(pipeline_s).substr(0, 8).c_str() : "--",
           pipeline_ran ? (pipeline_verified ? "yes" : "NO") : "--",
           pipeline_ran ? std::to_string(pipeline_attempts).c_str() : "--",
+          pipeline_ran ? std::to_string(k_r_used).c_str() : "--",
           pipeline_rss_mb >= 0
               ? std::to_string(std::lround(pipeline_rss_mb)).c_str()
               : "--");
       bench::csv("scale," + std::string(spec.name) + "," +
-                 std::to_string(routers) + "," + json_number(flat_s) + "," +
-                 (baseline_ran ? json_number(base_s) : "") + "," +
-                 (baseline_ran ? json_number(speedup) : ""));
+                 std::to_string(routers) + "," + json_number(flat_s));
 
       json += std::string(first ? "" : ",") + "\n    {\"family\": \"" +
               spec.name + "\", \"routers\": " + std::to_string(routers) +
@@ -334,12 +298,6 @@ int main(int argc, char** argv) {
               ", \"repetitions\": " + std::to_string(repetitions) +
               ", \"topology_build_s\": " + json_number(topo_s) +
               ", \"fresh_sim_s\": " + json_number(flat_s) +
-              ", \"baseline_sim_s\": " +
-              (baseline_ran ? json_number(base_s) : "null") +
-              ", \"speedup_vs_baseline\": " +
-              (baseline_ran ? json_number(speedup) : "null") +
-              ", \"fib_identical\": " +
-              (baseline_ran ? (fib_ok ? "true" : "false") : "null") +
               ", \"incremental_sim_s\": " +
               (incremental_s >= 0 ? json_number(incremental_s) : "null") +
               ", \"full_resim_s\": " +
@@ -351,9 +309,14 @@ int main(int argc, char** argv) {
                             : "null") +
               ", \"pipeline_attempts\": " +
               (pipeline_ran ? std::to_string(pipeline_attempts) : "null") +
+              ", \"pipeline_k_r_requested\": " +
+              (pipeline_ran ? std::to_string(k_r_requested) : "null") +
+              ", \"pipeline_k_r_used\": " +
+              (pipeline_ran ? std::to_string(k_r_used) : "null") +
               ", \"pipeline_peak_rss_mb\": " +
               (pipeline_rss_mb >= 0 ? json_number(pipeline_rss_mb) : "null") +
-              ", \"pipeline_phases_s\": " + phases + "}";
+              ", \"pipeline_phases_s\": " + phases +
+              ", \"pipeline_work\": " + work + "}";
       first = false;
     }
   }
@@ -367,11 +330,5 @@ int main(int argc, char** argv) {
   std::fwrite(json.data(), 1, json.size(), out);
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
-  if (!all_fibs_identical) {
-    std::fprintf(stderr,
-                 "FIB MISMATCH: flat engine diverged from the pre-refactor "
-                 "baseline\n");
-    return 1;
-  }
   return 0;
 }

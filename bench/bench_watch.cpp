@@ -65,7 +65,7 @@ double min_time(int repetitions, Body&& body) {
   return best;
 }
 
-std::string json_number(double value) { return std::to_string(value); }
+using bench::json_number;
 
 /// The canonical watch event: one router gains a fresh prefix list (one
 /// deny + terminal permit-all) bound as an IGP distribute-list on its

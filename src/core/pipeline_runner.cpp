@@ -11,15 +11,11 @@ namespace confmask {
 
 namespace {
 
-std::string quoted(std::string_view text) {
-  return "\"" + obs::json_escape(text) + "\"";
-}
-
 std::string json_string_array(const std::vector<std::string>& items) {
   std::string out = "[";
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (i > 0) out += ", ";
-    out += quoted(items[i]);
+    out += obs::json_quote(items[i]);
   }
   return out + "]";
 }
@@ -296,29 +292,30 @@ std::string diagnostics_to_json(const PipelineDiagnostics& diag) {
     // Stage/category describe a terminal error; there is none on success.
     out += "  \"stage\": null,\n  \"category\": null,\n";
   } else {
-    out += std::string("  \"stage\": ") + quoted(to_string(diag.stage)) +
-           ",\n  \"category\": " + quoted(to_string(diag.category)) + ",\n";
+    out += std::string("  \"stage\": ") +
+           obs::json_quote(to_string(diag.stage)) + ",\n  \"category\": " +
+           obs::json_quote(to_string(diag.category)) + ",\n";
   }
   out += "  \"exit_code\": " +
          std::to_string(diag.ok ? 0 : exit_code_for(diag.category)) + ",\n";
-  out += "  \"message\": " + quoted(diag.message) + ",\n";
+  out += "  \"message\": " + obs::json_quote(diag.message) + ",\n";
   out += "  \"attempts\": " + std::to_string(diag.attempts) + ",\n";
   out += "  \"fallbacks\": [";
   for (std::size_t i = 0; i < diag.fallbacks.size(); ++i) {
     const auto& event = diag.fallbacks[i];
     out += std::string(i == 0 ? "\n" : ",\n") + "    {\"kind\": " +
-           quoted(to_string(event.kind)) +
+           obs::json_quote(to_string(event.kind)) +
            ", \"attempt\": " + std::to_string(event.attempt) +
-           ", \"detail\": " + quoted(event.detail) + "}";
+           ", \"detail\": " + obs::json_quote(event.detail) + "}";
   }
   out += diag.fallbacks.empty() ? "],\n" : "\n  ],\n";
   out += "  \"divergence\": [";
   for (std::size_t i = 0; i < diag.divergence.size(); ++i) {
     const auto& entry = diag.divergence[i];
     out += std::string(i == 0 ? "\n" : ",\n") + "    {\"source\": " +
-           quoted(entry.source) + ", \"destination\": " +
-           quoted(entry.destination) + ", \"router\": " +
-           quoted(entry.router) + ", \"expected_next_hops\": " +
+           obs::json_quote(entry.source) + ", \"destination\": " +
+           obs::json_quote(entry.destination) + ", \"router\": " +
+           obs::json_quote(entry.router) + ", \"expected_next_hops\": " +
            json_string_array(entry.lhs_next_hops) +
            ", \"actual_next_hops\": " +
            json_string_array(entry.rhs_next_hops) + "}";
@@ -330,12 +327,13 @@ std::string diagnostics_to_json(const PipelineDiagnostics& diag) {
   for (std::size_t i = 0; i < diag.span_metrics.size(); ++i) {
     const auto& span = diag.span_metrics[i];
     out += std::string(i == 0 ? "\n" : ",\n") + "    {\"path\": " +
-           quoted(span.path) + ", \"count\": " + std::to_string(span.count) +
+           obs::json_quote(span.path) +
+           ", \"count\": " + std::to_string(span.count) +
            ", \"total_ns\": " + std::to_string(span.total_ns) +
            ", \"counters\": {";
     bool first = true;
     for (const auto& [name, value] : span.counters) {
-      out += std::string(first ? "" : ", ") + quoted(name) + ": " +
+      out += std::string(first ? "" : ", ") + obs::json_quote(name) + ": " +
              std::to_string(value);
       first = false;
     }

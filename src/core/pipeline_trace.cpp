@@ -18,17 +18,13 @@ std::atomic<PipelineTrace*> g_active{nullptr};
 // its own trace while the rest of the process stays untraced.
 thread_local PipelineTrace* t_active = nullptr;
 
-std::string quoted(std::string_view text) {
-  return "\"" + obs::json_escape(text) + "\"";
-}
-
 /// {"a": 1, "b": 2} with std::map's sorted-key order — the stable-key-order
 /// guarantee of the metrics schema.
 std::string counters_json(const std::map<std::string, std::uint64_t>& map) {
   std::string out = "{";
   bool first = true;
   for (const auto& [name, value] : map) {
-    out += std::string(first ? "" : ", ") + quoted(name) + ": " +
+    out += std::string(first ? "" : ", ") + obs::json_quote(name) + ": " +
            std::to_string(value);
     first = false;
   }
@@ -135,7 +131,7 @@ PipelineTrace::Span PipelineTrace::span(std::string_view name) {
       line = "{\"type\": \"span_begin\", \"seq\": " +
              std::to_string(next_seq_++) + ", \"id\": " + std::to_string(id) +
              ", \"parent\": " + std::to_string(frame.parent) +
-             ", \"path\": " + quoted(frame.path) + "}";
+             ", \"path\": " + obs::json_quote(frame.path) + "}";
     }
     stack_.push_back(std::move(frame));
   }
@@ -180,7 +176,7 @@ void PipelineTrace::end_span(std::uint64_t id) {
         lines.push_back(
             "{\"type\": \"span_end\", \"seq\": " + std::to_string(next_seq_++) +
             ", \"id\": " + std::to_string(frame.id) +
-            ", \"path\": " + quoted(frame.path) +
+            ", \"path\": " + obs::json_quote(frame.path) +
             ", \"dur_ns\": " + std::to_string(duration) +
             ", \"counters\": " + counters_json(frame.counters) + "}");
       }
@@ -218,8 +214,8 @@ void PipelineTrace::event(std::string_view name, std::string_view detail) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     line = "{\"type\": \"event\", \"seq\": " + std::to_string(next_seq_++) +
-           ", \"name\": " + quoted(name) + ", \"detail\": " + quoted(detail) +
-           "}";
+           ", \"name\": " + obs::json_quote(name) +
+           ", \"detail\": " + obs::json_quote(detail) + "}";
   }
   emit(line);
 }
@@ -233,7 +229,7 @@ void PipelineTrace::emit(const std::string& line) {
   }
   // Tag injection: every line is a "{...}" object, so splice the job field
   // in right after the opening brace.
-  sink->write_line("{\"job\": " + quoted(options_.tag) + ", " +
+  sink->write_line("{\"job\": " + obs::json_quote(options_.tag) + ", " +
                    line.substr(1));
 }
 
@@ -257,7 +253,8 @@ std::string PipelineTrace::metrics_json(bool include_timings) const {
   std::map<std::string, std::uint64_t> totals;
   for (const auto& [path, span] : aggregate_) {
     out += std::string(first ? "\n" : ",\n") + "    {\"path\": " +
-           quoted(path) + ", \"count\": " + std::to_string(span.count) +
+           obs::json_quote(path) +
+           ", \"count\": " + std::to_string(span.count) +
            ", \"counters\": " + counters_json(span.counters) + "}";
     for (const auto& [name, value] : span.counters) totals[name] += value;
     first = false;
@@ -283,7 +280,8 @@ std::string PipelineTrace::metrics_json(bool include_timings) const {
     }
     buckets += "]";
     out += std::string(first ? "\n" : ",\n") + "    {\"name\": " +
-           quoted(name) + ", \"count\": " + std::to_string(snap.count) +
+           obs::json_quote(name) +
+           ", \"count\": " + std::to_string(snap.count) +
            ", \"sum\": " + std::to_string(snap.sum) +
            ", \"min\": " + std::to_string(snap.min) +
            ", \"max\": " + std::to_string(snap.max) +
@@ -301,8 +299,8 @@ std::string PipelineTrace::metrics_json(bool include_timings) const {
   first = true;
   for (const auto& [path, span] : aggregate_) {
     out += std::string(first ? "\n" : ",\n") + "    {\"path\": " +
-           quoted(path) + ", \"total_ns\": " + std::to_string(span.total_ns) +
-           "}";
+           obs::json_quote(path) +
+           ", \"total_ns\": " + std::to_string(span.total_ns) + "}";
     first = false;
   }
   out += aggregate_.empty() ? "],\n" : "\n  ],\n";

@@ -9,8 +9,10 @@
 
 namespace confmask {
 
-/// Materializes a fake router-router link in the configurations, shaped
-/// exactly like a real one (interfaces, description, protocol coverage).
+/// Materializes a fake router-router link in the configurations: an
+/// interface pair with a description and protocol coverage, which the
+/// topology layer cannot tell from a real link. Its prefix (from the
+/// fake-link pool), interface numbers and cost can (ROADMAP.md item 1).
 void materialize_fake_link(RouterConfig& ra, RouterConfig& rb,
                            FakeLinkCostPolicy policy, long cost_ab,
                            long cost_ba, PrefixAllocator& allocator,

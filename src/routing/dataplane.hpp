@@ -22,6 +22,12 @@ using Path = std::vector<std::string>;
 /// Key: (source host, destination host).
 using FlowKey = std::pair<std::string, std::string>;
 
+/// Path enumeration caps, shared by the fast engine and the reference
+/// oracle: both truncate a flow at these bounds with the same visit order,
+/// or truncated flows would diverge for enumeration-order reasons alone.
+inline constexpr std::size_t kMaxPathsPerFlow = 256;
+inline constexpr int kMaxPathDepth = 64;  ///< routers past the first
+
 /// One divergence between two data planes: on flow (source → destination),
 /// device `router` forwards to different next hops in each plane. A flow
 /// entirely missing from one plane is reported with `router` empty and the

@@ -9,12 +9,6 @@ namespace {
 
 constexpr long kUnreachable = std::numeric_limits<long>::max() / 4;
 constexpr int kDefaultOspfCost = 10;
-// Enumeration caps — part of the observable contract shared with the fast
-// engine (reference_sim.hpp header comment): both engines must truncate at
-// the same bounds with the same visit order, or truncated flows would
-// diverge for enumeration-order reasons alone.
-constexpr std::size_t kMaxPathsPerFlow = 256;
-constexpr int kMaxPathDepth = 64;
 
 }  // namespace
 

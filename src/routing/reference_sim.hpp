@@ -24,9 +24,10 @@
 //    longest-prefix match against the protocol route of the host LAN;
 //    unresolvable next hops leave the protocol route installed; connected
 //    delivery at the gateway always wins.
-//  * Path enumeration caps (paths per flow, DFS depth) and the next-hop
-//    visit order (FIB entries ordered by (link id, neighbor id)) are part
-//    of the observable contract: both engines must truncate identically.
+//  * Path enumeration caps (kMaxPathsPerFlow and kMaxPathDepth, defined
+//    once in dataplane.hpp) and the next-hop visit order (FIB entries
+//    ordered by (link id, neighbor id)) are part of the observable
+//    contract: both engines must truncate identically.
 #pragma once
 
 #include <map>

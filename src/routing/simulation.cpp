@@ -18,8 +18,6 @@ namespace confmask {
 namespace {
 
 constexpr long kInf = std::numeric_limits<long>::max() / 4;
-constexpr std::size_t kMaxPathsPerFlow = 256;
-constexpr int kMaxPathDepth = 64;
 
 // Pure statistic (see the invariant on Simulation::total_runs): relaxed
 // ordering everywhere — no acquire/release pairing, nothing reads other

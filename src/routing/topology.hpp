@@ -3,9 +3,12 @@
 // This is the first thing both an adversary and the simulator do with a
 // configuration set (paper §2.2): routers and hosts become nodes, and an
 // edge is added wherever two interfaces on different devices share the same
-// IP prefix. ConfMask's topology anonymization works precisely because fake
-// interface pairs constructed this way are indistinguishable from real ones
-// at this layer.
+// IP prefix. ConfMask's topology anonymization rests on this layer: a fake
+// interface pair sharing a prefix becomes an edge exactly like a real one,
+// so the graph alone cannot tell fake links from real ones. The emitted
+// configuration text can: fake-link prefixes come from their own pool,
+// fake interfaces are numbered from Ethernet100, and Algorithm 1's filters
+// and the fake links' costs stand out (ROADMAP.md item 1).
 #pragma once
 
 #include <string>

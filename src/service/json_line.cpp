@@ -204,13 +204,13 @@ std::optional<JsonObject> parse_json_line(std::string_view line,
 void JsonLineWriter::key(std::string_view name) {
   if (!first_) body_ += ", ";
   first_ = false;
-  body_ += "\"" + obs::json_escape(name) + "\": ";
+  body_ += obs::json_quote(name) + ": ";
 }
 
 JsonLineWriter& JsonLineWriter::string(std::string_view k,
                                        std::string_view value) {
   key(k);
-  body_ += "\"" + obs::json_escape(value) + "\"";
+  body_ += obs::json_quote(value);
   return *this;
 }
 

@@ -13,9 +13,9 @@ std::uint64_t monotonic_ns() {
           .count());
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+namespace {
+
+void append_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -34,6 +34,23 @@ std::string json_escape(std::string_view text) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
+  return out;
+}
+
+std::string json_quote(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out += '"';
+  append_escaped(out, text);
+  out += '"';
   return out;
 }
 

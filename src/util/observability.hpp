@@ -32,6 +32,9 @@ namespace confmask::obs {
 /// Escapes `text` for embedding inside a JSON string literal.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
+/// `text` as a JSON string literal: escaped and wrapped in double quotes.
+[[nodiscard]] std::string json_quote(std::string_view text);
+
 /// A monotonically increasing event/occurrence counter. Writes are relaxed
 /// atomic adds (safe from pool workers); value() is exact once writers have
 /// reached a merge point.

@@ -87,8 +87,16 @@ TEST(DifferentialOracle, RandomCorpusAgrees) {
 // flat ≡ oracle on the FIBs and data plane, incremental ≡ full after
 // random filter edits, jobs-1 ≡ jobs-N. This is where the CSR/SoA core's
 // layout tricks (interned filter slots, column arenas, lazy IGP rows)
-// face networks three times deeper than the curated set.
+// face networks three times deeper than the curated set. Three
+// undecorated networks of 200–500 routers, one per family, are compared
+// FIB entry by entry, in order, as well.
 TEST(DifferentialOracle, ScaleFamilyCorpusAgrees) {
+  expect_oracle_agrees(make_scale_network(ScaleFamily::kWaxman, 500, 21),
+                       "waxman-ospf-500");
+  expect_oracle_agrees(make_scale_network(ScaleFamily::kWaxmanRip, 200, 22),
+                       "waxman-rip-200");
+  expect_oracle_agrees(make_scale_network(ScaleFamily::kMultiAs, 300, 23),
+                       "multi-as-300");
   constexpr ScaleFamily kFamilies[] = {
       ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs};
   DifferentialOptions options;  // empty repro_dir: tests write no artifacts

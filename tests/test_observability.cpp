@@ -15,6 +15,8 @@
 #include "src/core/pipeline_runner.hpp"
 #include "src/core/pipeline_trace.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/netgen/scale_families.hpp"
+#include "src/testing/differential.hpp"
 #include "src/util/observability.hpp"
 #include "src/util/thread_pool.hpp"
 
@@ -64,6 +66,8 @@ TEST(Observability, JsonEscapeHandlesControlCharacters) {
   EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(obs::json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
   EXPECT_EQ(obs::json_escape(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(obs::json_quote("a\"b\n"), "\"a\\\"b\\n\"");
+  EXPECT_EQ(obs::json_quote(""), "\"\"");
 }
 
 // ---------------------------------------------------------------------------
@@ -313,14 +317,19 @@ TEST(PipelineTraceTest, MetricsJsonIsValidJson) {
 // ---------------------------------------------------------------------------
 // Determinism contract on the real pipeline
 
-std::string run_traced(const ConfigSet& configs, unsigned workers) {
-  ThreadPool::configure(workers);
-  PipelineTrace trace;
+ConfMaskOptions traced_options() {
   ConfMaskOptions options;
   options.k_r = 2;
   options.k_h = 2;
   options.noise_p = 0.4;
   options.seed = 7;
+  return options;
+}
+
+std::string run_traced(const ConfigSet& configs, unsigned workers,
+                       const ConfMaskOptions& options = traced_options()) {
+  ThreadPool::configure(workers);
+  PipelineTrace trace;
   const auto guarded = run_pipeline_guarded(configs, options);
   EXPECT_TRUE(guarded.ok());
   EXPECT_FALSE(guarded.diagnostics.span_metrics.empty());
@@ -336,6 +345,20 @@ TEST(PipelineTraceTest, MetricsByteStableAcrossWorkerCounts) {
   EXPECT_NE(serial.find("\"deterministic\": true"), std::string::npos);
   EXPECT_NE(serial.find("\"path\": \"preprocess\""), std::string::npos);
   EXPECT_NE(serial.find("\"path\": \"verification\""), std::string::npos);
+
+  // The BGP scale family at 316 routers: the network, seed and options of
+  // one bench_scale pipeline point, whose work CI compares exactly with
+  // bench/BENCH_scale.work.json at the runner's worker count.
+  const std::uint64_t seed = 0x5CA1E + 316;
+  ConfigSet multi_as = make_scale_network(ScaleFamily::kMultiAs, 316, seed);
+  decorate_scale_network(multi_as, seed);
+  ConfMaskOptions options;
+  options.k_r = 6;
+  options.k_h = 2;
+  options.noise_p = 0.1;
+  options.seed = 0xC0DE;
+  EXPECT_EQ(run_traced(multi_as, 1, options),
+            run_traced(multi_as, 4, options));
   ThreadPool::configure(0);  // restore default for later tests
 }
 
