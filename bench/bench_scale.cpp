@@ -210,14 +210,13 @@ int main(int argc, char** argv) {
       // Incremental vs full re-simulation after one route-filter edit.
       ConfigSet edited = configs;
       SimulationDelta delta;
+      FilterEditor editor(edited, topo);
       for (int r = 0; r < topo.router_count() && delta.empty(); ++r) {
         const auto& incident = topo.links_of(r);
         if (incident.empty()) continue;
         const Ipv4Prefix target =
             edited.hosts.front().prefix();
-        if (add_route_filter(&edited.routers[static_cast<std::size_t>(
-                                 topo.node(r).config_index)],
-                             r, topo.link(incident.front()), target)) {
+        if (editor.add(r, incident.front(), target)) {
           delta.record(r, target);
         }
       }

@@ -17,6 +17,33 @@
 
 namespace confmask {
 
+namespace {
+
+/// Algorithm 2's entry distance-vector reuse, for the stage span. An entry
+/// handed over from Algorithm 1 is adopted whole: each of its OSPF vectors
+/// counts as carried.
+void count_entry_vectors(const Simulation& entry, bool handed_over) {
+  std::uint64_t carried = 0;
+  std::uint64_t computed = 0;
+  if (handed_over) {
+    const FlatTopology& flat = entry.flat();
+    for (int h = 0; h < entry.topology().host_count(); ++h) {
+      if (flat.host_route(h) == FlatTopology::HostRoute::kOspf &&
+          flat.host_gateway(h) >= 0) {
+        ++carried;
+      }
+    }
+  } else {
+    const IncrementalStats& stats = entry.incremental_stats();
+    carried = static_cast<std::uint64_t>(stats.distance_vectors_reused);
+    computed = static_cast<std::uint64_t>(stats.distance_vectors_recomputed);
+  }
+  PipelineTrace::count("vectors_carried", carried);
+  PipelineTrace::count("vectors_computed", computed);
+}
+
+}  // namespace
+
 PipelineResult run_pipeline(const ConfigSet& original,
                             const ConfMaskOptions& options,
                             EquivalenceStrategy strategy) {
@@ -108,10 +135,9 @@ PipelineResult run_pipeline(const ConfigSet& original,
   // the stage-entry diff allows it (patch_mode.hpp); tallies the reuse
   // outcome either way.
   const auto stage_seed_from = [&](const PatchSnapshot& snapshot,
-                                   const ConfigSet& configs,
-                                   ConfigSetDiff* diff = nullptr)
+                                   const ConfigSet& configs)
       -> std::shared_ptr<Simulation> {
-    auto seeded = seed_simulation(configs, snapshot, diff);
+    auto seeded = seed_simulation(configs, snapshot);
     if (seeded != nullptr) {
       ++result.stats.patched_stages;
     } else {
@@ -121,8 +147,8 @@ PipelineResult run_pipeline(const ConfigSet& original,
   };
 
   const OriginalIndex& index = *preprocessed.index;
-  // The route stages' entry builds carry OSPF distance vectors over from
-  // the preprocess simulation where they provably still hold; the serial
+  // Algorithm 1's entry build carries OSPF distance vectors over from the
+  // preprocess simulation where they provably still hold; the serial
   // baseline computes everything itself.
   const Simulation* carry =
       options.incremental_simulation ? preprocessed.sim.get() : nullptr;
@@ -132,7 +158,9 @@ PipelineResult run_pipeline(const ConfigSet& original,
   }
   if (patch_capture != nullptr) {
     patch_capture->original.configs =
-        std::make_shared<const ConfigSet>(original);
+        patch_capture->shared_original.get() == &original
+            ? patch_capture->shared_original
+            : std::make_shared<const ConfigSet>(original);
     patch_capture->original.live = preprocessed.sim;
     patch_capture->index = preprocessed.index;
   }
@@ -211,6 +239,19 @@ PipelineResult run_pipeline(const ConfigSet& original,
   }
   topo_span.end();
 
+  // Step 2.2's fake hosts join right after Step 1, so Algorithm 2 can
+  // start from Algorithm 1's final simulation instead of rebuilding every
+  // real destination. Exact: Algorithm 1 reads and filters real
+  // destinations only, and a fake host's LAN is a stub link on its
+  // gateway that changes no real destination's FIB column (DESIGN §7).
+  // The allocator still hands out Step 1's links before the LANs, and the
+  // work stays attributed to the route-anonymity stage.
+  run_stage(PipelineStage::kRouteAnonymity, [&] {
+    result.fake_hosts =
+        add_fake_hosts(result.anonymized, index, options.k_h, allocator);
+    result.stats.fake_hosts = result.fake_hosts.size();
+  });
+
   // Step 2.1: route equivalence. The strawman strategies build their own
   // simulations internally and take no seed — with them the equivalence
   // snapshot simply stays uncaptured/unused.
@@ -219,7 +260,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
       strategy == EquivalenceStrategy::kConfMask &&
       (patch_base != nullptr || patch_capture != nullptr);
   auto equivalence_span = PipelineTrace::begin("route_equivalence");
-  const RouteEquivalenceOutcome equivalence =
+  RouteEquivalenceOutcome equivalence =
       run_stage(PipelineStage::kRouteEquivalence, [&] {
         switch (strategy) {
           case EquivalenceStrategy::kStrawman1:
@@ -247,7 +288,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
                                          carry);
       });
   if (patch_capture != nullptr) {
-    patch_capture->equivalence.live = equivalence_seed.entry_sim;
+    patch_capture->equivalence.live = std::move(equivalence_seed.entry_sim);
   }
   result.stats.equivalence_iterations = equivalence.iterations;
   result.stats.equivalence_filters = equivalence.filters_added;
@@ -260,54 +301,77 @@ PipelineResult run_pipeline(const ConfigSet& original,
   }
   equivalence_span.end();
 
-  // Step 2.2: route anonymity. In incremental mode Algorithm 2 hands back
-  // the simulation matching its final config state, sparing verification a
-  // from-scratch rebuild. Replayed from the patch base's edit log when
-  // anonymity_replayable proves the stage would decide the same edits.
+  // Step 2.2: route anonymity (Algorithm 2), from Algorithm 1's final
+  // simulation. In incremental mode it hands back the simulation matching
+  // its final config state, sparing verification a from-scratch rebuild.
+  // Replayed from the patch base's edit log when anonymity_replayable
+  // proves the stage would decide the same edits.
   std::shared_ptr<Simulation> final_simulation;
-  StageSeed anonymity_seed;
   AnonymityPatch anonymity_replay;
-  const bool patch_anonymity =
-      patch_base != nullptr || patch_capture != nullptr;
   auto anonymity_span = PipelineTrace::begin("route_anonymity");
   run_stage(PipelineStage::kRouteAnonymity, [&] {
-    result.fake_hosts =
-        add_fake_hosts(result.anonymized, index, options.k_h, allocator);
-    result.stats.fake_hosts = result.fake_hosts.size();
+    std::shared_ptr<Simulation> entry = std::move(equivalence.simulation);
+    const bool runs = !result.fake_hosts.empty() && options.noise_p > 0.0;
     if (patch_capture != nullptr) {
       patch_capture->anonymity.configs =
           std::make_shared<const ConfigSet>(result.anonymized);
     }
-    ConfigSetDiff entry_diff;
-    if (patch_base != nullptr && !result.fake_hosts.empty() &&
-        options.noise_p > 0.0) {
-      anonymity_seed.initial = stage_seed_from(
-          patch_base->anonymity, result.anonymized, &entry_diff);
+    // Algorithm 1 rebuilt the columns it filtered; where one equals the
+    // anonymity snapshot's, share the snapshot's object, so the gate's
+    // identity proof covers what the captured run already verified.
+    if (patch_base != nullptr && patch_base->anonymity.valid() &&
+        entry != nullptr) {
+      entry->share_equal_columns(*patch_base->anonymity.sim);
+    }
+    bool replayable = false;
+    if (patch_base != nullptr && runs) {
+      // The stage-entry diff against the captured run's decides the replay;
+      // no simulation is seeded from it (the entry is Algorithm 1's).
+      const ConfigSetDiff entry_diff =
+          patch_base->anonymity.valid()
+              ? diff_config_sets(*patch_base->anonymity.configs,
+                                 result.anonymized)
+              : ConfigSetDiff{};
+      const bool filter_only =
+          patch_base->anonymity.valid() && entry_diff.filter_only();
+      ++(filter_only ? result.stats.patched_stages
+                     : result.stats.patch_fallbacks);
+      replayable = filter_only && entry != nullptr &&
+                   anonymity_replayable(*patch_base, options, rng,
+                                        result.anonymized, entry_diff, *entry,
+                                        result.fake_hosts);
+    }
+    // The strawmen (and a from-scratch Algorithm 1 that stopped
+    // unconverged) hand over no simulation: build the entry here. A
+    // capture keeps it alive as the next run's snapshot; without one the
+    // rollback rounds release it.
+    if (runs) {
+      const bool handed_over = entry != nullptr;
+      if (!handed_over) entry = std::make_shared<Simulation>(result.anonymized);
+      count_entry_vectors(*entry, handed_over);
+      if (patch_capture != nullptr) {
+        patch_capture->anonymity.live = entry;
+        anonymity_replay.valid = true;
+      }
     }
     anonymity_replay.rng = rng;
     RouteAnonymityOutcome anonymity;
-    if (anonymity_seed.initial != nullptr &&
-        anonymity_replayable(*patch_base, options, rng, result.anonymized,
-                             entry_diff, *anonymity_seed.initial,
-                             result.fake_hosts)) {
+    if (replayable) {
       const AnonymityLog& captured = patch_base->anonymity_replay.log;
       anonymity = replay_route_anonymity(result.anonymized, captured,
-                                         anonymity_seed, &final_simulation);
+                                         std::move(entry), &final_simulation);
       if (patch_capture != nullptr) anonymity_replay.log = captured;
       result.stats.anonymity_replayed = true;
     } else {
       anonymity = anonymize_routes(
           result.anonymized, result.fake_hosts, options.noise_p, rng,
-          options.incremental_simulation, &final_simulation,
-          patch_anonymity ? &anonymity_seed : nullptr, carry,
+          std::move(entry), options.incremental_simulation, &final_simulation,
           patch_capture != nullptr ? &anonymity_replay.log : nullptr);
     }
-    anonymity_replay.valid = anonymity_seed.entry_sim != nullptr;
     result.stats.anonymity_filters = anonymity.filters_added;
     result.stats.anonymity_rollbacks = anonymity.filters_rolled_back;
   });
   if (patch_capture != nullptr) {
-    patch_capture->anonymity.live = anonymity_seed.entry_sim;
     patch_capture->anonymity_replay = std::move(anonymity_replay);
   }
   if (anonymity_span) {

@@ -85,40 +85,62 @@ std::vector<RouterConfig*> router_configs(ConfigSet& configs,
   return table;
 }
 
-bool add_route_filter(RouterConfig* router, int router_node, const Link& link,
-                      const Ipv4Prefix& dest) {
-  if (router == nullptr) return false;
-  const LinkEnd& mine = link.end_of(router_node);
-  const LinkEnd& far = link.other_end(router_node);
+FilterEditor::FilterEditor(ConfigSet& configs, const Topology& topo)
+    : topo_(topo), routers_(router_configs(configs, topo)) {}
 
-  if (is_bgp_scope(*router, far.address)) {
-    const auto name = bgp_filter_name(far.address);
-    auto& list = router->ensure_prefix_list(name);
-    if (!add_deny_keeping_permit_all(list, dest)) return false;
-    bind_bgp(*router, name, far.address);
-    return true;
-  }
-  if (router->ospf || router->rip) {
-    const auto name = igp_filter_name(mine.interface);
-    auto& list = router->ensure_prefix_list(name);
-    if (!add_deny_keeping_permit_all(list, dest)) return false;
-    bind_igp(*router, name, mine.interface);
-    return true;
-  }
-  return false;
+FilterEditor::Scope& FilterEditor::scope(int router, int link) {
+  const std::uint64_t key =
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(router)) << 32 |
+      static_cast<std::uint32_t>(link);
+  const auto [it, inserted] = scopes_.try_emplace(key);
+  Scope& scope = it->second;
+  if (!inserted) return scope;
+  const RouterConfig& config = *routers_[static_cast<std::size_t>(router)];
+  const Link& edge = topo_.link(link);
+  const LinkEnd& far = edge.other_end(router);
+  scope.bgp = is_bgp_scope(config, far.address);
+  scope.addable = scope.bgp || config.ospf || config.rip;
+  scope.list_name = scope.bgp ? bgp_filter_name(far.address)
+                              : igp_filter_name(edge.end_of(router).interface);
+  return scope;
 }
 
-bool remove_route_filter(RouterConfig* router, int router_node,
-                         const Link& link, const Ipv4Prefix& dest) {
-  if (router == nullptr) return false;
-  const LinkEnd& mine = link.end_of(router_node);
-  const LinkEnd& far = link.other_end(router_node);
+bool FilterEditor::add(int router, int link, const Ipv4Prefix& dest) {
+  RouterConfig* config = routers_[static_cast<std::size_t>(router)];
+  if (config == nullptr) return false;
+  Scope& entry = scope(router, link);
+  if (!entry.addable) return false;
+  if (entry.list < 0) {
+    const PrefixList& list = config->ensure_prefix_list(entry.list_name);
+    entry.list = static_cast<int>(&list - config->prefix_lists.data());
+  }
+  if (!add_deny_keeping_permit_all(
+          config->prefix_lists[static_cast<std::size_t>(entry.list)], dest)) {
+    return false;
+  }
+  if (!entry.bound) {
+    const Link& edge = topo_.link(link);
+    if (entry.bgp) {
+      bind_bgp(*config, entry.list_name, edge.other_end(router).address);
+    } else {
+      bind_igp(*config, entry.list_name, edge.end_of(router).interface);
+    }
+    entry.bound = true;
+  }
+  return true;
+}
 
-  const auto name = is_bgp_scope(*router, far.address)
-                        ? bgp_filter_name(far.address)
-                        : igp_filter_name(mine.interface);
-  auto* list = router->find_prefix_list(name);
-  return list != nullptr && remove_deny(*list, dest);
+bool FilterEditor::remove(int router, int link, const Ipv4Prefix& dest) {
+  RouterConfig* config = routers_[static_cast<std::size_t>(router)];
+  if (config == nullptr) return false;
+  Scope& entry = scope(router, link);
+  if (entry.list < 0) {
+    const PrefixList* list = config->find_prefix_list(entry.list_name);
+    if (list == nullptr) return false;
+    entry.list = static_cast<int>(list - config->prefix_lists.data());
+  }
+  return remove_deny(
+      config->prefix_lists[static_cast<std::size_t>(entry.list)], dest);
 }
 
 }  // namespace confmask

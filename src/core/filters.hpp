@@ -9,12 +9,16 @@
 //    r-n is an eBGP session.
 // One prefix list is maintained per scope (interface / peer); deny entries
 // accumulate in front of a terminal permit-all, so multiple destinations
-// share one binding — matching the paper's Listing 3 shape. Edits name
-// their router by node id and reach its config through a per-stage
-// router_configs table, so an edit does no name lookup.
+// share one binding — matching the paper's Listing 3 shape. Every edit goes
+// through one FilterEditor per stage: it names routers and links by node
+// and link id, and resolves each (router, link) scope — BGP or IGP, list
+// name, prefix list, binding — once, so later edits on the scope do no
+// name lookup.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/config/model.hpp"
@@ -34,18 +38,38 @@ namespace confmask {
 [[nodiscard]] std::vector<RouterConfig*> router_configs(ConfigSet& configs,
                                                         const Topology& topo);
 
-/// Adds "deny `dest` learned from the far end of `link`" on `router`, the
-/// config of node `router_node` (an endpoint of `link`). Chooses IGP vs
-/// BGP scope from the router configuration. Returns true if a new deny
-/// entry was added, false if it already existed, `router` is null, or no
-/// protocol carries the route over that link.
-bool add_route_filter(RouterConfig* router, int router_node, const Link& link,
-                      const Ipv4Prefix& dest);
+/// The route-filter edits of one stage over a frozen topology.
+class FilterEditor {
+ public:
+  /// `topo` must outlive the editor and `configs.routers` must not be
+  /// resized while it lives (router_configs).
+  FilterEditor(ConfigSet& configs, const Topology& topo);
 
-/// Removes a previously added deny entry for `dest` on the same scope.
-/// Returns true if an entry was removed. The binding and permit-all
-/// terminal are left in place.
-bool remove_route_filter(RouterConfig* router, int router_node,
-                         const Link& link, const Ipv4Prefix& dest);
+  /// Adds "deny `dest` learned from the far end of link `link`" on router
+  /// node `router` (an endpoint of the link), choosing IGP vs BGP scope
+  /// from the router configuration, and binds the scope's list. Returns
+  /// true if a new deny entry was added; false if it already existed, the
+  /// router is not in `configs`, or no protocol carries the route over
+  /// that link.
+  bool add(int router, int link, const Ipv4Prefix& dest);
+
+  /// Removes a deny entry for `dest` on the same scope. Returns true if an
+  /// entry was removed. The binding and permit-all terminal stay.
+  bool remove(int router, int link, const Ipv4Prefix& dest);
+
+ private:
+  struct Scope {
+    std::string list_name;
+    bool bgp = false;
+    bool addable = false;  ///< a protocol carries routes over the link
+    int list = -1;         ///< index in the router's prefix_lists, once known
+    bool bound = false;
+  };
+  Scope& scope(int router, int link);
+
+  const Topology& topo_;
+  std::vector<RouterConfig*> routers_;
+  std::unordered_map<std::uint64_t, Scope> scopes_;
+};
 
 }  // namespace confmask

@@ -109,11 +109,13 @@ NodeAdditionOutcome add_fake_routers(ConfigSet& configs,
     // D(b→a)).
     long max_pair = 0;
     for (const auto& from : neighbors) {
+      std::vector<int> targets;
       for (const auto& to : neighbors) {
-        if (from == to) continue;
-        max_pair = std::max(max_pair,
-                            original.igp_distance(topo.find_node(from),
-                                                  topo.find_node(to)));
+        if (from != to) targets.push_back(topo.find_node(to));
+      }
+      for (const long d :
+           original.igp_distances(topo.find_node(from), targets)) {
+        max_pair = std::max(max_pair, d);
       }
     }
     const int cost = std::max<long>(1, (max_pair + 1) / 2);

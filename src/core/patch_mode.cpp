@@ -84,33 +84,31 @@ std::shared_ptr<const PatchContext> finish_capture(
 }
 
 std::shared_ptr<Simulation> seed_simulation(const ConfigSet& configs,
-                                            const PatchSnapshot& snapshot,
-                                            ConfigSetDiff* diff) {
+                                            const PatchSnapshot& snapshot) {
   if (!snapshot.valid()) return nullptr;
-  ConfigSetDiff computed = diff_config_sets(*snapshot.configs, configs);
-  auto seeded = seed_from_diff(configs, snapshot, computed);
-  if (diff != nullptr) *diff = std::move(computed);
-  return seeded;
+  return seed_from_diff(configs, snapshot,
+                        diff_config_sets(*snapshot.configs, configs));
 }
 
 bool anonymity_replayable(const PatchContext& context,
                           const ConfMaskOptions& options, const Rng& rng,
                           const ConfigSet& configs,
                           const ConfigSetDiff& entry_diff,
-                          const Simulation& seeded,
+                          const Simulation& entry,
                           const std::vector<std::string>& fake_hosts) {
   const AnonymityPatch& patch = context.anonymity_replay;
   if (!patch.valid || !context.anonymity.valid() ||
-      !(context.options == options) || !(patch.rng == rng) ||
-      &seeded.topology() != &context.anonymity.sim->topology()) {
+      !entry_diff.filter_only() || !(context.options == options) ||
+      !(patch.rng == rng) ||
+      &entry.topology() != &context.anonymity.sim->topology()) {
     return false;
   }
   std::vector<Ipv4Prefix> fake_lans;
   fake_lans.reserve(fake_hosts.size());
   for (const std::string& name : fake_hosts) {
-    const int node = seeded.topology().find_node(name);
-    if (node < seeded.topology().router_count()) return false;
-    fake_lans.push_back(seeded.host_prefix(node));
+    const int node = entry.topology().find_node(name);
+    if (node < entry.topology().router_count()) return false;
+    fake_lans.push_back(entry.host_prefix(node));
   }
   std::sort(fake_lans.begin(), fake_lans.end());
   const auto names_fake_lan = [&](const RouterConfig* router) {
@@ -132,8 +130,7 @@ bool anonymity_replayable(const PatchContext& context,
         if (dirty.overlaps(lan)) return false;
       }
     }
-    // add_route_filter and remove_route_filter act on exact-prefix deny
-    // entries: none may exist for a fake LAN on a device the edit changed,
+    // FilterEditor's add and remove act on exact-prefix deny entries: none may exist for a fake LAN on a device the edit changed,
     // or an edit could take effect in one run and not the other.
     if (names_fake_lan(context.anonymity.configs->find_router(change.name)) ||
         names_fake_lan(configs.find_router(change.name))) {

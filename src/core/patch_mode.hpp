@@ -4,10 +4,11 @@
 // anonymized one by a small edit. A PatchContext captured from the prior
 // run snapshots every point where the pipeline pays a from-scratch cost:
 //
-//  * the three full-Simulation builds — preprocess (the original network),
-//    Algorithm 1 entry (post-Step-1 configs) and Algorithm 2 entry
-//    (post-fake-hosts configs) — each as a stable copy of the stage-entry
-//    configs plus the simulation over them;
+//  * the stage-entry simulations — preprocess (the original network),
+//    Algorithm 1 entry (post-Step-1 configs with the fake hosts) and
+//    Algorithm 2 entry (Algorithm 1's final simulation) — each as a stable
+//    copy of the stage-entry configs plus the simulation over them; the
+//    last two share one topology object;
 //  * the preprocessing OriginalIndex (shared FIB and flow columns);
 //  * the topology-anonymization stage output: the post-Step-1 configs
 //    together with the RNG and prefix-allocator state the stage left
@@ -32,16 +33,19 @@
 //    are IDENTICAL (the RNG stream and fake-link pricing depend on every
 //    knob) and no input the stage reads — device roster, interface
 //    surface, first-interface passthrough lines — moved;
-//  * Algorithm 2 is replayed from the edit log (replay_route_anonymity)
-//    iff its stage was seeded from the anonymity snapshot, the options and
-//    the RNG state at stage entry are identical, the entry diff's dirty
-//    prefixes overlap no fake-host LAN, and no changed device denies a
-//    fake-host LAN in either version (anonymity_replayable). Every
-//    fake-host FIB column, all the stage reads, is then aliased from the
-//    captured run, so every draw and every rollback repeats;
+//  * Algorithm 2 starts from Algorithm 1's final simulation and is
+//    replayed from the edit log (replay_route_anonymity) iff that
+//    simulation shares the anonymity snapshot's topology (Algorithm 1 was
+//    seeded from the equivalence snapshot), the stage-entry diff against
+//    the anonymity snapshot is filter-only, the options and the RNG state
+//    at stage entry are identical, the entry diff's dirty prefixes overlap
+//    no fake-host LAN, and no changed device denies a fake-host LAN in
+//    either version (anonymity_replayable). Every fake-host FIB column,
+//    all the stage reads, then equals the captured run's, so every draw
+//    and every rollback repeats;
 //  * the verification gate skips a destination whose original flow column
-//    is the context index's and whose final FIB column is the anonymity
-//    snapshot's, when the context's run passed its gate
+//    is the context index's and whose final FIB column holds the anonymity
+//    snapshot's entries, when the context's run passed its gate
 //    (OriginalIndex::compare_real_flows).
 //
 // Any condition that fails falls back to the from-scratch path for that
@@ -136,6 +140,10 @@ struct PatchCapture {
     std::shared_ptr<const ConfigSet> configs;  ///< clone taken at stage entry
     std::shared_ptr<const Simulation> live;    ///< stage's entry simulation
   };
+  /// In (optional): the caller's own immutable copy of the bundle it runs.
+  /// When it is the very object passed to run_pipeline as the original,
+  /// `original.configs` shares it instead of cloning the bundle.
+  std::shared_ptr<const ConfigSet> shared_original;
   Stage original;
   Stage equivalence;
   Stage anonymity;
@@ -145,6 +153,7 @@ struct PatchCapture {
   ConfMaskOptions options;
   bool verified = false;
 
+  /// Clears what a run collected; `shared_original` is input and stays.
   void reset() {
     original = {};
     equivalence = {};
@@ -171,24 +180,25 @@ struct PatchCapture {
 /// returns a simulation seeded from the snapshot through the incremental
 /// constructor with the mapped dirty set. Returns null — caller builds
 /// from scratch — on any structural difference, an unknown device, or an
-/// invalid snapshot. `diff`, when non-null, receives the diff whenever one
-/// was computed.
+/// invalid snapshot.
 [[nodiscard]] std::shared_ptr<Simulation> seed_simulation(
-    const ConfigSet& configs, const PatchSnapshot& snapshot,
-    ConfigSetDiff* diff = nullptr);
+    const ConfigSet& configs, const PatchSnapshot& snapshot);
 
-/// Algorithm 2's replay decision. `seeded` is the stage's entry simulation
-/// over `configs`, seeded from context.anonymity with `entry_diff`;
-/// `options`, `rng` and `fake_hosts` are the stage's. True iff, beyond
-/// that seed, the context holds a log, the options and RNG state equal
-/// the captured run's, no dirty prefix of `entry_diff` overlaps a
-/// fake-host LAN (so every fake-host FIB column is aliased), and no
-/// changed device carries a deny entry for a fake-host LAN in either
-/// version (so every filter edit takes effect exactly as it did).
+/// Algorithm 2's replay decision. `entry` is the stage's entry simulation
+/// over `configs` (Algorithm 1's final one) and `entry_diff` the
+/// filter-only diff from context.anonymity's configs to `configs`;
+/// `options`, `rng` and `fake_hosts` are the stage's. True iff the context
+/// holds a log, `entry` shares context.anonymity's topology object (both
+/// descend from the equivalence snapshot's, so the log's ids mean the
+/// same), the options and RNG state equal the captured run's, no dirty
+/// prefix of `entry_diff` overlaps a fake-host LAN (so every fake-host FIB
+/// column equals the captured run's), and no changed device carries a
+/// deny entry for a fake-host LAN in either version (so every filter edit
+/// takes effect exactly as it did).
 [[nodiscard]] bool anonymity_replayable(
     const PatchContext& context, const ConfMaskOptions& options,
     const Rng& rng, const ConfigSet& configs, const ConfigSetDiff& entry_diff,
-    const Simulation& seeded, const std::vector<std::string>& fake_hosts);
+    const Simulation& entry, const std::vector<std::string>& fake_hosts);
 
 /// The preprocess-stage reuse decision against the context's `original`
 /// snapshot, carrying everything that stage can exploit beyond the seeded

@@ -13,6 +13,8 @@
 // of fake links (paper §5.4); `max_iterations` is a defensive backstop.
 #pragma once
 
+#include <memory>
+
 #include "src/config/model.hpp"
 #include "src/core/original_index.hpp"
 #include "src/core/stage_seed.hpp"
@@ -25,12 +27,25 @@ struct RouteEquivalenceOutcome {
   int iterations = 0;     ///< simulations performed (including the clean one)
   int filters_added = 0;  ///< deny entries written
   bool converged = false;
+  /// The simulation of the configs as the stage left them — Algorithm 2's
+  /// entry. Null when none was built: the strawmen, and a from-scratch run
+  /// that stopped unconverged.
+  std::shared_ptr<Simulation> simulation;
 };
 
 /// With `incremental` (the default), iterations after the first re-simulate
 /// through the SimulationDelta dirty-set path — the topology is frozen
 /// after Step 1, so only destinations whose prefix a new filter matches are
-/// recomputed. Results are bit-identical to `incremental = false`.
+/// recomputed — and rescan only the destinations that rebuild recomputed:
+/// a filter the stage accepted records its prefix, so an aliased column
+/// holds no violation a filter could fix. Results are bit-identical to
+/// `incremental = false`. The scan runs per destination over the pool;
+/// filters are then placed serially, and each router's prefix lists get
+/// their entries in (destination, next hop) order either way.
+///
+/// The configs may already hold the fake hosts: the stage reads and
+/// filters real destinations only, and a fake host's LAN is a stub link
+/// that changes no real destination's column.
 ///
 /// `seed` (watch mode) optionally supplies the stage's first simulation
 /// and/or receives a handle to it — see stage_seed.hpp. `carry` (optional)

@@ -1,4 +1,5 @@
-// Seed/capture channel for a pipeline stage's FIRST full simulation.
+// Seed/capture channel for Algorithm 1's FIRST full simulation (Algorithm
+// 2 starts from Algorithm 1's final one).
 //
 // Watch mode (patch_mode.hpp, DESIGN.md §14) reuses prior work at exactly
 // one kind of point: wherever a stage would build a fresh Simulation from
@@ -28,8 +29,7 @@ struct StageSeed {
 
   /// Out: the stage's entry simulation (seeded or freshly built), kept
   /// alive by this handle even after the stage's own iteration loop has
-  /// replaced it. Null when the stage never built one (e.g. Algorithm 2
-  /// with no fake hosts).
+  /// replaced it. Null when the stage never built one.
   std::shared_ptr<const Simulation> entry_sim;
 };
 

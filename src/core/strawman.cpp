@@ -24,7 +24,7 @@ RouteEquivalenceOutcome strawman1_route_fix(ConfigSet& configs,
   RouteEquivalenceOutcome outcome;
   const Topology topo = Topology::build(configs);
   const std::vector<int> original = index.original_ids(topo);
-  const std::vector<RouterConfig*> routers = router_configs(configs, topo);
+  FilterEditor editor(configs, topo);
 
   // Collect all real host prefixes once.
   std::vector<Ipv4Prefix> real_prefixes;
@@ -46,8 +46,7 @@ RouteEquivalenceOutcome strawman1_route_fix(ConfigSet& configs,
     }
     for (int end : {link.a.node, link.b.node}) {
       for (const auto& prefix : real_prefixes) {
-        if (add_route_filter(routers[static_cast<std::size_t>(end)], end, link,
-                             prefix)) {
+        if (editor.add(end, static_cast<int>(l), prefix)) {
           ++outcome.filters_added;
         }
       }
@@ -64,7 +63,7 @@ RouteEquivalenceOutcome strawman2_route_fix(ConfigSet& configs,
   // The node set is frozen across iterations: resolve names once.
   const Topology frozen = Topology::build(configs);
   const std::vector<int> original = index.original_ids(frozen);
-  const std::vector<RouterConfig*> routers = router_configs(configs, frozen);
+  FilterEditor editor(configs, frozen);
   // The traceroute compares device names, in the original plane's flow
   // order.
   const DataPlane original_dp = index.data_plane();
@@ -127,9 +126,7 @@ RouteEquivalenceOutcome strawman2_route_fix(ConfigSet& configs,
         }
         const int link_id = find_link_between(topo, from_node, to_node);
         if (link_id < 0) continue;
-        if (add_route_filter(routers[static_cast<std::size_t>(from_node)],
-                             from_node, topo.link(link_id),
-                             sim.host_prefix(dst))) {
+        if (editor.add(from_node, link_id, sim.host_prefix(dst))) {
           ++added;
         }
         break;

@@ -1,11 +1,15 @@
 #include "src/core/topology_anonymization.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <optional>
 
+#include "src/core/pipeline_trace.hpp"
 #include "src/graph/k_degree_anonymize.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/routing/topology.hpp"
+#include "src/util/thread_pool.hpp"
 
 namespace confmask {
 
@@ -66,30 +70,84 @@ TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs,
                                                 Rng& rng,
                                                 PrefixAllocator& allocator) {
   TopologyAnonymizationOutcome outcome;
-  const Topology topo = Topology::build(configs);
-  // `topo` is built from `configs`, so its config indices are the stage's
-  // node-id → RouterConfig table (the vector is never resized below).
+  // The stage reads `network`'s topology when it lists `configs`' routers
+  // in config order — always, except for a watch-mode seeded simulation
+  // whose snapshot holds them in another order — and builds one otherwise.
+  // Either way node ids index `configs.routers` (the vector is never
+  // resized below).
+  std::optional<Topology> built;
+  const auto in_config_order = [&](const Topology& candidate) {
+    if (candidate.router_count() !=
+        static_cast<int>(configs.routers.size())) {
+      return false;
+    }
+    for (int r = 0; r < candidate.router_count(); ++r) {
+      const TopologyNode& node = candidate.node(r);
+      if (node.config_index != r ||
+          node.name != configs.routers[static_cast<std::size_t>(r)].hostname) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (network == nullptr || !in_config_order(network->topology())) {
+    built.emplace(Topology::build(configs));
+  }
+  const Topology& topo = built ? *built : network->topology();
   const auto config_of = [&](int node) -> RouterConfig& {
     return configs.routers[static_cast<std::size_t>(
         topo.node(node).config_index)];
   };
 
-  // Only the chosen pairs are priced, each direction by one memoized IGP
-  // row of `network`; an AS's missing rows are computed in one pool batch
-  // before its links are materialized. Names resolve through the network's
-  // own topology: a watch-mode seeded simulation reuses its snapshot's node
+  // Only the chosen pairs are priced, each direction by `network`: one
+  // Dijkstra per source that stops once that source's targets are
+  // settled, the sources of an AS fanned out over the pool before its
+  // links are materialized. Names resolve through the network's own
+  // topology: a watch-mode seeded simulation reuses its snapshot's node
   // ids.
   const bool priced =
       network != nullptr && policy == FakeLinkCostPolicy::kMinCost;
   const auto network_id = [&](int node) {
     return network->topology().find_node(topo.node(node).name);
   };
-  const auto min_cost_of = [&](int a, int b) {
-    if (!priced) return -1L;
-    const int ia = network_id(a);
-    const int ib = network_id(b);
-    if (ia < 0 || ib < 0) return -1L;
-    return network->igp_distance(ia, ib);
+  std::uint64_t priced_pairs = 0;
+  std::uint64_t settled_nodes = 0;
+  // D(u→v) and D(v→u) for each edge of `edges` (-1: not priced).
+  const auto price = [&](const std::vector<int>& members,
+                         const std::vector<std::pair<int, int>>& edges) {
+    std::vector<std::pair<long, long>> costs(edges.size(), {-1L, -1L});
+    if (!priced) return costs;
+    struct Query {
+      int target = -1;
+      long* cost = nullptr;
+    };
+    std::map<int, std::vector<Query>> by_source;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const int u = network_id(members[static_cast<std::size_t>(
+          edges[i].first)]);
+      const int v = network_id(members[static_cast<std::size_t>(
+          edges[i].second)]);
+      if (u < 0 || v < 0) continue;
+      by_source[u].push_back({v, &costs[i].first});
+      by_source[v].push_back({u, &costs[i].second});
+      priced_pairs += 2;
+    }
+    std::vector<const std::pair<const int, std::vector<Query>>*> sources;
+    for (const auto& entry : by_source) sources.push_back(&entry);
+    std::vector<std::uint64_t> settled(sources.size(), 0);
+    ThreadPool::shared().parallel_for(sources.size(), [&](std::size_t i) {
+      const auto& [source, queries] = *sources[i];
+      std::vector<int> targets;
+      targets.reserve(queries.size());
+      for (const Query& query : queries) targets.push_back(query.target);
+      const std::vector<long> distances =
+          network->igp_distances(source, targets, &settled[i]);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        *queries[q].cost = distances[q];
+      }
+    });
+    for (const std::uint64_t nodes : settled) settled_nodes += nodes;
+    return costs;
   };
 
   // Group routers by AS (-1 == no BGP == one flat IGP domain).
@@ -117,22 +175,13 @@ TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs,
       }
     }
     const auto result = k_degree_anonymize(subgraph, k_r, rng);
-    if (priced) {
-      std::vector<int> sources;
-      for (const auto& [u, v] : result.added_edges) {
-        for (const int local : {u, v}) {
-          const int id = network_id(members[static_cast<std::size_t>(local)]);
-          if (id >= 0) sources.push_back(id);
-        }
-      }
-      network->prefetch_igp_rows(std::move(sources));
-    }
-    for (const auto& [u, v] : result.added_edges) {
+    const auto costs = price(members, result.added_edges);
+    for (std::size_t i = 0; i < result.added_edges.size(); ++i) {
+      const auto [u, v] = result.added_edges[i];
       const int node_u = members[static_cast<std::size_t>(u)];
       const int node_v = members[static_cast<std::size_t>(v)];
       materialize_fake_link(config_of(node_u), config_of(node_v), policy,
-                            min_cost_of(node_u, node_v),
-                            min_cost_of(node_v, node_u), allocator,
+                            costs[i].first, costs[i].second, allocator,
                             /*inter_as=*/false);
       outcome.intra_as_links.emplace_back(topo.node(node_u).name,
                                           topo.node(node_v).name);
@@ -196,6 +245,8 @@ TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs,
     }
   }
 
+  PipelineTrace::count("priced_pairs", priced_pairs);
+  PipelineTrace::count("settled_nodes", settled_nodes);
   return outcome;
 }
 

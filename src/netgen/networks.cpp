@@ -249,13 +249,20 @@ ConfigSet make_uscarrier() {
 ConfigSet make_fattree(int pods, int aggs_per_pod, int cores,
                        int core_links_per_agg, int hosts_per_edge) {
   NetworkBuilder builder;
-  const auto core_name = [](int c) { return "c" + std::to_string(c); };
-  const auto agg_name = [](int p, int a) {
-    return "agg" + std::to_string(p) + "-" + std::to_string(a);
+  const auto core_name = [](int c) {
+    std::string name = "c";
+    name += std::to_string(c);
+    return name;
   };
-  const auto edge_name = [](int p, int a) {
-    return "e" + std::to_string(p) + "-" + std::to_string(a);
+  const auto pod_name = [](const char* kind, int p, int a) {
+    std::string name = kind;
+    name += std::to_string(p);
+    name += '-';
+    name += std::to_string(a);
+    return name;
   };
+  const auto agg_name = [&](int p, int a) { return pod_name("agg", p, a); };
+  const auto edge_name = [&](int p, int a) { return pod_name("e", p, a); };
 
   for (int c = 0; c < cores; ++c) {
     builder.router(core_name(c));
@@ -283,9 +290,10 @@ ConfigSet make_fattree(int pods, int aggs_per_pod, int cores,
   for (int p = 0; p < pods; ++p) {
     for (int a = 0; a < aggs_per_pod; ++a) {
       for (int j = 0; j < hosts_per_edge; ++j) {
-        builder.host("h" + std::to_string(p) + "-" + std::to_string(a) + "-" +
-                         std::to_string(j),
-                     edge_name(p, a));
+        std::string host = pod_name("h", p, a);
+        host += '-';
+        host += std::to_string(j);
+        builder.host(host, edge_name(p, a));
       }
     }
   }

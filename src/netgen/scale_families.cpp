@@ -12,7 +12,11 @@ namespace confmask {
 
 namespace {
 
-std::string router_name(int i) { return "r" + std::to_string(i); }
+std::string router_name(int i) {
+  std::string name = "r";
+  name += std::to_string(i);
+  return name;
+}
 
 std::optional<int> maybe_cost(Rng& rng, double probability) {
   if (!rng.chance(probability)) return std::nullopt;
@@ -78,7 +82,9 @@ void wire_waxman(NetworkBuilder& builder, Rng& rng,
 void attach_hosts(NetworkBuilder& builder, Rng& rng, int routers,
                   int hosts) {
   for (int h = 0; h < hosts; ++h) {
-    builder.host("h" + std::to_string(h),
+    std::string host = "h";
+    host += std::to_string(h);
+    builder.host(host,
                  router_name(static_cast<int>(
                      rng.below(static_cast<std::uint64_t>(routers)))));
   }

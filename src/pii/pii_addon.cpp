@@ -1,6 +1,7 @@
 #include "src/pii/pii_addon.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/pii/crypto_pan.hpp"
 #include "src/util/strings.hpp"
@@ -56,12 +57,14 @@ PiiResult apply_pii_addon(const ConfigSet& configs,
     int router_counter = 0;
     int host_counter = 0;
     for (const auto& router : configs.routers) {
-      result.device_names[router.hostname] =
-          "R" + std::to_string(++router_counter);
+      std::string name = "R";
+      name += std::to_string(++router_counter);
+      result.device_names[router.hostname] = std::move(name);
     }
     for (const auto& host : configs.hosts) {
-      result.device_names[host.hostname] =
-          "H" + std::to_string(++host_counter);
+      std::string name = "H";
+      name += std::to_string(++host_counter);
+      result.device_names[host.hostname] = std::move(name);
     }
   }
   const auto renamed = [&](const std::string& name) {

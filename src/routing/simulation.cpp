@@ -195,18 +195,16 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation* carry)
   const int hosts = topology_->host_count();
   fib_columns_.resize(static_cast<std::size_t>(hosts));
   dest_dist_.resize(static_cast<std::size_t>(hosts));
-  igp_cache_ = std::make_shared<IgpCache>();
-  igp_cache_->rows.resize(static_cast<std::size_t>(n));
-  igp_cache_->ready.assign(static_cast<std::size_t>(n), 0);
   index_filters();
   // Hot-potato selection only ever consults distances TOWARDS border
   // routers, so those are the only rows computed eagerly (the old code
   // materialized the full R×R matrix here — an O(R²) memory cliff at
-  // 10⁴ routers). igp_distance() fills other rows lazily.
+  // 10⁴ routers).
   if (!flat_->sessions().empty()) compute_border_distances();
   const std::vector<Distances> carried =
       carry != nullptr ? carried_vectors(*carry) : std::vector<Distances>{};
   const auto& host_ids = topology_->host_ids();
+  recomputed_hosts_ = host_ids;
   std::vector<signed char> actions(host_ids.size());
   ThreadPool::shared().parallel_for(host_ids.size(), [&](std::size_t i) {
     const int gateway = flat_->host_gateway(host_ids[i] - n);
@@ -264,6 +262,7 @@ std::vector<Simulation::Distances> Simulation::carried_vectors(
 void Simulation::count_vector(DestAction action) {
   switch (action) {
     case DestAction::kDistReused:
+    case DestAction::kPatched:
       ++incremental_stats_.distance_vectors_reused;
       break;
     case DestAction::kDistComputed:
@@ -279,12 +278,10 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
     : configs_(&configs),
       topology_(previous.topology_),
       flat_(previous.flat_),
-      // The hot-potato border rows and the memoized IGP rows never see
-      // filters (computed over the full adjacency, OSPF costs / RIP hop
-      // metric only) and the topology is frozen, so both caches carry
-      // over by aliasing — no copies.
-      to_border_(previous.to_border_),
-      igp_cache_(previous.igp_cache_) {
+      // The hot-potato border rows never see filters (computed over the
+      // full adjacency, OSPF costs / RIP hop metric only) and the topology
+      // is frozen, so they carry over by aliasing — no copy.
+      to_border_(previous.to_border_) {
   poll_cancellation();
   g_simulation_runs.fetch_add(1, std::memory_order_relaxed);
   ++t_simulation_runs;
@@ -321,6 +318,66 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
                                    std::min(length, change.prefix.length())));
     }
   }
+  // A dirty link-state destination without a BGP part is patched when the
+  // previous generation holds its vector and column.
+  const auto patchable = [&](std::size_t idx) {
+    const Distances& dist = previous.dest_dist_[idx];
+    return flat_->host_route(static_cast<int>(idx)) ==
+               FlatTopology::HostRoute::kOspf &&
+           dist != nullptr && !dist->empty() &&
+           previous.fib_columns_[idx] != nullptr &&
+           !has_bgp_part(static_cast<int>(idx));
+  };
+  bool any_patchable = false;
+  for (int h = 0; h < hosts && !any_patchable; ++h) {
+    any_patchable = patchable(static_cast<std::size_t>(h));
+  }
+  // The changes by prefix, so a patched destination finds the routers
+  // whose changes overlap it by binary search (changed_routers).
+  std::vector<SimulationDelta::FilterChange> by_prefix;
+  if (any_patchable) {
+    by_prefix = delta.changes;
+    std::sort(by_prefix.begin(), by_prefix.end(),
+              [](const SimulationDelta::FilterChange& lhs,
+                 const SimulationDelta::FilterChange& rhs) {
+                return std::tuple(lhs.prefix.network().bits(),
+                                  lhs.prefix.length(), lhs.router) <
+                       std::tuple(rhs.prefix.network().bits(),
+                                  rhs.prefix.length(), rhs.router);
+              });
+  }
+  // Routers with a change overlapping `dest`, ascending. A change overlaps
+  // iff its network lies inside `dest` (any length: a shorter prefix
+  // starting there contains it) or it is a shorter prefix containing it.
+  const auto changed_routers = [&](const Ipv4Prefix& dest) {
+    const std::uint32_t first = dest.network().bits();
+    const std::uint64_t last =
+        first + (std::uint64_t{1} << (32 - dest.length())) - 1;
+    std::vector<std::int32_t> routers;
+    const auto bits_below = [](const SimulationDelta::FilterChange& change,
+                               std::uint64_t bits) {
+      return change.prefix.network().bits() < bits;
+    };
+    for (auto it = std::lower_bound(by_prefix.begin(), by_prefix.end(),
+                                    std::uint64_t{first}, bits_below);
+         it != by_prefix.end() && it->prefix.network().bits() <= last; ++it) {
+      routers.push_back(it->router);
+    }
+    for (int length = 0; length < dest.length(); ++length) {
+      if ((change_lengths >> length & 1) == 0) continue;
+      const std::uint32_t bits = first & mask_of(length);
+      if (bits == first) continue;  // found by the range scan above
+      auto it = std::lower_bound(by_prefix.begin(), by_prefix.end(),
+                                 std::uint64_t{bits}, bits_below);
+      for (; it != by_prefix.end() && it->prefix.network().bits() == bits;
+           ++it) {
+        if (it->prefix.length() == length) routers.push_back(it->router);
+      }
+    }
+    std::sort(routers.begin(), routers.end());
+    routers.erase(std::unique(routers.begin(), routers.end()), routers.end());
+    return routers;
+  };
   // -1 = column inherited; otherwise the DestAction taken. Written by
   // disjoint indices in the parallel loop, tallied serially below.
   std::vector<signed char> actions(host_ids.size(), -1);
@@ -342,17 +399,44 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
       dest_dist_[idx] = previous.dest_dist_[idx];
       return;
     }
-    actions[i] = static_cast<signed char>(
-        compute_destination(host, previous.dest_dist_[idx]));
+    const Distances& dist = previous.dest_dist_[idx];
+    if (patchable(idx)) {
+      patch_destination(host, dist, *previous.fib_columns_[idx],
+                        changed_routers(host_prefix));
+      actions[i] = static_cast<signed char>(DestAction::kPatched);
+      return;
+    }
+    actions[i] = static_cast<signed char>(compute_destination(host, dist));
   });
-  for (const signed char action : actions) {
-    if (action < 0) {
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    if (actions[i] < 0) {
       ++incremental_stats_.destinations_reused;
       continue;
     }
+    recomputed_hosts_.push_back(host_ids[i]);
     ++incremental_stats_.destinations_recomputed;
-    count_vector(static_cast<DestAction>(action));
+    if (actions[i] == static_cast<signed char>(DestAction::kPatched)) {
+      ++incremental_stats_.destinations_patched;
+    }
+    count_vector(static_cast<DestAction>(actions[i]));
   }
+}
+
+int Simulation::share_equal_columns(const Simulation& donor) {
+  if (donor.topology_ != topology_) return 0;
+  int shared = 0;
+  for (std::size_t idx = 0; idx < fib_columns_.size(); ++idx) {
+    auto& mine = fib_columns_[idx];
+    const auto& theirs = donor.fib_columns_[idx];
+    if (mine == theirs || mine == nullptr || theirs == nullptr ||
+        !(*mine == *theirs)) {
+      continue;
+    }
+    mine = theirs;
+    dest_dist_[idx] = donor.dest_dist_[idx];
+    ++shared;
+  }
+  return shared;
 }
 
 FibView Simulation::fib(int router, int host) const {
@@ -587,24 +671,41 @@ void Simulation::compute_border_distances() {
   to_border_ = std::move(rows);
 }
 
-const std::vector<long>& Simulation::igp_row(int from) const {
-  IgpCache& cache = *igp_cache_;
-  const auto source = static_cast<std::size_t>(from);
-  {
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    if (cache.ready[source] != 0) return cache.rows[source];
-  }
-  // Computed outside the lock so a prefetch batch runs its Dijkstras in
-  // parallel; a row, once ready, is never written again.
+std::vector<long> Simulation::igp_distances(int from,
+                                             const std::vector<int>& targets,
+                                             std::uint64_t* settled) const {
   const FlatTopology& flat = *flat_;
   const int n = topology_->router_count();
-  std::vector<long> row(static_cast<std::size_t>(n), kInf);
-  row[static_cast<std::size_t>(from)] = 0;
-  std::vector<HeapItem> heap;
+  // Per-thread scratch, reset through `reached` so a call costs what it
+  // settles, not R.
+  thread_local std::vector<long> dist;
+  thread_local std::vector<char> target;  // 1 = pending, 2 = settled
+  thread_local std::vector<std::int32_t> reached;
+  thread_local std::vector<HeapItem> heap;
+  if (dist.size() < static_cast<std::size_t>(n)) {
+    dist.resize(static_cast<std::size_t>(n), kInf);
+    target.resize(static_cast<std::size_t>(n), 0);
+  }
+  std::size_t pending = 0;
+  for (const int t : targets) {
+    char& mark = target[static_cast<std::size_t>(t)];
+    if (mark == 0) ++pending;
+    mark = 1;
+  }
+  std::uint64_t settled_nodes = 0;
+  reached.assign(1, from);
+  dist[static_cast<std::size_t>(from)] = 0;
+  heap.clear();
   heap_push(heap, 0, from);
-  while (!heap.empty()) {
+  while (pending > 0 && !heap.empty()) {
     const auto [d, u] = heap_pop(heap);
-    if (d != row[static_cast<std::size_t>(u)]) continue;
+    if (d != dist[static_cast<std::size_t>(u)]) continue;
+    ++settled_nodes;
+    char& mark = target[static_cast<std::size_t>(u)];
+    if (mark == 1) {
+      mark = 2;
+      if (--pending == 0) break;
+    }
     const std::int32_t last = flat.last_out(u);
     for (std::int32_t e = flat.first_out(u); e < last; ++e) {
       const std::uint8_t flags = flat.edge_flags(e);
@@ -612,31 +713,25 @@ const std::vector<long>& Simulation::igp_row(int from) const {
       const std::int32_t w = flat.edge_target(e);
       const long cost =
           (flags & FlatTopology::kOspf) != 0 ? flat.edge_cost_out(e) : 1;
-      if (d + cost < row[static_cast<std::size_t>(w)]) {
-        row[static_cast<std::size_t>(w)] = d + cost;
+      long& best = dist[static_cast<std::size_t>(w)];
+      if (d + cost < best) {
+        if (best == kInf) reached.push_back(w);
+        best = d + cost;
         heap_push(heap, d + cost, w);
       }
     }
   }
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  if (cache.ready[source] == 0) {
-    cache.rows[source] = std::move(row);
-    cache.ready[source] = 1;
+  // A target is settled, or unreachable once the heap ran dry.
+  std::vector<long> out;
+  out.reserve(targets.size());
+  for (const int t : targets) {
+    const bool done = target[static_cast<std::size_t>(t)] == 2;
+    out.push_back(done ? dist[static_cast<std::size_t>(t)] : -1);
   }
-  return cache.rows[source];
-}
-
-long Simulation::igp_distance(int from, int to) const {
-  const long d = igp_row(from)[static_cast<std::size_t>(to)];
-  return d >= kInf ? -1 : d;
-}
-
-void Simulation::prefetch_igp_rows(std::vector<int> sources) const {
-  std::sort(sources.begin(), sources.end());
-  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
-  ThreadPool::shared().parallel_for(sources.size(), [&](std::size_t i) {
-    (void)igp_row(sources[i]);
-  });
+  for (const int t : targets) target[static_cast<std::size_t>(t)] = 0;
+  for (const std::int32_t r : reached) dist[static_cast<std::size_t>(r)] = kInf;
+  if (settled != nullptr) *settled = settled_nodes;
+  return out;
 }
 
 void Simulation::compute_bgp_destination(
@@ -647,11 +742,8 @@ void Simulation::compute_bgp_destination(
   const int n = topology_->router_count();
   const int hidx = host - n;
   // Fill FIBs of routers in autonomous systems OTHER than the origin AS.
+  if (!has_bgp_part(hidx)) return;
   const int origin_as = flat.router_as(gateway);
-  if (origin_as < 0 || !flat.host_bgp_advertised(hidx) ||
-      flat.sessions().empty()) {
-    return;
-  }
   const auto push_hop = [&](int r, NextHop hop) {
     auto& slot = slots[static_cast<std::size_t>(r)];
     if (slot.empty()) touched.push_back(r);
@@ -753,6 +845,124 @@ void Simulation::compute_bgp_destination(
   }
 }
 
+bool Simulation::has_bgp_part(int host_index) const {
+  const FlatTopology& flat = *flat_;
+  const int gateway = flat.host_gateway(host_index);
+  return gateway >= 0 && flat.router_as(gateway) >= 0 &&
+         flat.host_bgp_advertised(host_index) && !flat.sessions().empty();
+}
+
+void Simulation::append_igp_hops(int r, const long* dist, bool in_ospf,
+                                 const Ipv4Prefix& dest_prefix,
+                                 std::vector<NextHop>& slot) const {
+  if (dist[static_cast<std::size_t>(r)] >= kInf) return;
+  const FlatTopology& flat = *flat_;
+  const std::size_t before = slot.size();
+  const std::int32_t last = flat.last_out(r);
+  for (std::int32_t e = flat.first_out(r); e < last; ++e) {
+    const std::uint8_t flags = flat.edge_flags(e);
+    if ((flags & (in_ospf ? FlatTopology::kOspf : FlatTopology::kRip)) == 0) {
+      continue;
+    }
+    const std::int32_t w = flat.edge_target(e);
+    const long out_cost = in_ospf ? flat.edge_cost_out(e) : 1;
+    if (dist[static_cast<std::size_t>(w)] + out_cost !=
+        dist[static_cast<std::size_t>(r)]) {
+      continue;
+    }
+    if (denied_igp(flat.edge_iface(e), dest_prefix)) continue;
+    slot.push_back(NextHop{flat.edge_link(e), w});
+  }
+  if (slot.size() != before) std::sort(slot.begin(), slot.end());
+}
+
+void Simulation::apply_static_route(int r, Ipv4Address host_address,
+                                    const Ipv4Prefix& dest_prefix,
+                                    std::vector<NextHop>& slot) const {
+  const auto& router = configs_->routers[static_cast<std::size_t>(
+      topology_->node(r).config_index)];
+  const StaticRoute* best = nullptr;
+  for (const auto& route_entry : router.static_routes) {
+    if (!route_entry.prefix.contains(host_address)) continue;
+    if (best == nullptr ||
+        route_entry.prefix.length() > best->prefix.length()) {
+      best = &route_entry;
+    }
+  }
+  if (best == nullptr) return;
+  const bool overrides =
+      slot.empty() || best->prefix.length() >= dest_prefix.length();
+  if (!overrides) return;
+  // Resolve the next hop to a directly connected neighbor (cold path:
+  // endpoint addresses live only in the Topology's link ends).
+  for (const int link_id : topology_->links_of(r)) {
+    const Link& link = topology_->link(link_id);
+    const LinkEnd& far = link.other_end(r);
+    if (far.address == best->next_hop) {
+      slot.assign(1, NextHop{link_id, far.node});
+      return;
+    }
+  }
+  // Unresolvable next hop: keep the RIB route.
+}
+
+void Simulation::patch_destination(int host, const Distances& dist,
+                                   const FibColumn& previous,
+                                   const std::vector<std::int32_t>& changed) {
+  const FlatTopology& flat = *flat_;
+  const int n = topology_->router_count();
+  const int hidx = host - n;
+  const int gateway = flat.host_gateway(hidx);
+  const Ipv4Prefix dest_prefix = flat.host_prefix(hidx);
+  const Ipv4Address host_address = flat.host_address(hidx);
+
+  // Refill the changed routers' slots exactly as compute_destination
+  // fills them for a link-state destination without a BGP part.
+  DestScratch& scratch = dest_scratch(n);
+  for (const std::int32_t r : changed) {
+    auto& slot = scratch.slots[static_cast<std::size_t>(r)];
+    scratch.touched.push_back(r);
+    if (r == gateway) {
+      const int gw_link = flat.host_gateway_link(hidx);
+      if (gw_link >= 0) slot.push_back(NextHop{gw_link, host});
+      continue;
+    }
+    append_igp_hops(r, dist->data(), /*in_ospf=*/true, dest_prefix, slot);
+    apply_static_route(r, host_address, dest_prefix, slot);
+  }
+
+  auto column = std::make_shared<FibColumn>();
+  column->offset.resize(static_cast<std::size_t>(n) + 1);
+  std::uint32_t total = 0;
+  auto next = changed.begin();
+  for (int r = 0; r < n; ++r) {
+    column->offset[static_cast<std::size_t>(r)] = total;
+    if (next != changed.end() && *next == r) {
+      total += static_cast<std::uint32_t>(
+          scratch.slots[static_cast<std::size_t>(r)].size());
+      ++next;
+    } else {
+      total += previous.offset[static_cast<std::size_t>(r) + 1] -
+               previous.offset[static_cast<std::size_t>(r)];
+    }
+  }
+  column->offset[static_cast<std::size_t>(n)] = total;
+  column->pool.reserve(total);
+  next = changed.begin();
+  for (int r = 0; r < n; ++r) {
+    if (next != changed.end() && *next == r) {
+      const auto& slot = scratch.slots[static_cast<std::size_t>(r)];
+      column->pool.insert(column->pool.end(), slot.begin(), slot.end());
+      ++next;
+      continue;
+    }
+    const FibView kept = previous.view(r);
+    column->pool.insert(column->pool.end(), kept.begin(), kept.end());
+  }
+  fib_columns_[static_cast<std::size_t>(hidx)] = std::move(column);
+  dest_dist_[static_cast<std::size_t>(hidx)] = dist;
+}
+
 Simulation::DestAction Simulation::compute_destination(
     int host, const Distances& reuse_dist) {
   const FlatTopology& flat = *flat_;
@@ -844,31 +1054,10 @@ Simulation::DestAction Simulation::compute_destination(
   // the incoming interface.
   if (in_ospf || in_rip) {
     for (int r = 0; r < n; ++r) {
-      if (r == gateway || dist[static_cast<std::size_t>(r)] >= kInf) {
-        continue;
-      }
-      const std::int32_t last = flat.last_out(r);
-      bool pushed = false;
-      for (std::int32_t e = flat.first_out(r); e < last; ++e) {
-        const std::uint8_t flags = flat.edge_flags(e);
-        if ((flags & (in_ospf ? FlatTopology::kOspf : FlatTopology::kRip)) ==
-            0) {
-          continue;
-        }
-        const std::int32_t w = flat.edge_target(e);
-        const long out_cost = in_ospf ? flat.edge_cost_out(e) : 1;
-        if (dist[static_cast<std::size_t>(w)] + out_cost !=
-            dist[static_cast<std::size_t>(r)]) {
-          continue;
-        }
-        if (denied_igp(flat.edge_iface(e), dest_prefix)) continue;
-        push_hop(r, NextHop{flat.edge_link(e), w});
-        pushed = true;
-      }
-      if (pushed) {
-        auto& slot = slots[static_cast<std::size_t>(r)];
-        std::sort(slot.begin(), slot.end());
-      }
+      if (r == gateway) continue;
+      auto& slot = slots[static_cast<std::size_t>(r)];
+      append_igp_hops(r, dist, in_ospf, dest_prefix, slot);
+      if (!slot.empty()) touched.push_back(r);
     }
   }
 
@@ -880,37 +1069,9 @@ Simulation::DestAction Simulation::compute_destination(
   const Ipv4Address host_address = flat.host_address(hidx);
   for (const int r : flat.routers_with_statics()) {
     if (r == gateway) continue;
-    const auto& router = configs_->routers[static_cast<std::size_t>(
-        topology_->node(r).config_index)];
-    const StaticRoute* best = nullptr;
-    for (const auto& route_entry : router.static_routes) {
-      if (!route_entry.prefix.contains(host_address)) continue;
-      if (best == nullptr ||
-          route_entry.prefix.length() > best->prefix.length()) {
-        best = &route_entry;
-      }
-    }
-    if (best == nullptr) continue;
     auto& slot = slots[static_cast<std::size_t>(r)];
-    const bool overrides =
-        slot.empty() || best->prefix.length() >= dest_prefix.length();
-    if (!overrides) continue;
-    // Resolve the next hop to a directly connected neighbor (cold path:
-    // endpoint addresses live only in the Topology's link ends).
-    int resolved_link = -1;
-    int resolved_neighbor = -1;
-    for (const int link_id : topology_->links_of(r)) {
-      const Link& link = topology_->link(link_id);
-      const LinkEnd& far = link.other_end(r);
-      if (far.address == best->next_hop) {
-        resolved_link = link_id;
-        resolved_neighbor = far.node;
-        break;
-      }
-    }
-    if (resolved_link < 0) continue;  // unresolvable next hop: keep RIB
-    slot.clear();
-    push_hop(r, NextHop{resolved_link, resolved_neighbor});
+    touched.push_back(r);
+    apply_static_route(r, host_address, dest_prefix, slot);
   }
 
   // Pack the per-router slots into this destination's immutable column

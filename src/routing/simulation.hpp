@@ -43,23 +43,21 @@
 //
 // IGP distances are never materialized as an R×R matrix (an O(R²) memory
 // cliff at 10⁴ routers): hot-potato selection precomputes one distance row
-// per BORDER router only, and `igp_distance()` memoizes per-source rows on
-// demand, so pricing a few dozen fake links costs a few dozen Dijkstras
-// (`prefetch_igp_rows` computes a batch of them over the pool). The cache
-// is shared across incremental generations — link-state distances never
-// see route filters.
+// per BORDER router only, and `igp_distances()` answers one source's
+// queried pairs with a Dijkstra that stops once its targets are settled,
+// so pricing a few dozen fake links settles a fraction of the graph.
 //
 // Work that scales with the change (DESIGN.md §13): ConfMask-shaped prefix
 // lists are answered by one (interface slot, prefix) hash lookup instead of
 // an entry scan, RIP distances come from one BFS, the incremental
-// constructor finds dirty destinations by hash, and a fresh build may carry
-// OSPF distance vectors over from an earlier stage's simulation when two
-// checks prove them still exact.
+// constructor finds dirty destinations by hash, a dirty link-state column
+// is patched at the routers whose filters changed instead of refilled, and
+// a fresh build may carry OSPF distance vectors over from an earlier
+// stage's simulation when two checks prove them still exact.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -130,8 +128,9 @@ struct SimulationDelta {
 };
 
 /// What a build adopted instead of computing. Destination counters cover
-/// incremental rebuilds only (zero for a fresh build). Distance-vector
-/// counters cover IGP-routed destinations that were (re)built: OSPF
+/// incremental rebuilds only (zero for a fresh build); a patched
+/// destination is also a recomputed one (its column is new). Distance-
+/// vector counters cover IGP-routed destinations that were (re)built: OSPF
 /// distances are filter-independent (computed over the full LSDB), so an
 /// incremental rebuild reuses them even for dirty destinations and a fresh
 /// build with a donor carries them over where they provably still hold;
@@ -139,6 +138,7 @@ struct SimulationDelta {
 struct IncrementalStats {
   int destinations_reused = 0;
   int destinations_recomputed = 0;
+  int destinations_patched = 0;  ///< recomputed by patching changed routers
   int distance_vectors_reused = 0;  ///< adopted: aliased, not computed
   int distance_vectors_recomputed = 0;
 };
@@ -157,6 +157,8 @@ class Simulation {
       return FibView{pool.data() + first,
                      offset[static_cast<std::size_t>(router) + 1] - first};
     }
+
+    friend bool operator==(const FibColumn&, const FibColumn&) = default;
   };
 
   /// Builds the topology and converges all routing protocols. `configs`
@@ -180,7 +182,10 @@ class Simulation {
   /// entry alias their FIB column and per-destination distances from
   /// `previous`; dirty OSPF destinations reuse distances (filters only
   /// gate next-hop installation) and dirty RIP destinations recompute
-  /// them (filters shape distance-vector propagation). The result is
+  /// them (filters shape distance-vector propagation). A dirty OSPF
+  /// destination without a BGP part is patched: only a router with a
+  /// change overlapping its prefix can change its slot, so every other
+  /// router's slot is copied from `previous`'s column. The result is
   /// bit-identical to a fresh `Simulation(configs)`.
   Simulation(const ConfigSet& configs, const Simulation& previous,
              const SimulationDelta& delta);
@@ -204,6 +209,20 @@ class Simulation {
   /// a fresh build).
   [[nodiscard]] const IncrementalStats& incremental_stats() const {
     return incremental_stats_;
+  }
+
+  /// Watch mode: re-points every FIB column equal to `donor`'s column for
+  /// the same destination at donor's object (and its distance vector), so
+  /// identity checks against `donor` (the verification gate's proof) see
+  /// what value equality would. A no-op unless `donor` shares this
+  /// simulation's topology object. Returns the number of columns shared.
+  int share_equal_columns(const Simulation& donor);
+
+  /// The destinations (host node ids, ascending) this build computed: every
+  /// host for a fresh build, the dirty ones for an incremental rebuild.
+  /// Every other destination's FIB column is the previous generation's.
+  [[nodiscard]] const std::vector<int>& recomputed_hosts() const {
+    return recomputed_hosts_;
   }
 
   /// FIB entries of `router` for destination host `host` (both node ids).
@@ -298,17 +317,15 @@ class Simulation {
   /// existence in the FIB digraph equals simple-path existence).
   [[nodiscard]] std::vector<char> routers_reaching(int host) const;
 
-  /// Converged IGP distance between two routers of the same AS (router
-  /// node ids), or a negative value when unreachable. This is the paper's
-  /// min_cost(r, r') used to price fake OSPF links. The row of `from` is
-  /// computed on first use and memoized (thread-safe); only the sources
-  /// actually queried ever get a row.
-  [[nodiscard]] long igp_distance(int from, int to) const;
-
-  /// Computes the memoized IGP rows of `sources` that are still missing,
-  /// fanned out over the pool, so later `igp_distance` calls from them are
-  /// cache hits.
-  void prefetch_igp_rows(std::vector<int> sources) const;
+  /// Converged IGP distances from router `from` to each of `targets`
+  /// (router node ids; repeats and `from` itself allowed), negative where
+  /// unreachable. This is the paper's min_cost(r, r') used to price fake
+  /// OSPF links. One Dijkstra from `from` that stops once every target is
+  /// settled; `settled`, when non-null, receives the nodes it settled.
+  /// Keeps no state, so calls for different sources may run in parallel.
+  [[nodiscard]] std::vector<long> igp_distances(
+      int from, const std::vector<int>& targets,
+      std::uint64_t* settled = nullptr) const;
 
   /// Number of Simulation instances constructed since process start; the
   /// paper's §5.4 complexity discussion counts exactly these jobs.
@@ -352,16 +369,6 @@ class Simulation {
     std::size_t mask_ = 0;
   };
 
-  /// Per-source IGP distance rows, one per queried source, memoized
-  /// lazily and shared (by shared_ptr) across incremental generations —
-  /// link-state distances are filter-free, so the cache never invalidates
-  /// while the topology is frozen.
-  struct IgpCache {
-    std::mutex mutex;
-    std::vector<std::vector<long>> rows;  // [from] -> distances, lazily set
-    std::vector<char> ready;
-  };
-
   /// One `neighbor <peer> prefix-list ... in` binding: `count` lists
   /// starting at bgp_filter_pool_[first]. Sorted by peer_bits per router.
   struct BgpFilterEntry {
@@ -386,12 +393,33 @@ class Simulation {
     kFresh,         ///< no distance vector applicable (static/BGP only)
     kDistReused,    ///< OSPF: distances adopted from `reuse_dist`
     kDistComputed,  ///< distances computed from scratch
+    kPatched,       ///< OSPF: distances adopted, changed routers refilled
   };
   void count_vector(DestAction action);
   /// `reuse_dist` may be null; when adopted, the column's distance vector
   /// ALIASES it (no copy) — the shared_ptr keeps it alive across
   /// generations.
   DestAction compute_destination(int host, const Distances& reuse_dist);
+  /// True when a BGP speaker outside the destination's AS routes to it
+  /// (compute_bgp_destination fills something).
+  [[nodiscard]] bool has_bgp_part(int host_index) const;
+  /// The incremental constructor's column patch for an OSPF destination
+  /// with no BGP part: the slots of `changed` (ascending router ids) are
+  /// refilled over `dist`, every other slot is copied from `previous`.
+  void patch_destination(int host, const Distances& dist,
+                         const FibColumn& previous,
+                         const std::vector<std::int32_t>& changed);
+  /// Router r's equal-cost IGP next hops toward a destination with
+  /// distance vector `dist`, each admitted by r's filters, appended to
+  /// `slot` in column order.
+  void append_igp_hops(int r, const long* dist, bool in_ospf,
+                       const Ipv4Prefix& dest_prefix,
+                       std::vector<NextHop>& slot) const;
+  /// Router r's static-route override (longest match on the host address)
+  /// of `slot`, which holds r's protocol route for the destination.
+  void apply_static_route(int r, Ipv4Address host_address,
+                          const Ipv4Prefix& dest_prefix,
+                          std::vector<NextHop>& slot) const;
   /// BGP part of compute_destination: FIBs of routers outside the origin
   /// AS (AS-level path-vector + hot-potato egress selection). Appends into
   /// the caller's per-router slot builders.
@@ -412,8 +440,6 @@ class Simulation {
                                 const Ipv4Prefix& dst) const;
   [[nodiscard]] bool denied_bgp(int router, std::uint32_t peer_bits,
                                 const Ipv4Prefix& dest) const;
-  /// Ensures the memoized IGP row for `from` exists and returns it.
-  [[nodiscard]] const std::vector<long>& igp_row(int from) const;
   /// DFS path enumeration over the FIB. `visited` is an O(1)-membership
   /// bitmap indexed by node id (sized node_count). `truncated` latches
   /// true when the path-count or depth cap cut enumeration short.
@@ -447,8 +473,6 @@ class Simulation {
   // the only rows hot-potato selection needs. Computed eagerly iff eBGP
   // sessions exist; shared across incremental generations.
   std::shared_ptr<const std::vector<std::vector<long>>> to_border_;
-  // Lazily memoized per-source rows for igp_distance().
-  std::shared_ptr<IgpCache> igp_cache_;
 
   // Per destination host (index host - router_count): the converged OSPF
   // distance vector towards that host, kept so incremental rebuilds can
@@ -460,6 +484,7 @@ class Simulation {
   // anywhere, e.g. gateway-less hosts). Clean columns alias the previous
   // generation's arenas.
   std::vector<std::shared_ptr<const FibColumn>> fib_columns_;
+  std::vector<int> recomputed_hosts_;
   IncrementalStats incremental_stats_;
 };
 

@@ -104,7 +104,8 @@ std::string canonical_parameter_text(const ConfMaskOptions& options,
   field("retry.pool_widen_bits", std::to_string(policy.pool_widen_bits));
   std::string ladder;
   for (const int value : policy.equivalence_iteration_ladder) {
-    ladder += (ladder.empty() ? "" : ",") + std::to_string(value);
+    if (!ladder.empty()) ladder += ',';
+    ladder += std::to_string(value);
   }
   field("retry.equivalence_iteration_ladder", ladder);
   field("retry.diff_limit", std::to_string(policy.diff_limit));

@@ -78,8 +78,9 @@ void JobScheduler::restore_from_journal() {
   for (const RecoveredJob& recovered : recovery.pending) {
     Job job;
     job.request = recovered.request;
-    job.canonical = canonicalize(std::move(job.request.configs));
-    job.canonical_text = canonical_config_set_text(job.canonical);
+    job.canonical = std::make_shared<const ConfigSet>(
+        canonicalize(std::move(job.request.configs)));
+    job.canonical_text = canonical_config_set_text(*job.canonical);
     job.key = recovered.key;
     job.status.id = recovered.id;
     job.status.state = JobState::kQueued;
@@ -251,7 +252,7 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
       const std::string tenant_name = request.tenant;
       Job job;
       job.request = std::move(request);
-      job.canonical = std::move(canonical);
+      job.canonical = std::make_shared<const ConfigSet>(std::move(canonical));
       job.canonical_text = std::move(canonical_text);
       job.key = key;
       job.status.id = id;
@@ -324,7 +325,7 @@ std::optional<JobResult> JobScheduler::result(std::uint64_t id) const {
 bool JobScheduler::cancel(std::uint64_t id) {
   JobStatus snapshot;
   std::uint64_t secondary = 0;
-  ConfigSet canonical;  // freed after the notification
+  std::shared_ptr<const ConfigSet> canonical;  // freed after the notification
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -560,7 +561,7 @@ void JobScheduler::complete_with_artifacts(std::uint64_t id,
   // What result() never returns leaves the job table, and is freed after
   // the done notification.
   const std::string original = std::move(artifacts.original_configs);
-  ConfigSet canonical;
+  std::shared_ptr<const ConfigSet> canonical;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     Job& done = jobs_.at(id);
@@ -612,7 +613,7 @@ void JobScheduler::execute(std::uint64_t id) {
     diag.context.detail = std::string("reason=") + to_string(early);
     JobStatus snapshot;
     std::uint64_t secondary = 0;
-    ConfigSet canonical;  // freed after the notification
+    std::shared_ptr<const ConfigSet> canonical;  // freed after the notification
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       Job& dead = jobs_.at(id);
@@ -731,11 +732,13 @@ void JobScheduler::execute(std::uint64_t id) {
       patch_base_context = it->second.context;
     }
   }
+  // The captured context shares the job's bundle instead of copying it.
   PatchCapture capture;
+  capture.shared_original = job->canonical;
 
   const std::uint64_t sims_before = Simulation::runs_on_this_thread();
   GuardedPipelineResult run = run_pipeline_guarded(
-      job->canonical, job->request.options, job->request.policy,
+      *job->canonical, job->request.options, job->request.policy,
       job->request.strategy, token, patch_base_context.get(), &capture);
   const std::uint64_t sims_delta =
       Simulation::runs_on_this_thread() - sims_before;
@@ -772,7 +775,7 @@ void JobScheduler::execute(std::uint64_t id) {
     // returns (the cache keeps the original for resubmits).
     std::vector<std::shared_ptr<const PatchContext>> released;
     const std::string original = std::move(artifacts.original_configs);
-    ConfigSet canonical;
+    std::shared_ptr<const ConfigSet> canonical;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       Job& done = jobs_.at(id);
@@ -839,7 +842,7 @@ void JobScheduler::execute(std::uint64_t id) {
 
   JobStatus snapshot;
   std::uint64_t secondary = 0;
-  ConfigSet canonical;  // freed after the notification
+  std::shared_ptr<const ConfigSet> canonical;  // freed after the notification
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     Job& failed = jobs_.at(id);

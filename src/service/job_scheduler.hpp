@@ -344,9 +344,10 @@ class JobScheduler {
   struct Job {
     /// The request; admission moves its configs into `canonical`.
     JobRequest request;
-    /// canonicalize(request.configs): what executes. Freed once the job
-    /// is terminal — result() never returns it.
-    ConfigSet canonical;
+    /// canonicalize(request.configs): what executes. Released once the
+    /// job is terminal — result() never returns it — and then lives on
+    /// only as the original bundle of the job's watch context, if any.
+    std::shared_ptr<const ConfigSet> canonical;
     /// canonical_config_set_text(canonical), rendered once at admission
     /// (or restore) for the cache key and the journal; the executing
     /// worker moves it into the published artifact.

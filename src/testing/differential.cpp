@@ -96,14 +96,14 @@ void add_random_filters(ConfigSet& configs, const Topology& topo, Rng& rng,
                         int max_filters) {
   const int filters = static_cast<int>(rng.below(
       static_cast<std::uint64_t>(max_filters) + 1));
+  FilterEditor editor(configs, topo);
   for (int i = 0; i < filters; ++i) {
     const int node = static_cast<int>(rng.below(configs.routers.size()));
     const auto& incident = topo.links_of(node);
     if (incident.empty()) continue;
-    const Link& link = topo.link(
-        incident[static_cast<std::size_t>(rng.below(incident.size()))]);
-    add_route_filter(&configs.routers[static_cast<std::size_t>(node)], node,
-                     link, random_prefix(rng, configs));
+    const int link =
+        incident[static_cast<std::size_t>(rng.below(incident.size()))];
+    editor.add(node, link, random_prefix(rng, configs));
   }
 }
 
@@ -410,14 +410,13 @@ DifferentialResult run_differential_checks(const ConfigSet& configs,
       Ipv4Prefix prefix;
     };
     std::vector<AppliedFilter> applied;
+    FilterEditor editor(edited, topo);
     for (int i = 0; i < options.incremental_edits; ++i) {
       if (!applied.empty() && rng.chance(0.4)) {
         const std::size_t victim =
             static_cast<std::size_t>(rng.below(applied.size()));
         const AppliedFilter edit = applied[victim];
-        if (remove_route_filter(
-                &edited.routers[static_cast<std::size_t>(edit.node)],
-                edit.node, topo.link(edit.link), edit.prefix)) {
+        if (editor.remove(edit.node, edit.link, edit.prefix)) {
           delta.record(edit.node, edit.prefix);
           applied.erase(applied.begin() +
                         static_cast<std::ptrdiff_t>(victim));
@@ -430,8 +429,7 @@ DifferentialResult run_differential_checks(const ConfigSet& configs,
       const int link_id =
           incident[static_cast<std::size_t>(rng.below(incident.size()))];
       const Ipv4Prefix prefix = random_prefix(rng, edited);
-      if (add_route_filter(&edited.routers[static_cast<std::size_t>(node)],
-                           node, topo.link(link_id), prefix)) {
+      if (editor.add(node, link_id, prefix)) {
         delta.record(node, prefix);
         applied.push_back(AppliedFilter{node, link_id, prefix});
       }

@@ -1,0 +1,172 @@
+// Byte identity of the pipeline's output, pinned by digest.
+//
+// Performance work on the pipeline must not move a byte of what it emits:
+// the anonymized bundle (canonical text) and the diagnostics JSON. This
+// table holds the fnv1a64 digests of both for the eight evaluation
+// networks and the four scale families at 316 routers (seed 1, default
+// options) and for one patched watch-mode chain, whose every step must
+// also equal its cold run. A change that alters the bytes on purpose
+// updates the table in the same change and says why.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "src/config/emit.hpp"
+#include "src/core/confmask.hpp"
+#include "src/core/patch_mode.hpp"
+#include "src/core/pipeline_runner.hpp"
+#include "src/netgen/networks.hpp"
+#include "src/netgen/scale_families.hpp"
+#include "src/util/hash.hpp"
+
+namespace confmask {
+namespace {
+
+struct Digests {
+  std::uint64_t bundle = 0;
+  std::uint64_t diagnostics = 0;
+};
+
+Digests digests_of(const GuardedPipelineResult& run) {
+  return {fnv1a64(run.ok() ? canonical_config_set_text(run.result->anonymized)
+                           : std::string{}),
+          fnv1a64(diagnostics_to_json(run.diagnostics))};
+}
+
+std::string hex(std::uint64_t value) {
+  char text[19];
+  std::snprintf(text, sizeof text, "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return text;
+}
+
+void expect_digests(const std::string& name, const GuardedPipelineResult& run,
+                    const Digests& expected) {
+  const Digests actual = digests_of(run);
+  EXPECT_EQ(hex(actual.bundle), hex(expected.bundle)) << name << " bundle";
+  EXPECT_EQ(hex(actual.diagnostics), hex(expected.diagnostics))
+      << name << " diagnostics";
+}
+
+TEST(ByteIdentity, EvaluationNetworks) {
+  const std::vector<Digests> expected = {
+      {0x0a31562561d5e933, 0x5e88bb4a6b68c5ea},  // A
+      {0xbb4a9b427c69db30, 0x5e88bb4a6b68c5ea},  // B
+      {0x9d1ad84c10e5be36, 0x5e88bb4a6b68c5ea},  // C
+      {0x3275e0e2f1f615c7, 0x5e88bb4a6b68c5ea},  // D
+      {0x71134d6ca9654fe3, 0x5e88bb4a6b68c5ea},  // E
+      {0x8712c0efbd4440f0, 0x5e88bb4a6b68c5ea},  // F
+      {0xa4a66da70c98d040, 0x5e88bb4a6b68c5ea},  // G
+      {0x5c13d959e13beb04, 0x5e88bb4a6b68c5ea},  // H
+  };
+  const auto networks = evaluation_networks();
+  ASSERT_EQ(networks.size(), expected.size());
+  for (std::size_t i = 0; i < networks.size(); ++i) {
+    ConfMaskOptions options;
+    options.seed = 1;
+    expect_digests(networks[i].id,
+                   run_pipeline_guarded(networks[i].configs, options),
+                   expected[i]);
+  }
+}
+
+// Default-cost fake links undercut Bics' routes: the run reseeds twice and
+// fails closed, so the diagnostics carry the ladder and the divergence.
+TEST(ByteIdentity, FailClosedVerdict) {
+  ConfMaskOptions options;
+  options.seed = 1;
+  options.cost_policy = FakeLinkCostPolicy::kDefault;
+  const GuardedPipelineResult run = run_pipeline_guarded(make_bics(), options);
+  EXPECT_FALSE(run.ok());
+  expect_digests("D default cost", run,
+                 {0xcbf29ce484222325, 0xe7a02bb4faef58e4});
+}
+
+TEST(ByteIdentity, ScaleFamiliesAt316Routers) {
+  const ScaleFamily families[] = {
+      ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs,
+      ScaleFamily::kPreferentialAttachment};
+  const Digests expected[] = {
+      {0xb546c5bfe5329cb0, 0x5e88bb4a6b68c5ea},  // waxman-ospf
+      {0x450b0eb1d9ec1f37, 0x5e88bb4a6b68c5ea},  // waxman-rip
+      {0x014445b327c47316, 0x5e88bb4a6b68c5ea},  // multi-as
+      {0x7bcdfce9a07bf137, 0x5e88bb4a6b68c5ea},  // pref-attach
+  };
+  for (std::size_t i = 0; i < std::size(families); ++i) {
+    ConfMaskOptions options;
+    options.seed = 1;
+    expect_digests(scale_family_name(families[i]),
+                   run_pipeline_guarded(
+                       make_scale_network(families[i], 316, 1), options),
+                   expected[i]);
+  }
+}
+
+/// Denies `denied` on `router`'s first interface through a new list.
+void bind_filter(ConfigSet& configs, const std::string& router,
+                 const std::string& list_name, const Ipv4Prefix& denied) {
+  RouterConfig* config = configs.find_router(router);
+  ASSERT_NE(config, nullptr);
+  PrefixList list;
+  list.name = list_name;
+  list.add_deny(denied);
+  list.add_permit_all();
+  config->prefix_lists.push_back(std::move(list));
+  config->ospf->distribute_lists.push_back(
+      DistributeList{list_name, config->interfaces.front().name});
+}
+
+// USCarrier at k_H = 2 under three filter edits: one denying a real host's
+// prefix, two an unrelated prefix. Every step runs patched against the
+// previous step's context and must equal its cold run.
+TEST(ByteIdentity, PatchedWatchChain) {
+  const Digests expected[] = {
+      {0xdefa5c051ce01735, 0x5e88bb4a6b68c5ea},  // base
+      {0xe009b388af796a4c, 0x5e88bb4a6b68c5ea},  // deny a real host
+      {0x507b8dc1f0cfc963, 0x5e88bb4a6b68c5ea},  // deny an unrelated prefix
+      {0xfc8cfec4347e914b, 0x5e88bb4a6b68c5ea},  // another unrelated deny
+  };
+  ConfMaskOptions options;
+  options.seed = 5;
+  options.k_h = 2;
+  ConfigSet current = canonicalize(make_uscarrier());
+  PatchCapture capture;
+  const GuardedPipelineResult base = run_pipeline_guarded(
+      current, options, {}, EquivalenceStrategy::kConfMask, nullptr, nullptr,
+      &capture);
+  expect_digests("base", base, expected[0]);
+  std::shared_ptr<const PatchContext> context = finish_capture(capture);
+  const Ipv4Prefix unrelated{Ipv4Address{10, 200, 200, 0}, 24};
+  const struct {
+    const char* router;
+    Ipv4Prefix denied;
+  } edits[] = {
+      {"usc4", current.hosts.front().prefix()},
+      {"usc17", unrelated},
+      {"usc30", unrelated},
+  };
+  for (std::size_t step = 0; step < std::size(edits); ++step) {
+    ConfigSet edited = current;
+    bind_filter(edited, edits[step].router, "EDIT" + std::to_string(step),
+                edits[step].denied);
+    edited = canonicalize(std::move(edited));
+    PatchCapture next;
+    const GuardedPipelineResult patched = run_pipeline_guarded(
+        edited, options, {}, EquivalenceStrategy::kConfMask, nullptr,
+        context.get(), &next);
+    ASSERT_TRUE(patched.ok()) << "step " << step;
+    EXPECT_GT(patched.result->stats.patched_stages, 0) << "step " << step;
+    const std::string name = "edit " + std::to_string(step);
+    expect_digests(name, patched, expected[step + 1]);
+    const Digests cold = digests_of(run_pipeline_guarded(edited, options));
+    EXPECT_EQ(hex(cold.bundle), hex(expected[step + 1].bundle)) << name;
+    context = finish_capture(next);
+    current = std::move(edited);
+  }
+}
+
+}  // namespace
+}  // namespace confmask

@@ -84,7 +84,8 @@ TEST(DataPlaneDiff, RepeatedCallsAreByteIdentical) {
 TEST(DataPlaneDiff, LimitTruncatesDeterministically) {
   DataPlane lhs;
   for (int i = 0; i < 8; ++i) {
-    const std::string host = "h" + std::to_string(i);
+    std::string host = "h";
+    host += std::to_string(i);
     lhs.flows[{host, "hx"}] = {Path{host, "r1", "hx"}};
   }
   const DataPlane rhs;

@@ -5,11 +5,13 @@
 // in Bellman-Ford; OSPF distances are filter-independent).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/confmask.hpp"
+#include "src/core/pipeline_runner.hpp"
 #include "src/core/filters.hpp"
 #include "src/core/pipeline_trace.hpp"
 #include "src/core/topology_anonymization.hpp"
@@ -19,6 +21,7 @@
 #include "src/routing/simulation.hpp"
 #include "src/util/ipv4.hpp"
 #include "src/util/prefix_allocator.hpp"
+#include "src/util/rng.hpp"
 
 namespace confmask {
 namespace {
@@ -46,12 +49,11 @@ bool deny_first_transit_hop(ConfigSet& configs, const Simulation& sim,
   const Ipv4Prefix prefix =
       configs.hosts[static_cast<std::size_t>(topo.node(host).config_index)]
           .prefix();
-  const auto routers = router_configs(configs, topo);
+  FilterEditor editor(configs, topo);
   for (int router = 0; router < topo.router_count(); ++router) {
     for (const NextHop& hop : sim.fib(router, host)) {
       if (hop.neighbor == host) continue;
-      if (add_route_filter(routers[static_cast<std::size_t>(router)], router,
-                           topo.link(hop.link), prefix)) {
+      if (editor.add(router, hop.link, prefix)) {
         delta.record(router, prefix);
         return true;
       }
@@ -147,12 +149,9 @@ TEST(IncrementalSim, RemovalIsInvalidatedLikeAddition) {
   delta.clear();
   const auto& topo = filtered.topology();
   bool removed = false;
-  RouterConfig* router =
-      router_configs(configs, topo)[static_cast<std::size_t>(change.router)];
-  const int link_count = static_cast<int>(topo.links().size());
-  for (int link_id = 0; link_id < link_count && !removed; ++link_id) {
-    removed = remove_route_filter(router, change.router, topo.link(link_id),
-                                  change.prefix);
+  FilterEditor editor(configs, topo);
+  for (const int link_id : topo.links_of(change.router)) {
+    removed = removed || editor.remove(change.router, link_id, change.prefix);
   }
   ASSERT_TRUE(removed);
   delta.record(change.router, change.prefix);
@@ -292,13 +291,222 @@ TEST(CarriedVectors, DefaultCostPipelineRejectsSomeAndMatchesReference) {
       run_confmask(configs, paper_options(FakeLinkCostPolicy::kDefault));
   EXPECT_GT(counter(trace, "route_equivalence/iteration", "vectors_computed"),
             0u);
-  EXPECT_GT(counter(trace, "route_anonymity", "vectors_computed"), 0u);
   const PipelineResult reference = run_confmask(
       configs, paper_options(FakeLinkCostPolicy::kDefault, false));
   EXPECT_EQ(canonical_config_set_text(carried.anonymized),
             canonical_config_set_text(reference.anonymized));
   EXPECT_EQ(carried.functionally_equivalent,
             reference.functionally_equivalent);
+}
+
+// An OSPF network for the column patch: static routes (host prefixes and
+// covering /16s) on every seventh router, and a three-router multi-access
+// segment.
+ConfigSet ospf_with_statics_and_segment(std::uint64_t seed) {
+  ConfigSet configs = make_scale_network(ScaleFamily::kWaxman, 60, seed);
+  const Ipv4Prefix segment = *Ipv4Prefix::parse("10.250.0.0/24");
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    RouterConfig& router = configs.routers[i];
+    InterfaceConfig iface;
+    iface.name = "Ethernet90";
+    iface.address = Ipv4Address{10, 250, 0, static_cast<std::uint8_t>(i + 1)};
+    iface.prefix_length = 24;
+    router.interfaces.push_back(iface);
+    router.ospf->networks.push_back(OspfNetwork{segment, 0});
+  }
+  const Topology topo = Topology::build(configs);
+  for (int r = 3; r < topo.router_count(); r += 7) {
+    for (const int link_id : topo.links_of(r)) {
+      const LinkEnd& far = topo.link(link_id).other_end(r);
+      if (!topo.is_router(far.node)) continue;
+      const auto& host = configs.hosts[static_cast<std::size_t>(r) %
+                                       configs.hosts.size()];
+      auto& statics = configs.routers[static_cast<std::size_t>(r)].static_routes;
+      statics.push_back(StaticRoute{host.prefix(), far.address});
+      statics.push_back(
+          StaticRoute{Ipv4Prefix{host.prefix().network(), 16}, far.address});
+      break;
+    }
+  }
+  return configs;
+}
+
+/// Binds a new list denying `covering` and everything inside it
+/// (`le 32`, so the shorter prefix denies the host routes under it) on
+/// `router`'s interface toward `link`.
+void deny_covered(ConfigSet& configs, const Topology& topo, int router,
+                  int link, const Ipv4Prefix& covering, int serial) {
+  RouterConfig& config = configs.routers[static_cast<std::size_t>(
+      topo.node(router).config_index)];
+  PrefixList list;
+  list.name = "COVER" + std::to_string(serial);
+  PrefixListEntry deny;
+  deny.seq = 5;
+  deny.prefix = covering;
+  deny.le = 32;
+  list.entries.push_back(deny);
+  list.add_permit_all();
+  config.prefix_lists.push_back(std::move(list));
+  const DistributeList binding{config.prefix_lists.back().name,
+                               topo.link(link).end_of(router).interface};
+  if (config.ospf) config.ospf->distribute_lists.push_back(binding);
+  if (config.rip) config.rip->distribute_lists.push_back(binding);
+}
+
+/// Chains `rounds` incremental builds over random filter adds and removes
+/// (host prefixes, their /16s, and now and then a /16 `le 32` deny that
+/// covers hosts), checking every (router, destination) FIB entry of each
+/// against a fresh build. Returns the destinations the chain patched.
+int expect_random_deltas_exact(ConfigSet configs, std::uint64_t seed,
+                               int rounds) {
+  auto current = std::make_shared<const Simulation>(configs);
+  const auto topology = current->topology_ptr();
+  const Topology& topo = *topology;
+  FilterEditor editor(configs, topo);
+  Rng rng(seed);
+  struct Applied {
+    int router;
+    int link;
+    Ipv4Prefix prefix;
+  };
+  std::vector<Applied> applied;
+  int patched = 0;
+  for (int round = 0; round < rounds; ++round) {
+    SimulationDelta delta;
+    for (int edit = 0; edit < 6; ++edit) {
+      if (!applied.empty() && rng.chance(0.35)) {
+        const std::size_t victim = rng.below(applied.size());
+        const Applied undo = applied[victim];
+        applied.erase(applied.begin() + static_cast<std::ptrdiff_t>(victim));
+        if (editor.remove(undo.router, undo.link, undo.prefix)) {
+          delta.record(undo.router, undo.prefix);
+        }
+        continue;
+      }
+      const int router = static_cast<int>(
+          rng.below(static_cast<std::uint64_t>(topo.router_count())));
+      const auto& links = topo.links_of(router);
+      if (links.empty()) continue;
+      const int link = links[rng.below(links.size())];
+      const Ipv4Prefix host_prefix =
+          configs.hosts[rng.below(configs.hosts.size())].prefix();
+      const Ipv4Prefix covering{host_prefix.network(), 16};
+      if (rng.chance(0.15)) {
+        deny_covered(configs, topo, router, link, covering, round * 8 + edit);
+        delta.record(router, covering);
+        continue;
+      }
+      const Ipv4Prefix prefix = rng.chance(0.25) ? covering : host_prefix;
+      if (editor.add(router, link, prefix)) {
+        delta.record(router, prefix);
+        applied.push_back(Applied{router, link, prefix});
+      }
+    }
+    auto next = std::make_shared<const Simulation>(configs, *current, delta);
+    const Simulation fresh(configs);
+    for (int r = 0; r < topo.router_count(); ++r) {
+      for (const int host : topo.host_ids()) {
+        EXPECT_EQ(next->fib(r, host), fresh.fib(r, host))
+            << "round " << round << " router " << topo.node(r).name
+            << " -> " << topo.node(host).name;
+      }
+    }
+    patched += next->incremental_stats().destinations_patched;
+    current = std::move(next);
+  }
+  return patched;
+}
+
+// Dirty link-state destinations without a BGP part are patched at the
+// routers whose filters changed; every other destination is refilled.
+// Either way each column must equal a fresh build's.
+TEST(IncrementalSim, RandomDeltasMatchFreshBuildsColumnForColumn) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    EXPECT_GT(expect_random_deltas_exact(
+                  ospf_with_statics_and_segment(seed), seed, 8),
+              0)
+        << "seed " << seed << ": the column patch never ran";
+  }
+  (void)expect_random_deltas_exact(
+      make_scale_network(ScaleFamily::kMultiAs, 100, 2), 4, 6);
+  EXPECT_EQ(expect_random_deltas_exact(
+                make_scale_network(ScaleFamily::kWaxmanRip, 60, 3), 5, 6),
+            0);
+}
+
+// After each incremental rebuild Algorithm 1 rescans only the
+// destinations it recomputed. RIP networks need three and more
+// iterations (a filter reshapes distances downstream), and every run must
+// decide exactly as the from-scratch mode, which rescans everything.
+TEST(IncrementalSim, RescanningRecomputedColumnsDecidesAsAFullScan) {
+  int longest = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const ConfigSet configs =
+        make_scale_network(ScaleFamily::kWaxmanRip, 60, seed);
+    ConfMaskOptions options;
+    options.seed = seed;
+    const PipelineResult incremental = run_confmask(configs, options);
+    options.incremental_simulation = false;
+    const PipelineResult full = run_confmask(configs, options);
+    EXPECT_EQ(incremental.stats.equivalence_iterations,
+              full.stats.equivalence_iterations);
+    EXPECT_EQ(canonical_config_set_text(incremental.anonymized),
+              canonical_config_set_text(full.anonymized))
+        << "seed " << seed;
+    longest = std::max(longest, incremental.stats.equivalence_iterations);
+  }
+  EXPECT_GE(longest, 4);
+}
+
+/// Times a span with this path was opened.
+std::uint64_t span_count(const PipelineTrace& trace, const std::string& path) {
+  for (const SpanMetrics& span : trace.metrics()) {
+    if (span.path == path) return span.count;
+  }
+  return 0;
+}
+
+// Algorithm 2 starts from Algorithm 1's final simulation: a cold run
+// builds one simulation in preprocess, one per Algorithm 1 iteration and
+// one per rollback round, and the route-anonymity stage no entry of its
+// own: 5 on Bics.
+TEST(StageHandover, ColdRunBuildsNoAnonymityEntry) {
+  PipelineTrace trace;
+  ConfMaskOptions options;
+  options.seed = 3;
+  const GuardedPipelineResult run = run_pipeline_guarded(make_bics(), options);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run.result->stats.simulations, 5u);
+  EXPECT_EQ(counter(trace, "route_equivalence", "simulations"),
+            static_cast<std::uint64_t>(
+                run.result->stats.equivalence_iterations));
+  EXPECT_EQ(counter(trace, "route_anonymity", "simulations"),
+            span_count(trace, "route_anonymity/rollback_round"));
+}
+
+// Stopped unconverged, Algorithm 1 still hands over a simulation of its
+// final configs (an incremental rebuild over its last filters), so the
+// route-anonymity stage again builds no entry; the run equals the
+// from-scratch one byte for byte.
+TEST(StageHandover, UnconvergedEquivalenceHandsOverItsLastFilters) {
+  ConfMaskOptions options;
+  options.seed = 3;
+  options.max_equivalence_iterations = 1;
+  const ConfigSet configs = make_bics();
+  PipelineResult handed;
+  {
+    PipelineTrace trace;
+    handed = run_confmask(configs, options);
+    EXPECT_EQ(counter(trace, "route_equivalence", "simulations"), 2u);
+    EXPECT_EQ(counter(trace, "route_anonymity", "simulations"),
+              span_count(trace, "route_anonymity/rollback_round"));
+  }
+  EXPECT_FALSE(handed.equivalence_converged);
+  options.incremental_simulation = false;
+  const PipelineResult reference = run_confmask(configs, options);
+  EXPECT_EQ(canonical_config_set_text(handed.anonymized),
+            canonical_config_set_text(reference.anonymized));
+  EXPECT_EQ(handed.functionally_equivalent, reference.functionally_equivalent);
 }
 
 TEST(IncrementalSim, ChainedIncrementalStepsStayExact) {

@@ -91,10 +91,12 @@ TEST(NodeAddition, FakeLinksCostHalfTheLongestNeighbourDistance) {
     // and a path through the fake router must not undercut either.
     long longest = 0;
     for (const auto& from : neighbors) {
+      std::vector<int> targets;
       for (const auto& to : neighbors) {
-        if (from == to) continue;
-        longest = std::max(longest, sim.igp_distance(topo.find_node(from),
-                                                     topo.find_node(to)));
+        if (from != to) targets.push_back(topo.find_node(to));
+      }
+      for (const long d : sim.igp_distances(topo.find_node(from), targets)) {
+        longest = std::max(longest, d);
       }
     }
     const int expected = static_cast<int>(std::max(1L, (longest + 1) / 2));

@@ -79,15 +79,13 @@ TEST(OriginalIndex, SplicedIndexAnswersLikeAFullSnapshot) {
   {
     const Simulation& sim = *context.original.sim;
     const Topology& topo = sim.topology();
-    const auto routers = router_configs(edited, topo);
+    FilterEditor editor(edited, topo);
     bool denied = false;
     for (int r = 0; r < topo.router_count() && !denied; ++r) {
       for (int host : topo.host_ids()) {
         const FibView hops = sim.fib(r, host);
         if (hops.empty() || hops.front().neighbor == host) continue;
-        denied = add_route_filter(routers[static_cast<std::size_t>(r)], r,
-                                  topo.link(hops.front().link),
-                                  sim.host_prefix(host));
+        denied = editor.add(r, hops.front().link, sim.host_prefix(host));
         if (denied) break;
       }
     }
@@ -146,10 +144,9 @@ TEST(OriginalIndex, SpliceSharesEveryFlowColumnWhenTheEditMissesEveryHost) {
   ConfigSet edited = *base;
   {
     const Topology& topo = context.original.sim->topology();
-    const auto routers = router_configs(edited, topo);
+    FilterEditor editor(edited, topo);
     const int link = topo.links_of(0).front();
-    ASSERT_TRUE(add_route_filter(routers[0], 0, topo.link(link),
-                                 *Ipv4Prefix::parse("203.0.113.0/24")));
+    ASSERT_TRUE(editor.add(0, link, *Ipv4Prefix::parse("203.0.113.0/24")));
   }
   const OriginalReusePlan plan = plan_original_reuse(edited, context);
   ASSERT_NE(plan.sim, nullptr);

@@ -255,7 +255,8 @@ TEST(DataPlaneDiff, RespectsLimit) {
   DataPlane lhs;
   DataPlane rhs;
   for (int i = 0; i < 10; ++i) {
-    const std::string src = "h" + std::to_string(i);
+    std::string src = "h";
+    src += std::to_string(i);
     lhs.flows[{src, "hd"}] = {{src, "r1", "hd"}};
   }
   const auto entries = lhs.diff(rhs, /*limit=*/3);

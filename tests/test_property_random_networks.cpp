@@ -112,7 +112,10 @@ ConfigSet random_bgp_network(int as_count, int routers_per_as,
       static_cast<std::size_t>(as_count));
   for (int a = 0; a < as_count; ++a) {
     for (int i = 0; i < routers_per_as; ++i) {
-      const auto name = "a" + std::to_string(a) + "r" + std::to_string(i);
+      std::string name = "a";
+      name += std::to_string(a);
+      name += 'r';
+      name += std::to_string(i);
       builder.router(name);
       builder.enable_ospf(name);
       builder.enable_bgp(name, 65000 + a);
@@ -124,8 +127,9 @@ ConfigSet random_bgp_network(int as_count, int routers_per_as,
                    members[static_cast<std::size_t>(a)][static_cast<
                        std::size_t>((i + 1) % routers_per_as)]);
     }
-    builder.host("h" + std::to_string(a),
-                 rng.pick(members[static_cast<std::size_t>(a)]));
+    std::string host = "h";
+    host += std::to_string(a);
+    builder.host(host, rng.pick(members[static_cast<std::size_t>(a)]));
   }
   // AS-level ring (connected) plus one random chord when possible.
   for (int a = 0; a < as_count; ++a) {

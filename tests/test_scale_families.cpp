@@ -77,7 +77,9 @@ TEST(ScaleFamilies, MeanDegreeIsScaleInvariant) {
                         static_cast<double>(routers);
     EXPECT_GT(mean, 2.5);
     EXPECT_LT(mean, 5.0);
-    if (previous > 0.0) EXPECT_NEAR(mean, previous, 1.0);
+    if (previous > 0.0) {
+      EXPECT_NEAR(mean, previous, 1.0);
+    }
     previous = mean;
   }
 }

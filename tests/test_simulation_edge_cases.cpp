@@ -67,7 +67,8 @@ TEST(SimulationEdgeCases, DisconnectedIgpIslands) {
   EXPECT_TRUE(sim.paths(topo.find_node("ha"), topo.find_node("hb")).empty());
   EXPECT_FALSE(
       sim.paths(topo.find_node("ha"), topo.find_node("ha")).size());
-  EXPECT_LT(sim.igp_distance(topo.find_node("a1"), topo.find_node("b1")), 0);
+  EXPECT_LT(sim.igp_distances(topo.find_node("a1"), {topo.find_node("b1")})[0],
+            0);
 }
 
 TEST(SimulationEdgeCases, MultiAccessSegmentFormsClique) {
@@ -99,9 +100,12 @@ TEST(SimulationEdgeCases, EcmpFanoutIsCappedNotUnbounded) {
   builder.enable_ospf("s0");
   std::string prev = "s0";
   for (int stage = 0; stage < 10; ++stage) {
-    const std::string up = "u" + std::to_string(stage);
-    const std::string down = "d" + std::to_string(stage);
-    const std::string next = "s" + std::to_string(stage + 1);
+    std::string up = "u";
+    up += std::to_string(stage);
+    std::string down = "d";
+    down += std::to_string(stage);
+    std::string next = "s";
+    next += std::to_string(stage + 1);
     for (const auto& name : {up, down, next}) {
       builder.router(name);
       builder.enable_ospf(name);

@@ -89,7 +89,8 @@ TEST(SimulationRip, LongChainConverges) {
   NetworkBuilder builder;
   std::vector<std::string> names;
   for (int i = 0; i < 12; ++i) {
-    names.push_back("r" + std::to_string(i));
+    names.emplace_back("r");
+    names.back() += std::to_string(i);
     builder.router(names.back());
     builder.enable_rip(names.back());
   }

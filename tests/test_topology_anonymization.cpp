@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/core/metrics.hpp"
 #include "src/netgen/builder.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
+#include "src/util/rng.hpp"
 
 namespace confmask {
 namespace {
@@ -107,6 +110,90 @@ std::optional<int> fake_cost_towards(const ConfigSet& configs,
   return std::nullopt;
 }
 
+/// One router's full IGP distance row (-1: unreachable), by a heap-free
+/// O(R²) Dijkstra over the same half-edges: the reference the early-exit
+/// search must match.
+std::vector<long> full_igp_row(const Simulation& sim, int from) {
+  const FlatTopology& flat = sim.flat();
+  const int n = sim.topology().router_count();
+  constexpr long kUnset = -1;
+  std::vector<long> dist(static_cast<std::size_t>(n), kUnset);
+  std::vector<char> done(static_cast<std::size_t>(n), 0);
+  dist[static_cast<std::size_t>(from)] = 0;
+  for (;;) {
+    int u = -1;
+    for (int v = 0; v < n; ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      if (done[i] != 0 || dist[i] == kUnset) continue;
+      if (u < 0 || dist[i] < dist[static_cast<std::size_t>(u)]) u = v;
+    }
+    if (u < 0) return dist;
+    done[static_cast<std::size_t>(u)] = 1;
+    for (std::int32_t e = flat.first_out(u); e < flat.last_out(u); ++e) {
+      const std::uint8_t flags = flat.edge_flags(e);
+      const std::int32_t w = flat.edge_target(e);
+      if ((flags & FlatTopology::kIgp) == 0 || w >= n) continue;
+      const long cost =
+          (flags & FlatTopology::kOspf) != 0 ? flat.edge_cost_out(e) : 1;
+      const long through = dist[static_cast<std::size_t>(u)] + cost;
+      long& best = dist[static_cast<std::size_t>(w)];
+      if (best == kUnset || through < best) best = through;
+    }
+  }
+}
+
+// Step 1 prices each fake-link side with igp_distances, which stops once a
+// source's targets are settled. Every answer must be the full row's,
+// including unreachable inter-AS pairs, repeated targets and the source
+// itself, and a near target must settle less than the whole graph.
+TEST(TopologyAnonymization, PairwiseDistancesEqualFullRows) {
+  const ScaleFamily families[] = {
+      ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs,
+      ScaleFamily::kPreferentialAttachment};
+  for (const ScaleFamily family : families) {
+    const ConfigSet configs = make_scale_network(family, 316, 1);
+    const Simulation sim(configs);
+    const int n = sim.topology().router_count();
+    Rng rng(7);
+    int unreachable = 0;
+    bool settled_early = false;
+    for (int source = 0; source < n; source += n / 12) {
+      const std::vector<long> row = full_igp_row(sim, source);
+      std::vector<int> targets{source};
+      for (int i = 0; i < 6; ++i) {
+        targets.push_back(static_cast<int>(rng.below(
+            static_cast<std::uint64_t>(n))));
+      }
+      targets.push_back(targets[1]);  // a repeat
+      std::uint64_t settled = 0;
+      const std::vector<long> got =
+          sim.igp_distances(source, targets, &settled);
+      ASSERT_EQ(got.size(), targets.size());
+      for (std::size_t i = 0; i < targets.size(); ++i) {
+        EXPECT_EQ(got[i], row[static_cast<std::size_t>(targets[i])])
+            << scale_family_name(family) << " " << source << " -> "
+            << targets[i];
+        if (got[i] < 0) ++unreachable;
+      }
+      EXPECT_EQ(got.front(), 0);
+      // The nearest neighbour alone settles a fraction of the graph.
+      const std::int32_t first = sim.flat().first_out(source);
+      if (first < sim.flat().last_out(source) &&
+          sim.flat().edge_target(first) < n) {
+        std::uint64_t near_settled = 0;
+        (void)sim.igp_distances(source, {sim.flat().edge_target(first)},
+                                &near_settled);
+        settled_early = settled_early || near_settled < settled ||
+                        near_settled < static_cast<std::uint64_t>(n);
+      }
+    }
+    EXPECT_TRUE(settled_early) << scale_family_name(family);
+    if (family == ScaleFamily::kMultiAs) {
+      EXPECT_GT(unreachable, 0) << "no inter-AS pair was drawn";
+    }
+  }
+}
+
 TEST(TopologyAnonymization, MinCostPolicySetsOriginalDistance) {
   const auto original = make_bics();
   const Simulation sim(original);
@@ -116,9 +203,9 @@ TEST(TopologyAnonymization, MinCostPolicySetsOriginalDistance) {
     const int a = topo.find_node(name_a);
     const int b = topo.find_node(name_b);
     EXPECT_EQ(fake_cost_towards(stage.configs, name_a, name_b),
-              static_cast<int>(sim.igp_distance(a, b)));
+              static_cast<int>(sim.igp_distances(a, {b})[0]));
     EXPECT_EQ(fake_cost_towards(stage.configs, name_b, name_a),
-              static_cast<int>(sim.igp_distance(b, a)));
+              static_cast<int>(sim.igp_distances(b, {a})[0]));
   }
 }
 
@@ -134,10 +221,10 @@ TEST(TopologyAnonymization, MinCostPricesEachSideByItsOwnDirection) {
   ASSERT_FALSE(stage.outcome.intra_as_links.empty());
   bool saw_asymmetric = false;
   for (const auto& [name_a, name_b] : stage.outcome.intra_as_links) {
-    const long ab = sim.igp_distance(topo.find_node(name_a),
-                                     topo.find_node(name_b));
-    const long ba = sim.igp_distance(topo.find_node(name_b),
-                                     topo.find_node(name_a));
+    const long ab = sim.igp_distances(topo.find_node(name_a),
+                                      {topo.find_node(name_b)})[0];
+    const long ba = sim.igp_distances(topo.find_node(name_b),
+                                      {topo.find_node(name_a)})[0];
     saw_asymmetric = saw_asymmetric || ab != ba;
     EXPECT_EQ(fake_cost_towards(stage.configs, name_a, name_b),
               static_cast<int>(ab))
@@ -186,14 +273,22 @@ TEST(TopologyAnonymization, FakeInterAsLinksCarryEbgpSessions) {
     NetworkBuilder builder;
     for (int as = 1; as <= 4; ++as) {
       for (int i = 1; i <= 2; ++i) {
-        const auto name = "r" + std::to_string(as) + std::to_string(i);
+        std::string name = "r";
+        name += std::to_string(as);
+        name += std::to_string(i);
         builder.router(name);
         builder.enable_ospf(name);
         builder.enable_bgp(name, as);
       }
-      builder.link("r" + std::to_string(as) + "1",
-                   "r" + std::to_string(as) + "2");
-      builder.host("h" + std::to_string(as), "r" + std::to_string(as) + "1");
+      std::string first = "r";
+      first += std::to_string(as);
+      std::string second = first;
+      first += '1';
+      second += '2';
+      builder.link(first, second);
+      std::string host = "h";
+      host += std::to_string(as);
+      builder.host(host, first);
     }
     builder.ebgp_link("r12", "r21");
     builder.ebgp_link("r22", "r31");

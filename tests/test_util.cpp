@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "src/util/prefix_allocator.hpp"
 #include "src/util/rng.hpp"
@@ -149,6 +153,95 @@ TEST(PrefixAllocator, ThrowsWhenPoolExhausted) {
   (void)alloc.allocate_link();
   (void)alloc.allocate_link();
   EXPECT_THROW((void)alloc.allocate_link(), std::runtime_error);
+}
+
+// The linear definition the indexed in_use must match: overlap with any
+// occupied prefix.
+bool overlaps_any(const std::vector<Ipv4Prefix>& occupied,
+                  const Ipv4Prefix& candidate) {
+  return std::any_of(occupied.begin(), occupied.end(),
+                     [&](const Ipv4Prefix& p) { return p.overlaps(candidate); });
+}
+
+// A prefix of `length` whose network is `bits` masked to it.
+Ipv4Prefix masked(std::uint32_t bits, int length) {
+  return Ipv4Prefix{Ipv4Address{bits}, length};
+}
+
+TEST(PrefixAllocator, IndexedInUseMatchesLinearDefinition) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    PrefixAllocator alloc(*Ipv4Prefix::parse("172.20.0.0/22"),
+                          *Ipv4Prefix::parse("100.96.0.0/16"));
+    std::vector<Ipv4Prefix> occupied;
+    const auto reserve = [&](const Ipv4Prefix& prefix) {
+      alloc.reserve(prefix);
+      occupied.push_back(prefix);
+    };
+    // Classful /8 blocks, host-pool /24s with a nested /20 around some,
+    // link-pool /31s and /32s, and (rarely) the whole space.
+    reserve(*Ipv4Prefix::parse("10.0.0.0/8"));
+    for (int i = 0; i < 6; ++i) {
+      const auto third = static_cast<std::uint32_t>(rng.below(64));
+      reserve(masked(0x64600000u | third << 8, 24));
+      if (rng.chance(0.3)) reserve(masked(0x64600000u | third << 8, 20));
+      const auto low = static_cast<std::uint32_t>(rng.below(1024));
+      reserve(masked(0xAC140000u | low, rng.chance(0.5) ? 31 : 32));
+    }
+    if (seed % 13 == 0) reserve(*Ipv4Prefix::parse("0.0.0.0/0"));
+
+    const int lengths[] = {0, 1, 8, 12, 16, 20, 22, 24, 30, 31, 32};
+    for (int q = 0; q < 400; ++q) {
+      // Half the probes sit next to an occupied prefix, half anywhere.
+      std::uint32_t bits = static_cast<std::uint32_t>(rng.below(1ull << 32));
+      if (rng.chance(0.5)) {
+        const Ipv4Prefix& near = occupied[rng.below(occupied.size())];
+        bits = near.network().bits() +
+               static_cast<std::uint32_t>(rng.below(512)) - 256u;
+      }
+      const Ipv4Prefix candidate =
+          masked(bits, lengths[rng.below(std::size(lengths))]);
+      ASSERT_EQ(alloc.in_use(candidate), overlaps_any(occupied, candidate))
+          << "seed " << seed << " candidate " << candidate.str();
+    }
+
+    // Allocation order: the first free block after the cursor, by the
+    // linear definition.
+    struct Pool {
+      Ipv4Prefix prefix;
+      int length;
+      std::uint64_t cursor = 0;
+    };
+    Pool pools[] = {{alloc.link_pool(), 31}, {alloc.host_pool(), 24}};
+    const auto expected_next = [&](Pool& pool) -> std::optional<Ipv4Prefix> {
+      const std::uint64_t step = std::uint64_t{1} << (32 - pool.length);
+      const std::uint64_t capacity = std::uint64_t{1}
+                                     << (32 - pool.prefix.length());
+      while (pool.cursor < capacity) {
+        const Ipv4Prefix block{
+            Ipv4Address{pool.prefix.network().bits() +
+                        static_cast<std::uint32_t>(pool.cursor)},
+            pool.length};
+        pool.cursor += step;
+        if (!overlaps_any(occupied, block)) return block;
+      }
+      return std::nullopt;
+    };
+    for (int i = 0; i < 80; ++i) {
+      const bool link = rng.chance(0.5);
+      const auto expected = expected_next(pools[link ? 0 : 1]);
+      if (!expected) {
+        EXPECT_THROW((void)(link ? alloc.allocate_link()
+                                 : alloc.allocate_host_lan()),
+                     PrefixPoolExhausted);
+        continue;
+      }
+      const Ipv4Prefix got =
+          link ? alloc.allocate_link() : alloc.allocate_host_lan();
+      ASSERT_EQ(got, *expected) << "seed " << seed << " allocation " << i;
+      occupied.push_back(got);
+    }
+  }
 }
 
 }  // namespace

@@ -206,9 +206,8 @@ void deny_route(ConfigSet& configs, const std::string& router,
   const int peer_node = topo.find_node(peer);
   for (int link : topo.links_of(node)) {
     if (topo.link(link).other_end(node).node != peer_node) continue;
-    ASSERT_TRUE(add_route_filter(configs.find_router(router), node,
-                                 topo.link(link),
-                                 configs.find_host(host)->prefix()));
+    FilterEditor editor(configs, topo);
+    ASSERT_TRUE(editor.add(node, link, configs.find_host(host)->prefix()));
     return;
   }
   FAIL() << "no link " << router << " - " << peer;
