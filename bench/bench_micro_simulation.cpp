@@ -1,14 +1,25 @@
 // Microbenchmarks (google-benchmark) of the substrate primitives whose
 // cost dominates the pipeline: control-plane convergence, data-plane
 // extraction, and k-degree anonymization. These quantify the "simulation
-// job" cost unit of §5.4.
+// job" cost unit of §5.4. The BM_Text* cases time the bundle text path of
+// confmaskd's serve path (DESIGN.md §11): render, parse, JSON-quote and
+// per-device digests.
 #include <benchmark/benchmark.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "src/config/emit.hpp"
+#include "src/config/parse.hpp"
 #include "src/core/original_index.hpp"
+#include "src/core/pipeline_runner.hpp"
 #include "src/graph/k_degree_anonymize.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
+#include "src/service/cache_key.hpp"
+#include "src/util/observability.hpp"
 
 namespace confmask {
 namespace {
@@ -88,6 +99,81 @@ void BM_KDegreeAnonymize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KDegreeAnonymize)->DenseRange(0, 7)->Unit(benchmark::kMillisecond);
+
+/// The text corpus: USCarrier (range 0), a 1400-router Waxman scale
+/// network at bench_scale's seed (range 1), and that network's anonymized
+/// output at paper defaults (range 2). Built once, on first use.
+struct TextCorpus {
+  std::vector<ConfigSet> configs;
+  std::vector<std::string> texts;
+};
+
+const TextCorpus& text_corpus() {
+  static const TextCorpus corpus = [] {
+    TextCorpus out;
+    out.configs.push_back(canonicalize(make_uscarrier()));
+    out.configs.push_back(canonicalize(
+        make_scale_network(ScaleFamily::kWaxman, 1400, 0x5CA1E + 1400)));
+    const auto run =
+        run_pipeline_guarded(out.configs.back(), ConfMaskOptions{});
+    if (!run.ok()) {
+      throw std::runtime_error("text corpus: anonymization failed");
+    }
+    out.configs.push_back(canonicalize(run.result->anonymized));
+    for (const ConfigSet& configs : out.configs) {
+      out.texts.push_back(canonical_config_set_text(configs));
+    }
+    return out;
+  }();
+  return corpus;
+}
+
+void BM_TextRender(benchmark::State& state) {
+  const auto index = static_cast<std::size_t>(state.range(0));
+  const ConfigSet& configs = text_corpus().configs[index];
+  const std::string& text = text_corpus().texts[index];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(canonical_config_set_text(configs).size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_TextRender)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+void BM_TextParse(benchmark::State& state) {
+  const std::string& text =
+      text_corpus().texts[static_cast<std::size_t>(state.range(0))];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(parse_config_set(text).routers.size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_TextParse)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+void BM_TextJsonQuote(benchmark::State& state) {
+  const std::string& text =
+      text_corpus().texts[static_cast<std::size_t>(state.range(0))];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(obs::json_quote(text).size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_TextJsonQuote)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+void BM_TextDeviceDigests(benchmark::State& state) {
+  const std::string& text =
+      text_corpus().texts[static_cast<std::size_t>(state.range(0))];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compute_device_digests(text).size());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_TextDeviceDigests)
+    ->DenseRange(0, 2)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace confmask

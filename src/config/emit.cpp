@@ -1,6 +1,8 @@
 #include "src/config/emit.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <type_traits>
 
 namespace confmask {
@@ -25,11 +27,17 @@ LineStats operator-(LineStats lhs, const LineStats& rhs) {
 
 namespace {
 
-/// Collects (category, text) lines; text and stats are produced in the same
-/// pass so they cannot diverge.
+/// Writes (category, text) lines straight into one output buffer; text
+/// and stats are produced in the same pass so they cannot diverge. A line
+/// is a list of parts — text, integers and IPv4 values — each formatted in
+/// place, so no line or number is built as a string of its own.
 class Writer {
  public:
-  void line(LineCategory category, std::string text) {
+  explicit Writer(std::string& out) : out_(out) {}
+
+  /// Starts a line of `category`; add() appends more parts until end().
+  template <typename... Parts>
+  void begin(LineCategory category, const Parts&... parts) {
     switch (category) {
       case LineCategory::kHostname: ++stats_.hostname; break;
       case LineCategory::kInterface: ++stats_.interface; break;
@@ -37,148 +45,161 @@ class Writer {
       case LineCategory::kFilter: ++stats_.filter; break;
       case LineCategory::kOther: ++stats_.other; break;
     }
-    text_ += text;
-    text_ += '\n';
+    add(parts...);
   }
 
-  void separator() {
-    text_ += "!\n";
+  template <typename... Parts>
+  void add(const Parts&... parts) {
+    (append(parts), ...);
   }
 
-  [[nodiscard]] const std::string& text() const { return text_; }
+  void end() { out_ += '\n'; }
+
+  template <typename... Parts>
+  void line(LineCategory category, const Parts&... parts) {
+    begin(category, parts...);
+    end();
+  }
+
+  void separator() { out_ += "!\n"; }
+
   [[nodiscard]] const LineStats& stats() const { return stats_; }
 
  private:
-  std::string text_;
+  void append(std::string_view text) { out_ += text; }
+  void append(Ipv4Address address) { address.append_to(out_); }
+  void append(const Ipv4Prefix& prefix) { prefix.append_to(out_); }
+  void append(int value) {
+    char text[16];
+    const char* end = std::to_chars(text, text + sizeof text, value).ptr;
+    out_.append(text, static_cast<std::size_t>(end - text));
+  }
+
+  std::string& out_;
   LineStats stats_;
 };
 
-std::string mask_str(int length) {
-  return Ipv4Prefix{Ipv4Address{~std::uint32_t{0}}, length}.mask().str();
+/// The dotted-quad mask of a prefix length.
+Ipv4Address mask_of(int length) {
+  return Ipv4Prefix{Ipv4Address{~std::uint32_t{0}}, length}.mask();
 }
 
 void write_interface(Writer& w, const InterfaceConfig& iface) {
-  w.line(LineCategory::kInterface, "interface " + iface.name);
+  w.line(LineCategory::kInterface, "interface ", iface.name);
   if (iface.address) {
-    w.line(LineCategory::kInterface, " ip address " + iface.address->str() +
-                                         " " + mask_str(iface.prefix_length));
+    w.line(LineCategory::kInterface, " ip address ", *iface.address, " ",
+           mask_of(iface.prefix_length));
   }
   if (iface.ospf_cost) {
-    w.line(LineCategory::kInterface,
-           " ip ospf cost " + std::to_string(*iface.ospf_cost));
+    w.line(LineCategory::kInterface, " ip ospf cost ", *iface.ospf_cost);
   }
   if (!iface.description.empty()) {
-    w.line(LineCategory::kInterface, " description " + iface.description);
+    w.line(LineCategory::kInterface, " description ", iface.description);
   }
   if (iface.shutdown) w.line(LineCategory::kInterface, " shutdown");
   if (iface.access_group_in) {
-    w.line(LineCategory::kInterface,
-           " ip access-group " + std::to_string(*iface.access_group_in) +
-               " in");
+    w.line(LineCategory::kInterface, " ip access-group ",
+           *iface.access_group_in, " in");
   }
   for (const auto& extra : iface.extra_lines) {
-    w.line(LineCategory::kInterface, " " + extra);
+    w.line(LineCategory::kInterface, " ", extra);
   }
   w.separator();
 }
 
 void write_ospf(Writer& w, const OspfConfig& ospf) {
-  w.line(LineCategory::kProtocol,
-         "router ospf " + std::to_string(ospf.process_id));
+  w.line(LineCategory::kProtocol, "router ospf ", ospf.process_id);
   for (const auto& network : ospf.networks) {
-    w.line(LineCategory::kProtocol,
-           " network " + network.prefix.network().str() + " " +
-               network.prefix.wildcard().str() + " area " +
-               std::to_string(network.area));
+    w.line(LineCategory::kProtocol, " network ", network.prefix.network(), " ",
+           network.prefix.wildcard(), " area ", network.area);
   }
   for (const auto& extra : ospf.extra_lines) {
-    w.line(LineCategory::kProtocol, " " + extra);
+    w.line(LineCategory::kProtocol, " ", extra);
   }
   for (const auto& dl : ospf.distribute_lists) {
-    w.line(LineCategory::kFilter, " distribute-list prefix " +
-                                      dl.prefix_list + " in " + dl.interface);
+    w.line(LineCategory::kFilter, " distribute-list prefix ", dl.prefix_list,
+           " in ", dl.interface);
   }
   w.separator();
 }
 
 void write_rip(Writer& w, const RipConfig& rip) {
   w.line(LineCategory::kProtocol, "router rip");
-  w.line(LineCategory::kProtocol, " version " + std::to_string(rip.version));
+  w.line(LineCategory::kProtocol, " version ", rip.version);
   for (const auto network : rip.networks) {
-    w.line(LineCategory::kProtocol, " network " + network.str());
+    w.line(LineCategory::kProtocol, " network ", network);
   }
   for (const auto& extra : rip.extra_lines) {
-    w.line(LineCategory::kProtocol, " " + extra);
+    w.line(LineCategory::kProtocol, " ", extra);
   }
   for (const auto& dl : rip.distribute_lists) {
-    w.line(LineCategory::kFilter, " distribute-list prefix " +
-                                      dl.prefix_list + " in " + dl.interface);
+    w.line(LineCategory::kFilter, " distribute-list prefix ", dl.prefix_list,
+           " in ", dl.interface);
   }
   w.separator();
 }
 
 void write_bgp(Writer& w, const BgpConfig& bgp) {
-  w.line(LineCategory::kProtocol,
-         "router bgp " + std::to_string(bgp.local_as));
+  w.line(LineCategory::kProtocol, "router bgp ", bgp.local_as);
   for (const auto& network : bgp.networks) {
-    w.line(LineCategory::kProtocol, " network " + network.network().str() +
-                                        " mask " + network.mask().str());
+    w.line(LineCategory::kProtocol, " network ", network.network(), " mask ",
+           network.mask());
   }
   for (const auto& neighbor : bgp.neighbors) {
-    w.line(LineCategory::kProtocol, " neighbor " + neighbor.address.str() +
-                                        " remote-as " +
-                                        std::to_string(neighbor.remote_as));
+    w.line(LineCategory::kProtocol, " neighbor ", neighbor.address,
+           " remote-as ", neighbor.remote_as);
     for (const auto& list : neighbor.prefix_lists_in) {
-      w.line(LineCategory::kFilter, " neighbor " + neighbor.address.str() +
-                                        " prefix-list " + list + " in");
+      w.line(LineCategory::kFilter, " neighbor ", neighbor.address,
+             " prefix-list ", list, " in");
     }
   }
   for (const auto& extra : bgp.extra_lines) {
-    w.line(LineCategory::kProtocol, " " + extra);
+    w.line(LineCategory::kProtocol, " ", extra);
   }
   w.separator();
 }
 
 /// Source/destination operand of an ACL entry ("any" for /0).
-std::string acl_operand(const Ipv4Prefix& prefix) {
-  if (prefix.length() == 0) return "any";
-  return prefix.network().str() + " " + prefix.wildcard().str();
+void write_acl_operand(Writer& w, const Ipv4Prefix& prefix) {
+  if (prefix.length() == 0) {
+    w.add("any");
+  } else {
+    w.add(prefix.network(), " ", prefix.wildcard());
+  }
 }
 
 void write_access_list(Writer& w, const AccessList& list) {
   for (const auto& entry : list.entries) {
-    w.line(LineCategory::kFilter,
-           "access-list " + std::to_string(list.number) + " " +
-               (entry.permit ? "permit ip " : "deny ip ") +
-               acl_operand(entry.source) + " " +
-               acl_operand(entry.destination));
+    w.begin(LineCategory::kFilter, "access-list ", list.number,
+            entry.permit ? " permit ip " : " deny ip ");
+    write_acl_operand(w, entry.source);
+    w.add(" ");
+    write_acl_operand(w, entry.destination);
+    w.end();
   }
 }
 
 void write_prefix_list(Writer& w, const PrefixList& list) {
   for (const auto& entry : list.entries) {
-    std::string text = "ip prefix-list " + list.name + " seq " +
-                       std::to_string(entry.seq) + " " +
-                       (entry.permit ? "permit " : "deny ") +
-                       entry.prefix.str();
-    if (entry.ge) text += " ge " + std::to_string(*entry.ge);
-    if (entry.le) text += " le " + std::to_string(*entry.le);
-    w.line(LineCategory::kFilter, text);
+    w.begin(LineCategory::kFilter, "ip prefix-list ", list.name, " seq ",
+            entry.seq, entry.permit ? " permit " : " deny ", entry.prefix);
+    if (entry.ge) w.add(" ge ", *entry.ge);
+    if (entry.le) w.add(" le ", *entry.le);
+    w.end();
   }
 }
 
-Writer write_router(const RouterConfig& router) {
-  Writer w;
-  w.line(LineCategory::kHostname, "hostname " + router.hostname);
+LineStats write_router(std::string& out, const RouterConfig& router) {
+  Writer w(out);
+  w.line(LineCategory::kHostname, "hostname ", router.hostname);
   w.separator();
   for (const auto& iface : router.interfaces) write_interface(w, iface);
   if (router.ospf) write_ospf(w, *router.ospf);
   if (router.rip) write_rip(w, *router.rip);
   if (router.bgp) write_bgp(w, *router.bgp);
   for (const auto& route : router.static_routes) {
-    w.line(LineCategory::kProtocol,
-           "ip route " + route.prefix.network().str() + " " +
-               route.prefix.mask().str() + " " + route.next_hop.str());
+    w.line(LineCategory::kProtocol, "ip route ", route.prefix.network(), " ",
+           route.prefix.mask(), " ", route.next_hop);
   }
   if (!router.static_routes.empty()) w.separator();
   for (const auto& list : router.prefix_lists) write_prefix_list(w, list);
@@ -188,41 +209,47 @@ Writer write_router(const RouterConfig& router) {
   for (const auto& extra : router.extra_lines) {
     w.line(LineCategory::kOther, extra);
   }
-  return w;
+  return w.stats();
 }
 
-Writer write_host(const HostConfig& host) {
-  Writer w;
-  w.line(LineCategory::kHostname, "hostname " + host.hostname);
+LineStats write_host(std::string& out, const HostConfig& host) {
+  Writer w(out);
+  w.line(LineCategory::kHostname, "hostname ", host.hostname);
   w.separator();
-  w.line(LineCategory::kInterface, "interface " + host.interface_name);
-  w.line(LineCategory::kInterface, " ip address " + host.address.str() + " " +
-                                       mask_str(host.prefix_length));
+  w.line(LineCategory::kInterface, "interface ", host.interface_name);
+  w.line(LineCategory::kInterface, " ip address ", host.address, " ",
+         mask_of(host.prefix_length));
   w.separator();
-  w.line(LineCategory::kOther, "ip default-gateway " + host.gateway.str());
+  w.line(LineCategory::kOther, "ip default-gateway ", host.gateway);
   for (const auto& extra : host.extra_lines) {
     w.line(LineCategory::kOther, extra);
   }
   w.separator();
-  return w;
+  return w.stats();
 }
 
 }  // namespace
 
 std::string emit_router(const RouterConfig& router) {
-  return write_router(router).text();
+  std::string out;
+  write_router(out, router);
+  return out;
 }
 
 std::string emit_host(const HostConfig& host) {
-  return write_host(host).text();
+  std::string out;
+  write_host(out, host);
+  return out;
 }
 
 LineStats router_line_stats(const RouterConfig& router) {
-  return write_router(router).stats();
+  std::string out;
+  return write_router(out, router);
 }
 
 LineStats host_line_stats(const HostConfig& host) {
-  return write_host(host).stats();
+  std::string out;
+  return write_host(out, host);
 }
 
 LineStats config_set_line_stats(const ConfigSet& configs) {
@@ -276,12 +303,16 @@ std::string canonical_config_set_text(const ConfigSet& configs) {
   const CanonicalOrder canonical = canonical_order(configs);
   std::string out;
   for (const RouterConfig* router : canonical.routers) {
-    out += std::string(kDeviceMarker) + router->hostname + "\n";
-    out += emit_router(*router);
+    out += kDeviceMarker;
+    out += router->hostname;
+    out += '\n';
+    write_router(out, *router);
   }
   for (const HostConfig* host : canonical.hosts) {
-    out += std::string(kDeviceMarker) + host->hostname + "\n";
-    out += emit_host(*host);
+    out += kDeviceMarker;
+    out += host->hostname;
+    out += '\n';
+    write_host(out, *host);
   }
   return out;
 }

@@ -22,13 +22,39 @@ PatchSnapshot rebase_stage(const PatchCapture::Stage& stage) {
   return snapshot;
 }
 
+/// True when every node of `topo` names, through its config_index, the
+/// device of the same name in `configs`. A seeded simulation keeps the
+/// snapshot's topology and reads configs.routers/hosts at those indexes,
+/// while diff_config_sets matches devices by name and ignores their order:
+/// a base captured in another device order diffs as filter-only and would
+/// seed the wrong devices.
+bool indexes_match(const Topology& topo, const ConfigSet& configs) {
+  for (int id = 0; id < topo.node_count(); ++id) {
+    const TopologyNode& node = topo.node(id);
+    const auto index = static_cast<std::size_t>(node.config_index);
+    const bool router = node.kind == NodeKind::kRouter;
+    const std::size_t count =
+        router ? configs.routers.size() : configs.hosts.size();
+    if (node.config_index < 0 || index >= count ||
+        (router ? configs.routers[index].hostname
+                : configs.hosts[index].hostname) != node.name) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Maps a filter-only diff onto the snapshot's node ids. Returns the
-/// seeded simulation, or null when the diff is structural or names a
-/// device the snapshot's topology does not know.
+/// seeded simulation, or null when the diff is structural, names a device
+/// the snapshot's topology does not know, or the snapshot's config indexes
+/// do not name the same devices in `configs`.
 std::shared_ptr<Simulation> seed_from_diff(const ConfigSet& configs,
                                            const PatchSnapshot& snapshot,
                                            const ConfigSetDiff& diff) {
-  if (!diff.filter_only()) return nullptr;
+  if (!diff.filter_only() ||
+      !indexes_match(snapshot.sim->topology(), configs)) {
+    return nullptr;
+  }
   if (diff.identical()) {
     // Still rebuild through the (cheap, fully aliasing) incremental path:
     // the returned simulation must reference `configs`, not the snapshot's
@@ -175,7 +201,15 @@ bool graft_topology(ConfigSet& configs, const PatchContext& context,
   }
 
   // Verify-then-apply in two passes so a failed check leaves `configs`
-  // untouched for the from-scratch fallback.
+  // untouched for the from-scratch fallback. The captured run's devices
+  // must sit at the same positions in `configs`: the grafted outcome is in
+  // node ids, which follow device order.
+  for (std::size_t i = 0; i < pre.hosts.size(); ++i) {
+    if (pre.hosts[i].hostname != configs.hosts[i].hostname ||
+        post.hosts[i].hostname != configs.hosts[i].hostname) {
+      return false;
+    }
+  }
   for (std::size_t i = 0; i < pre.routers.size(); ++i) {
     const RouterConfig& before = pre.routers[i];
     const RouterConfig& after = post.routers[i];

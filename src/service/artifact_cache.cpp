@@ -435,21 +435,44 @@ StoreResult ArtifactCache::store(const CacheKey& key,
                                  const CacheArtifacts& artifacts,
                                  std::string* error,
                                  const std::string& tenant) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const fs::path dir = entry_dir(key);
-  std::error_code ec;
-  if (fs::exists(dir, ec)) {
-    return StoreResult::kAlreadyPresent;  // identical artifacts published
-  }
+  // The device table is derived from the stored original bundle here, at
+  // the choke point every publish without admission's table goes through
+  // (peer fetches, the CLI), so it can never disagree with the bytes
+  // beside it.
+  return store(key, artifacts,
+               compute_device_digests(artifacts.original_configs), error,
+               tenant);
+}
 
-  const fs::path staging =
-      root_ / "staging" / (key.hex() + "." + std::to_string(staging_nonce_++));
-  fs::create_directories(staging, ec);
-  if (ec) {
-    ++stats_.io_errors;
-    if (error != nullptr) *error = "staging mkdir: " + ec.message();
-    return StoreResult::kIoError;
+StoreResult ArtifactCache::store(
+    const CacheKey& key, const CacheArtifacts& artifacts,
+    const std::vector<DeviceDigest>& original_devices, std::string* error,
+    const std::string& tenant) {
+  const fs::path dir = entry_dir(key);
+  fs::path staging;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::error_code ec;
+    if (fs::exists(dir, ec)) {
+      return StoreResult::kAlreadyPresent;  // identical artifacts published
+    }
+    staging = root_ / "staging" /
+              (key.hex() + "." + std::to_string(staging_nonce_++));
   }
+  const auto fail = [&](std::string message) {
+    // Disk trouble: publishing nothing beats publishing a fragment. The
+    // staged litter is removed now and would be swept at next open anyway.
+    std::error_code ec;
+    fs::remove_all(staging, ec);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.io_errors;
+    if (error != nullptr) *error = std::move(message);
+    return StoreResult::kIoError;
+  };
+
+  std::error_code ec;
+  fs::create_directories(staging, ec);
+  if (ec) return fail("staging mkdir: " + ec.message());
 
   const std::string meta = JsonLineWriter{}
                                .string("format", kMetaFormat)
@@ -459,11 +482,7 @@ StoreResult ArtifactCache::store(const CacheKey& key,
                                .string("tenant", tenant)
                                .str() +
                            "\n";
-  // The device table is derived from the stored original bundle here, at
-  // the single choke point every publish goes through (scheduler and CLI
-  // alike), so the table can never disagree with the bytes beside it.
-  const std::string devices =
-      render_device_table(compute_device_digests(artifacts.original_configs));
+  const std::string devices = render_device_table(original_devices);
 
   // Every file fsync'd before the rename: after a crash the published
   // entry must hold its BYTES, not just its names.
@@ -479,15 +498,9 @@ StoreResult ArtifactCache::store(const CacheKey& key,
                              artifacts.diagnostics_json, &write_error) &&
       io::write_file_durable(staging / kMetricsFile, artifacts.metrics_json,
                              &write_error);
-  if (!written) {
-    // Disk trouble: publishing nothing beats publishing a fragment. The
-    // staged litter is removed now and would be swept at next open anyway.
-    fs::remove_all(staging, ec);
-    ++stats_.io_errors;
-    if (error != nullptr) *error = write_error;
-    return StoreResult::kIoError;
-  }
+  if (!written) return fail(write_error);
 
+  const std::lock_guard<std::mutex> lock(mutex_);
   fs::rename(staging, dir, ec);
   if (ec) {
     // Lost a race with an identical concurrent store, or the target became

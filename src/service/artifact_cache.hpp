@@ -119,8 +119,8 @@ enum class StoreResult {
   kIoError,         ///< could not publish; cache unchanged, job must fail
 };
 
-/// Thread-safe (one internal mutex; filesystem work is trivial next to a
-/// pipeline run, so a single lock is the simple correct choice).
+/// Thread-safe: one internal mutex guards the index and the counters. A
+/// publish writes and fsyncs its files outside it (see store()).
 class ArtifactCache {
  public:
   /// Opens (creating if needed) a cache rooted at `root`. `stamp` defaults
@@ -170,8 +170,18 @@ class ArtifactCache {
 
   /// Durably publishes the entry (see header comment) under `tenant`, then
   /// enforces the tenant's byte share and the global budget. On kIoError,
-  /// *error (when provided) names the failing step.
+  /// *error (when provided) names the failing step. The lock is held only
+  /// for the existence check and staging name, then for the rename, the
+  /// directory fsync and the index: the files are written and fsync'd
+  /// without it, under a staging name no other store uses.
   StoreResult store(const CacheKey& key, const CacheArtifacts& artifacts,
+                    std::string* error = nullptr,
+                    const std::string& tenant = "default");
+  /// The same, given the original bundle's device table
+  /// (compute_device_digests(artifacts.original_configs)), which
+  /// confmaskd's admission has computed for the key already.
+  StoreResult store(const CacheKey& key, const CacheArtifacts& artifacts,
+                    const std::vector<DeviceDigest>& original_devices,
                     std::string* error = nullptr,
                     const std::string& tenant = "default");
 

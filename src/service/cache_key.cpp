@@ -1,7 +1,7 @@
 #include "src/service/cache_key.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "src/config/emit.hpp"
 #include "src/util/hash.hpp"
@@ -34,35 +34,19 @@ const char* cost_policy_name(FakeLinkCostPolicy policy) {
 constexpr std::uint64_t kSecondaryBasis =
     Fnv1a64::kOffsetBasis ^ 0xA5A5A5A5A5A5A5A5ULL;
 
-/// Splits a canonical bundle into (device name, section text) pairs. The
-/// canonical text is produced by canonical_config_set_text, so sections are
-/// delimited by kDeviceMarker lines and names carry no surrounding
-/// whitespace; this is a byte-level split, not a parse.
-std::vector<std::pair<std::string, std::string>> split_canonical_bundle(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> sections;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string_view line(text.data() + pos, eol - pos);
-    if (line.substr(0, kDeviceMarker.size()) == kDeviceMarker) {
-      sections.emplace_back(std::string(line.substr(kDeviceMarker.size())),
-                            std::string());
-    } else if (!sections.empty()) {
-      sections.back().second.append(line);
-      sections.back().second.push_back('\n');
-    }
-    pos = eol + 1;
-  }
-  return sections;
-}
-
-std::uint64_t section_digest(const std::string& body, std::uint64_t basis) {
-  Fnv1a64 hasher(basis);
-  hasher.update_u64(body.size());
-  hasher.update(body);
-  return hasher.value();
+/// Both digests of one device section. The section's bytes are its
+/// lines, each with its '\n': a bundle's last line counts one even when
+/// the text lacks it.
+DeviceDigest digest_section(std::string_view name, std::string_view body) {
+  const bool add_newline = !body.empty() && body.back() != '\n';
+  Fnv1a64 primary;
+  Fnv1a64 secondary(kSecondaryBasis);
+  const std::uint64_t size = body.size() + (add_newline ? 1 : 0);
+  primary.update_u64(size);
+  secondary.update_u64(size);
+  Fnv1a64::update_both(primary, secondary, body);
+  if (add_newline) Fnv1a64::update_both(primary, secondary, "\n");
+  return DeviceDigest{std::string(name), primary.value(), secondary.value()};
 }
 
 }  // namespace
@@ -113,19 +97,16 @@ std::string canonical_parameter_text(const ConfMaskOptions& options,
   return out;
 }
 
-CacheKey compute_cache_key(const std::string& canonical_text,
+CacheKey compute_cache_key(const std::vector<DeviceDigest>& devices,
                            const ConfMaskOptions& options,
                            const RetryPolicy& policy,
                            EquivalenceStrategy strategy,
                            const std::string& tenant) {
   const std::string params =
       canonical_parameter_text(options, policy, strategy);
-  const auto sections = split_canonical_bundle(canonical_text);
   CacheKey key;
   for (const bool secondary : {false, true}) {
-    const std::uint64_t basis =
-        secondary ? kSecondaryBasis : Fnv1a64::kOffsetBasis;
-    Fnv1a64 hasher(basis);
+    Fnv1a64 hasher(secondary ? kSecondaryBasis : Fnv1a64::kOffsetBasis);
     hasher.update("confmask.cache-key/3\n");
     // The namespace comes first: two tenants' otherwise-identical jobs
     // diverge at the first hashed byte.
@@ -136,27 +117,53 @@ CacheKey compute_cache_key(const std::string& canonical_text,
     hasher.update(params);
     // The network as a device table: names in canonical order (order is
     // output-relevant — node ids follow config order) plus per-section
-    // content digests. Hashing the digest rather than the section bytes
-    // keeps the key a pure function of exactly the values the artifact
-    // cache persists per device.
-    hasher.update_u64(sections.size());
-    for (const auto& [name, body] : sections) {
-      hasher.update_u64(name.size());
-      hasher.update(name);
-      hasher.update_u64(section_digest(body, basis));
+    // content digests of the same basis. Hashing the digest rather than
+    // the section bytes keeps the key a pure function of exactly the
+    // values the artifact cache persists per device.
+    hasher.update_u64(devices.size());
+    for (const DeviceDigest& device : devices) {
+      hasher.update_u64(device.name.size());
+      hasher.update(device.name);
+      hasher.update_u64(secondary ? device.secondary : device.primary);
     }
     (secondary ? key.secondary : key.primary) = hasher.value();
   }
   return key;
 }
 
-std::vector<DeviceDigest> compute_device_digests(
-    const std::string& canonical_text) {
+CacheKey compute_cache_key(const std::string& canonical_text,
+                           const ConfMaskOptions& options,
+                           const RetryPolicy& policy,
+                           EquivalenceStrategy strategy,
+                           const std::string& tenant) {
+  return compute_cache_key(compute_device_digests(canonical_text), options,
+                           policy, strategy, tenant);
+}
+
+std::vector<DeviceDigest> compute_device_digests(std::string_view text) {
+  // Sections are delimited by kDeviceMarker lines and names carry no
+  // surrounding whitespace (canonical_config_set_text wrote them), so this
+  // is a byte-level split, not a parse. Text before the first marker
+  // belongs to no device.
   std::vector<DeviceDigest> digests;
-  for (const auto& [name, body] : split_canonical_bundle(canonical_text)) {
-    digests.push_back(DeviceDigest{
-        name, section_digest(body, Fnv1a64::kOffsetBasis),
-        section_digest(body, kSecondaryBasis)});
+  std::string_view name;
+  std::size_t begin = std::string_view::npos;  // body of the open section
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    const std::string_view line = text.substr(pos, eol - pos);
+    if (line.starts_with(kDeviceMarker)) {
+      if (begin != std::string_view::npos) {
+        digests.push_back(
+            digest_section(name, text.substr(begin, pos - begin)));
+      }
+      name = line.substr(kDeviceMarker.size());
+      begin = std::min(eol + 1, text.size());
+    }
+    pos = eol + 1;
+  }
+  if (begin != std::string_view::npos) {
+    digests.push_back(digest_section(name, text.substr(begin)));
   }
   return digests;
 }

@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/config/model.hpp"
@@ -71,23 +72,6 @@ struct CacheKey {
     const ConfMaskOptions& options, const RetryPolicy& policy,
     EquivalenceStrategy strategy);
 
-/// The key of a job. `configs` need not be in canonical order — the
-/// encoding canonicalizes. `tenant` is the namespace the job runs under
-/// (kDefaultTenant when the request named none).
-[[nodiscard]] CacheKey compute_cache_key(const ConfigSet& configs,
-                                         const ConfMaskOptions& options,
-                                         const RetryPolicy& policy,
-                                         EquivalenceStrategy strategy,
-                                         const std::string& tenant = "default");
-
-/// Key over a pre-rendered canonical bundle (avoids re-emitting when the
-/// caller already holds the canonical text).
-[[nodiscard]] CacheKey compute_cache_key(const std::string& canonical_text,
-                                         const ConfMaskOptions& options,
-                                         const RetryPolicy& policy,
-                                         EquivalenceStrategy strategy,
-                                         const std::string& tenant = "default");
-
 /// Content digest of one device's canonical section text (the bytes
 /// between its kDeviceMarker line and the next marker). The section text
 /// includes the device's own `hostname` line, so a rename changes BOTH the
@@ -107,8 +91,36 @@ struct DeviceDigest {
 [[nodiscard]] std::vector<DeviceDigest> compute_device_digests(
     const ConfigSet& configs);
 
-/// Same, over a pre-rendered canonical bundle.
+/// Same, over a pre-rendered canonical bundle: one pass over each
+/// section's bytes computes both digests, with no copy of the section.
 [[nodiscard]] std::vector<DeviceDigest> compute_device_digests(
-    const std::string& canonical_text);
+    std::string_view canonical_text);
+
+/// The key of a job whose network has the device table `devices`
+/// (compute_device_digests of its canonical bundle). The one key
+/// derivation: confmaskd's admission computes the table once and hands it
+/// on to the publish, and the overloads below wrap this. `tenant` is the
+/// namespace the job runs under (kDefaultTenant when the request named
+/// none).
+[[nodiscard]] CacheKey compute_cache_key(
+    const std::vector<DeviceDigest>& devices, const ConfMaskOptions& options,
+    const RetryPolicy& policy, EquivalenceStrategy strategy,
+    const std::string& tenant = "default");
+
+/// The key of a job. `configs` need not be in canonical order — the
+/// encoding canonicalizes.
+[[nodiscard]] CacheKey compute_cache_key(const ConfigSet& configs,
+                                         const ConfMaskOptions& options,
+                                         const RetryPolicy& policy,
+                                         EquivalenceStrategy strategy,
+                                         const std::string& tenant = "default");
+
+/// Key over a pre-rendered canonical bundle (avoids re-emitting when the
+/// caller already holds the canonical text).
+[[nodiscard]] CacheKey compute_cache_key(const std::string& canonical_text,
+                                         const ConfMaskOptions& options,
+                                         const RetryPolicy& policy,
+                                         EquivalenceStrategy strategy,
+                                         const std::string& tenant = "default");
 
 }  // namespace confmask

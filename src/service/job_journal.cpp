@@ -29,9 +29,17 @@ constexpr const char* kFormat = "confmask.journal/1";
 /// this raw byte sequence cannot occur inside any value.
 constexpr std::string_view kCrcMarker = ", \"crc\": \"";
 
+/// The finished record with its crc field appended: the digest covers the
+/// line as written so far, hashed in place, and the field is spliced in
+/// before the closing brace exactly as crc_ok reads it back.
 std::string with_crc(JsonLineWriter& writer) {
-  const std::string body = writer.str();
-  return writer.string("crc", hex64(fnv1a64(body))).str();
+  std::string line = std::move(writer).str();
+  const std::uint64_t crc = fnv1a64(line);
+  line.pop_back();
+  line += kCrcMarker;
+  line += hex64(crc);
+  line += "\"}";
+  return line;
 }
 
 const char* strategy_name(EquivalenceStrategy strategy) {
@@ -316,8 +324,11 @@ bool JobJournal::crc_ok(std::string_view line) {
   if (tail.size() != 16 + 2 || tail.substr(16) != "\"}") return false;
   const auto recorded = parse_hex64(tail.substr(0, 16));
   if (!recorded) return false;
-  const std::string prefix = std::string(line.substr(0, pos)) + "}";
-  return fnv1a64(prefix) == *recorded;
+  // The digest covers the line without the crc field, closed again.
+  Fnv1a64 hasher;
+  hasher.update(line.substr(0, pos));
+  hasher.update("}");
+  return hasher.value() == *recorded;
 }
 
 JobJournal::JobJournal(fs::path path, std::size_t max_tombstones)
@@ -479,10 +490,9 @@ void JobJournal::recover_and_compact(std::size_t max_tombstones) {
   stats_.truncated_bytes = recovery_.truncated_bytes;
 }
 
-bool JobJournal::append_line_locked(const std::string& line,
-                                    std::string* error) {
-  const std::string framed = line + "\n";
-  if (!io::write_all(fd_, framed.data(), framed.size())) {
+bool JobJournal::append_line_locked(std::string line, std::string* error) {
+  line += '\n';
+  if (!io::write_all(fd_, line.data(), line.size())) {
     ++stats_.append_failures;
     if (error != nullptr) {
       *error = std::string("journal write: ") + std::strerror(errno);
@@ -504,9 +514,9 @@ bool JobJournal::append_submit(std::uint64_t id, const JobRequest& request,
                                const CacheKey& key,
                                std::string_view canonical_text,
                                std::string* error) {
-  const std::string line = encode_submit(id, request, key, canonical_text);
+  std::string line = encode_submit(id, request, key, canonical_text);
   const std::lock_guard<std::mutex> lock(mutex_);
-  return append_line_locked(line, error);
+  return append_line_locked(std::move(line), error);
 }
 
 bool JobJournal::append_submit(std::uint64_t id, const JobRequest& request,
@@ -517,9 +527,9 @@ bool JobJournal::append_submit(std::uint64_t id, const JobRequest& request,
 
 bool JobJournal::append_state(const JobStatus& status, std::uint64_t secondary,
                               std::string* error) {
-  const std::string line = encode_state(status, secondary);
+  std::string line = encode_state(status, secondary);
   const std::lock_guard<std::mutex> lock(mutex_);
-  return append_line_locked(line, error);
+  return append_line_locked(std::move(line), error);
 }
 
 JournalStats JobJournal::stats() const {

@@ -143,8 +143,8 @@ class JobJournal {
   [[nodiscard]] static bool crc_ok(std::string_view line);
 
  private:
-  [[nodiscard]] bool append_line_locked(const std::string& line,
-                                        std::string* error);
+  /// Writes `line` plus its newline and fsyncs. Caller holds mutex_.
+  [[nodiscard]] bool append_line_locked(std::string line, std::string* error);
   void recover_and_compact(std::size_t max_tombstones);
 
   std::filesystem::path path_;

@@ -81,6 +81,7 @@ void JobScheduler::restore_from_journal() {
     job.canonical = std::make_shared<const ConfigSet>(
         canonicalize(std::move(job.request.configs)));
     job.canonical_text = canonical_config_set_text(*job.canonical);
+    job.devices = compute_device_digests(job.canonical_text);
     job.key = recovered.key;
     job.status.id = recovered.id;
     job.status.state = JobState::kQueued;
@@ -176,11 +177,14 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
                                   std::string patch_base) {
   if (request.tenant.empty()) request.tenant = std::string(kDefaultTenant);
   // Canonicalize and key OUTSIDE the lock: emitting a large network is the
-  // expensive part of admission and must not stall status queries.
+  // expensive part of admission and must not stall status queries. The
+  // text is rendered once and its device table computed once; the key, the
+  // journal record and the publish all read these.
   ConfigSet canonical = canonicalize(std::move(request.configs));
   std::string canonical_text = canonical_config_set_text(canonical);
+  std::vector<DeviceDigest> devices = compute_device_digests(canonical_text);
   const CacheKey key =
-      compute_cache_key(canonical_text, request.options, request.policy,
+      compute_cache_key(devices, request.options, request.policy,
                         request.strategy, request.tenant);
 
   SubmitOutcome out;
@@ -254,6 +258,7 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
       job.request = std::move(request);
       job.canonical = std::make_shared<const ConfigSet>(std::move(canonical));
       job.canonical_text = std::move(canonical_text);
+      job.devices = std::move(devices);
       job.key = key;
       job.status.id = id;
       job.status.state = JobState::kQueued;
@@ -583,16 +588,19 @@ void JobScheduler::execute(std::uint64_t id) {
   // After submit, a job's request/canonical/key/token fields are immutable
   // and this worker is the only writer of its result — so they are safe to
   // read unlocked while the pipeline runs. Status transitions stay locked.
-  // The admission-time bundle text moves out here, once, for the artifact.
+  // The admission-time bundle text and its device table move out here,
+  // once, for the artifact.
   const Job* job = nullptr;
   JobStatus running_snapshot;
   std::string original_text;
+  std::vector<DeviceDigest> original_devices;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     Job& running = jobs_.at(id);
     job = &running;
     running_snapshot = job->status;
     original_text = std::move(running.canonical_text);
+    original_devices = std::move(running.devices);
   }
   journal_state(running_snapshot, job->key.secondary);
   const CancelToken* token = job->token.get();
@@ -753,9 +761,9 @@ void JobScheduler::execute(std::uint64_t id) {
     artifacts.diagnostics_json = std::move(diagnostics);
     artifacts.metrics_json = trace.metrics_json(/*include_timings=*/false);
     std::string store_error;
-    const StoreResult stored = cache_->store(job->key, artifacts,
-                                             &store_error,
-                                             job->request.tenant);
+    const StoreResult stored =
+        cache_->store(job->key, artifacts, original_devices, &store_error,
+                      job->request.tenant);
 
     // Re-base the captured stage state into a resident context for future
     // resubmits against THIS job. Deliberately after sims_delta is

@@ -204,13 +204,17 @@ std::optional<JsonObject> parse_json_line(std::string_view line,
 void JsonLineWriter::key(std::string_view name) {
   if (!first_) body_ += ", ";
   first_ = false;
-  body_ += obs::json_quote(name) + ": ";
+  body_ += '"';
+  obs::append_json_escaped(body_, name);
+  body_ += "\": ";
 }
 
 JsonLineWriter& JsonLineWriter::string(std::string_view k,
                                        std::string_view value) {
   key(k);
-  body_ += obs::json_quote(value);
+  body_ += '"';
+  obs::append_json_escaped(body_, value);
+  body_ += '"';
   return *this;
 }
 

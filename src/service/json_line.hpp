@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace confmask {
 
@@ -57,7 +58,13 @@ class JsonLineWriter {
   JsonLineWriter& boolean(std::string_view key, bool value);
 
   /// The finished "{...}" object (no trailing newline).
-  [[nodiscard]] std::string str() const { return body_ + "}"; }
+  [[nodiscard]] std::string str() const& { return body_ + "}"; }
+  /// The same, moving the body out of a writer that is done: no copy of a
+  /// line that carries a whole bundle.
+  [[nodiscard]] std::string str() && {
+    body_ += '}';
+    return std::move(body_);
+  }
 
  private:
   void key(std::string_view name);

@@ -1,6 +1,7 @@
 #include "src/service/protocol.hpp"
 
 #include <exception>
+#include <utility>
 
 #include "src/config/parse.hpp"
 #include "src/service/job_journal.hpp"
@@ -253,13 +254,13 @@ std::string ProtocolHandler::handle(std::string_view line,
             .string("error_message", status->error_message)
             .number("exit_code", status->exit_code);
       }
-      return out.str();
+      return std::move(out).str();
     }
 
     const auto result = scheduler_->result(*id);
     if (!result) return error_response(*op, "job not finished");
-    return JsonLineWriter{}
-        .boolean("ok", true)
+    JsonLineWriter out;
+    out.boolean("ok", true)
         .string("op", *op)
         .number_u64("job", *id)
         .string("state", to_string(status->state))
@@ -267,8 +268,8 @@ std::string ProtocolHandler::handle(std::string_view line,
         .boolean("cache_hit", result->cache_hit)
         .string("configs", result->artifacts.anonymized_configs)
         .string("diagnostics", result->artifacts.diagnostics_json)
-        .string("metrics", result->artifacts.metrics_json)
-        .str();
+        .string("metrics", result->artifacts.metrics_json);
+    return std::move(out).str();
   }
 
   if (*op == "peer-fetch") {
@@ -289,8 +290,8 @@ std::string ProtocolHandler::handle(std::string_view line,
           .string("key", *key_hex)
           .str();
     }
-    return JsonLineWriter{}
-        .boolean("ok", true)
+    JsonLineWriter out;
+    out.boolean("ok", true)
         .string("op", *op)
         .boolean("found", true)
         .string("key", entry->key.hex())
@@ -300,8 +301,8 @@ std::string ProtocolHandler::handle(std::string_view line,
         .string("configs", entry->artifacts.anonymized_configs)
         .string("original", entry->artifacts.original_configs)
         .string("diagnostics", entry->artifacts.diagnostics_json)
-        .string("metrics", entry->artifacts.metrics_json)
-        .str();
+        .string("metrics", entry->artifacts.metrics_json);
+    return std::move(out).str();
   }
 
   if (*op == "subscribe") {

@@ -50,6 +50,20 @@ class Fnv1a64 {
     update(std::string_view(bytes, 8));
   }
 
+  /// Feeds `bytes` to both hashers in one pass: two independent digests
+  /// of the same bytes for one read of them.
+  static void update_both(Fnv1a64& a, Fnv1a64& b, std::string_view bytes) {
+    std::uint64_t x = a.state_;
+    std::uint64_t y = b.state_;
+    for (const char c : bytes) {
+      const auto byte = static_cast<unsigned char>(c);
+      x = (x ^ byte) * kPrime;
+      y = (y ^ byte) * kPrime;
+    }
+    a.state_ = x;
+    b.state_ = y;
+  }
+
   [[nodiscard]] std::uint64_t value() const { return state_; }
 
  private:

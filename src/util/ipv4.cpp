@@ -35,12 +35,21 @@ std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
 
 std::string Ipv4Address::str() const {
   std::string out;
-  out.reserve(15);
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out += std::to_string((bits_ >> shift) & 0xFF);
-    if (shift != 0) out += '.';
-  }
+  append_to(out);
   return out;
+}
+
+void Ipv4Address::append_to(std::string& out) const {
+  char text[15];
+  char* end = text;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    const std::uint32_t octet = (bits_ >> shift) & 0xFF;
+    if (octet >= 100) *end++ = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) *end++ = static_cast<char>('0' + octet / 10 % 10);
+    *end++ = static_cast<char>('0' + octet % 10);
+    if (shift != 0) *end++ = '.';
+  }
+  out.append(text, static_cast<std::size_t>(end - text));
 }
 
 int Ipv4Address::classful_prefix_length() const {
@@ -127,7 +136,16 @@ Ipv4Address Ipv4Prefix::host(std::uint32_t index) const {
 }
 
 std::string Ipv4Prefix::str() const {
-  return network_.str() + "/" + std::to_string(length_);
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Ipv4Prefix::append_to(std::string& out) const {
+  network_.append_to(out);
+  out += '/';
+  if (length_ >= 10) out += static_cast<char>('0' + length_ / 10);
+  out += static_cast<char>('0' + length_ % 10);
 }
 
 }  // namespace confmask

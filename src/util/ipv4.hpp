@@ -33,6 +33,9 @@ class Ipv4Address {
 
   [[nodiscard]] constexpr std::uint32_t bits() const { return bits_; }
   [[nodiscard]] std::string str() const;
+  /// Appends the dotted quad to `out`: the one IPv4 formatter, behind
+  /// str(), Ipv4Prefix::str() and the configuration emitter.
+  void append_to(std::string& out) const;
 
   /// The classful network class of this address (A => /8, B => /16,
   /// C => /24, other => /32). Used by RIP `network` statements.
@@ -83,6 +86,8 @@ class Ipv4Prefix {
   [[nodiscard]] Ipv4Address host(std::uint32_t index) const;
 
   [[nodiscard]] std::string str() const;
+  /// Appends "a.b.c.d/len" to `out`.
+  void append_to(std::string& out) const;
 
   friend auto operator<=>(const Ipv4Prefix&, const Ipv4Prefix&) = default;
 

@@ -1,8 +1,8 @@
 #include "src/util/observability.hpp"
 
+#include <array>
 #include <bit>
 #include <chrono>
-#include <cstdio>
 
 namespace confmask::obs {
 
@@ -15,33 +15,45 @@ std::uint64_t monotonic_ns() {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
+/// The bytes a JSON string literal must escape: '"', '\\' and 0x00–0x1F.
+constexpr std::array<bool, 256> kNeedsEscape = [] {
+  std::array<bool, 256> table{};
+  for (std::size_t byte = 0; byte < 0x20; ++byte) table[byte] = true;
+  table['"'] = true;
+  table['\\'] = true;
+  return table;
+}();
+
+}  // namespace
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  out.reserve(out.size() + text.size());
+  std::size_t clean = 0;  // start of the run not yet copied
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(text[i]);
+    if (!kNeedsEscape[byte]) continue;
+    out.append(text.data() + clean, i - clean);
+    clean = i + 1;
+    switch (byte) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                               kHex[byte & 0xF]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(text.data() + clean, text.size() - clean);
 }
-
-}  // namespace
 
 std::string json_escape(std::string_view text) {
   std::string out;
-  out.reserve(text.size());
-  append_escaped(out, text);
+  append_json_escaped(out, text);
   return out;
 }
 
@@ -49,7 +61,7 @@ std::string json_quote(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
   out += '"';
-  append_escaped(out, text);
+  append_json_escaped(out, text);
   out += '"';
   return out;
 }

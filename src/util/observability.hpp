@@ -29,6 +29,12 @@ namespace confmask::obs {
 /// absolute values are not, and wall-clock never leaks into results.
 [[nodiscard]] std::uint64_t monotonic_ns();
 
+/// Appends `text`, escaped for embedding inside a JSON string literal, to
+/// `out`: the one escaping loop behind json_escape, json_quote and
+/// confmaskd's JsonLineWriter. Runs of bytes that need no escape are
+/// copied in bulk.
+void append_json_escaped(std::string& out, std::string_view text);
+
 /// Escapes `text` for embedding inside a JSON string literal.
 [[nodiscard]] std::string json_escape(std::string_view text);
 

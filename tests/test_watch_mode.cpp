@@ -5,6 +5,7 @@
 // the delete-then-readd cycle landing back on the original cache entry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -272,6 +273,31 @@ TEST(WatchReplay, DenyingARealHostPrefixWalksThatDestination) {
   const std::uint64_t hosts = base.hosts.size();
   EXPECT_EQ(run.flows_compared, hosts - 1);
   EXPECT_EQ(run.flows_proved, (hosts - 1) * (hosts - 1));
+}
+
+TEST(WatchMode, NonCanonicalBaseRunsColdAndMatchesTheColdRun) {
+  // Bics in generator order, which is not canonical order: the captured
+  // snapshots' config_index positions name other devices in a canonical
+  // edit, which diff_config_sets (by name) still calls filter-only.
+  const ConfigSet base = make_bics();
+  ASSERT_FALSE(std::is_sorted(
+      base.routers.begin(), base.routers.end(),
+      [](const RouterConfig& a, const RouterConfig& b) {
+        return a.hostname < b.hostname;
+      }));
+  ConfMaskOptions options;
+  options.seed = 7;
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  // Deny a real host's prefix on one router.
+  ConfigSet edited = base;
+  const std::string router = base.routers[base.routers.size() / 2].hostname;
+  bind_filter(edited, router, base.hosts.front().prefix());
+  edited = canonicalize(std::move(edited));
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_EQ(run.stats.patched_stages, 0);
 }
 
 TEST(WatchMode, FilterEditPatchesAndStaysByteIdentical) {
