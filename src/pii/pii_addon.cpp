@@ -31,7 +31,8 @@ bool is_secret_line(std::string_view line) {
 
 /// Replaces everything after the first two tokens with a placeholder.
 std::string scrub_line(std::string_view line) {
-  const auto tokens = split_ws(line);
+  std::vector<std::string_view> tokens;
+  split_ws(line, tokens);
   std::string out;
   for (std::size_t i = 0; i < std::min<std::size_t>(2, tokens.size()); ++i) {
     if (i != 0) out += ' ';

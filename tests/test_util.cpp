@@ -22,11 +22,13 @@ TEST(Strings, Trim) {
 }
 
 TEST(Strings, SplitWs) {
-  const auto tokens = split_ws("  ip   address 10.0.0.1 ");
+  std::vector<std::string_view> tokens;
+  split_ws("  ip   address 10.0.0.1 ", tokens);
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[0], "ip");
   EXPECT_EQ(tokens[2], "10.0.0.1");
-  EXPECT_TRUE(split_ws("   ").empty());
+  split_ws("   ", tokens);  // a reused buffer is cleared first
+  EXPECT_TRUE(tokens.empty());
 }
 
 TEST(Strings, SplitKeepsEmptyFields) {
