@@ -66,10 +66,9 @@ bool entries_equal(const PrefixListEntry& a, const PrefixListEntry& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical order. The diff runs on every watch cycle, often against a
-// bundle that is not hostname-sorted (stage-entry configs with fake hosts
-// appended), so it walks canonical_order()'s pointer views instead of
-// sorting copies of both sides.
+// Canonical order. The diff runs on every watch cycle, over bundles that
+// need not be hostname-sorted, so it walks canonical_order()'s pointer
+// views instead of sorting copies of both sides.
 
 /// Merge-walks two hostname-sorted device sequences: `removed` for devices
 /// only in `base`, `added` for devices only in `next`, `matched` for pairs.

@@ -2,6 +2,9 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/core/errors.hpp"
 #include "src/core/node_addition.hpp"
@@ -67,6 +70,7 @@ Preprocessed preprocess(const ConfigSet& original,
     OriginalReusePlan reuse_plan;
     if (patch_base != nullptr) {
       reuse_plan = plan_original_reuse(original, *patch_base);
+      out.diff = std::move(reuse_plan.diff);
     }
     out.seeded = reuse_plan.sim != nullptr;
     out.sim = out.seeded ? std::move(reuse_plan.sim)
@@ -111,7 +115,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
   }
   if (patch_capture != nullptr) {
     patch_capture->reset();
-    patch_capture->options = options;
+    patch_capture->context.options = options;
   }
   // Per-THREAD counter, not the process-global one: every Simulation of
   // this run is constructed on this (orchestration) thread, and the job
@@ -130,20 +134,9 @@ PipelineResult run_pipeline(const ConfigSet& original,
 
   PipelineResult result;
   result.anonymized = original;
-
-  // Seeds a stage's first simulation from the prior run's snapshot when
-  // the stage-entry diff allows it (patch_mode.hpp); tallies the reuse
-  // outcome either way.
-  const auto stage_seed_from = [&](const PatchSnapshot& snapshot,
-                                   const ConfigSet& configs)
-      -> std::shared_ptr<Simulation> {
-    auto seeded = seed_simulation(configs, snapshot);
-    if (seeded != nullptr) {
-      ++result.stats.patched_stages;
-    } else {
-      ++result.stats.patch_fallbacks;
-    }
-    return seeded;
+  // Tallies one stage's reuse decision against the patch base.
+  const auto tally = [&](bool reused) {
+    ++(reused ? result.stats.patched_stages : result.stats.patch_fallbacks);
   };
 
   const OriginalIndex& index = *preprocessed.index;
@@ -152,30 +145,35 @@ PipelineResult run_pipeline(const ConfigSet& original,
   // baseline computes everything itself.
   const Simulation* carry =
       options.incremental_simulation ? preprocessed.sim.get() : nullptr;
-  if (patch_base != nullptr) {
-    ++(preprocessed.seeded ? result.stats.patched_stages
-                           : result.stats.patch_fallbacks);
-  }
+  if (patch_base != nullptr) tally(preprocessed.seeded);
   if (patch_capture != nullptr) {
-    patch_capture->original.configs =
-        patch_capture->shared_original.get() == &original
-            ? patch_capture->shared_original
-            : std::make_shared<const ConfigSet>(original);
-    patch_capture->original.live = preprocessed.sim;
-    patch_capture->index = preprocessed.index;
+    PatchContext& captured = patch_capture->context;
+    const bool shared = patch_capture->shared_original.get() == &original;
+    captured.original.configs =
+        shared ? patch_capture->shared_original
+               : std::make_shared<const ConfigSet>(original);
+    captured.original.sim = preprocessed.sim;
+    patch_capture->original_sim_reads_configs =
+        shared && &preprocessed.sim->configs() == &original;
+    captured.index = preprocessed.index;
   }
 
+  // The originals' prefixes are reserved only before a stage allocates
+  // from them: a grafted Step 1 restores the captured allocator whole.
   PrefixAllocator allocator(
       options.link_pool.value_or(PrefixAllocator::default_link_pool()),
       options.host_pool.value_or(PrefixAllocator::default_host_pool()));
-  for (const auto& prefix : original.used_prefixes()) {
-    allocator.reserve(prefix);
-  }
+  const auto reserve_originals = [&] {
+    for (const auto& prefix : original.used_prefixes()) {
+      allocator.reserve(prefix);
+    }
+  };
   Rng rng(options.seed);
 
   // Step 0 (extension, §9): network-scale obfuscation via fake routers,
   // before Step 1 so their degrees are k-anonymized too.
   if (options.fake_routers > 0) {
+    reserve_originals();
     auto span = PipelineTrace::begin("node_addition");
     run_stage(PipelineStage::kNodeAddition, [&] {
       NodeAdditionOptions node_options;
@@ -198,17 +196,20 @@ PipelineResult run_pipeline(const ConfigSet& original,
   // before it (the captured stage input is the bare originals), and
   // graft_topology's own roster/interface checks pass.
   auto topo_span = PipelineTrace::begin("topology_anon");
+  bool grafted = false;
   const auto topo_outcome = run_stage(PipelineStage::kTopologyAnon, [&] {
     if (patch_base != nullptr && preprocessed.seeded &&
         options.fake_routers == 0 && patch_base->options == options) {
-      TopologyAnonymizationOutcome grafted;
-      if (graft_topology(result.anonymized, *patch_base, rng, allocator,
-                         grafted)) {
-        ++result.stats.patched_stages;
-        return grafted;
+      TopologyAnonymizationOutcome outcome;
+      grafted = graft_topology(result.anonymized, *patch_base, rng,
+                               allocator, outcome);
+      if (grafted) {
+        tally(true);
+        return outcome;
       }
     }
-    if (patch_base != nullptr) ++result.stats.patch_fallbacks;
+    if (patch_base != nullptr) tally(false);
+    if (options.fake_routers == 0) reserve_originals();
     // Fake links are priced on the network they are added to: the
     // originals, or after node addition the enlarged configs (simulated
     // only when the policy prices anything).
@@ -222,13 +223,22 @@ PipelineResult run_pipeline(const ConfigSet& original,
         options.fake_routers > 0 ? enlarged.get() : preprocessed.sim.get(),
         options.k_r, options.cost_policy, rng, allocator);
   });
-  if (patch_capture != nullptr && options.fake_routers == 0) {
-    patch_capture->topology.result =
-        std::make_shared<const ConfigSet>(result.anonymized);
-    patch_capture->topology.rng = rng;
-    patch_capture->topology.allocator = allocator;
-    patch_capture->topology.outcome = topo_outcome;
-    patch_capture->topology.valid = true;
+  // What node addition and Step 1 appended, for a capture to record and
+  // for a patched run whose Step 1 ran to compare with the patch base's
+  // records: the first half of the proof that Algorithm 1's entry configs
+  // differ from the patch base's exactly where the originals differ.
+  std::optional<TopologyAppends> appends;
+  if (patch_capture != nullptr ||
+      (patch_base != nullptr && preprocessed.seeded && !grafted)) {
+    appends = topology_appends(original, result.anonymized);
+  }
+  const bool topology_matches =
+      patch_base != nullptr && preprocessed.seeded &&
+      (grafted || (appends.has_value() &&
+                   topology_matches_capture(*patch_base, *appends)));
+  if (patch_capture != nullptr && appends.has_value()) {
+    patch_capture->context.topology = {std::move(*appends), rng, allocator,
+                                       topo_outcome, true};
   }
   result.stats.fake_intra_links = topo_outcome.intra_as_links.size();
   result.stats.fake_inter_links = topo_outcome.inter_as_links.size();
@@ -252,6 +262,20 @@ PipelineResult run_pipeline(const ConfigSet& original,
     result.stats.fake_hosts = result.fake_hosts.size();
   });
 
+  // With the fake hosts too, Algorithm 1's entry configs differ from the
+  // patch base's exactly where the originals differ (patch_mode.hpp):
+  // Algorithm 1 is then seeded with the preprocess diff, and Algorithm 2's
+  // replay proof reads that diff.
+  std::vector<FakeHostRecord> fake_hosts;
+  if (patch_base != nullptr || patch_capture != nullptr) {
+    fake_hosts = fake_host_records(result.anonymized, result.fake_hosts.size());
+  }
+  const bool entry_matches =
+      topology_matches && fake_hosts == patch_base->fake_hosts;
+  if (patch_capture != nullptr) {
+    patch_capture->context.fake_hosts = std::move(fake_hosts);
+  }
+
   // Step 2.1: route equivalence. The strawman strategies build their own
   // simulations internally and take no seed — with them the equivalence
   // snapshot simply stays uncaptured/unused.
@@ -270,15 +294,13 @@ PipelineResult run_pipeline(const ConfigSet& original,
           case EquivalenceStrategy::kConfMask:
             break;
         }
-        if (patch_capture != nullptr) {
-          // Clone BEFORE Algorithm 1 mutates: the snapshot must be the
-          // stage-entry state its first simulation was built over.
-          patch_capture->equivalence.configs =
-              std::make_shared<const ConfigSet>(result.anonymized);
-        }
         if (patch_base != nullptr) {
-          equivalence_seed.initial =
-              stage_seed_from(patch_base->equivalence, result.anonymized);
+          if (entry_matches && patch_base->equivalence != nullptr) {
+            equivalence_seed.initial =
+                seed_simulation(result.anonymized, *patch_base->equivalence,
+                                preprocessed.diff);
+          }
+          tally(equivalence_seed.initial != nullptr);
         }
         return enforce_route_equivalence(result.anonymized, index,
                                          options.max_equivalence_iterations,
@@ -288,7 +310,8 @@ PipelineResult run_pipeline(const ConfigSet& original,
                                          carry);
       });
   if (patch_capture != nullptr) {
-    patch_capture->equivalence.live = std::move(equivalence_seed.entry_sim);
+    patch_capture->context.equivalence =
+        std::move(equivalence_seed.entry_sim);
   }
   result.stats.equivalence_iterations = equivalence.iterations;
   result.stats.equivalence_filters = equivalence.filters_added;
@@ -312,34 +335,23 @@ PipelineResult run_pipeline(const ConfigSet& original,
   run_stage(PipelineStage::kRouteAnonymity, [&] {
     std::shared_ptr<Simulation> entry = std::move(equivalence.simulation);
     const bool runs = !result.fake_hosts.empty() && options.noise_p > 0.0;
-    if (patch_capture != nullptr) {
-      patch_capture->anonymity.configs =
-          std::make_shared<const ConfigSet>(result.anonymized);
-    }
     // Algorithm 1 rebuilt the columns it filtered; where one equals the
     // anonymity snapshot's, share the snapshot's object, so the gate's
     // identity proof covers what the captured run already verified.
-    if (patch_base != nullptr && patch_base->anonymity.valid() &&
+    if (patch_base != nullptr && patch_base->anonymity != nullptr &&
         entry != nullptr) {
-      entry->share_equal_columns(*patch_base->anonymity.sim);
+      entry->share_equal_columns(*patch_base->anonymity);
     }
     bool replayable = false;
     if (patch_base != nullptr && runs) {
-      // The stage-entry diff against the captured run's decides the replay;
-      // no simulation is seeded from it (the entry is Algorithm 1's).
-      const ConfigSetDiff entry_diff =
-          patch_base->anonymity.valid()
-              ? diff_config_sets(*patch_base->anonymity.configs,
-                                 result.anonymized)
-              : ConfigSetDiff{};
-      const bool filter_only =
-          patch_base->anonymity.valid() && entry_diff.filter_only();
-      ++(filter_only ? result.stats.patched_stages
-                     : result.stats.patch_fallbacks);
-      replayable = filter_only && entry != nullptr &&
-                   anonymity_replayable(*patch_base, options, rng,
-                                        result.anonymized, entry_diff, *entry,
-                                        result.fake_hosts);
+      // The entry configs match the captured run's but for filters; no
+      // simulation is seeded here (the entry is Algorithm 1's).
+      const bool matches = entry_matches && patch_base->anonymity != nullptr;
+      tally(matches);
+      replayable = matches && entry != nullptr &&
+                   anonymity_replayable(*patch_base, options, rng, original,
+                                        preprocessed.diff,
+                                        equivalence_seed.filters, *entry);
     }
     // The strawmen (and a from-scratch Algorithm 1 that stopped
     // unconverged) hand over no simulation: build the entry here. A
@@ -350,7 +362,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
       if (!handed_over) entry = std::make_shared<Simulation>(result.anonymized);
       count_entry_vectors(*entry, handed_over);
       if (patch_capture != nullptr) {
-        patch_capture->anonymity.live = entry;
+        patch_capture->context.anonymity = entry;
         anonymity_replay.valid = true;
       }
     }
@@ -372,7 +384,9 @@ PipelineResult run_pipeline(const ConfigSet& original,
     result.stats.anonymity_rollbacks = anonymity.filters_rolled_back;
   });
   if (patch_capture != nullptr) {
-    patch_capture->anonymity_replay = std::move(anonymity_replay);
+    patch_capture->context.anonymity_replay = std::move(anonymity_replay);
+    patch_capture->context.equivalence_filters =
+        std::move(equivalence_seed.filters);
   }
   if (anonymity_span) {
     anonymity_span.add("fake_hosts", result.stats.fake_hosts);
@@ -404,8 +418,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
     // when the edit provably left their inputs untouched.
     VerifiedBase verified_base;
     if (patch_base != nullptr && patch_base->verified) {
-      verified_base = {patch_base->index.get(),
-                       patch_base->anonymity.sim.get()};
+      verified_base = {patch_base->index.get(), patch_base->anonymity.get()};
     }
     verdict = index.compare_real_flows(
         *final_simulation,
@@ -415,7 +428,9 @@ PipelineResult run_pipeline(const ConfigSet& original,
     final_simulation.reset();
   });
   result.functionally_equivalent = verdict.equal;
-  if (patch_capture != nullptr) patch_capture->verified = verdict.equal;
+  if (patch_capture != nullptr) {
+    patch_capture->context.verified = verdict.equal;
+  }
   if (verification_span) {
     verification_span.add("real_flows_compared", verdict.real_flows_compared);
     verification_span.add("real_flows_proved", verdict.real_flows_proved);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/config/diff.hpp"
 #include "src/config/emit.hpp"
 #include "src/config/model.hpp"
 #include "src/core/topology_anonymization.hpp"
@@ -68,9 +69,9 @@ struct PipelineStats {
   int equivalence_filters = 0;
   int anonymity_filters = 0;
   int anonymity_rollbacks = 0;
-  /// Watch mode (patch_mode.hpp): stages whose first simulation was seeded
-  /// from a prior run's PatchContext, and stages where a context was
-  /// offered but the stage-entry diff was structural (full rebuild).
+  /// Watch mode (patch_mode.hpp): stages that reused a prior run's
+  /// PatchContext, and stages where a context was offered but the stage's
+  /// reuse proof failed (full rebuild).
   int patched_stages = 0;
   int patch_fallbacks = 0;
   /// Watch mode: Algorithm 2 replayed the patch base's edit log instead
@@ -120,13 +121,17 @@ struct Preprocessed {
   /// Watch mode: `sim` was seeded from the patch base, whose originals
   /// therefore differ from these only by filters.
   bool seeded = false;
+  /// Watch mode: the diff from the patch base's originals to these, which
+  /// every later reuse proof of the run reads. Filter-only when `seeded`.
+  ConfigSetDiff diff;
   std::uint64_t simulations = 0;
   double seconds = 0.0;
 };
 
 /// Runs the preprocessing stage (span "preprocess"). A non-null patch base
 /// seeds the simulation when the originals diff filter-only and — absent
-/// packet-ACL changes — splices its index instead of rebuilding it.
+/// packet-ACL changes — splices its index instead of rebuilding it. This
+/// is the one bundle diff of a patched run.
 [[nodiscard]] Preprocessed preprocess(const ConfigSet& original,
                                       const PatchContext* patch_base);
 
@@ -134,15 +139,14 @@ struct Preprocessed {
 /// preprocess(original, patch_base), with a null base whenever
 /// options.incremental_simulation is off. Watch mode (patch_mode.hpp,
 /// DESIGN.md §14): `patch_base`, when non-null, offers a prior run's stage
-/// snapshots: each of the three full-simulation points (preprocess,
-/// Algorithm 1 entry, Algorithm 2 entry) independently reuses the snapshot
-/// iff its current entry configs differ only by filters, and falls back to
-/// a from-scratch build otherwise — output bytes are identical either way,
-/// only stats.patched_stages / patch_fallbacks and the per-stage reuse
-/// counters move. `patch_capture`, when non-null, collects this run's
-/// stage-entry state, sharing the preprocess simulation and index; pass it
-/// to finish_capture AFTER this returns to obtain the context for the next
-/// cycle. Both are ignored (and the capture reset) unless
+/// state: preprocess, Step 1, Algorithm 1 and Algorithm 2 each reuse it
+/// iff the proof for that stage holds on the preprocess diff, and fall
+/// back to a from-scratch build otherwise — output bytes are identical
+/// either way, only stats.patched_stages / patch_fallbacks and the
+/// per-stage reuse counters move. `patch_capture`, when non-null, collects
+/// this run's stage state, sharing the preprocess simulation and index;
+/// pass it to finish_capture AFTER this returns to obtain the context for
+/// the next cycle. Both are ignored (and the capture reset) unless
 /// options.incremental_simulation is set.
 PipelineResult run_pipeline(const ConfigSet& original,
                             const Preprocessed& preprocessed,

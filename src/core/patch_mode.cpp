@@ -1,26 +1,15 @@
 #include "src/core/patch_mode.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
+#include "src/core/filters.hpp"
 #include "src/routing/simulation.hpp"
 
 namespace confmask {
 
 namespace {
-
-PatchSnapshot rebase_stage(const PatchCapture::Stage& stage) {
-  PatchSnapshot snapshot;
-  if (stage.configs == nullptr || stage.live == nullptr) return snapshot;
-  snapshot.configs = stage.configs;
-  // Empty delta: every FIB column and the topology arenas are aliased from
-  // the live simulation; only the filter index is re-derived, from the
-  // clone this time, making the snapshot independent of the pipeline's
-  // (since-mutated, possibly destroyed) working configs.
-  snapshot.sim = std::make_shared<const Simulation>(
-      *snapshot.configs, *stage.live, SimulationDelta{});
-  return snapshot;
-}
 
 /// True when every node of `topo` names, through its config_index, the
 /// device of the same name in `configs`. A seeded simulation keeps the
@@ -44,27 +33,134 @@ bool indexes_match(const Topology& topo, const ConfigSet& configs) {
   return true;
 }
 
-/// Maps a filter-only diff onto the snapshot's node ids. Returns the
-/// seeded simulation, or null when the diff is structural, names a device
-/// the snapshot's topology does not know, or the snapshot's config indexes
-/// do not name the same devices in `configs`.
-std::shared_ptr<Simulation> seed_from_diff(const ConfigSet& configs,
-                                           const PatchSnapshot& snapshot,
-                                           const ConfigSetDiff& diff) {
-  if (!diff.filter_only() ||
-      !indexes_match(snapshot.sim->topology(), configs)) {
+// Equal but for passthrough lines.
+bool same_but_passthrough(const InterfaceConfig& a, InterfaceConfig b) {
+  b.extra_lines = a.extra_lines;
+  return a == b;
+}
+bool same_but_passthrough(const HostConfig& a, HostConfig b) {
+  b.extra_lines = a.extra_lines;
+  return a == b;
+}
+bool same_but_passthrough(const RouterConfig& a, RouterConfig b) {
+  b.extra_lines = a.extra_lines;
+  if (a.interfaces.size() == b.interfaces.size()) {
+    for (std::size_t i = 0; i < a.interfaces.size(); ++i) {
+      b.interfaces[i].extra_lines = a.interfaces[i].extra_lines;
+    }
+  }
+  if (a.ospf && b.ospf) b.ospf->extra_lines = a.ospf->extra_lines;
+  if (a.rip && b.rip) b.rip->extra_lines = a.rip->extra_lines;
+  if (a.bgp && b.bgp) b.bgp->extra_lines = a.bgp->extra_lines;
+  return a == b;
+}
+bool same_but_passthrough(const RouterAppends& a, const RouterAppends& b) {
+  return a.ospf_networks == b.ospf_networks &&
+         a.rip_networks == b.rip_networks &&
+         a.bgp_neighbors == b.bgp_neighbors &&
+         std::ranges::equal(a.interfaces, b.interfaces,
+                            [](const auto& x, const auto& y) {
+                              return same_but_passthrough(x, y);
+                            });
+}
+template <typename T>
+bool all_same_but_passthrough(const std::vector<T>& a,
+                              const std::vector<T>& b) {
+  return std::ranges::equal(a, b, [](const T& x, const T& y) {
+    return same_but_passthrough(x, y);
+  });
+}
+
+/// Orders filters by router, each router's own in their order.
+std::vector<EquivalenceFilter> by_router(
+    std::vector<EquivalenceFilter> filters) {
+  std::stable_sort(filters.begin(), filters.end(),
+                   [](const EquivalenceFilter& x, const EquivalenceFilter& y) {
+                     return x.router < y.router;
+                   });
+  return filters;
+}
+
+/// The filters of `router` in filters ordered by router.
+std::span<const EquivalenceFilter> filters_of(
+    const std::vector<EquivalenceFilter>& filters, int router) {
+  const auto first = std::partition_point(
+      filters.begin(), filters.end(),
+      [router](const EquivalenceFilter& f) { return f.router < router; });
+  const auto last = std::partition_point(
+      first, filters.end(),
+      [router](const EquivalenceFilter& f) { return f.router == router; });
+  return {first, last};
+}
+
+/// The node ids of the routers whose own filters differ between `a` and
+/// `b`, both ordered by router.
+std::vector<int> routers_with_other_filters(
+    const std::vector<EquivalenceFilter>& a,
+    const std::vector<EquivalenceFilter>& b) {
+  std::vector<int> routers;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() || ib != b.end()) {
+    const int router = ib == b.end()   ? ia->router
+                       : ia == a.end() ? ib->router
+                                       : std::min(ia->router, ib->router);
+    const auto mine = [router](const EquivalenceFilter& f) {
+      return f.router == router;
+    };
+    const auto ea = std::find_if_not(ia, a.end(), mine);
+    const auto eb = std::find_if_not(ib, b.end(), mine);
+    if (!std::equal(ia, ea, ib, eb)) routers.push_back(router);
+    ia = ea;
+    ib = eb;
+  }
+  return routers;
+}
+
+}  // namespace
+
+std::shared_ptr<const PatchContext> finish_capture(
+    const PatchCapture& capture) {
+  const PatchContext& live = capture.context;
+  auto context = std::make_shared<PatchContext>(live);
+  if (!live.original.valid()) {
+    // The index and topology records answer diffs against the original
+    // snapshot's configs; without those they are unusable.
+    context->original = {};
+    context->index = nullptr;
+    context->topology = {};
+  } else if (!capture.original_sim_reads_configs) {
+    context->original.sim = live.original.sim->column_donor();
+  }
+  if (live.equivalence != nullptr) {
+    context->equivalence = live.equivalence->column_donor();
+  }
+  if (live.anonymity == nullptr) {
+    // The edit log is in the ids of the anonymity simulation's topology.
+    context->anonymity_replay = {};
+  } else {
+    context->anonymity = live.anonymity == live.equivalence
+                             ? context->equivalence
+                             : live.anonymity->column_donor();
+  }
+  if (!context->original.valid() && context->equivalence == nullptr &&
+      context->anonymity == nullptr) {
     return nullptr;
   }
-  if (diff.identical()) {
-    // Still rebuild through the (cheap, fully aliasing) incremental path:
-    // the returned simulation must reference `configs`, not the snapshot's
-    // own clone, because the caller's stage may keep mutating `configs`
-    // and re-simulating against it.
-    return std::make_shared<Simulation>(configs, *snapshot.sim,
-                                        SimulationDelta{});
+  return context;
+}
+
+std::shared_ptr<Simulation> seed_simulation(const ConfigSet& configs,
+                                            const Simulation& snapshot,
+                                            const ConfigSetDiff& diff) {
+  if (!diff.filter_only() || !indexes_match(snapshot.topology(), configs)) {
+    return nullptr;
   }
+  // The returned simulation references `configs`, not the snapshot's
+  // bundle, because the caller's stage may keep mutating `configs` and
+  // re-simulating against it.
   SimulationDelta delta;
-  const Topology& topo = snapshot.sim->topology();
+  const Topology& topo = snapshot.topology();
   for (const DeviceChange& change : diff.devices) {
     if (change.dirty.empty()) continue;
     const int node = topo.find_node(change.name);
@@ -77,89 +173,81 @@ std::shared_ptr<Simulation> seed_from_diff(const ConfigSet& configs,
       delta.record(node, prefix);
     }
   }
-  return std::make_shared<Simulation>(configs, *snapshot.sim, delta);
+  return std::make_shared<Simulation>(configs, snapshot, delta);
 }
 
-}  // namespace
-
-std::shared_ptr<const PatchContext> finish_capture(
-    const PatchCapture& capture) {
-  auto context = std::make_shared<PatchContext>();
-  context->original = rebase_stage(capture.original);
-  context->equivalence = rebase_stage(capture.equivalence);
-  context->anonymity = rebase_stage(capture.anonymity);
-  if (!context->original.valid() && !context->equivalence.valid() &&
-      !context->anonymity.valid()) {
-    return nullptr;
-  }
-  // The index and topology snapshots answer diffs against the original
-  // snapshot's configs; without those they are unusable.
-  if (context->original.valid()) {
-    context->index = capture.index;
-    if (capture.topology.valid && capture.topology.result != nullptr) {
-      context->topology = capture.topology;
-    }
-  }
-  // The edit log is in the ids of the anonymity snapshot's topology.
-  if (context->anonymity.valid()) {
-    context->anonymity_replay = capture.anonymity_replay;
-  }
-  context->options = capture.options;
-  context->verified = capture.verified;
-  return context;
-}
-
-std::shared_ptr<Simulation> seed_simulation(const ConfigSet& configs,
-                                            const PatchSnapshot& snapshot) {
-  if (!snapshot.valid()) return nullptr;
-  return seed_from_diff(configs, snapshot,
-                        diff_config_sets(*snapshot.configs, configs));
-}
-
-bool anonymity_replayable(const PatchContext& context,
-                          const ConfMaskOptions& options, const Rng& rng,
-                          const ConfigSet& configs,
-                          const ConfigSetDiff& entry_diff,
-                          const Simulation& entry,
-                          const std::vector<std::string>& fake_hosts) {
+bool anonymity_replayable(
+    const PatchContext& context, const ConfMaskOptions& options,
+    const Rng& rng, const ConfigSet& original,
+    const ConfigSetDiff& original_diff,
+    const std::vector<EquivalenceFilter>& equivalence_filters,
+    const Simulation& entry) {
   const AnonymityPatch& patch = context.anonymity_replay;
-  if (!patch.valid || !context.anonymity.valid() ||
-      !entry_diff.filter_only() || !(context.options == options) ||
-      !(patch.rng == rng) ||
-      &entry.topology() != &context.anonymity.sim->topology()) {
+  if (!patch.valid || context.anonymity == nullptr ||
+      !context.original.valid() || !original_diff.filter_only() ||
+      !(context.options == options) || !(patch.rng == rng) ||
+      &entry.topology() != &context.anonymity->topology()) {
     return false;
   }
   std::vector<Ipv4Prefix> fake_lans;
-  fake_lans.reserve(fake_hosts.size());
-  for (const std::string& name : fake_hosts) {
-    const int node = entry.topology().find_node(name);
-    if (node < entry.topology().router_count()) return false;
-    fake_lans.push_back(entry.host_prefix(node));
+  fake_lans.reserve(context.fake_hosts.size());
+  for (const FakeHostRecord& host : context.fake_hosts) {
+    fake_lans.push_back(host.lan);
   }
   std::sort(fake_lans.begin(), fake_lans.end());
-  const auto names_fake_lan = [&](const RouterConfig* router) {
-    if (router == nullptr) return false;
-    for (const PrefixList& list : router->prefix_lists) {
-      for (const PrefixListEntry& entry : list.entries) {
-        if (!entry.permit && std::binary_search(fake_lans.begin(),
-                                                fake_lans.end(),
-                                                entry.prefix)) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-  for (const DeviceChange& change : entry_diff.devices) {
+  // The routers either version changed: by the diff, or by Algorithm 1's
+  // filters where those differ between the runs.
+  const Topology& topo = entry.topology();
+  const std::vector<EquivalenceFilter> captured =
+      by_router(context.equivalence_filters);
+  const std::vector<EquivalenceFilter> current =
+      by_router(equivalence_filters);
+  std::vector<int> changed = routers_with_other_filters(captured, current);
+  for (const DeviceChange& change : original_diff.devices) {
     for (const Ipv4Prefix& dirty : change.dirty) {
       for (const Ipv4Prefix& lan : fake_lans) {
         if (dirty.overlaps(lan)) return false;
       }
     }
-    // FilterEditor's add and remove act on exact-prefix deny entries: none may exist for a fake LAN on a device the edit changed,
-    // or an edit could take effect in one run and not the other.
-    if (names_fake_lan(context.anonymity.configs->find_router(change.name)) ||
-        names_fake_lan(configs.find_router(change.name))) {
+    const int node = topo.find_node(change.name);
+    if (node >= 0 && topo.is_router(node)) changed.push_back(node);
+  }
+  for (const int router : changed) {
+    // The lists Algorithm 1 wrote on the router in either run, under
+    // either scope's name. Its adds drop a list's permit-alls, so one that
+    // lands in a list of the originals can decide a fake LAN; its own
+    // lists deny real hosts only and decide none.
+    std::vector<std::string> written;
+    for (const auto* filters : {&captured, &current}) {
+      for (const EquivalenceFilter& filter : filters_of(*filters, router)) {
+        const Link& link = topo.link(filter.link);
+        written.push_back(igp_filter_name(link.end_of(router).interface));
+        written.push_back(bgp_filter_name(link.other_end(router).address));
+      }
+    }
+    // FilterEditor's add and remove act on exact-prefix deny entries: none
+    // may exist for a fake LAN on a changed router, or an edit could take
+    // effect in one run and not the other.
+    const auto hazardous = [&](const RouterConfig* config) {
+      if (config == nullptr) return false;
+      for (const PrefixList& list : config->prefix_lists) {
+        if (std::find(written.begin(), written.end(), list.name) !=
+            written.end()) {
+          return true;
+        }
+        for (const PrefixListEntry& entry : list.entries) {
+          if (!entry.permit && std::binary_search(fake_lans.begin(),
+                                                  fake_lans.end(),
+                                                  entry.prefix)) {
+            return true;
+          }
+        }
+      }
+      return false;
+    };
+    const std::string& name = topo.node(router).name;
+    if (hazardous(context.original.configs->find_router(name)) ||
+        hazardous(original.find_router(name))) {
       return false;
     }
   }
@@ -170,33 +258,106 @@ OriginalReusePlan plan_original_reuse(const ConfigSet& configs,
                                       const PatchContext& context) {
   OriginalReusePlan plan;
   if (!context.original.valid()) return plan;
-  const ConfigSetDiff diff =
-      diff_config_sets(*context.original.configs, configs);
-  plan.sim = seed_from_diff(configs, context.original, diff);
+  plan.diff = diff_config_sets(*context.original.configs, configs);
+  plan.sim = seed_simulation(configs, *context.original.sim, plan.diff);
   if (plan.sim == nullptr) return plan;
-  plan.index_reusable = !diff.acls_changed();
-  for (const DeviceChange& change : diff.devices) {
+  plan.index_reusable = !plan.diff.acls_changed();
+  for (const DeviceChange& change : plan.diff.devices) {
     plan.dirty.insert(plan.dirty.end(), change.dirty.begin(),
                       change.dirty.end());
   }
   return plan;
 }
 
+std::optional<TopologyAppends> topology_appends(const ConfigSet& before,
+                                                const ConfigSet& after) {
+  if (before.routers.size() > after.routers.size() ||
+      before.hosts.size() > after.hosts.size()) {
+    return std::nullopt;
+  }
+  for (std::size_t i = 0; i < before.hosts.size(); ++i) {
+    if (before.hosts[i] != after.hosts[i]) return std::nullopt;
+  }
+  // The elements past `first` of a container the stages append to.
+  const auto tail = [](const auto& from, std::size_t first, auto& to) {
+    if (from.size() < first) return false;
+    to.assign(from.begin() + static_cast<std::ptrdiff_t>(first), from.end());
+    return true;
+  };
+  TopologyAppends appends;
+  appends.routers.resize(before.routers.size());
+  for (std::size_t i = 0; i < before.routers.size(); ++i) {
+    const RouterConfig& pre = before.routers[i];
+    const RouterConfig& post = after.routers[i];
+    // Containers the stages never touch: any drift means they did more
+    // than append.
+    if (pre.hostname != post.hostname ||
+        post.prefix_lists.size() != pre.prefix_lists.size() ||
+        post.access_lists.size() != pre.access_lists.size() ||
+        post.static_routes.size() != pre.static_routes.size() ||
+        post.extra_lines.size() != pre.extra_lines.size() ||
+        pre.ospf.has_value() != post.ospf.has_value() ||
+        pre.rip.has_value() != post.rip.has_value() ||
+        pre.bgp.has_value() != post.bgp.has_value()) {
+      return std::nullopt;
+    }
+    RouterAppends& added = appends.routers[i];
+    if (!tail(post.interfaces, pre.interfaces.size(), added.interfaces) ||
+        (pre.ospf && !tail(post.ospf->networks, pre.ospf->networks.size(),
+                           added.ospf_networks)) ||
+        (pre.rip && !tail(post.rip->networks, pre.rip->networks.size(),
+                          added.rip_networks)) ||
+        (pre.bgp && !tail(post.bgp->neighbors, pre.bgp->neighbors.size(),
+                          added.bgp_neighbors))) {
+      return std::nullopt;
+    }
+  }
+  appends.fake_routers.assign(
+      after.routers.begin() +
+          static_cast<std::ptrdiff_t>(before.routers.size()),
+      after.routers.end());
+  appends.fake_hosts.assign(
+      after.hosts.begin() + static_cast<std::ptrdiff_t>(before.hosts.size()),
+      after.hosts.end());
+  return appends;
+}
+
+std::vector<FakeHostRecord> fake_host_records(const ConfigSet& configs,
+                                              std::size_t count) {
+  std::vector<FakeHostRecord> records;
+  records.reserve(count);
+  for (std::size_t i = configs.hosts.size() - count; i < configs.hosts.size();
+       ++i) {
+    const HostConfig& host = configs.hosts[i];
+    records.push_back(FakeHostRecord{host.hostname, host.prefix(),
+                                     host.gateway});
+  }
+  return records;
+}
+
+bool topology_matches_capture(const PatchContext& context,
+                              const TopologyAppends& appends) {
+  const TopologyPatch& topo = context.topology;
+  return topo.valid &&
+         all_same_but_passthrough(appends.routers, topo.appends.routers) &&
+         all_same_but_passthrough(appends.fake_routers,
+                                  topo.appends.fake_routers) &&
+         all_same_but_passthrough(appends.fake_hosts, topo.appends.fake_hosts);
+}
+
 bool graft_topology(ConfigSet& configs, const PatchContext& context,
                     Rng& rng, PrefixAllocator& allocator,
                     TopologyAnonymizationOutcome& outcome) {
   const TopologyPatch& topo = context.topology;
-  if (!topo.valid || topo.result == nullptr || !context.original.valid()) {
-    return false;
-  }
+  if (!topo.valid || !context.original.valid()) return false;
   const ConfigSet& pre = *context.original.configs;
-  const ConfigSet& post = *topo.result;
+  const TopologyAppends& appends = topo.appends;
   // The stage only ever APPENDS to existing routers; a changed roster
   // means some other stage (node addition) ran — not replayable here.
-  if (pre.routers.size() != post.routers.size() ||
+  if (!appends.fake_routers.empty() || !appends.fake_hosts.empty() ||
+      appends.routers.size() != pre.routers.size() ||
       configs.routers.size() != pre.routers.size() ||
-      configs.hosts.size() != pre.hosts.size() ||
-      post.hosts.size() != pre.hosts.size()) {
+      configs.hosts.size() != pre.hosts.size()) {
     return false;
   }
 
@@ -205,94 +366,51 @@ bool graft_topology(ConfigSet& configs, const PatchContext& context,
   // must sit at the same positions in `configs`: the grafted outcome is in
   // node ids, which follow device order.
   for (std::size_t i = 0; i < pre.hosts.size(); ++i) {
-    if (pre.hosts[i].hostname != configs.hosts[i].hostname ||
-        post.hosts[i].hostname != configs.hosts[i].hostname) {
-      return false;
-    }
+    if (pre.hosts[i].hostname != configs.hosts[i].hostname) return false;
   }
   for (std::size_t i = 0; i < pre.routers.size(); ++i) {
     const RouterConfig& before = pre.routers[i];
-    const RouterConfig& after = post.routers[i];
     const RouterConfig& current = configs.routers[i];
-    if (before.hostname != after.hostname ||
-        before.hostname != current.hostname) {
-      return false;
-    }
     // Containers the stage appends to: current must still start where the
     // captured run started.
-    if (current.interfaces.size() != before.interfaces.size() ||
-        after.interfaces.size() < before.interfaces.size()) {
-      return false;
-    }
-    // Containers the stage never touches: any drift means the snapshot is
-    // not from the assumed stage shape.
-    if (after.prefix_lists.size() != before.prefix_lists.size() ||
-        after.access_lists.size() != before.access_lists.size() ||
-        after.static_routes.size() != before.static_routes.size() ||
-        after.extra_lines.size() != before.extra_lines.size()) {
-      return false;
-    }
-    if (before.ospf.has_value() != after.ospf.has_value() ||
-        before.rip.has_value() != after.rip.has_value() ||
-        before.bgp.has_value() != after.bgp.has_value() ||
+    if (before.hostname != current.hostname ||
+        current.interfaces.size() != before.interfaces.size() ||
         before.ospf.has_value() != current.ospf.has_value() ||
         before.rip.has_value() != current.rip.has_value() ||
         before.bgp.has_value() != current.bgp.has_value()) {
       return false;
     }
-    if (before.ospf &&
-        after.ospf->networks.size() < before.ospf->networks.size()) {
-      return false;
-    }
-    if (before.rip &&
-        after.rip->networks.size() < before.rip->networks.size()) {
-      return false;
-    }
-    if (before.bgp &&
-        after.bgp->neighbors.size() < before.bgp->neighbors.size()) {
-      return false;
-    }
-    if (after.interfaces.size() > before.interfaces.size()) {
-      // Fake interfaces clone the first real interface's passthrough lines
-      // (materialize_fake_link); those lines are on the filter-only edit
-      // surface, so an edit there makes the captured clone stale.
-      if (before.interfaces.empty() ||
-          before.interfaces.front().extra_lines !=
-              current.interfaces.front().extra_lines) {
+    // Fake interfaces clone the first real interface's passthrough lines
+    // (materialize_fake_link); those lines are on the filter-only edit
+    // surface, so an edit there makes the captured clones stale.
+    for (const InterfaceConfig& added : appends.routers[i].interfaces) {
+      if (current.interfaces.empty() ||
+          added.extra_lines != current.interfaces.front().extra_lines) {
         return false;
       }
     }
   }
 
   for (std::size_t i = 0; i < pre.routers.size(); ++i) {
-    const RouterConfig& before = pre.routers[i];
-    const RouterConfig& after = post.routers[i];
+    const RouterAppends& added = appends.routers[i];
     RouterConfig& current = configs.routers[i];
-    current.interfaces.insert(
-        current.interfaces.end(),
-        after.interfaces.begin() +
-            static_cast<std::ptrdiff_t>(before.interfaces.size()),
-        after.interfaces.end());
-    if (before.ospf) {
-      current.ospf->networks.insert(
-          current.ospf->networks.end(),
-          after.ospf->networks.begin() +
-              static_cast<std::ptrdiff_t>(before.ospf->networks.size()),
-          after.ospf->networks.end());
+    current.interfaces.insert(current.interfaces.end(),
+                              added.interfaces.begin(),
+                              added.interfaces.end());
+    if (current.ospf) {
+      current.ospf->networks.insert(current.ospf->networks.end(),
+                                    added.ospf_networks.begin(),
+                                    added.ospf_networks.end());
     }
-    if (before.rip) {
-      current.rip->networks.insert(
-          current.rip->networks.end(),
-          after.rip->networks.begin() +
-              static_cast<std::ptrdiff_t>(before.rip->networks.size()),
-          after.rip->networks.end());
+    if (current.rip) {
+      current.rip->networks.insert(current.rip->networks.end(),
+                                   added.rip_networks.begin(),
+                                   added.rip_networks.end());
     }
-    if (before.bgp) {
-      current.bgp->neighbors.insert(
-          current.bgp->neighbors.end(),
-          after.bgp->neighbors.begin() +
-              static_cast<std::ptrdiff_t>(before.bgp->neighbors.size()),
-          after.bgp->neighbors.end());
+    if (current.bgp) {
+      current.bgp->neighbors.insert(current.bgp->neighbors.end(),
+                                    added.bgp_neighbors.begin(),
+                                    added.bgp_neighbors.end());
     }
   }
 

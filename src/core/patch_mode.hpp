@@ -2,57 +2,68 @@
 //
 // A watch cycle anonymizes a bundle that differs from a previously
 // anonymized one by a small edit. A PatchContext captured from the prior
-// run snapshots every point where the pipeline pays a from-scratch cost:
+// run keeps what each later reuse reads, and no copy of a stage's configs:
 //
-//  * the stage-entry simulations — preprocess (the original network),
-//    Algorithm 1 entry (post-Step-1 configs with the fake hosts) and
-//    Algorithm 2 entry (Algorithm 1's final simulation) — each as a stable
-//    copy of the stage-entry configs plus the simulation over them; the
-//    last two share one topology object;
+//  * the original bundle (the caller's own copy when it offers one) and
+//    the preprocess simulation over it;
+//  * Algorithm 1's entry simulation and Algorithm 2's (Algorithm 1's final
+//    one) as column donors (Simulation::column_donor: topology, distance
+//    vectors and FIB columns, without configs or filter tables); the two
+//    share one topology object;
 //  * the preprocessing OriginalIndex (shared FIB and flow columns);
-//  * the topology-anonymization stage output: the post-Step-1 configs
-//    together with the RNG and prefix-allocator state the stage left
-//    behind;
+//  * node addition's and Step 1's output as records: the fake routers,
+//    and per original router the interfaces, OSPF/RIP networks and eBGP
+//    neighbors appended, with the RNG and prefix-allocator state Step 1
+//    left behind;
+//  * the fake hosts as (name, LAN, gateway) records and Algorithm 1's
+//    filters in order;
 //  * Algorithm 2's decisions: its effective filter edits in order, with the
 //    RNG state at stage entry;
 //  * whether the run's verification gate passed.
 //
-// On the next run, reuse is decided per snapshot, each time by PROVING the
-// snapshot's inputs unchanged — never by assuming it:
+// On the next run, reuse is decided per stage, each time by PROVING the
+// stage's inputs unchanged — never by assuming it. One diff is computed,
+// the preprocess diff between the context's originals and the current
+// ones (diff_config_sets); every proof below reads it:
 //
-//  * a stage simulation is seeded through the incremental constructor iff
-//    the stage-entry diff (diff_config_sets) is filter-only, with the
-//    diff's conservative dirty set;
-//  * the OriginalIndex is spliced (flow columns toward dirty destinations
-//    re-walked, the rest shared by pointer) iff the diff is additionally
-//    free of packet-ACL changes — ACLs reshape data-plane flows without
-//    contributing dirty prefixes;
-//  * the topology stage is replayed from the snapshot (graft_topology:
-//    append the same fake interfaces / networks / neighbors, restore the
-//    RNG and allocator) iff the diff is filter-only, the effective options
-//    are IDENTICAL (the RNG stream and fake-link pricing depend on every
-//    knob) and no input the stage reads — device roster, interface
-//    surface, first-interface passthrough lines — moved;
+//  * the preprocess simulation is seeded through the incremental
+//    constructor iff the diff is filter-only, with its conservative dirty
+//    set, and the OriginalIndex is spliced (flow columns toward dirty
+//    destinations re-walked, the rest shared by pointer) iff the diff is
+//    additionally free of packet-ACL changes — ACLs reshape data-plane
+//    flows without contributing dirty prefixes;
+//  * Step 1 is grafted (graft_topology: append the recorded elements,
+//    restore the RNG and allocator) iff the diff is filter-only, the
+//    effective options are IDENTICAL (the RNG stream and fake-link pricing
+//    depend on every knob) and no input the stage reads — device roster,
+//    interface surface, first-interface passthrough lines — moved;
+//  * Algorithm 1 is seeded from the equivalence donor with the diff's
+//    dirty set when its entry configs differ from the captured run's
+//    exactly where the originals differ: the diff is filter-only, Step 1
+//    was grafted or node addition and Step 1 appended the recorded
+//    elements again (topology_matches_capture), and the fake hosts match
+//    the records. None of these stages adds a prefix list or a binding, so
+//    the entry configs' dirty sets are the originals';
 //  * Algorithm 2 starts from Algorithm 1's final simulation and is
 //    replayed from the edit log (replay_route_anonymity) iff that
-//    simulation shares the anonymity snapshot's topology (Algorithm 1 was
-//    seeded from the equivalence snapshot), the stage-entry diff against
-//    the anonymity snapshot is filter-only, the options and the RNG state
-//    at stage entry are identical, the entry diff's dirty prefixes overlap
-//    no fake-host LAN, and no changed device denies a fake-host LAN in
-//    either version (anonymity_replayable). Every fake-host FIB column,
-//    all the stage reads, then equals the captured run's, so every draw
-//    and every rollback repeats;
+//    simulation shares the anonymity donor's topology (Algorithm 1 was
+//    seeded from the equivalence donor), the options and the RNG state at
+//    stage entry are identical, no dirty prefix of the diff overlaps a
+//    fake-host LAN, and no router the diff or Algorithm 1 changed denies a
+//    fake-host LAN or defines a list Algorithm 1 writes, in either version
+//    (anonymity_replayable). Every fake-host FIB column, all the
+//    stage reads, then equals the captured run's, so every draw and every
+//    rollback repeats;
 //  * the verification gate skips a destination whose original flow column
-//    is the context index's and whose final FIB column holds the anonymity
-//    snapshot's entries, when the context's run passed its gate
+//    is the context index's and whose final FIB column is the anonymity
+//    donor's, when the context's run passed its gate
 //    (OriginalIndex::compare_real_flows).
 //
 // Any condition that fails falls back to the from-scratch path for that
-// snapshot (fail closed — reuse is an optimization, never a semantic
-// input). All pipeline DECISIONS (filter placement, RNG stream, retry
-// ladder) are either replayed on the current configs or replayed from a
-// state proven equal, so patched output is byte-identical to a cold run by
+// stage (fail closed — reuse is an optimization, never a semantic input).
+// All pipeline DECISIONS (filter placement, RNG stream, retry ladder) are
+// either replayed on the current configs or replayed from a state proven
+// equal, so patched output is byte-identical to a cold run by
 // construction; only the per-stage span counters (simulations,
 // destinations_reused etc.) may differ, mirroring the existing
 // `incremental_simulation` precedent (cache_key.hpp keys neither).
@@ -62,6 +73,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,9 +90,8 @@ namespace confmask {
 
 class Simulation;
 
-/// One reuse point: the stage-entry configs (owned, address-stable) and
-/// the simulation built over them. `configs` is declared before `sim` so
-/// the simulation's internal config pointer never outlives its target.
+/// A run's original bundle and a simulation over it: the simulation reads
+/// `configs`, or is a column donor.
 struct PatchSnapshot {
   std::shared_ptr<const ConfigSet> configs;
   std::shared_ptr<const Simulation> sim;
@@ -90,16 +101,43 @@ struct PatchSnapshot {
   }
 };
 
-/// The topology-anonymization stage output of one run: the configs as the
-/// stage left them plus the RNG / allocator state it consumed up to. Valid
-/// only when the run added no fake routers — only then are the pre-stage
-/// configs exactly PatchContext::original.configs.
+/// What the stages before the fake hosts appended to one original router,
+/// in order.
+struct RouterAppends {
+  std::vector<InterfaceConfig> interfaces;
+  std::vector<OspfNetwork> ospf_networks;
+  std::vector<Ipv4Address> rip_networks;
+  std::vector<BgpNeighbor> bgp_neighbors;
+};
+
+/// What node addition and Step 1 appended to a run's originals.
+struct TopologyAppends {
+  std::vector<RouterAppends> routers;  ///< per original router, by index
+  std::vector<RouterConfig> fake_routers;  ///< node addition's, whole
+  std::vector<HostConfig> fake_hosts;      ///< node addition's, whole
+};
+
+/// The topology stages of one run: what they appended, plus the RNG /
+/// allocator state Step 1 consumed up to. Valid only when the stages only
+/// appended. Step 1 alone is graftable when node addition added nothing.
 struct TopologyPatch {
-  std::shared_ptr<const ConfigSet> result;  ///< configs after Step 1
-  Rng rng{0};                               ///< RNG state after Step 1
-  PrefixAllocator allocator;                ///< allocator state after Step 1
+  TopologyAppends appends;
+  Rng rng{0};                 ///< RNG state after Step 1
+  PrefixAllocator allocator;  ///< allocator state after Step 1
   TopologyAnonymizationOutcome outcome;
   bool valid = false;
+};
+
+/// One fake host as add_fake_hosts placed it. Its gateway router's side
+/// (LAN interface, network statements) follows from these and from the
+/// real host's gateway, which a filter-only diff does not move.
+struct FakeHostRecord {
+  std::string name;
+  Ipv4Prefix lan;
+  Ipv4Address gateway;
+
+  friend bool operator==(const FakeHostRecord&,
+                         const FakeHostRecord&) = default;
 };
 
 /// Algorithm 2 of one run: its decisions and the RNG state they drew
@@ -110,16 +148,24 @@ struct AnonymityPatch {
   bool valid = false;
 };
 
-/// Everything a later run can reuse from one pipeline execution.
+/// Everything a later run can reuse from one pipeline execution. It holds
+/// one ConfigSet, the original.
 struct PatchContext {
-  PatchSnapshot original;     ///< preprocess: the submitted bundle
-  PatchSnapshot equivalence;  ///< Algorithm 1 entry (post Step 1)
-  PatchSnapshot anonymity;    ///< Algorithm 2 entry (post fake hosts)
+  PatchSnapshot original;  ///< preprocess: the submitted bundle
+  /// Algorithm 1's entry simulation (post Step 1, with the fake hosts).
+  std::shared_ptr<const Simulation> equivalence;
+  /// Algorithm 2's entry simulation (Algorithm 1's final one).
+  std::shared_ptr<const Simulation> anonymity;
   /// Preprocessing snapshot of the run (self-contained: no pointer into
   /// a ConfigSet).
   std::shared_ptr<const OriginalIndex> index;
   /// Step-1 stage output, replayable via graft_topology.
   TopologyPatch topology;
+  /// The fake hosts, in the order add_fake_hosts appended them.
+  std::vector<FakeHostRecord> fake_hosts;
+  /// Algorithm 1's filters, in the ids of the equivalence and anonymity
+  /// simulations' topology.
+  std::vector<EquivalenceFilter> equivalence_filters;
   /// Algorithm 2's decisions, replayable via replay_route_anonymity.
   AnonymityPatch anonymity_replay;
   /// The options the run executed with. Topology replay requires equality:
@@ -131,79 +177,53 @@ struct PatchContext {
   bool verified = false;
 };
 
-/// Raw material collected DURING a pipeline run: stage-entry config clones
-/// plus live handles to the simulations the stages actually used. The live
-/// simulations reference configs owned by the (mutating) pipeline, so they
-/// must be re-based before they can outlive the run — see finish_capture.
+/// Raw material collected DURING a pipeline run: a context whose
+/// simulations are still the live ones the stages used. Those read configs
+/// owned by the (mutating) pipeline, so they are made column donors before
+/// they can outlive the run — see finish_capture.
 struct PatchCapture {
-  struct Stage {
-    std::shared_ptr<const ConfigSet> configs;  ///< clone taken at stage entry
-    std::shared_ptr<const Simulation> live;    ///< stage's entry simulation
-  };
   /// In (optional): the caller's own immutable copy of the bundle it runs.
   /// When it is the very object passed to run_pipeline as the original,
-  /// `original.configs` shares it instead of cloning the bundle.
+  /// the context shares it instead of cloning the bundle.
   std::shared_ptr<const ConfigSet> shared_original;
-  Stage original;
-  Stage equivalence;
-  Stage anonymity;
-  std::shared_ptr<const OriginalIndex> index;
-  TopologyPatch topology;
-  AnonymityPatch anonymity_replay;
-  ConfMaskOptions options;
-  bool verified = false;
+  PatchContext context;
+  /// context.original.sim reads context.original.configs, so the finished
+  /// context may keep it as it is.
+  bool original_sim_reads_configs = false;
 
   /// Clears what a run collected; `shared_original` is input and stays.
   void reset() {
-    original = {};
-    equivalence = {};
-    anonymity = {};
-    index = nullptr;
-    topology = {};
-    anonymity_replay = {};
-    options = {};
-    verified = false;
+    context = {};
+    original_sim_reads_configs = false;
   }
 };
 
-/// Re-bases each captured stage onto its cloned configs (an empty-delta
-/// incremental rebuild: every column aliased, no recomputation) and drops
-/// the live handles, yielding a self-contained context safe to hold across
-/// jobs. Call AFTER the pipeline returns, outside its trace spans, so the
-/// cold run's artifacts are byte-identical whether or not it was captured.
-/// Returns null when nothing usable was captured.
+/// Freezes a capture into a self-contained context safe to hold across
+/// jobs: the equivalence and anonymity simulations become column donors,
+/// and so does the preprocess one unless it reads the context's original.
+/// Nothing is re-simulated or re-indexed. Call AFTER the pipeline returns,
+/// outside its trace spans. Returns null when nothing usable was captured.
 [[nodiscard]] std::shared_ptr<const PatchContext> finish_capture(
     const PatchCapture& capture);
 
-/// The reuse decision for one stage: diffs `configs` (the stage's current
-/// entry state) against the snapshot and, when the diff is filter-only,
-/// returns a simulation seeded from the snapshot through the incremental
-/// constructor with the mapped dirty set. Returns null — caller builds
-/// from scratch — on any structural difference, an unknown device, or an
-/// invalid snapshot.
+/// Seeds a simulation over `configs` from `snapshot` through the
+/// incremental constructor, with the dirty prefixes of `diff` mapped onto
+/// the snapshot's node ids. `diff` runs from the snapshot's originals to
+/// `configs`, or to originals that `configs` extends only with appends
+/// adding no prefix list or binding (Algorithm 1's entry). Returns null —
+/// caller builds from scratch — when the diff is structural, names a
+/// router the snapshot does not know, or the snapshot's config indexes do
+/// not name the same devices in `configs`.
 [[nodiscard]] std::shared_ptr<Simulation> seed_simulation(
-    const ConfigSet& configs, const PatchSnapshot& snapshot);
-
-/// Algorithm 2's replay decision. `entry` is the stage's entry simulation
-/// over `configs` (Algorithm 1's final one) and `entry_diff` the
-/// filter-only diff from context.anonymity's configs to `configs`;
-/// `options`, `rng` and `fake_hosts` are the stage's. True iff the context
-/// holds a log, `entry` shares context.anonymity's topology object (both
-/// descend from the equivalence snapshot's, so the log's ids mean the
-/// same), the options and RNG state equal the captured run's, no dirty
-/// prefix of `entry_diff` overlaps a fake-host LAN (so every fake-host FIB
-/// column equals the captured run's), and no changed device carries a
-/// deny entry for a fake-host LAN in either version (so every filter edit
-/// takes effect exactly as it did).
-[[nodiscard]] bool anonymity_replayable(
-    const PatchContext& context, const ConfMaskOptions& options,
-    const Rng& rng, const ConfigSet& configs, const ConfigSetDiff& entry_diff,
-    const Simulation& entry, const std::vector<std::string>& fake_hosts);
+    const ConfigSet& configs, const Simulation& snapshot,
+    const ConfigSetDiff& diff);
 
 /// The preprocess-stage reuse decision against the context's `original`
 /// snapshot, carrying everything that stage can exploit beyond the seeded
 /// simulation.
 struct OriginalReusePlan {
+  /// The diff from the context's originals to the current ones.
+  ConfigSetDiff diff;
   /// Seeded simulation over the current originals, or null (structural
   /// diff / invalid snapshot — nothing below is meaningful then).
   std::shared_ptr<Simulation> sim;
@@ -230,5 +250,46 @@ struct OriginalReusePlan {
                                   const PatchContext& context, Rng& rng,
                                   PrefixAllocator& allocator,
                                   TopologyAnonymizationOutcome& outcome);
+
+/// What node addition and Step 1 appended to `before` to make `after`, or
+/// nullopt when `after` differs from `before` in more than appended
+/// routers and hosts and appends to the interfaces, OSPF/RIP networks and
+/// BGP neighbors of its routers.
+[[nodiscard]] std::optional<TopologyAppends> topology_appends(
+    const ConfigSet& before, const ConfigSet& after);
+
+/// The last `count` hosts of `configs` — the fake hosts add_fake_hosts
+/// appended — as records.
+[[nodiscard]] std::vector<FakeHostRecord> fake_host_records(
+    const ConfigSet& configs, std::size_t count);
+
+/// Whether node addition and Step 1, run again over originals that diff
+/// filter-only from the context's, appended what the context's records
+/// hold (`appends`, from topology_appends), but for passthrough lines:
+/// fake devices clone real ones', which a filter-only edit may change, and
+/// which feed no dirty set.
+[[nodiscard]] bool topology_matches_capture(const PatchContext& context,
+                                            const TopologyAppends& appends);
+
+/// Algorithm 2's replay decision. `entry` is the stage's entry simulation
+/// (Algorithm 1's final one); `original` and `original_diff` are this
+/// run's originals and the preprocess diff; `equivalence_filters` are this
+/// run's Algorithm 1 filters; `options` and `rng` are the stage's. True
+/// iff the context holds a log, `entry` shares the anonymity donor's
+/// topology object (Algorithm 1 was seeded from the equivalence donor, so
+/// the entry configs matched the capture and the log's ids mean the
+/// same), the options and RNG state equal the captured run's, no dirty
+/// prefix of the diff overlaps a fake-host LAN, and no router the diff
+/// changed or whose Algorithm 1 filters differ from the captured run's
+/// carries, in either version's originals, a deny entry for a fake-host
+/// LAN or a list Algorithm 1 wrote on it in either run. Algorithm 1 only
+/// denies real-host prefixes, so every fake-host FIB column equals the
+/// captured run's and every filter edit takes effect exactly as it did.
+[[nodiscard]] bool anonymity_replayable(
+    const PatchContext& context, const ConfMaskOptions& options,
+    const Rng& rng, const ConfigSet& original,
+    const ConfigSetDiff& original_diff,
+    const std::vector<EquivalenceFilter>& equivalence_filters,
+    const Simulation& entry);
 
 }  // namespace confmask

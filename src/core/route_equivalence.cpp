@@ -143,6 +143,10 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
         if (editor->add(violation.router, violation.link, prefix)) {
           ++added;
           delta.record(violation.router, prefix);
+          if (seed != nullptr) {
+            seed->filters.push_back(EquivalenceFilter{
+                violation.router, violation.link, violation.host});
+          }
         }
       }
     }

@@ -48,10 +48,11 @@ struct RouteEquivalenceOutcome {
 /// that changes no real destination's column.
 ///
 /// `seed` (watch mode) optionally supplies the stage's first simulation
-/// and/or receives a handle to it — see stage_seed.hpp. `carry` (optional)
-/// is an earlier stage's simulation whose OSPF distance vectors a fresh
-/// first build may adopt (Simulation's carrying constructor). Filter
-/// decisions are unaffected: the stage scans the same FIBs either way.
+/// and receives a handle to it and the filters the stage added — see
+/// stage_seed.hpp. `carry` (optional) is an earlier stage's simulation
+/// whose OSPF distance vectors a fresh first build may adopt
+/// (Simulation's carrying constructor). Filter decisions are unaffected:
+/// the stage scans the same FIBs either way.
 RouteEquivalenceOutcome enforce_route_equivalence(
     ConfigSet& configs, const OriginalIndex& index, int max_iterations = 64,
     bool incremental = true, StageSeed* seed = nullptr,

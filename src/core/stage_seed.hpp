@@ -12,14 +12,27 @@
 //
 // The same channel also works the other way: the stage publishes a shared
 // handle to the simulation it actually used at stage entry, which the next
-// watch cycle captures as its reuse base.
+// watch cycle captures as its reuse base, and the filters it added, which
+// the next cycle compares its own against.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 namespace confmask {
 
 class Simulation;
+
+/// One filter Algorithm 1 added: on router `router`, deny destination host
+/// `host` learned over link `link`, in the ids of the stage's topology.
+struct EquivalenceFilter {
+  int router = -1;
+  int link = -1;
+  int host = -1;
+
+  friend bool operator==(const EquivalenceFilter&,
+                         const EquivalenceFilter&) = default;
+};
 
 struct StageSeed {
   /// In: when non-null, the stage adopts this as its first simulation
@@ -31,6 +44,9 @@ struct StageSeed {
   /// alive by this handle even after the stage's own iteration loop has
   /// replaced it. Null when the stage never built one.
   std::shared_ptr<const Simulation> entry_sim;
+
+  /// Out: every filter the stage added, in order.
+  std::vector<EquivalenceFilter> filters;
 };
 
 }  // namespace confmask

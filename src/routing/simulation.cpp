@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <stdexcept>
 #include <string_view>
 #include <tuple>
 #include <utility>
@@ -420,6 +421,30 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
     }
     count_vector(static_cast<DestAction>(actions[i]));
   }
+}
+
+Simulation::Simulation(const Simulation& live, DonorTag)
+    : configs_(nullptr),
+      topology_(live.topology_),
+      flat_(live.flat_),
+      to_border_(live.to_border_),
+      dest_dist_(live.dest_dist_),
+      fib_columns_(live.fib_columns_) {}
+
+std::shared_ptr<const Simulation> Simulation::column_donor() const {
+  return std::shared_ptr<const Simulation>(new Simulation(*this, DonorTag{}));
+}
+
+void Simulation::require_configs(const char* what) const {
+  if (configs_ == nullptr) {
+    throw std::logic_error(std::string("Simulation::") + what +
+                           " on a column donor, which holds no configs");
+  }
+}
+
+const ConfigSet& Simulation::configs() const {
+  require_configs("configs");
+  return *configs_;
 }
 
 int Simulation::share_equal_columns(const Simulation& donor) {
@@ -1146,6 +1171,7 @@ bool Simulation::walk(int router, int dst_host, const Ipv4Prefix* src_prefix,
 std::vector<std::vector<int>> Simulation::node_paths(int src_host,
                                                      int dst_host,
                                                      bool* truncated) const {
+  require_configs("node_paths");
   std::vector<std::vector<int>> out;
   if (truncated != nullptr) *truncated = false;
   if (src_host == dst_host) return out;
@@ -1194,6 +1220,7 @@ std::vector<Path> Simulation::paths(int src_host, int dst_host,
 
 Simulation::FlowColumn Simulation::flow_column(
     int dst_host, const std::vector<char>* sources) const {
+  require_configs("flow_column");
   const int n = topology_->router_count();
   const int host_count = topology_->node_count() - n;
   FlowColumn column;

@@ -190,7 +190,9 @@ class Simulation {
   Simulation(const ConfigSet& configs, const Simulation& previous,
              const SimulationDelta& delta);
 
-  [[nodiscard]] const ConfigSet& configs() const { return *configs_; }
+  /// The configs this simulation reads. Throws std::logic_error on a
+  /// column donor, which has none.
+  [[nodiscard]] const ConfigSet& configs() const;
   [[nodiscard]] const Topology& topology() const { return *topology_; }
   /// Shared ownership of the frozen topology — hold this when the
   /// Simulation itself may be replaced (e.g. across re-simulation rounds)
@@ -217,6 +219,16 @@ class Simulation {
   /// what value equality would. A no-op unless `donor` shares this
   /// simulation's topology object. Returns the number of columns shared.
   int share_equal_columns(const Simulation& donor);
+
+  /// Watch mode: this simulation as a column donor — its topology, flat
+  /// view, border rows, distance vectors and FIB columns, aliased, with no
+  /// configs and no filter tables. That is all the incremental
+  /// constructor, share_equal_columns and the verification gate's proof
+  /// read of a previous simulation, so a donor may outlive the configs
+  /// this simulation was built over. Reading a donor's configs or walking
+  /// paths over it (node_paths, flow_column and their callers, which read
+  /// filters and ACLs) throws std::logic_error.
+  [[nodiscard]] std::shared_ptr<const Simulation> column_donor() const;
 
   /// The destinations (host node ids, ascending) this build computed: every
   /// host for a fresh build, the dirty ones for an incremental rebuild.
@@ -377,6 +389,11 @@ class Simulation {
     std::uint32_t count = 0;
   };
 
+  struct DonorTag {};
+  Simulation(const Simulation& live, DonorTag);
+  /// Throws std::logic_error on a column donor (`what` names the caller).
+  void require_configs(const char* what) const;
+
   void index_filters();
   void compute_border_distances();
   /// Per router id: the OSPF distance vector of `donor` towards that
@@ -448,7 +465,7 @@ class Simulation {
             std::vector<int>& current, std::vector<std::vector<int>>& out,
             int depth, bool& truncated) const;
 
-  const ConfigSet* configs_;
+  const ConfigSet* configs_;  // null on a column donor
   // Shared with incremental descendants: between filter-only config edits
   // the topology is frozen, so re-simulations alias one immutable build.
   std::shared_ptr<const Topology> topology_;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,35 @@ TEST(IncrementalSim, OspfFilterReusesDistanceVectors) {
   // destination reuses its cached distance vector.
   EXPECT_GT(stats.distance_vectors_reused, 0);
   EXPECT_EQ(stats.distance_vectors_recomputed, 0);
+}
+
+// A column donor outlives the configs its simulation read: seeding from
+// it equals a fresh build, while reading its configs or walking paths over
+// it throws.
+TEST(IncrementalSim, ColumnDonorSeedsLikeItsSimulationAndRefusesWalks) {
+  auto configs = std::make_unique<ConfigSet>(make_figure2());
+  ConfigSet edited = *configs;
+  std::shared_ptr<const Simulation> donor;
+  SimulationDelta delta;
+  {
+    const Simulation live(*configs);
+    const int h4 = live.topology().find_node("h4");
+    ASSERT_GE(h4, 0);
+    ASSERT_TRUE(deny_first_transit_hop(edited, live, h4, delta));
+    donor = live.column_donor();
+  }
+  configs.reset();
+  const Simulation seeded(edited, *donor, delta);
+  const Simulation fresh(edited);
+  expect_same_fibs(seeded, fresh);
+  EXPECT_GT(seeded.incremental_stats().destinations_reused, 0);
+
+  const int h1 = donor->topology().find_node("h1");
+  const int h4 = donor->topology().find_node("h4");
+  EXPECT_THROW((void)donor->configs(), std::logic_error);
+  EXPECT_THROW((void)donor->flow_column(h4), std::logic_error);
+  EXPECT_THROW((void)donor->node_paths(h1, h4), std::logic_error);
+  EXPECT_THROW((void)donor->extract_data_plane(), std::logic_error);
 }
 
 TEST(IncrementalSim, RipFilterRecomputesDistanceVectors) {

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "src/core/pipeline_runner.hpp"
 #include "src/core/pipeline_trace.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/service/job_scheduler.hpp"
 #include "src/util/ipv4.hpp"
@@ -197,7 +200,7 @@ TEST(WatchReplay, UnboundDenyForAFakeHostLanRunsAlgorithm2) {
   ASSERT_NE(context, nullptr);
 
   // The list an IGP filter add of the captured log writes to.
-  const Topology& topo = context->anonymity.sim->topology();
+  const Topology& topo = context->anonymity->topology();
   std::optional<AnonymityEdit> add;
   for (const AnonymityEdit& edit : context->anonymity_replay.log.edits) {
     const RouterConfig* router =
@@ -214,7 +217,7 @@ TEST(WatchReplay, UnboundDenyForAFakeHostLanRunsAlgorithm2) {
   PrefixList list;
   list.name =
       igp_filter_name(topo.link(add->link).end_of(add->router).interface);
-  list.add_deny(context->anonymity.sim->host_prefix(add->fake_host));
+  list.add_deny(context->anonymity->host_prefix(add->fake_host));
   list.add_permit_all();
   router->prefix_lists.push_back(std::move(list));
   edited = canonicalize(std::move(edited));
@@ -312,9 +315,328 @@ TEST(WatchMode, FilterEditPatchesAndStaysByteIdentical) {
 
   const PipelineStats stats =
       expect_patched_matches_cold(edited, options, context.get()).stats;
-  // The filter-only edit must actually reuse captured state — otherwise
-  // the patched path silently degraded to a cold run.
-  EXPECT_GT(stats.patched_stages, 0);
+  // The filter-only edit must reuse every stage: preprocess, Step 1,
+  // Algorithm 1 and Algorithm 2 — otherwise the patched path silently
+  // degraded toward a cold run.
+  EXPECT_EQ(stats.patched_stages, 4);
+  EXPECT_EQ(stats.patch_fallbacks, 0);
+  EXPECT_TRUE(stats.anonymity_replayed);
+}
+
+// Algorithm 1 writes its filters into the list named after the fake
+// interface it filters on. A user list of that name, bound on that
+// interface, is one Algorithm 1 then writes into: its entries and seqs
+// come out of both runs alike, and the replay is refused.
+TEST(WatchReplay, UserListAlgorithm1WritesIntoStaysByteIdentical) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  PatchCapture capture;
+  const auto captured =
+      run_pipeline_guarded(base, options, RetryPolicy{},
+                           EquivalenceStrategy::kConfMask, nullptr, nullptr,
+                           &capture);
+  ASSERT_TRUE(captured.ok());
+  const auto context = finish_capture(capture);
+  ASSERT_NE(context, nullptr);
+
+  // A list the captured run's Algorithm 1 wrote: a deny for a real host's
+  // prefix in a distribute-list's list.
+  std::string router_name;
+  std::string interface;
+  for (const RouterConfig& router : captured.result->anonymized.routers) {
+    if (!router.ospf) continue;
+    for (const DistributeList& bound : router.ospf->distribute_lists) {
+      if (bound.prefix_list != igp_filter_name(bound.interface)) continue;
+      const auto list = std::find_if(
+          router.prefix_lists.begin(), router.prefix_lists.end(),
+          [&](const PrefixList& candidate) {
+            return candidate.name == bound.prefix_list;
+          });
+      if (list == router.prefix_lists.end()) continue;
+      const bool denies_real = std::any_of(
+          list->entries.begin(), list->entries.end(),
+          [&](const PrefixListEntry& entry) {
+            return !entry.permit &&
+                   std::any_of(base.hosts.begin(), base.hosts.end(),
+                               [&](const HostConfig& host) {
+                                 return host.prefix() == entry.prefix;
+                               });
+          });
+      if (denies_real && router_name.empty()) {
+        router_name = router.hostname;
+        interface = bound.interface;
+      }
+    }
+  }
+  ASSERT_FALSE(router_name.empty());
+  // The interface is a fake one: the originals bind the list to a name
+  // Step 1 creates.
+  ASSERT_EQ(base.find_router(router_name)->find_interface(interface),
+            nullptr);
+
+  ConfigSet edited = base;
+  RouterConfig* router = edited.find_router(router_name);
+  ASSERT_NE(router, nullptr);
+  PrefixList list;
+  list.name = igp_filter_name(interface);
+  list.add_deny(Ipv4Prefix{Ipv4Address{10, 200, 200, 0}, 24});
+  list.add_permit_all();
+  router->prefix_lists.push_back(std::move(list));
+  router->ospf->distribute_lists.push_back(
+      DistributeList{igp_filter_name(interface), interface});
+  edited = canonicalize(std::move(edited));
+
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_EQ(run.stats.patched_stages, 4);
+  EXPECT_EQ(run.stats.patch_fallbacks, 0);
+  EXPECT_FALSE(run.stats.anonymity_replayed);
+}
+
+// RIP filters propagate, so an edit on one router can move Algorithm 1's
+// filters on another that the edit left alone. There, Algorithm 1 writes
+// into a user list of the name it writes (its adds drop the list's
+// permit-alls), so the replay is refused and the bytes still match.
+TEST(WatchReplay, Algorithm1FiltersMovedOnAnUneditedRouterRefuseTheReplay) {
+  ConfigSet base = make_scale_network(ScaleFamily::kWaxmanRip, 28, 4);
+  {
+    RouterConfig* router = base.find_router("r23");
+    ASSERT_NE(router, nullptr);
+    PrefixList list;
+    list.name = igp_filter_name("Ethernet100");
+    list.add_permit_all();
+    list.add_deny(Ipv4Prefix{Ipv4Address{10, 250, 0, 0}, 16});
+    router->prefix_lists.push_back(std::move(list));
+  }
+  base = canonicalize(std::move(base));
+  const ConfMaskOptions options = noisy_options(7);
+  PatchCapture capture;
+  const auto captured =
+      run_pipeline_guarded(base, options, RetryPolicy{},
+                           EquivalenceStrategy::kConfMask, nullptr, nullptr,
+                           &capture);
+  ASSERT_TRUE(captured.ok());
+  const auto context = finish_capture(capture);
+  ASSERT_NE(context, nullptr);
+
+  ConfigSet edited = base;
+  const HostConfig* h1 = base.find_host("h1");
+  ASSERT_NE(h1, nullptr);
+  RouterConfig* r6 = edited.find_router("r6");
+  ASSERT_NE(r6, nullptr);
+  ASSERT_TRUE(r6->rip.has_value());
+  PrefixList deny;
+  deny.name = "EDIT";
+  deny.add_deny(h1->prefix());
+  deny.add_permit_all();
+  r6->prefix_lists.push_back(std::move(deny));
+  r6->rip->distribute_lists.push_back(
+      DistributeList{"EDIT", r6->interfaces.front().name});
+  edited = canonicalize(std::move(edited));
+
+  // The captured run filtered h1 on r23's fake interface; the edited one
+  // does not, and r23 itself is unedited.
+  const auto denies_h1 = [&](const ConfigSet& configs) {
+    const RouterConfig* router = configs.find_router("r23");
+    for (const PrefixList& list : router->prefix_lists) {
+      if (list.name != igp_filter_name("Ethernet100")) continue;
+      for (const PrefixListEntry& entry : list.entries) {
+        if (!entry.permit && entry.prefix == h1->prefix()) return true;
+      }
+    }
+    return false;
+  };
+  ASSERT_TRUE(denies_h1(captured.result->anonymized));
+  const auto cold = run_pipeline_guarded(edited, options);
+  ASSERT_TRUE(cold.ok());
+  ASSERT_FALSE(denies_h1(cold.result->anonymized));
+
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_EQ(run.stats.patched_stages, 4);
+  EXPECT_EQ(run.stats.patch_fallbacks, 0);
+  EXPECT_FALSE(run.stats.anonymity_replayed);
+}
+
+// With node addition the topology stage is not grafted, but it appends
+// what the captured run appended, so Algorithm 1 is still seeded and
+// Algorithm 2 replayed.
+TEST(WatchReplay, FakeRouterRunSeedsAlgorithm1AndReplays) {
+  const ConfigSet base = canonicalize(make_figure2());
+  ConfMaskOptions options = noisy_options(7);
+  options.fake_routers = 2;
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  ConfigSet edited = base;
+  bind_filter(edited, "r2");
+  edited = canonicalize(std::move(edited));
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_EQ(run.stats.patched_stages, 3);
+  EXPECT_EQ(run.stats.patch_fallbacks, 1);
+  EXPECT_TRUE(run.stats.anonymity_replayed);
+}
+
+// Fake hosts copy their real host's passthrough lines, so an edit there
+// changes the fake hosts too, and nothing else.
+TEST(WatchReplay, RealHostPassthroughEditStaysByteIdentical) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  const auto context = capture_context(base, options);
+  ASSERT_NE(context, nullptr);
+
+  ConfigSet edited = base;
+  HostConfig* host = edited.find_host("h1");
+  ASSERT_NE(host, nullptr);
+  host->extra_lines.push_back("ip domain-name example.net");
+  edited = canonicalize(std::move(edited));
+
+  const TracedPatch run =
+      expect_patched_matches_cold(edited, options, context.get());
+  EXPECT_EQ(run.stats.patched_stages, 4);
+  EXPECT_EQ(run.stats.patch_fallbacks, 0);
+  EXPECT_TRUE(run.stats.anonymity_replayed);
+}
+
+// A chain of filter-only edits at k_H = 2, each patched against the
+// previous step's context: add a list, modify it, deny a real host, drop
+// the first list, edit an ACL, unbind the second list. Every step equals
+// its cold run and keeps its reuse tally.
+TEST(WatchReplay, FilterEditChainStaysByteIdenticalWithItsTallies) {
+  ConfigSet current = canonicalize(make_figure2());
+  const ConfMaskOptions options = noisy_options(7);
+  std::shared_ptr<const PatchContext> context =
+      capture_context(current, options);
+  ASSERT_NE(context, nullptr);
+
+  const auto add_list = [](ConfigSet& configs, const std::string& router_name,
+                           const std::string& name, const Ipv4Prefix& denied) {
+    RouterConfig* router = configs.find_router(router_name);
+    ASSERT_NE(router, nullptr);
+    PrefixList list;
+    list.name = name;
+    list.add_deny(denied);
+    list.add_permit_all();
+    router->prefix_lists.push_back(std::move(list));
+    router->ospf->distribute_lists.push_back(
+        DistributeList{name, router->interfaces.front().name});
+  };
+  const auto unbind = [](ConfigSet& configs, const std::string& router_name,
+                         const std::string& name) {
+    RouterConfig* router = configs.find_router(router_name);
+    ASSERT_NE(router, nullptr);
+    std::erase_if(router->ospf->distribute_lists,
+                  [&](const DistributeList& bound) {
+                    return bound.prefix_list == name;
+                  });
+  };
+  const Ipv4Prefix real_host = current.hosts.front().prefix();
+  struct Step {
+    const char* what;
+    std::function<void(ConfigSet&)> edit;
+    int patched_stages;
+    int patch_fallbacks;
+    bool replayed;
+  };
+  const std::vector<Step> steps = {
+      {"add a list",
+       [&](ConfigSet& configs) {
+         add_list(configs, "r2", "CHAIN-A",
+                  Ipv4Prefix{Ipv4Address{10, 200, 200, 0}, 24});
+       },
+       4, 0, true},
+      {"modify it",
+       [&](ConfigSet& configs) {
+         RouterConfig* router = configs.find_router("r2");
+         ASSERT_NE(router, nullptr);
+         PrefixList* list = router->find_prefix_list("CHAIN-A");
+         ASSERT_NE(list, nullptr);
+         list->entries.front().prefix =
+             Ipv4Prefix{Ipv4Address{10, 201, 0, 0}, 16};
+       },
+       4, 0, true},
+      {"deny a real host",
+       [&](ConfigSet& configs) {
+         add_list(configs, "r3", "CHAIN-B", real_host);
+       },
+       4, 0, true},
+      {"remove the first list",
+       [&](ConfigSet& configs) {
+         unbind(configs, "r2", "CHAIN-A");
+         RouterConfig* router = configs.find_router("r2");
+         ASSERT_NE(router, nullptr);
+         std::erase_if(router->prefix_lists, [](const PrefixList& list) {
+           return list.name == "CHAIN-A";
+         });
+       },
+       4, 0, true},
+      {"edit an ACL",
+       [&](ConfigSet& configs) {
+         RouterConfig* router = configs.find_router("r1");
+         ASSERT_NE(router, nullptr);
+         AccessList acl;
+         acl.number = 150;
+         acl.entries.push_back(
+             AclEntry{false, Ipv4Prefix{Ipv4Address{10, 250, 0, 0}, 16},
+                      Ipv4Prefix{Ipv4Address{0u}, 0}});
+         acl.entries.push_back(AclEntry{true, Ipv4Prefix{Ipv4Address{0u}, 0},
+                                        Ipv4Prefix{Ipv4Address{0u}, 0}});
+         router->access_lists.push_back(std::move(acl));
+         router->interfaces.front().access_group_in = 150;
+       },
+       4, 0, true},
+      {"unbind the second list",
+       [&](ConfigSet& configs) { unbind(configs, "r3", "CHAIN-B"); }, 4, 0,
+       true},
+  };
+  for (const Step& step : steps) {
+    ConfigSet edited = current;
+    step.edit(edited);
+    edited = canonicalize(std::move(edited));
+    const TracedPatch run =
+        expect_patched_matches_cold(edited, options, context.get());
+    EXPECT_EQ(run.stats.patched_stages, step.patched_stages) << step.what;
+    EXPECT_EQ(run.stats.patch_fallbacks, step.patch_fallbacks) << step.what;
+    EXPECT_EQ(run.stats.anonymity_replayed, step.replayed) << step.what;
+    ASSERT_NE(run.context, nullptr) << step.what;
+    context = run.context;
+    current = std::move(edited);
+  }
+}
+
+// A finished context holds one bundle, its original: the caller's own
+// copy when offered, read by the live preprocess simulation, and the
+// stage simulations are column donors with no configs to read.
+TEST(WatchMode, FinishedContextHoldsOnlyItsOriginal) {
+  const auto base =
+      std::make_shared<const ConfigSet>(canonicalize(make_figure2()));
+  const ConfMaskOptions options = noisy_options(7);
+  PatchCapture capture;
+  capture.shared_original = base;
+  ASSERT_TRUE(run_pipeline_guarded(*base, options, RetryPolicy{},
+                                   EquivalenceStrategy::kConfMask, nullptr,
+                                   nullptr, &capture)
+                  .ok());
+  const auto context = finish_capture(capture);
+  ASSERT_NE(context, nullptr);
+  EXPECT_EQ(context->original.configs, base);
+  EXPECT_EQ(&context->original.sim->configs(), base.get());
+  ASSERT_NE(context->equivalence, nullptr);
+  ASSERT_NE(context->anonymity, nullptr);
+  EXPECT_THROW((void)context->equivalence->configs(), std::logic_error);
+  EXPECT_THROW((void)context->anonymity->configs(), std::logic_error);
+  EXPECT_EQ(&context->equivalence->topology(),
+            &context->anonymity->topology());
+
+  // Without the caller's copy the context clones the bundle once, and the
+  // preprocess simulation, which read the caller's, is a donor too.
+  const auto cloned = capture_context(*base, options);
+  ASSERT_NE(cloned, nullptr);
+  EXPECT_NE(cloned->original.configs, base);
+  EXPECT_EQ(canonical_config_set_text(*cloned->original.configs),
+            canonical_config_set_text(*base));
+  EXPECT_THROW((void)cloned->original.sim->configs(), std::logic_error);
 }
 
 TEST(WatchMode, StructuralEditFallsBackColdButByteIdentical) {
@@ -336,6 +658,43 @@ TEST(WatchMode, StructuralEditFallsBackColdButByteIdentical) {
   // A new device shifts node ids: every snapshot must be rejected.
   EXPECT_EQ(stats.patched_stages, 0);
   EXPECT_GT(stats.patch_fallbacks, 0);
+}
+
+// A patch base captured under other options: Step 1 is not grafted but
+// runs again. Where it appends what the base recorded and the fake hosts
+// match (only the noise changed), Algorithm 1 is still seeded; where
+// either differs (fake links priced otherwise, another k_H), it runs
+// unseeded.
+TEST(WatchMode, OptionChangesRunStep1AgainAndKeepTheirProofs) {
+  const ConfigSet base = canonicalize(make_figure2());
+  const ConfMaskOptions captured = noisy_options(7);
+  const auto context = capture_context(base, captured);
+  ASSERT_NE(context, nullptr);
+
+  ConfigSet edited = base;
+  bind_filter(edited, "r2");
+  edited = canonicalize(std::move(edited));
+  struct Case {
+    const char* what;
+    ConfMaskOptions options;
+    int patched_stages;
+    int patch_fallbacks;
+  };
+  ConfMaskOptions noise = captured;
+  noise.noise_p = 0.3;
+  ConfMaskOptions pricing = captured;
+  pricing.cost_policy = FakeLinkCostPolicy::kLarge;
+  ConfMaskOptions k_h = captured;
+  k_h.k_h = 3;
+  for (const Case& c : {Case{"noise", noise, 3, 1},
+                        Case{"pricing", pricing, 1, 3},
+                        Case{"k_h", k_h, 1, 3}}) {
+    const TracedPatch run =
+        expect_patched_matches_cold(edited, c.options, context.get());
+    EXPECT_EQ(run.stats.patched_stages, c.patched_stages) << c.what;
+    EXPECT_EQ(run.stats.patch_fallbacks, c.patch_fallbacks) << c.what;
+    EXPECT_FALSE(run.stats.anonymity_replayed) << c.what;
+  }
 }
 
 TEST(WatchMode, FrontInterfaceExtraLineEditStaysByteIdentical) {
