@@ -9,11 +9,14 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/confmask.hpp"
 #include "src/core/metrics.hpp"
+#include "src/core/pipeline_trace.hpp"
 #include "src/netgen/networks.hpp"
+#include "src/util/json_writer.hpp"
 
 namespace confmask::bench {
 
@@ -42,7 +45,16 @@ inline void csv(const std::string& line) {
   std::printf("CSV,%s\n", line.c_str());
 }
 
-/// A JSON number with six decimals (std::to_string), the BENCH_*.json form.
-inline std::string json_number(double value) { return std::to_string(value); }
+/// Writes the member `key`: {"<top-level span path>": seconds, ...}, the
+/// per-phase times a BENCH_*.json entry carries.
+inline void write_phase_seconds(JsonWriter& out, std::string_view key,
+                                const std::vector<SpanMetrics>& spans) {
+  out.object(key);
+  for (const SpanMetrics& span : spans) {
+    if (span.path.find('/') != std::string::npos) continue;
+    out.fixed(span.path, static_cast<double>(span.total_ns) * 1e-9);
+  }
+  out.end();
+}
 
 }  // namespace confmask::bench

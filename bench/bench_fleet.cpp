@@ -29,22 +29,21 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <optional>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/service_load.hpp"
 #include "src/config/emit.hpp"
 #include "src/netgen/networks.hpp"
-#include "src/service/client.hpp"
 #include "src/service/daemon.hpp"
-#include "src/service/json_line.hpp"
 
 namespace {
 
 using namespace confmask;
+using namespace confmask::bench;
 namespace fs = std::filesystem;
 
 int usage() {
@@ -52,75 +51,6 @@ int usage() {
                "usage: bench_fleet [--daemons N] [--clients N] [--ops N] "
                "[--seeds N] [--out FILE]\n");
   return 2;
-}
-
-std::string submit_line(const std::string& configs, std::uint64_t seed,
-                        const std::string& tenant) {
-  return JsonLineWriter{}
-      .string("op", "submit")
-      .string("configs", configs)
-      .number("k_r", 2)
-      .number("k_h", 2)
-      .number_u64("seed", seed)
-      .string("tenant", tenant)
-      .str();
-}
-
-/// One submit -> poll-to-terminal -> result cycle against one daemon.
-/// Returns latency in milliseconds, or nullopt on any failure.
-std::optional<double> run_op(const std::string& socket_path,
-                             const std::string& configs, std::uint64_t seed,
-                             const std::string& tenant) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto submitted = client_roundtrip(
-      socket_path, submit_line(configs, seed, tenant),
-      static_cast<std::string*>(nullptr), /*receive_timeout_ms=*/30'000);
-  if (!submitted) return std::nullopt;
-  const auto parsed = parse_json_line(*submitted);
-  if (!parsed || get_bool(*parsed, "ok") != true) return std::nullopt;
-  const auto job = get_u64(*parsed, "job");
-  if (!job) return std::nullopt;
-
-  const std::string status_line =
-      JsonLineWriter{}.string("op", "status").number_u64("job", *job).str();
-  for (int i = 0; i < 20'000; ++i) {
-    const auto response = client_roundtrip(
-        socket_path, status_line, static_cast<std::string*>(nullptr),
-        /*receive_timeout_ms=*/30'000);
-    if (!response) return std::nullopt;
-    const auto status = parse_json_line(*response);
-    if (!status) return std::nullopt;
-    const auto state = get_string(*status, "state");
-    if (!state) return std::nullopt;
-    if (*state == "done") break;
-    if (*state == "failed" || *state == "cancelled") return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  const auto result = client_roundtrip(
-      socket_path,
-      JsonLineWriter{}.string("op", "result").number_u64("job", *job).str(),
-      static_cast<std::string*>(nullptr), /*receive_timeout_ms=*/30'000);
-  if (!result) return std::nullopt;
-  const auto body = parse_json_line(*result);
-  if (!body || get_bool(*body, "ok") != true) return std::nullopt;
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::milli>(elapsed).count();
-}
-
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t index = std::min(
-      sorted.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1)));
-  return sorted[index];
-}
-
-std::string latency_json(const std::vector<double>& sorted) {
-  return "{\"p50\": " + std::to_string(percentile(sorted, 0.50)) +
-         ", \"p99\": " + std::to_string(percentile(sorted, 0.99)) +
-         ", \"max\": " +
-         std::to_string(sorted.empty() ? 0.0 : sorted.back()) + "}";
 }
 
 }  // namespace
@@ -178,7 +108,7 @@ int main(int argc, char** argv) {
     servers.emplace_back([d = daemon.get()] { (void)d->run(); });
   }
 
-  const std::string stats_line = JsonLineWriter{}.string("op", "stats").str();
+  const std::string stats_line = JsonWriter{}.string("op", "stats").str();
   for (const std::string& socket : sockets) {
     bool up = false;
     for (int i = 0; i < 250 && !up; ++i) {
@@ -267,8 +197,10 @@ int main(int argc, char** argv) {
             get_u64(*stats, "tenant:quiet:completed").value_or(0);
       }
     }
-    (void)client_roundtrip(socket,
-                           "{\"op\": \"shutdown\", \"mode\": \"cancel\"}");
+    (void)client_roundtrip(socket, JsonWriter{}
+                                       .string("op", "shutdown")
+                                       .string("mode", "cancel")
+                                       .str());
   }
   for (auto& t : servers) t.join();
   for (const fs::path& dir : cache_dirs) fs::remove_all(dir);
@@ -312,36 +244,37 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(quiet_completed));
   std::printf("  starvation check: %s\n", starvation_ok ? "ok" : "FAILED");
 
-  std::string json = "{\n";
-  json += "  \"schema\": \"confmask.bench-fleet/1\",\n";
-  json += "  \"daemons\": " + std::to_string(daemons) + ",\n";
-  json += "  \"clients\": " + std::to_string(clients) + ",\n";
-  json += "  \"ops_per_client\": " + std::to_string(ops_per_client) + ",\n";
-  json += "  \"distinct_seeds\": " + std::to_string(distinct_seeds) + ",\n";
-  json += "  \"wall_s\": " + std::to_string(wall_s) + ",\n";
-  json += "  \"tenants\": {\n";
-  json += "    \"noisy\": {\"ops\": " + std::to_string(noisy_total) +
-          ", \"completed\": " + std::to_string(noisy.size()) +
-          ", \"failures\": " + std::to_string(noisy_failures.load()) +
-          ", \"latency_ms\": " + latency_json(noisy) + "},\n";
-  json += "    \"quiet\": {\"ops\": " + std::to_string(daemons) +
-          ", \"completed\": " + std::to_string(quiet_samples.size()) +
-          ", \"failures\": " + std::to_string(quiet_failures.load()) +
-          ", \"latency_ms\": " + latency_json(quiet_samples) + "}\n";
-  json += "  },\n";
-  json += "  \"peer_fetch\": {\"hits\": " + std::to_string(peer_hits) +
-          ", \"misses\": " + std::to_string(peer_misses) +
-          ", \"hit_rate\": " + std::to_string(peer_hit_rate) + "},\n";
-  json += std::string("  \"starvation_check\": ") +
-          (starvation_ok ? "\"ok\"" : "\"failed\"") + "\n";
-  json += "}\n";
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  JsonWriter json(JsonWriter::Layout::kLines);
+  json.string("schema", "confmask.bench-fleet/1")
+      .number("daemons", daemons)
+      .number("clients", clients)
+      .number("ops_per_client", ops_per_client)
+      .number("distinct_seeds", distinct_seeds)
+      .fixed("wall_s", wall_s)
+      .object("tenants", JsonWriter::Layout::kLines);
+  json.object("noisy")
+      .number("ops", noisy_total)
+      .number_u64("completed", noisy.size())
+      .number("failures", noisy_failures.load());
+  write_latency_ms(json, noisy);
+  json.end()
+      .object("quiet")
+      .number("ops", daemons)
+      .number_u64("completed", quiet_samples.size())
+      .number("failures", quiet_failures.load());
+  write_latency_ms(json, quiet_samples);
+  json.end()
+      .end()
+      .object("peer_fetch")
+      .number_u64("hits", peer_hits)
+      .number_u64("misses", peer_misses)
+      .fixed("hit_rate", peer_hit_rate)
+      .end()
+      .string("starvation_check", starvation_ok ? "ok" : "failed");
+  if (!(std::ofstream(out_path) << std::move(json).str())) {
     std::fprintf(stderr, "bench_fleet: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fputs(json.c_str(), out);
-  std::fclose(out);
   std::printf("  wrote %s\n", out_path.c_str());
 
   if (!starvation_ok) {

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/config/emit.hpp"
@@ -19,7 +20,7 @@
 #include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/service/cache_key.hpp"
-#include "src/util/observability.hpp"
+#include "src/util/json_writer.hpp"
 
 namespace confmask {
 namespace {
@@ -155,7 +156,9 @@ void BM_TextJsonQuote(benchmark::State& state) {
   const std::string& text =
       text_corpus().texts[static_cast<std::size_t>(state.range(0))];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(obs::json_quote(text).size());
+    JsonWriter line;
+    line.string("configs", text);
+    benchmark::DoNotOptimize(std::move(line).str().size());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(text.size()));

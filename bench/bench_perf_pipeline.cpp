@@ -13,7 +13,7 @@
 // across PRs. Timings are min-of-N to shrug off scheduler noise. Each
 // network entry also carries per-phase timings (PipelineTrace top-level
 // spans, from the min-time repetition) for the serial and par+inc modes.
-#include <algorithm>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,8 +30,8 @@ struct ModeResult {
   double seconds = 1e30;          // min over repetitions
   std::uint64_t simulations = 0;  // simulation jobs (§5.4 cost unit)
   bool equivalent = true;
-  /// Top-level phase timings of the min-time repetition, path-sorted.
-  std::vector<std::pair<std::string, double>> phase_seconds;
+  /// The span aggregates of the min-time repetition.
+  std::vector<confmask::SpanMetrics> spans;
 };
 
 ModeResult run_mode(const confmask::ConfigSet& configs, unsigned workers,
@@ -48,28 +48,12 @@ ModeResult run_mode(const confmask::ConfigSet& configs, unsigned workers,
     const auto outcome = run_confmask(configs, options);
     if (outcome.stats.seconds < result.seconds) {
       result.seconds = outcome.stats.seconds;
-      result.phase_seconds.clear();
-      for (const auto& span : trace.metrics()) {
-        if (span.path.find('/') != std::string::npos) continue;  // top level
-        result.phase_seconds.emplace_back(
-            span.path, static_cast<double>(span.total_ns) * 1e-9);
-      }
+      result.spans = trace.metrics();
     }
     result.simulations = outcome.stats.simulations;
     result.equivalent = result.equivalent && outcome.functionally_equivalent;
   }
   return result;
-}
-
-std::string phases_json(const ModeResult& result) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [path, seconds] : result.phase_seconds) {
-    out += std::string(first ? "" : ", ") + "\"" + path +
-           "\": " + std::to_string(seconds);
-    first = false;
-  }
-  return out + "}";
 }
 
 }  // namespace
@@ -87,12 +71,11 @@ int main() {
               "inc/ser", "simS", "simI");
 
   const int repetitions = 3;
-  std::string json = "{\n  \"jobs\": " + std::to_string(jobs) +
-                     ",\n  \"hardware_concurrency\": " +
-                     std::to_string(cores) +
-                     ",\n  \"repetitions\": " + std::to_string(repetitions) +
-                     ",\n  \"networks\": [";
-  bool first = true;
+  JsonWriter json(JsonWriter::Layout::kLines);
+  json.number_u64("jobs", jobs)
+      .number_u64("hardware_concurrency", cores)
+      .number("repetitions", repetitions)
+      .array("networks", JsonWriter::Layout::kLines);
   bool all_equivalent = true;
   for (const auto& network : bench::networks()) {
     const auto serial = run_mode(network.configs, 1, false, repetitions);
@@ -115,34 +98,27 @@ int main() {
                std::to_string(parallel.seconds) + "," +
                std::to_string(par_inc.seconds) + "," +
                std::to_string(speedup_inc));
-    json += std::string(first ? "" : ",") + "\n    {\"id\": \"" + network.id +
-            "\", \"name\": \"" + network.name +
-            "\", \"serial_s\": " + std::to_string(serial.seconds) +
-            ", \"parallel_s\": " + std::to_string(parallel.seconds) +
-            ", \"parallel_incremental_s\": " + std::to_string(par_inc.seconds) +
-            ", \"speedup_parallel\": " + std::to_string(speedup_par) +
-            ", \"speedup_parallel_incremental\": " +
-            std::to_string(speedup_inc) +
-            ", \"simulations_serial\": " + std::to_string(serial.simulations) +
-            ", \"simulations_incremental\": " +
-            std::to_string(par_inc.simulations) +
-            ", \"functionally_equivalent\": " +
-            (equivalent ? "true" : "false") +
-            ", \"phases_serial_s\": " + phases_json(serial) +
-            ", \"phases_parallel_incremental_s\": " + phases_json(par_inc) +
-            "}";
-    first = false;
+    json.object()
+        .string("id", network.id)
+        .string("name", network.name)
+        .fixed("serial_s", serial.seconds)
+        .fixed("parallel_s", parallel.seconds)
+        .fixed("parallel_incremental_s", par_inc.seconds)
+        .fixed("speedup_parallel", speedup_par)
+        .fixed("speedup_parallel_incremental", speedup_inc)
+        .number_u64("simulations_serial", serial.simulations)
+        .number_u64("simulations_incremental", par_inc.simulations)
+        .boolean("functionally_equivalent", equivalent);
+    bench::write_phase_seconds(json, "phases_serial_s", serial.spans);
+    bench::write_phase_seconds(json, "phases_parallel_incremental_s",
+                               par_inc.spans);
+    json.end();
   }
-  json += "\n  ]\n}\n";
 
-  std::FILE* out = std::fopen("BENCH_pipeline.json", "w");
-  if (out != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("\nwrote BENCH_pipeline.json\n");
-  } else {
+  if (!(std::ofstream("BENCH_pipeline.json") << std::move(json).str())) {
     std::printf("\nfailed to open BENCH_pipeline.json for writing\n");
     return 1;
   }
+  std::printf("\nwrote BENCH_pipeline.json\n");
   return all_equivalent ? 0 : 1;
 }

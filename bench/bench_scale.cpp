@@ -10,9 +10,9 @@
 // heap pages are returned and the peak mark (VmHWM) is reset through
 // /proc/self/clear_refs before each point, and a note is printed when the
 // kernel refuses, in which case the figure is the peak so far. It also
-// records the run's work, the trace's deterministic half
-// (PipelineTrace::metrics_json(false): span counters and histograms, no
-// durations), which is the same for a given seed at any --jobs.
+// records the run's work, the trace's deterministic half nested as an
+// object (PipelineTrace::write_metrics(false): span counters and
+// histograms, no durations), which is the same for a given seed at any --jobs.
 //
 //   bench_scale [--max-routers N] [--pipeline-max N] [--jobs N]
 //               [--families LIST] [--out FILE]
@@ -30,7 +30,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -76,8 +79,6 @@ double min_time(int repetitions, Body&& body) {
   }
   return best;
 }
-
-using bench::json_number;
 
 /// Resets the process's peak-RSS mark (VmHWM) to its current RSS; false
 /// when the kernel refuses. Free heap pages go back to the kernel first, so
@@ -173,15 +174,13 @@ int main(int argc, char** argv) {
       "full (s)", "inc/fl", "pipe (s)", "ok", "att", "kR", "rss(MB)");
 
   const int k_r_requested = bench::default_options().k_r;
-  std::string json =
-      std::string("{\n  \"schema\": \"confmask.bench-scale/2\",\n") +
-      "  \"jobs\": " + std::to_string(ThreadPool::shared().workers()) +
-      ",\n  \"hardware_concurrency\": " +
-      std::to_string(std::thread::hardware_concurrency()) +
-      ",\n  \"max_routers\": " + std::to_string(max_routers) +
-      ",\n  \"pipeline_max_routers\": " + std::to_string(pipeline_max) +
-      ",\n  \"sweep\": [";
-  bool first = true;
+  JsonWriter json(JsonWriter::Layout::kLines);
+  json.string("schema", "confmask.bench-scale/2")
+      .number_u64("jobs", ThreadPool::shared().workers())
+      .number_u64("hardware_concurrency", std::thread::hardware_concurrency())
+      .number("max_routers", max_routers)
+      .number("pipeline_max_routers", pipeline_max)
+      .array("sweep", JsonWriter::Layout::kLines);
   bool rss_note_printed = false;
 
   for (const auto& spec : families) {
@@ -227,6 +226,20 @@ int main(int argc, char** argv) {
             repetitions, [&] { Simulation inc(edited, sim, delta); });
         full_s = min_time(repetitions, [&] { Simulation fresh(edited); });
       }
+      json.object()
+          .string("family", spec.name)
+          .number("routers", routers)
+          .number("hosts", hosts)
+          .number_u64("links", links)
+          .number("repetitions", repetitions)
+          .fixed("topology_build_s", topo_s)
+          .fixed("fresh_sim_s", flat_s);
+      // A measurement that was not taken is null.
+      const auto fixed_or_null = [&json](std::string_view key, double value) {
+        value >= 0 ? json.fixed(key, value) : json.null(key);
+      };
+      fixed_or_null("incremental_sim_s", incremental_s);
+      fixed_or_null("full_resim_s", full_s);
 
       // Guarded pipeline with per-phase span metrics, on affordable sizes.
       double pipeline_s = -1.0;
@@ -234,8 +247,6 @@ int main(int argc, char** argv) {
       int pipeline_attempts = 0;
       int k_r_used = 0;
       double pipeline_rss_mb = -1.0;
-      std::string phases = "null";
-      std::string work = "null";
       if (routers <= pipeline_max) {
         if (!reset_peak_rss() && !rss_note_printed) {
           std::printf("note: the kernel refused to reset VmHWM; "
@@ -251,36 +262,43 @@ int main(int argc, char** argv) {
         pipeline_verified = outcome.ok();
         pipeline_attempts = outcome.diagnostics.attempts;
         k_r_used = outcome.effective_options.k_r;
-        phases = "{";
-        bool first_phase = true;
-        for (const auto& span : trace.metrics()) {
-          if (span.path.find('/') != std::string::npos) continue;
-          phases += std::string(first_phase ? "" : ", ") + "\"" + span.path +
-                    "\": " +
-                    json_number(static_cast<double>(span.total_ns) * 1e-9);
-          first_phase = false;
-        }
-        phases += "}";
-        work = trace.metrics_json(/*include_timings=*/false);
-        work.pop_back();  // the trailing newline
+        json.fixed("pipeline_s", pipeline_s)
+            .boolean("pipeline_verified", pipeline_verified)
+            .number("pipeline_attempts", pipeline_attempts)
+            .number("pipeline_k_r_requested", k_r_requested)
+            .number("pipeline_k_r_used", k_r_used);
+        fixed_or_null("pipeline_peak_rss_mb", pipeline_rss_mb);
+        bench::write_phase_seconds(json, "pipeline_phases_s", trace.metrics());
+        json.object("pipeline_work", JsonWriter::Layout::kLines);
+        trace.write_metrics(json, /*include_timings=*/false);
+        json.end();
       } else {
         std::printf("%-12s %6d  -- pipeline skipped (--pipeline-max %d)\n",
                     spec.name, routers, pipeline_max);
+        for (const char* key :
+             {"pipeline_s", "pipeline_verified", "pipeline_attempts",
+              "pipeline_k_r_requested", "pipeline_k_r_used",
+              "pipeline_peak_rss_mb", "pipeline_phases_s", "pipeline_work"}) {
+          json.null(key);
+        }
       }
+      json.end();
 
       const bool pipeline_ran = pipeline_s >= 0;
       std::printf(
           "%-12s %6d %6d %6zu | %8.4f %8.4f | %8s %8s %7s | %8s %3s %3s %3s "
           "%7s\n",
           spec.name, routers, hosts, links, topo_s, flat_s,
-          incremental_s >= 0 ? json_number(incremental_s).substr(0, 8).c_str()
-                             : "--",
-          full_s >= 0 ? json_number(full_s).substr(0, 8).c_str() : "--",
+          incremental_s >= 0
+              ? std::to_string(incremental_s).substr(0, 8).c_str()
+              : "--",
+          full_s >= 0 ? std::to_string(full_s).substr(0, 8).c_str() : "--",
           (incremental_s > 0 && full_s > 0)
-              ? (json_number(full_s / incremental_s).substr(0, 5) + "x")
+              ? (std::to_string(full_s / incremental_s).substr(0, 5) + "x")
                     .c_str()
               : "--",
-          pipeline_ran ? json_number(pipeline_s).substr(0, 8).c_str() : "--",
+          pipeline_ran ? std::to_string(pipeline_s).substr(0, 8).c_str()
+                       : "--",
           pipeline_ran ? (pipeline_verified ? "yes" : "NO") : "--",
           pipeline_ran ? std::to_string(pipeline_attempts).c_str() : "--",
           pipeline_ran ? std::to_string(k_r_used).c_str() : "--",
@@ -288,46 +306,14 @@ int main(int argc, char** argv) {
               ? std::to_string(std::lround(pipeline_rss_mb)).c_str()
               : "--");
       bench::csv("scale," + std::string(spec.name) + "," +
-                 std::to_string(routers) + "," + json_number(flat_s));
-
-      json += std::string(first ? "" : ",") + "\n    {\"family\": \"" +
-              spec.name + "\", \"routers\": " + std::to_string(routers) +
-              ", \"hosts\": " + std::to_string(hosts) +
-              ", \"links\": " + std::to_string(links) +
-              ", \"repetitions\": " + std::to_string(repetitions) +
-              ", \"topology_build_s\": " + json_number(topo_s) +
-              ", \"fresh_sim_s\": " + json_number(flat_s) +
-              ", \"incremental_sim_s\": " +
-              (incremental_s >= 0 ? json_number(incremental_s) : "null") +
-              ", \"full_resim_s\": " +
-              (full_s >= 0 ? json_number(full_s) : "null") +
-              ", \"pipeline_s\": " +
-              (pipeline_ran ? json_number(pipeline_s) : "null") +
-              ", \"pipeline_verified\": " +
-              (pipeline_ran ? (pipeline_verified ? "true" : "false")
-                            : "null") +
-              ", \"pipeline_attempts\": " +
-              (pipeline_ran ? std::to_string(pipeline_attempts) : "null") +
-              ", \"pipeline_k_r_requested\": " +
-              (pipeline_ran ? std::to_string(k_r_requested) : "null") +
-              ", \"pipeline_k_r_used\": " +
-              (pipeline_ran ? std::to_string(k_r_used) : "null") +
-              ", \"pipeline_peak_rss_mb\": " +
-              (pipeline_rss_mb >= 0 ? json_number(pipeline_rss_mb) : "null") +
-              ", \"pipeline_phases_s\": " + phases +
-              ", \"pipeline_work\": " + work + "}";
-      first = false;
+                 std::to_string(routers) + "," + std::to_string(flat_s));
     }
   }
-  json += "\n  ]\n}\n";
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  if (!(std::ofstream(out_path) << std::move(json).str())) {
     std::fprintf(stderr, "failed to open %s for writing\n", out_path.c_str());
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
   return 0;
 }

@@ -27,20 +27,20 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <optional>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/service_load.hpp"
 #include "src/config/emit.hpp"
 #include "src/netgen/networks.hpp"
-#include "src/service/client.hpp"
 #include "src/service/daemon.hpp"
-#include "src/service/json_line.hpp"
 
 namespace {
 
 using namespace confmask;
+using namespace confmask::bench;
 namespace fs = std::filesystem;
 
 int usage() {
@@ -63,65 +63,6 @@ int raw_connect(const std::string& path) {
     return -1;
   }
   return fd;
-}
-
-std::string submit_line(const std::string& configs, std::uint64_t seed) {
-  return JsonLineWriter{}
-      .string("op", "submit")
-      .string("configs", configs)
-      .number("k_r", 2)
-      .number("k_h", 2)
-      .number_u64("seed", seed)
-      .str();
-}
-
-/// One submit -> poll-to-terminal -> result cycle. Returns latency in
-/// milliseconds, or nullopt on any transport/protocol failure.
-std::optional<double> run_op(const std::string& socket_path,
-                             const std::string& configs, std::uint64_t seed) {
-  const auto start = std::chrono::steady_clock::now();
-  const auto submitted = client_roundtrip(
-      socket_path, submit_line(configs, seed),
-      static_cast<std::string*>(nullptr), /*receive_timeout_ms=*/30'000);
-  if (!submitted) return std::nullopt;
-  const auto parsed = parse_json_line(*submitted);
-  if (!parsed || get_bool(*parsed, "ok") != true) return std::nullopt;
-  const auto job = get_u64(*parsed, "job");
-  if (!job) return std::nullopt;
-
-  const std::string status_line =
-      JsonLineWriter{}.string("op", "status").number_u64("job", *job).str();
-  for (int i = 0; i < 20'000; ++i) {
-    const auto response = client_roundtrip(
-        socket_path, status_line, static_cast<std::string*>(nullptr),
-        /*receive_timeout_ms=*/30'000);
-    if (!response) return std::nullopt;
-    const auto status = parse_json_line(*response);
-    if (!status) return std::nullopt;
-    const auto state = get_string(*status, "state");
-    if (!state) return std::nullopt;
-    if (*state == "done") break;
-    if (*state == "failed" || *state == "cancelled") return std::nullopt;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  const auto result = client_roundtrip(
-      socket_path,
-      JsonLineWriter{}.string("op", "result").number_u64("job", *job).str(),
-      static_cast<std::string*>(nullptr), /*receive_timeout_ms=*/30'000);
-  if (!result) return std::nullopt;
-  const auto body = parse_json_line(*result);
-  if (!body || get_bool(*body, "ok") != true) return std::nullopt;
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return std::chrono::duration<double, std::milli>(elapsed).count();
-}
-
-double percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t index = std::min(
-      sorted.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1)));
-  return sorted[index];
 }
 
 }  // namespace
@@ -161,7 +102,7 @@ int main(int argc, char** argv) {
   Daemon daemon(options);
   std::thread server([&daemon] { (void)daemon.run(); });
 
-  const std::string stats_line = JsonLineWriter{}.string("op", "stats").str();
+  const std::string stats_line = JsonWriter{}.string("op", "stats").str();
   bool up = false;
   for (int i = 0; i < 250 && !up; ++i) {
     up = client_roundtrip(socket_path, stats_line).has_value();
@@ -225,8 +166,10 @@ int main(int argc, char** argv) {
       cache_misses = get_u64(*stats, "cache_misses").value_or(0);
     }
   }
-  (void)client_roundtrip(socket_path,
-                         "{\"op\": \"shutdown\", \"mode\": \"cancel\"}");
+  (void)client_roundtrip(socket_path, JsonWriter{}
+                                          .string("op", "shutdown")
+                                          .string("mode", "cancel")
+                                          .str());
   server.join();
   fs::remove_all(cache_dir);
 
@@ -257,32 +200,27 @@ int main(int argc, char** argv) {
   std::printf("  idle-client head-of-line check: %s\n",
               idle_check_ok ? "ok" : "FAILED");
 
-  std::string json = "{\n";
-  json += "  \"schema\": \"confmask.bench-service/1\",\n";
-  json += "  \"clients\": " + std::to_string(clients) + ",\n";
-  json += "  \"ops_per_client\": " + std::to_string(ops_per_client) + ",\n";
-  json += "  \"distinct_seeds\": " + std::to_string(distinct_seeds) + ",\n";
-  json += "  \"total_ops\": " + std::to_string(total_ops) + ",\n";
-  json += "  \"completed_ops\": " + std::to_string(latencies.size()) + ",\n";
-  json += "  \"failures\": " + std::to_string(failures.load()) + ",\n";
-  json += "  \"wall_s\": " + std::to_string(wall_s) + ",\n";
-  json += "  \"latency_ms\": {\"p50\": " + std::to_string(p50) +
-          ", \"p99\": " + std::to_string(p99) +
-          ", \"max\": " + std::to_string(max_ms) + "},\n";
-  json += "  \"cache\": {\"hits\": " + std::to_string(cache_hits) +
-          ", \"misses\": " + std::to_string(cache_misses) +
-          ", \"hit_rate\": " + std::to_string(hit_rate) + "},\n";
-  json += std::string("  \"idle_client_check\": ") +
-          (idle_check_ok ? "\"ok\"" : "\"failed\"") + "\n";
-  json += "}\n";
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  JsonWriter json(JsonWriter::Layout::kLines);
+  json.string("schema", "confmask.bench-service/1")
+      .number("clients", clients)
+      .number("ops_per_client", ops_per_client)
+      .number("distinct_seeds", distinct_seeds)
+      .number("total_ops", total_ops)
+      .number_u64("completed_ops", latencies.size())
+      .number("failures", failures.load())
+      .fixed("wall_s", wall_s);
+  write_latency_ms(json, latencies);
+  json.object("cache")
+      .number_u64("hits", cache_hits)
+      .number_u64("misses", cache_misses)
+      .fixed("hit_rate", hit_rate)
+      .end()
+      .string("idle_client_check", idle_check_ok ? "ok" : "failed");
+  if (!(std::ofstream(out_path) << std::move(json).str())) {
     std::fprintf(stderr, "bench_service: cannot write %s\n",
                  out_path.c_str());
     return 1;
   }
-  std::fputs(json.c_str(), out);
-  std::fclose(out);
   std::printf("  wrote %s\n", out_path.c_str());
 
   if (!idle_check_ok) {

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -66,8 +67,6 @@ double min_time(int repetitions, Body&& body) {
   }
   return best;
 }
-
-using bench::json_number;
 
 /// The canonical watch event: one router gains a fresh prefix list (one
 /// deny + terminal permit-all) bound as an IGP distribute-list on its
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
                 ">=4.5x, ROADMAP.md item 5)");
   std::printf("jobs=%u max_routers=%d min_speedup=%s\n\n",
               ThreadPool::shared().workers(), max_routers,
-              min_speedup > 0 ? json_number(min_speedup).c_str() : "off");
+              min_speedup > 0 ? std::to_string(min_speedup).c_str() : "off");
   std::printf("%-12s %6s %6s | %9s %9s %9s %9s | %8s %7s %6s %6s %6s\n",
               "family", "R", "hosts", "base (s)", "cold (s)", "patch (s)",
               "cycle (s)", "speedup", "stages", "replay", "walked", "bytes");
@@ -138,15 +137,13 @@ int main(int argc, char** argv) {
   bool all_bytes_equal = true;
   double gate_speedup = -1.0;
   int gate_routers = 0;
-  std::string json =
-      std::string("{\n  \"schema\": \"confmask.bench-watch/1\",\n") +
-      "  \"jobs\": " + std::to_string(ThreadPool::shared().workers()) +
-      ",\n  \"hardware_concurrency\": " +
-      std::to_string(std::thread::hardware_concurrency()) +
-      ",\n  \"max_routers\": " + std::to_string(max_routers) +
-      ",\n  \"min_speedup\": " + json_number(min_speedup) +
-      ",\n  \"entries\": [";
-  bool first = true;
+  JsonWriter json(JsonWriter::Layout::kLines);
+  json.string("schema", "confmask.bench-watch/1")
+      .number_u64("jobs", ThreadPool::shared().workers())
+      .number_u64("hardware_concurrency", std::thread::hardware_concurrency())
+      .number("max_routers", max_routers)
+      .fixed("min_speedup", min_speedup)
+      .array("entries", JsonWriter::Layout::kLines);
 
   for (const int routers : sizes) {
     if (routers > max_routers) {
@@ -234,29 +231,22 @@ int main(int argc, char** argv) {
     // One traced run of each flavour for the per-phase breakdown, and the
     // real flows its verification gate walked.
     std::uint64_t walked = 0;
-    const auto phase_json = [&](const PatchContext* base_ctx) {
+    const auto traced_spans = [&](const PatchContext* base_ctx) {
       PipelineTrace trace;
-      const auto run = run_pipeline_guarded(edited, options, policy,
-                                            EquivalenceStrategy::kConfMask,
-                                            nullptr, base_ctx, nullptr);
-      (void)run;
-      std::string out = "{";
-      bool first_phase = true;
-      for (const auto& span : trace.metrics()) {
-        if (span.path.find('/') != std::string::npos) continue;
-        out += std::string(first_phase ? "" : ", ") + "\"" + span.path +
-               "\": " +
-               json_number(static_cast<double>(span.total_ns) * 1e-9);
-        first_phase = false;
+      (void)run_pipeline_guarded(edited, options, policy,
+                                 EquivalenceStrategy::kConfMask, nullptr,
+                                 base_ctx, nullptr);
+      std::vector<SpanMetrics> spans = trace.metrics();
+      for (const SpanMetrics& span : spans) {
         if (span.path == "verification") {
           const auto it = span.counters.find("real_flows_compared");
           walked = it == span.counters.end() ? 0 : it->second;
         }
       }
-      return out + "}";
+      return spans;
     };
-    const std::string cold_phases = phase_json(nullptr);
-    const std::string patched_phases = phase_json(context.get());
+    const std::vector<SpanMetrics> cold_spans = traced_spans(nullptr);
+    const std::vector<SpanMetrics> patched_spans = traced_spans(context.get());
 
     if (!cold.ok() || !patched.ok() || !cycle_ok) {
       std::fprintf(stderr, "edited run failed at %d routers (cold=%d "
@@ -284,40 +274,35 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(walked),
                 bytes_equal ? "ok" : "FAIL");
     bench::csv("watch,waxman-ospf," + std::to_string(routers) + "," +
-               json_number(cold_s) + "," + json_number(patched_s) + "," +
-               json_number(speedup));
+               std::to_string(cold_s) + "," + std::to_string(patched_s) + "," +
+               std::to_string(speedup));
 
-    json += std::string(first ? "" : ",") +
-            "\n    {\"family\": \"waxman-ospf\", \"routers\": " +
-            std::to_string(routers) + ", \"hosts\": " +
-            std::to_string(hosts) + ", \"repetitions\": " +
-            std::to_string(repetitions) + ", \"base_s\": " +
-            json_number(base_s) + ", \"cold_s\": " + json_number(cold_s) +
-            ", \"patched_s\": " + json_number(patched_s) +
-            ", \"patched_cycle_s\": " + json_number(cycle_s) +
-            ", \"speedup\": " + json_number(speedup) +
-            ", \"seed\": " + std::to_string(seed) +
-            ", \"cold_attempts\": " +
-            std::to_string(cold.diagnostics.attempts) +
-            ", \"patched_attempts\": " +
-            std::to_string(patched.diagnostics.attempts) +
-            ", \"patched_stages\": " + std::to_string(patched_stages) +
-            ", \"anonymity_replayed\": " + (replayed ? "true" : "false") +
-            ", \"patched_real_flows_walked\": " + std::to_string(walked) +
-            ", \"bytes_equal\": " + (bytes_equal ? "true" : "false") +
-            ", \"cold_phases_s\": " + cold_phases +
-            ", \"patched_phases_s\": " + patched_phases + "}";
-    first = false;
+    json.object()
+        .string("family", "waxman-ospf")
+        .number("routers", routers)
+        .number("hosts", hosts)
+        .number("repetitions", repetitions)
+        .fixed("base_s", base_s)
+        .fixed("cold_s", cold_s)
+        .fixed("patched_s", patched_s)
+        .fixed("patched_cycle_s", cycle_s)
+        .fixed("speedup", speedup)
+        .number_u64("seed", seed)
+        .number("cold_attempts", cold.diagnostics.attempts)
+        .number("patched_attempts", patched.diagnostics.attempts)
+        .number("patched_stages", patched_stages)
+        .boolean("anonymity_replayed", replayed)
+        .number_u64("patched_real_flows_walked", walked)
+        .boolean("bytes_equal", bytes_equal);
+    bench::write_phase_seconds(json, "cold_phases_s", cold_spans);
+    bench::write_phase_seconds(json, "patched_phases_s", patched_spans);
+    json.end();
   }
-  json += "\n  ]\n}\n";
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
+  if (!(std::ofstream(out_path) << std::move(json).str())) {
     std::fprintf(stderr, "failed to open %s for writing\n", out_path.c_str());
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
   if (!all_bytes_equal) {
     std::fprintf(stderr,

@@ -39,6 +39,7 @@
 
 #include <unistd.h>
 
+#include "bench/service_load.hpp"
 #include "src/config/emit.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/service/client.hpp"
@@ -70,17 +71,6 @@ std::uint64_t next_random(std::uint64_t& state) {
 constexpr std::uint64_t kVariantSeeds[] = {11, 22, 33, 44};
 constexpr std::size_t kVariantCount =
     sizeof(kVariantSeeds) / sizeof(kVariantSeeds[0]);
-
-std::string submit_line(const std::string& configs_text,
-                        std::uint64_t variant_seed) {
-  return JsonLineWriter{}
-      .string("op", "submit")
-      .string("configs", configs_text)
-      .number("k_r", 2)
-      .number("k_h", 2)
-      .number_u64("seed", variant_seed)
-      .str();
-}
 
 struct DaemonProcess {
   pid_t pid = -1;
@@ -119,7 +109,7 @@ DaemonProcess start_daemon(const HarnessOptions& options) {
 /// Polls ping until the daemon answers (it unlinks stale sockets and
 /// replays its journal before listening, so startup latency varies).
 bool wait_ready(const DaemonProcess& daemon) {
-  const std::string ping = JsonLineWriter{}.string("op", "ping").str();
+  const std::string ping = JsonWriter{}.string("op", "ping").str();
   for (int i = 0; i < 1000; ++i) {
     if (client_roundtrip(daemon.socket_path, ping).has_value()) return true;
     // A child that died at startup will never answer — fail fast.
@@ -136,7 +126,7 @@ void kill_daemon(const DaemonProcess& daemon) {
 
 /// Drain-shutdown and reap; used for the golden run and iteration ends.
 void stop_daemon(const DaemonProcess& daemon) {
-  (void)client_roundtrip(daemon.socket_path, JsonLineWriter{}
+  (void)client_roundtrip(daemon.socket_path, JsonWriter{}
                                                  .string("op", "shutdown")
                                                  .string("mode", "drain")
                                                  .str());
@@ -153,7 +143,7 @@ struct JobArtifacts {
 bool wait_and_fetch(const std::string& socket_path, std::uint64_t job,
                     JobArtifacts* out) {
   const std::string status_line =
-      JsonLineWriter{}.string("op", "status").number_u64("job", job).str();
+      JsonWriter{}.string("op", "status").number_u64("job", job).str();
   for (int i = 0; i < 4000; ++i) {
     const auto response = client_roundtrip(socket_path, status_line);
     if (!response) {
@@ -178,7 +168,7 @@ bool wait_and_fetch(const std::string& socket_path, std::uint64_t job,
   }
   const auto response = client_roundtrip(
       socket_path,
-      JsonLineWriter{}.string("op", "result").number_u64("job", job).str());
+      JsonWriter{}.string("op", "result").number_u64("job", job).str());
   if (!response) return false;
   const auto parsed = parse_json_line(*response);
   if (!parsed || get_bool(*parsed, "ok") != true) return false;
@@ -252,7 +242,7 @@ int main(int argc, char** argv) {
     }
     for (const std::uint64_t variant : kVariantSeeds) {
       const auto response = client_roundtrip(
-          daemon.socket_path, submit_line(configs_text, variant));
+          daemon.socket_path, bench::submit_line(configs_text, variant));
       const auto parsed =
           response ? parse_json_line(*response) : std::nullopt;
       const auto job = parsed ? get_u64(*parsed, "job") : std::nullopt;
@@ -290,7 +280,7 @@ int main(int argc, char** argv) {
       const std::uint64_t variant =
           kVariantSeeds[next_random(rng) % kVariantCount];
       const auto response = client_roundtrip(
-          daemon.socket_path, submit_line(configs_text, variant));
+          daemon.socket_path, bench::submit_line(configs_text, variant));
       const auto parsed =
           response ? parse_json_line(*response) : std::nullopt;
       const auto job = parsed ? get_u64(*parsed, "job") : std::nullopt;
@@ -343,7 +333,7 @@ int main(int argc, char** argv) {
     const std::uint64_t variant =
         acked.empty() ? kVariantSeeds[0] : acked.front().second;
     const auto response = client_roundtrip(
-        daemon.socket_path, submit_line(configs_text, variant));
+        daemon.socket_path, bench::submit_line(configs_text, variant));
     const auto parsed = response ? parse_json_line(*response) : std::nullopt;
     const auto job = parsed ? get_u64(*parsed, "job") : std::nullopt;
     JobArtifacts artifacts;

@@ -45,6 +45,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "src/config/diff.hpp"
 #include "src/config/emit.hpp"
@@ -107,7 +108,7 @@ int read_config_dir(const std::string& dir, ConfigSet& out) {
 /// the identical parameter surface — a resubmit IS a submit whose bundle
 /// arrives as base + diff. Returns false on an unknown flag.
 bool append_job_flags(int argc, char** argv, int arg,
-                      JsonLineWriter& request) {
+                      JsonWriter& request) {
   for (; arg + 1 < argc; arg += 2) {
     if (std::strcmp(argv[arg], "--kr") == 0) {
       request.number("k_r", std::atoi(argv[arg + 1]));
@@ -204,7 +205,7 @@ int main(int argc, char** argv) {
   if (command == "submit") {
     if (arg >= argc) return usage();
     const std::string dir = argv[arg++];
-    JsonLineWriter request;
+    JsonWriter request;
     request.string("op", "submit");
 
     ConfigSet configs;
@@ -219,7 +220,7 @@ int main(int argc, char** argv) {
     request.string("configs",
                    canonical_config_set_text(canonicalize(configs)));
     if (!append_job_flags(argc, argv, arg, request)) return usage();
-    return send_with_retry(socket_path, request.str());
+    return send_with_retry(socket_path, std::move(request).str());
   }
 
   if (command == "resubmit") {
@@ -239,12 +240,12 @@ int main(int argc, char** argv) {
       diff_text.assign(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
     }
-    JsonLineWriter request;
+    JsonWriter request;
     request.string("op", "resubmit");
     request.string("base", base_key);
     request.string("diff", diff_text);
     if (!append_job_flags(argc, argv, arg, request)) return usage();
-    return send_with_retry(socket_path, request.str());
+    return send_with_retry(socket_path, std::move(request).str());
   }
 
   if (command == "status" || command == "wait" || command == "cancel" ||
@@ -252,13 +253,13 @@ int main(int argc, char** argv) {
     if (arg >= argc) return usage();
     const std::uint64_t job = std::strtoull(argv[arg], nullptr, 10);
     if (command == "status" || command == "cancel") {
-      return roundtrip(socket_path, JsonLineWriter{}
+      return roundtrip(socket_path, JsonWriter{}
                                         .string("op", command)
                                         .number_u64("job", job)
                                         .str());
     }
 
-    const std::string subscribe_request = JsonLineWriter{}
+    const std::string subscribe_request = JsonWriter{}
                                               .string("op", "subscribe")
                                               .number_u64("job", job)
                                               .str();
@@ -310,7 +311,7 @@ int main(int argc, char** argv) {
           &transport);
       stream_done = streamed && ack_ok;
     }
-    const std::string status_request = JsonLineWriter{}
+    const std::string status_request = JsonWriter{}
                                            .string("op", "status")
                                            .number_u64("job", job)
                                            .str();
@@ -353,7 +354,7 @@ int main(int argc, char** argv) {
     JsonObject response;
     const int code = roundtrip(
         socket_path,
-        JsonLineWriter{}.string("op", "result").number_u64("job", job).str(),
+        JsonWriter{}.string("op", "result").number_u64("job", job).str(),
         &response);
     if (code != 0 || out_dir.empty()) return code;
     const auto bundle = get_string(response, "configs");
@@ -382,12 +383,12 @@ int main(int argc, char** argv) {
 
   if (command == "stats") {
     return roundtrip(socket_path,
-                     JsonLineWriter{}.string("op", "stats").str());
+                     JsonWriter{}.string("op", "stats").str());
   }
 
   if (command == "ping") {
     return roundtrip(socket_path,
-                     JsonLineWriter{}.string("op", "ping").str());
+                     JsonWriter{}.string("op", "ping").str());
   }
 
   if (command == "shutdown") {
@@ -396,7 +397,7 @@ int main(int argc, char** argv) {
     if (mode != "drain" && mode != "cancel") return usage();
     return roundtrip(
         socket_path,
-        JsonLineWriter{}.string("op", "shutdown").string("mode", mode).str());
+        JsonWriter{}.string("op", "shutdown").string("mode", mode).str());
   }
 
   return usage();

@@ -4,21 +4,11 @@
 
 #include "src/core/original_index.hpp"
 #include "src/routing/simulation.hpp"
-#include "src/util/observability.hpp"
 #include "src/util/prefix_allocator.hpp"
 
 namespace confmask {
 
 namespace {
-
-std::string json_string_array(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += obs::json_quote(items[i]);
-  }
-  return out + "]";
-}
 
 /// Deterministic seed evolution (splitmix64 finalizer): retries are
 /// reproducible for a given starting seed, yet successive seeds are
@@ -285,63 +275,55 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
 }
 
 std::string diagnostics_to_json(const PipelineDiagnostics& diag) {
-  std::string out;
-  out += "{\n";
-  out += std::string("  \"ok\": ") + (diag.ok ? "true" : "false") + ",\n";
+  using Layout = JsonWriter::Layout;
+  JsonWriter out(Layout::kLines);
+  out.boolean("ok", diag.ok);
   if (diag.ok) {
     // Stage/category describe a terminal error; there is none on success.
-    out += "  \"stage\": null,\n  \"category\": null,\n";
+    out.null("stage").null("category");
   } else {
-    out += std::string("  \"stage\": ") +
-           obs::json_quote(to_string(diag.stage)) + ",\n  \"category\": " +
-           obs::json_quote(to_string(diag.category)) + ",\n";
+    out.string("stage", to_string(diag.stage))
+        .string("category", to_string(diag.category));
   }
-  out += "  \"exit_code\": " +
-         std::to_string(diag.ok ? 0 : exit_code_for(diag.category)) + ",\n";
-  out += "  \"message\": " + obs::json_quote(diag.message) + ",\n";
-  out += "  \"attempts\": " + std::to_string(diag.attempts) + ",\n";
-  out += "  \"fallbacks\": [";
-  for (std::size_t i = 0; i < diag.fallbacks.size(); ++i) {
-    const auto& event = diag.fallbacks[i];
-    out += std::string(i == 0 ? "\n" : ",\n") + "    {\"kind\": " +
-           obs::json_quote(to_string(event.kind)) +
-           ", \"attempt\": " + std::to_string(event.attempt) +
-           ", \"detail\": " + obs::json_quote(event.detail) + "}";
+  out.number("exit_code", diag.ok ? 0 : exit_code_for(diag.category))
+      .string("message", diag.message)
+      .number("attempts", diag.attempts)
+      .array("fallbacks", Layout::kLines);
+  for (const FallbackEvent& event : diag.fallbacks) {
+    out.object()
+        .string("kind", to_string(event.kind))
+        .number("attempt", event.attempt)
+        .string("detail", event.detail)
+        .end();
   }
-  out += diag.fallbacks.empty() ? "],\n" : "\n  ],\n";
-  out += "  \"divergence\": [";
-  for (std::size_t i = 0; i < diag.divergence.size(); ++i) {
-    const auto& entry = diag.divergence[i];
-    out += std::string(i == 0 ? "\n" : ",\n") + "    {\"source\": " +
-           obs::json_quote(entry.source) + ", \"destination\": " +
-           obs::json_quote(entry.destination) + ", \"router\": " +
-           obs::json_quote(entry.router) + ", \"expected_next_hops\": " +
-           json_string_array(entry.lhs_next_hops) +
-           ", \"actual_next_hops\": " +
-           json_string_array(entry.rhs_next_hops) + "}";
+  out.end().array("divergence", Layout::kLines);
+  const auto write_hops = [&out](std::string_view key,
+                                 const std::vector<std::string>& hops) {
+    out.array(key);
+    for (const std::string& hop : hops) out.string(hop);
+    out.end();
+  };
+  for (const DataPlaneDiffEntry& entry : diag.divergence) {
+    out.object()
+        .string("source", entry.source)
+        .string("destination", entry.destination)
+        .string("router", entry.router);
+    write_hops("expected_next_hops", entry.lhs_next_hops);
+    write_hops("actual_next_hops", entry.rhs_next_hops);
+    out.end();
   }
-  out += diag.divergence.empty() ? "],\n" : "\n  ],\n";
   // Per-phase span aggregates (populated only when a trace was active);
   // counts/counters aggregate across all attempts.
-  out += "  \"phases\": [";
-  for (std::size_t i = 0; i < diag.span_metrics.size(); ++i) {
-    const auto& span = diag.span_metrics[i];
-    out += std::string(i == 0 ? "\n" : ",\n") + "    {\"path\": " +
-           obs::json_quote(span.path) +
-           ", \"count\": " + std::to_string(span.count) +
-           ", \"total_ns\": " + std::to_string(span.total_ns) +
-           ", \"counters\": {";
-    bool first = true;
-    for (const auto& [name, value] : span.counters) {
-      out += std::string(first ? "" : ", ") + obs::json_quote(name) + ": " +
-             std::to_string(value);
-      first = false;
-    }
-    out += "}}";
+  out.end().array("phases", Layout::kLines);
+  for (const SpanMetrics& span : diag.span_metrics) {
+    out.object()
+        .string("path", span.path)
+        .number_u64("count", span.count)
+        .number_u64("total_ns", span.total_ns);
+    write_counters(out, "counters", span.counters);
+    out.end();
   }
-  out += diag.span_metrics.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
+  return std::move(out).str();
 }
 
 }  // namespace confmask

@@ -1,6 +1,5 @@
 #include "src/core/pipeline_trace.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 namespace confmask {
@@ -18,20 +17,14 @@ std::atomic<PipelineTrace*> g_active{nullptr};
 // its own trace while the rest of the process stays untraced.
 thread_local PipelineTrace* t_active = nullptr;
 
-/// {"a": 1, "b": 2} with std::map's sorted-key order — the stable-key-order
-/// guarantee of the metrics schema.
-std::string counters_json(const std::map<std::string, std::uint64_t>& map) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : map) {
-    out += std::string(first ? "" : ", ") + obs::json_quote(name) + ": " +
-           std::to_string(value);
-    first = false;
-  }
-  return out + "}";
-}
-
 }  // namespace
+
+void write_counters(JsonWriter& out, std::string_view key,
+                    const std::map<std::string, std::uint64_t>& counters) {
+  out.object(key);
+  for (const auto& [name, value] : counters) out.number_u64(name, value);
+  out.end();
+}
 
 PipelineTrace* PipelineTrace::active() {
   if (t_active != nullptr) return t_active;
@@ -60,11 +53,7 @@ PipelineTrace::PipelineTrace(Options options) : options_(std::move(options)) {
     idle_tracking_was_on_ = ThreadPool::idle_tracking();
     ThreadPool::set_idle_tracking(true);
   }
-  if (out_sink() != nullptr) {
-    emit("{\"schema\": \"confmask.trace/1\", \"type\": \"trace_begin\", "
-         "\"seq\": " +
-         std::to_string(next_seq_++) + "}");
-  }
+  if (out_sink() != nullptr) out_sink()->write_line(line("trace_begin").str());
 }
 
 PipelineTrace::~PipelineTrace() {
@@ -85,8 +74,8 @@ PipelineTrace::~PipelineTrace() {
     }
   }
   if (out_sink() != nullptr) {
-    emit("{\"type\": \"trace_end\", \"seq\": " + std::to_string(next_seq_++) +
-         ", \"spans\": " + std::to_string(next_id_) + "}");
+    out_sink()->write_line(
+        line("trace_end").number_u64("spans", next_id_).str());
   }
   if (options_.scope == Options::Scope::kThread) {
     if (installed_) t_active = nullptr;
@@ -117,7 +106,7 @@ void PipelineTrace::record(std::string_view name, std::uint64_t value) {
 
 PipelineTrace::Span PipelineTrace::span(std::string_view name) {
   std::uint64_t id = 0;
-  std::string line;
+  std::string text;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     Frame frame;
@@ -128,14 +117,15 @@ PipelineTrace::Span PipelineTrace::span(std::string_view name) {
     frame.start_ns = obs::monotonic_ns();
     id = frame.id;
     if (out_sink() != nullptr) {
-      line = "{\"type\": \"span_begin\", \"seq\": " +
-             std::to_string(next_seq_++) + ", \"id\": " + std::to_string(id) +
-             ", \"parent\": " + std::to_string(frame.parent) +
-             ", \"path\": " + obs::json_quote(frame.path) + "}";
+      text = line("span_begin")
+                 .number_u64("id", id)
+                 .number_u64("parent", frame.parent)
+                 .string("path", frame.path)
+                 .str();
     }
     stack_.push_back(std::move(frame));
   }
-  if (!line.empty()) emit(line);
+  if (!text.empty()) out_sink()->write_line(text);
   return Span{this, id};
 }
 
@@ -173,17 +163,17 @@ void PipelineTrace::end_span(std::uint64_t id) {
         agg.counters[name] += value;
       }
       if (out_sink() != nullptr) {
-        lines.push_back(
-            "{\"type\": \"span_end\", \"seq\": " + std::to_string(next_seq_++) +
-            ", \"id\": " + std::to_string(frame.id) +
-            ", \"path\": " + obs::json_quote(frame.path) +
-            ", \"dur_ns\": " + std::to_string(duration) +
-            ", \"counters\": " + counters_json(frame.counters) + "}");
+        JsonWriter text = line("span_end");
+        text.number_u64("id", frame.id)
+            .string("path", frame.path)
+            .number_u64("dur_ns", duration);
+        write_counters(text, "counters", frame.counters);
+        lines.push_back(std::move(text).str());
       }
       if (frame.id == id) break;
     }
   }
-  for (const std::string& line : lines) emit(line);
+  for (const std::string& text : lines) out_sink()->write_line(text);
 }
 
 void PipelineTrace::add_to_span(std::uint64_t id, std::string_view name,
@@ -210,27 +200,21 @@ void PipelineTrace::record_value(std::string_view name, std::uint64_t value) {
 
 void PipelineTrace::event(std::string_view name, std::string_view detail) {
   if (out_sink() == nullptr) return;
-  std::string line;
+  std::string text;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    line = "{\"type\": \"event\", \"seq\": " + std::to_string(next_seq_++) +
-           ", \"name\": " + obs::json_quote(name) +
-           ", \"detail\": " + obs::json_quote(detail) + "}";
+    text = line("event").string("name", name).string("detail", detail).str();
   }
-  emit(line);
+  out_sink()->write_line(text);
 }
 
-void PipelineTrace::emit(const std::string& line) {
-  obs::NdjsonSink* sink = out_sink();
-  if (sink == nullptr) return;
-  if (options_.tag.empty()) {
-    sink->write_line(line);
-    return;
-  }
-  // Tag injection: every line is a "{...}" object, so splice the job field
-  // in right after the opening brace.
-  sink->write_line("{\"job\": " + obs::json_quote(options_.tag) + ", " +
-                   line.substr(1));
+JsonWriter PipelineTrace::line(std::string_view type) {
+  JsonWriter out;
+  if (!options_.tag.empty()) out.string("job", options_.tag);
+  // The stream's first line names its schema.
+  if (next_seq_ == 0) out.string("schema", "confmask.trace/1");
+  out.string("type", type).number_u64("seq", next_seq_++);
+  return out;
 }
 
 std::vector<SpanMetrics> PipelineTrace::metrics() const {
@@ -242,68 +226,61 @@ std::vector<SpanMetrics> PipelineTrace::metrics() const {
 }
 
 std::string PipelineTrace::metrics_json(bool include_timings) const {
+  JsonWriter out(JsonWriter::Layout::kLines);
+  write_metrics(out, include_timings);
+  return std::move(out).str();
+}
+
+void PipelineTrace::write_metrics(JsonWriter& out,
+                                  bool include_timings) const {
+  using Layout = JsonWriter::Layout;
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n  \"schema\": \"confmask.metrics/1\",\n";
-  out += std::string("  \"deterministic\": ") +
-         (include_timings ? "false" : "true") + ",\n";
+  out.string("schema", "confmask.metrics/1")
+      .boolean("deterministic", !include_timings);
 
   // Spans: path-sorted (std::map), counters key-sorted — stable order.
-  out += "  \"spans\": [";
-  bool first = true;
+  out.array("spans", Layout::kLines);
   std::map<std::string, std::uint64_t> totals;
   for (const auto& [path, span] : aggregate_) {
-    out += std::string(first ? "\n" : ",\n") + "    {\"path\": " +
-           obs::json_quote(path) +
-           ", \"count\": " + std::to_string(span.count) +
-           ", \"counters\": " + counters_json(span.counters) + "}";
+    out.object().string("path", path).number_u64("count", span.count);
+    write_counters(out, "counters", span.counters);
+    out.end();
     for (const auto& [name, value] : span.counters) totals[name] += value;
-    first = false;
   }
-  out += aggregate_.empty() ? "],\n" : "\n  ],\n";
+  out.end();
 
   // Totals: every counter summed across all spans — the per-run invariant
   // CI compares across worker counts.
-  out += "  \"totals\": " + counters_json(totals) + ",\n";
+  write_counters(out, "totals", totals);
 
-  out += "  \"histograms\": [";
-  first = true;
+  out.array("histograms", Layout::kLines);
   for (const auto& [name, histogram] : histograms_) {
     const auto snap = histogram.snapshot();
-    std::string buckets = "[";
-    bool first_bucket = true;
+    out.object()
+        .string("name", name)
+        .number_u64("count", snap.count)
+        .number_u64("sum", snap.sum)
+        .number_u64("min", snap.min)
+        .number_u64("max", snap.max)
+        .array("buckets");
     for (std::size_t width = 0; width < obs::Histogram::kBuckets; ++width) {
       if (snap.buckets[width] == 0) continue;
-      buckets += std::string(first_bucket ? "" : ", ") + "[" +
-                 std::to_string(width) + ", " +
-                 std::to_string(snap.buckets[width]) + "]";
-      first_bucket = false;
+      out.array().number_u64(width).number_u64(snap.buckets[width]).end();
     }
-    buckets += "]";
-    out += std::string(first ? "\n" : ",\n") + "    {\"name\": " +
-           obs::json_quote(name) +
-           ", \"count\": " + std::to_string(snap.count) +
-           ", \"sum\": " + std::to_string(snap.sum) +
-           ", \"min\": " + std::to_string(snap.min) +
-           ", \"max\": " + std::to_string(snap.max) +
-           ", \"buckets\": " + buckets + "}";
-    first = false;
+    out.end().end();
   }
-  out += histograms_.empty() ? "]" : "\n  ]";
+  out.end();
 
-  if (!include_timings) {
-    out += "\n}\n";
-    return out;
-  }
+  if (!include_timings) return;
 
-  out += ",\n  \"timings\": [";
-  first = true;
+  out.array("timings", Layout::kLines);
   for (const auto& [path, span] : aggregate_) {
-    out += std::string(first ? "\n" : ",\n") + "    {\"path\": " +
-           obs::json_quote(path) +
-           ", \"total_ns\": " + std::to_string(span.total_ns) + "}";
-    first = false;
+    out.object()
+        .string("path", path)
+        .number_u64("total_ns", span.total_ns)
+        .end();
   }
-  out += aggregate_.empty() ? "],\n" : "\n  ],\n";
+  out.end();
 
   // Pool utilization since the trace was installed. configure() swaps the
   // pool object (fresh counters), making the baseline incomparable — fall
@@ -325,18 +302,18 @@ std::string PipelineTrace::metrics_json(bool include_timings) const {
           sat_sub(now.workers[i].idle_ns, pool_baseline_.workers[i].idle_ns);
     }
   }
-  out += "  \"pool\": {\"workers\": " + std::to_string(now.workers.size()) +
-         ", \"batches\": " + std::to_string(now.batches) +
-         ", \"tasks\": " + std::to_string(now.tasks) + ", \"per_worker\": [";
-  first = true;
+  out.object("pool")
+      .number_u64("workers", now.workers.size())
+      .number_u64("batches", now.batches)
+      .number_u64("tasks", now.tasks)
+      .array("per_worker");
   for (const auto& worker : now.workers) {
-    out += std::string(first ? "" : ", ") + "{\"tasks\": " +
-           std::to_string(worker.tasks) +
-           ", \"idle_ns\": " + std::to_string(worker.idle_ns) + "}";
-    first = false;
+    out.object()
+        .number_u64("tasks", worker.tasks)
+        .number_u64("idle_ns", worker.idle_ns)
+        .end();
   }
-  out += "]}\n}\n";
-  return out;
+  out.end().end();
 }
 
 }  // namespace confmask

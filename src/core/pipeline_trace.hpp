@@ -36,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/json_writer.hpp"
 #include "src/util/observability.hpp"
 #include "src/util/thread_pool.hpp"
 
@@ -49,6 +50,11 @@ struct SpanMetrics {
   std::uint64_t total_ns = 0;  ///< summed monotonic durations
   std::map<std::string, std::uint64_t> counters;
 };
+
+/// Writes `counters` as the inline object member `key` in sorted key order:
+/// the counters of trace lines, metrics.json and the diagnostics' phases.
+void write_counters(JsonWriter& out, std::string_view key,
+                    const std::map<std::string, std::uint64_t>& counters);
 
 class PipelineTrace {
  public:
@@ -162,8 +168,13 @@ class PipelineTrace {
   /// key order, suitable for diffing. With include_timings=false the
   /// summary contains only deterministic content (byte-stable for a given
   /// seed, any worker count); with true it adds per-path durations and
-  /// thread-pool utilization.
+  /// thread-pool utilization. A document: the root and its arrays one
+  /// member per line, ending with a newline.
   [[nodiscard]] std::string metrics_json(bool include_timings = true) const;
+
+  /// The same summary's members, written into the innermost open object of
+  /// `out` (bench_scale nests it in each pipeline point).
+  void write_metrics(JsonWriter& out, bool include_timings = true) const;
 
  private:
   struct Frame {
@@ -177,7 +188,9 @@ class PipelineTrace {
   void end_span(std::uint64_t id);
   void add_to_span(std::uint64_t id, std::string_view name,
                    std::uint64_t delta);
-  void emit(const std::string& line);
+  /// A new NDJSON line of `type` with the next seq, carrying the tag as its
+  /// first field when set. Called under the mutex once spans can open.
+  [[nodiscard]] JsonWriter line(std::string_view type);
 
   [[nodiscard]] obs::NdjsonSink* out_sink() const {
     return options_.shared_sink != nullptr ? options_.shared_sink

@@ -474,7 +474,7 @@ StoreResult ArtifactCache::store(
   fs::create_directories(staging, ec);
   if (ec) return fail("staging mkdir: " + ec.message());
 
-  const std::string meta = JsonLineWriter{}
+  const std::string meta = JsonWriter{}
                                .string("format", kMetaFormat)
                                .string("key", key.hex())
                                .string("secondary", hex64(key.secondary))

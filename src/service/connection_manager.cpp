@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/util/io_shim.hpp"
+#include "src/util/json_writer.hpp"
 #include "src/util/observability.hpp"
 
 namespace confmask {
@@ -26,6 +27,15 @@ bool set_nonblocking(int fd) {
 }
 
 bool would_block() { return errno == EAGAIN || errno == EWOULDBLOCK; }
+
+/// The last response on a connection whose request line is over the cap.
+std::string overflow_response(std::size_t max_line_bytes) {
+  return JsonWriter{}
+      .boolean("ok", false)
+      .string("error", "request line exceeds " +
+                           std::to_string(max_line_bytes) + " bytes")
+      .str();
+}
 
 }  // namespace
 
@@ -218,9 +228,7 @@ void ConnectionServer::process_lines(int fd) {
     if (line.size() > options_.max_line_bytes) {
       conn.close_after_flush = true;
       conn.overflowed = true;  // stop reading from an abusive peer
-      queue_output(fd, "{\"ok\": false, \"error\": \"request line exceeds " +
-                           std::to_string(options_.max_line_bytes) +
-                           " bytes\"}");
+      queue_output(fd, overflow_response(options_.max_line_bytes));
       return;
     }
     LineOutcome outcome = handler_(line);
@@ -245,9 +253,7 @@ void ConnectionServer::process_lines(int fd) {
     conn.close_after_flush = true;
     conn.overflowed = true;
     conn.in_buf.clear();
-    queue_output(fd, "{\"ok\": false, \"error\": \"request line exceeds " +
-                         std::to_string(options_.max_line_bytes) +
-                         " bytes\"}");
+    queue_output(fd, overflow_response(options_.max_line_bytes));
   }
 }
 

@@ -76,7 +76,7 @@ std::pair<std::string, bool> make_state_event(const JobStatus& status) {
   const bool terminal = status.state == JobState::kDone ||
                         status.state == JobState::kFailed ||
                         status.state == JobState::kCancelled;
-  JsonLineWriter out;
+  JsonWriter out;
   out.boolean("ok", true)
       .string("op", "event")
       .string("type", "state")
@@ -371,7 +371,7 @@ int Daemon::run() {
         [peer_timeout, expect_stamp](
             const std::string& owner, const CacheKey& key,
             const std::string& tenant) -> std::optional<CacheArtifacts> {
-      const std::string request = JsonLineWriter{}
+      const std::string request = JsonWriter{}
                                       .string("op", "peer-fetch")
                                       .string("key", key.hex())
                                       .str();

@@ -32,7 +32,7 @@ constexpr std::string_view kCrcMarker = ", \"crc\": \"";
 /// The finished record with its crc field appended: the digest covers the
 /// line as written so far, hashed in place, and the field is spliced in
 /// before the closing brace exactly as crc_ok reads it back.
-std::string with_crc(JsonLineWriter& writer) {
+std::string with_crc(JsonWriter& writer) {
   std::string line = std::move(writer).str();
   const std::uint64_t crc = fnv1a64(line);
   line.pop_back();
@@ -220,7 +220,7 @@ std::optional<JournalTombstone> decode_status(const JsonObject& record) {
 }
 
 std::string encode_header() {
-  JsonLineWriter writer;
+  JsonWriter writer;
   writer.string("type", "header")
       .string("format", kFormat)
       .string("stamp", build_stamp());
@@ -229,7 +229,7 @@ std::string encode_header() {
 
 std::string encode_status(std::string_view type, const JobStatus& status,
                           std::uint64_t secondary) {
-  JsonLineWriter writer;
+  JsonWriter writer;
   writer.string("type", type)
       .number_u64("job", status.id)
       .string("tenant", status.tenant)
@@ -271,7 +271,7 @@ std::string JobJournal::encode_submit(std::uint64_t id,
                                       const JobRequest& request,
                                       const CacheKey& key,
                                       std::string_view canonical_text) {
-  JsonLineWriter writer;
+  JsonWriter writer;
   writer.string("type", "submit")
       .number_u64("job", id)
       .string("tenant", request.tenant)

@@ -62,7 +62,7 @@ void JobScheduler::restore_from_journal() {
       // cached only for successes); reconstruct the taxonomy summary so
       // `result` still answers for the restored id.
       job.failure_diagnostics =
-          JsonLineWriter{}
+          JsonWriter{}
               .boolean("ok", false)
               .string("stage", tomb.status.error_stage)
               .string("category", tomb.status.error_category)
@@ -807,7 +807,7 @@ void JobScheduler::execute(std::uint64_t id) {
         // returning unpublishable results would desynchronize the cache
         // from the acks — but the daemon itself keeps serving.
         done.failure_diagnostics =
-            JsonLineWriter{}
+            JsonWriter{}
                 .boolean("ok", false)
                 .string("stage", "Verification")
                 .string("category", "ResourceExhausted")

@@ -2,9 +2,7 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
-
-#include "src/util/observability.hpp"
+#include <utility>
 
 namespace confmask {
 
@@ -201,52 +199,6 @@ std::optional<JsonObject> parse_json_line(std::string_view line,
   return out;
 }
 
-void JsonLineWriter::key(std::string_view name) {
-  if (!first_) body_ += ", ";
-  first_ = false;
-  body_ += '"';
-  obs::append_json_escaped(body_, name);
-  body_ += "\": ";
-}
-
-JsonLineWriter& JsonLineWriter::string(std::string_view k,
-                                       std::string_view value) {
-  key(k);
-  body_ += '"';
-  obs::append_json_escaped(body_, value);
-  body_ += '"';
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::number(std::string_view k,
-                                       std::int64_t value) {
-  key(k);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::number_u64(std::string_view k,
-                                           std::uint64_t value) {
-  key(k);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::real(std::string_view k, double value) {
-  key(k);
-  char buf[64];
-  // %.17g: round-trips every IEEE-754 double exactly.
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  body_ += buf;
-  return *this;
-}
-
-JsonLineWriter& JsonLineWriter::boolean(std::string_view k, bool value) {
-  key(k);
-  body_ += value ? "true" : "false";
-  return *this;
-}
-
 std::optional<std::string> get_string(const JsonObject& obj,
                                       std::string_view key) {
   const auto it = obj.find(std::string(key));
@@ -256,29 +208,35 @@ std::optional<std::string> get_string(const JsonObject& obj,
   return it->second.text;
 }
 
-std::optional<std::int64_t> get_int(const JsonObject& obj,
-                                    std::string_view key) {
-  const auto it = obj.find(std::string(key));
-  if (it == obj.end() || it->second.kind != JsonValue::Kind::kNumber) {
-    return std::nullopt;
-  }
-  return it->second.as_int();
-}
+namespace {
 
-std::optional<std::uint64_t> get_u64(const JsonObject& obj,
-                                     std::string_view key) {
+/// The raw number token of `key` read exactly as `Integer`, or nullopt.
+template <typename Integer>
+std::optional<Integer> get_exact(const JsonObject& obj, std::string_view key) {
   const auto it = obj.find(std::string(key));
   if (it == obj.end() || it->second.kind != JsonValue::Kind::kNumber) {
     return std::nullopt;
   }
   const std::string& raw = it->second.text;
-  std::uint64_t value = 0;
+  Integer value = 0;
   const auto [ptr, ec] =
       std::from_chars(raw.data(), raw.data() + raw.size(), value);
   if (ec != std::errc{} || ptr != raw.data() + raw.size()) {
     return std::nullopt;
   }
   return value;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> get_int(const JsonObject& obj,
+                                    std::string_view key) {
+  return get_exact<std::int64_t>(obj, key);
+}
+
+std::optional<std::uint64_t> get_u64(const JsonObject& obj,
+                                     std::string_view key) {
+  return get_exact<std::uint64_t>(obj, key);
 }
 
 std::optional<double> get_double(const JsonObject& obj,

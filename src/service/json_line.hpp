@@ -6,8 +6,8 @@
 // arrays, no null. That subset is expressive enough for every message the
 // serving layer exchanges (bulk payloads like config bundles travel as one
 // escaped string value), and small enough that the parser can be strict:
-// anything outside the subset is a hard error, never a guess. Hand-rolled
-// like every other JSON producer in this repository (no dependencies).
+// anything outside the subset is a hard error, never a guess. Lines are
+// written by src/util/json_writer.hpp (no dependencies, like the parser).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
+
+#include "src/util/json_writer.hpp"
 
 namespace confmask {
 
@@ -26,10 +27,6 @@ struct JsonValue {
   std::string text;    ///< kString: unescaped contents; kNumber: raw token
   double number = 0;   ///< kNumber
   bool boolean = false;  ///< kBool
-
-  [[nodiscard]] std::int64_t as_int() const {
-    return static_cast<std::int64_t>(number);
-  }
 };
 
 using JsonObject = std::map<std::string, JsonValue>;
@@ -47,34 +44,14 @@ using JsonObject = std::map<std::string, JsonValue>;
 [[nodiscard]] std::optional<JsonObject> parse_json_line(std::string_view line,
                                                         std::string* error);
 
-/// Builder for one flat object with insertion-ordered keys (field order is
-/// part of the readable-protocol contract; tests diff raw lines).
-class JsonLineWriter {
- public:
-  JsonLineWriter& string(std::string_view key, std::string_view value);
-  JsonLineWriter& number(std::string_view key, std::int64_t value);
-  JsonLineWriter& number_u64(std::string_view key, std::uint64_t value);
-  JsonLineWriter& real(std::string_view key, double value);
-  JsonLineWriter& boolean(std::string_view key, bool value);
-
-  /// The finished "{...}" object (no trailing newline).
-  [[nodiscard]] std::string str() const& { return body_ + "}"; }
-  /// The same, moving the body out of a writer that is done: no copy of a
-  /// line that carries a whole bundle.
-  [[nodiscard]] std::string str() && {
-    body_ += '}';
-    return std::move(body_);
-  }
-
- private:
-  void key(std::string_view name);
-  std::string body_ = "{";
-  bool first_ = true;
-};
+/// The writer's name as the benchmark harness (perfbench/) spells it.
+using JsonLineWriter = JsonWriter;
 
 /// Convenience accessors returning nullopt on missing key or wrong kind.
 [[nodiscard]] std::optional<std::string> get_string(const JsonObject& obj,
                                                     std::string_view key);
+/// Exact int64 from the raw number token: nullopt unless the token is a
+/// decimal integer in range (no fraction, no exponent).
 [[nodiscard]] std::optional<std::int64_t> get_int(const JsonObject& obj,
                                                   std::string_view key);
 /// Exact uint64 from the raw number token (doubles silently truncate

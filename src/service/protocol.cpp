@@ -14,7 +14,7 @@ namespace confmask {
 namespace {
 
 std::string error_response(std::string_view op, std::string_view message) {
-  return JsonLineWriter{}
+  return JsonWriter{}
       .boolean("ok", false)
       .string("op", op)
       .string("error", message)
@@ -36,12 +36,12 @@ std::optional<FakeLinkCostPolicy> parse_cost_policy(const std::string& name) {
 }
 
 /// Reads an optional int field into `out`; returns false (and fills
-/// `error`) when the field is present with the wrong kind.
+/// `error`) when the field is present but not an integer that fits `int`.
 bool read_int(const JsonObject& request, std::string_view key, int& out,
               std::string& error) {
   if (request.find(std::string(key)) == request.end()) return true;
   const auto value = get_int(request, key);
-  if (!value) {
+  if (!value || !std::in_range<int>(*value)) {
     error = std::string(key) + " must be an integer";
     return false;
   }
@@ -142,7 +142,7 @@ bool read_tenant(const JsonObject& request, std::string& out,
 /// do not (client.hpp retries on exactly the hint's presence).
 std::string rejection_response(std::string_view op,
                                const SubmitOutcome& outcome) {
-  JsonLineWriter out;
+  JsonWriter out;
   out.boolean("ok", false)
       .string("op", op)
       .string("error", "rejected: " + outcome.error);
@@ -184,7 +184,7 @@ std::string ProtocolHandler::handle(std::string_view line,
     const SubmitOutcome outcome = scheduler_->submit_ex(std::move(job));
     if (!outcome.accepted()) return rejection_response(*op, outcome);
     const auto status = scheduler_->status(*outcome.id);
-    return JsonLineWriter{}
+    return JsonWriter{}
         .boolean("ok", true)
         .string("op", *op)
         .number_u64("job", *outcome.id)
@@ -211,7 +211,7 @@ std::string ProtocolHandler::handle(std::string_view line,
     const SubmitOutcome outcome = scheduler_->resubmit(std::move(job));
     if (!outcome.accepted()) return rejection_response(*op, outcome);
     const auto status = scheduler_->status(*outcome.id);
-    return JsonLineWriter{}
+    return JsonWriter{}
         .boolean("ok", true)
         .string("op", *op)
         .number_u64("job", *outcome.id)
@@ -227,7 +227,7 @@ std::string ProtocolHandler::handle(std::string_view line,
 
     if (*op == "cancel") {
       const bool cancelled = scheduler_->cancel(*id);
-      return JsonLineWriter{}
+      return JsonWriter{}
           .boolean("ok", true)
           .string("op", *op)
           .number_u64("job", *id)
@@ -239,7 +239,7 @@ std::string ProtocolHandler::handle(std::string_view line,
     if (!status) return error_response(*op, "unknown job");
 
     if (*op == "status") {
-      JsonLineWriter out;
+      JsonWriter out;
       out.boolean("ok", true)
           .string("op", *op)
           .number_u64("job", *id)
@@ -259,7 +259,7 @@ std::string ProtocolHandler::handle(std::string_view line,
 
     const auto result = scheduler_->result(*id);
     if (!result) return error_response(*op, "job not finished");
-    JsonLineWriter out;
+    JsonWriter out;
     out.boolean("ok", true)
         .string("op", *op)
         .number_u64("job", *id)
@@ -283,14 +283,14 @@ std::string ProtocolHandler::handle(std::string_view line,
     if (!key_hex) return error_response(*op, "missing key");
     const auto entry = cache_->lookup_by_hex(*key_hex);
     if (!entry) {
-      return JsonLineWriter{}
+      return JsonWriter{}
           .boolean("ok", true)
           .string("op", *op)
           .boolean("found", false)
           .string("key", *key_hex)
           .str();
     }
-    JsonLineWriter out;
+    JsonWriter out;
     out.boolean("ok", true)
         .string("op", *op)
         .boolean("found", true)
@@ -315,7 +315,7 @@ std::string ProtocolHandler::handle(std::string_view line,
     }
     subscribe->requested = true;
     subscribe->job = *id;
-    return JsonLineWriter{}
+    return JsonWriter{}
         .boolean("ok", true)
         .string("op", *op)
         .number_u64("job", *id)
@@ -325,7 +325,7 @@ std::string ProtocolHandler::handle(std::string_view line,
 
   if (*op == "stats") {
     const SchedulerStats stats = scheduler_->stats();
-    JsonLineWriter out;
+    JsonWriter out;
     out.boolean("ok", true)
         .string("op", *op)
         .number_u64("submitted", stats.submitted)
@@ -377,7 +377,7 @@ std::string ProtocolHandler::handle(std::string_view line,
     const SchedulerStats stats = scheduler_->stats();
     const auto uptime = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - started_);
-    JsonLineWriter out;
+    JsonWriter out;
     out.boolean("ok", true)
         .string("op", *op)
         .string("version", version())
@@ -423,7 +423,7 @@ std::string ProtocolHandler::handle(std::string_view line,
       shutdown->requested = true;
       shutdown->mode = mode;
     }
-    return JsonLineWriter{}
+    return JsonWriter{}
         .boolean("ok", true)
         .string("op", *op)
         .string("mode", mode == JobScheduler::ShutdownMode::kDrain

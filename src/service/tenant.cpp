@@ -1,6 +1,7 @@
 #include "src/service/tenant.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "src/service/json_line.hpp"
 
@@ -58,8 +59,10 @@ bool parse_quota_line(const std::string& line, int line_number,
   TenantQuota quota;
   for (const auto& [key, value] : *object) {
     if (key == "tenant") continue;
-    const auto number = get_int(*object, key);
-    if (!number || *number < 0 || value.kind != JsonValue::Kind::kNumber) {
+    // Read exactly: cache_share_bytes takes any u64, the rest an int.
+    const auto number = get_u64(*object, key);
+    if (!number ||
+        (key != "cache_share_bytes" && !std::in_range<int>(*number))) {
       return fail(error, line_number,
                   "field \"" + key + "\" must be a non-negative integer");
     }
@@ -68,12 +71,7 @@ bool parse_quota_line(const std::string& line, int line_number,
     } else if (key == "max_concurrent") {
       quota.max_concurrent = static_cast<int>(*number);
     } else if (key == "cache_share_bytes") {
-      const auto bytes = get_u64(*object, key);
-      if (!bytes) {
-        return fail(error, line_number,
-                    "field \"cache_share_bytes\" out of range");
-      }
-      quota.cache_share_bytes = *bytes;
+      quota.cache_share_bytes = *number;
     } else if (key == "weight") {
       quota.weight = *number < 1 ? 1 : static_cast<int>(*number);
     } else {

@@ -51,21 +51,6 @@ void append_json_escaped(std::string& out, std::string_view text) {
   out.append(text.data() + clean, text.size() - clean);
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  append_json_escaped(out, text);
-  return out;
-}
-
-std::string json_quote(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  append_json_escaped(out, text);
-  out += '"';
-  return out;
-}
-
 void Histogram::record(std::uint64_t value) {
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);

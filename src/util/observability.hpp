@@ -10,8 +10,8 @@
 //  * Thread-safety without perturbation: Counter/Histogram writes are
 //    relaxed atomics, safe from ThreadPool workers; reads are meant for
 //    merge points (after parallel_for returns), where no writer races.
-//  * No dependencies: plain C++ standard library, hand-rolled JSON (the
-//    repository convention — see examples/confmask_cli.cpp diagnostics).
+//  * No dependencies: plain C++ standard library. JSON text comes from
+//    src/util/json_writer.hpp, which escapes through append_json_escaped.
 #pragma once
 
 #include <array>
@@ -30,16 +30,9 @@ namespace confmask::obs {
 [[nodiscard]] std::uint64_t monotonic_ns();
 
 /// Appends `text`, escaped for embedding inside a JSON string literal, to
-/// `out`: the one escaping loop behind json_escape, json_quote and
-/// confmaskd's JsonLineWriter. Runs of bytes that need no escape are
-/// copied in bulk.
+/// `out`: the one escaping loop, behind every key and string JsonWriter
+/// writes. Runs of bytes that need no escape are copied in bulk.
 void append_json_escaped(std::string& out, std::string_view text);
-
-/// Escapes `text` for embedding inside a JSON string literal.
-[[nodiscard]] std::string json_escape(std::string_view text);
-
-/// `text` as a JSON string literal: escaped and wrapped in double quotes.
-[[nodiscard]] std::string json_quote(std::string_view text);
 
 /// A monotonically increasing event/occurrence counter. Writes are relaxed
 /// atomic adds (safe from pool workers); value() is exact once writers have

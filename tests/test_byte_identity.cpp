@@ -5,12 +5,16 @@
 // table holds the fnv1a64 digests of both for the eight evaluation
 // networks and the four scale families at 316 routers (seed 1, default
 // options) and for one patched watch-mode chain, whose every step must
-// also equal its cold run. A change that alters the bytes on purpose
-// updates the table in the same change and says why.
+// also equal its cold run. The JSON documents a traced run writes are
+// pinned too: metrics.json's deterministic half, the NDJSON trace of a
+// tagged run with its durations masked, and diagnostics with every section
+// filled. A change that alters the bytes on purpose updates the table in
+// the same change and says why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,9 +22,12 @@
 #include "src/core/confmask.hpp"
 #include "src/core/patch_mode.hpp"
 #include "src/core/pipeline_runner.hpp"
+#include "src/core/pipeline_trace.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/netgen/scale_families.hpp"
+#include "src/testing/differential.hpp"
 #include "src/util/hash.hpp"
+#include "tests/json_checker.hpp"
 
 namespace confmask {
 namespace {
@@ -166,6 +173,153 @@ TEST(ByteIdentity, PatchedWatchChain) {
     context = finish_capture(next);
     current = std::move(edited);
   }
+}
+
+// figure2 at k_R 2 and seed 7, the traced run of test_observability.
+ConfMaskOptions figure2_traced_options() {
+  ConfMaskOptions options;
+  options.k_r = 2;
+  options.k_h = 2;
+  options.noise_p = 0.4;
+  options.seed = 7;
+  return options;
+}
+
+std::string traced_metrics(const ConfigSet& configs,
+                           const ConfMaskOptions& options,
+                           bool include_timings) {
+  PipelineTrace trace;
+  EXPECT_TRUE(run_pipeline_guarded(configs, options).ok());
+  return trace.metrics_json(include_timings);
+}
+
+TEST(ByteIdentity, TracedRunMetrics) {
+  EXPECT_EQ(hex(fnv1a64(traced_metrics(make_figure2(),
+                                       figure2_traced_options(), false))),
+            "0xedc3b76561b934fa");
+
+  // multi-as at 316 routers: the network, seed and options of one
+  // bench_scale pipeline point.
+  const std::uint64_t seed = 0x5CA1E + 316;
+  ConfigSet multi_as = make_scale_network(ScaleFamily::kMultiAs, 316, seed);
+  decorate_scale_network(multi_as, seed);
+  ConfMaskOptions options;
+  options.k_r = 6;
+  options.k_h = 2;
+  options.noise_p = 0.1;
+  options.seed = 0xC0DE;
+  EXPECT_EQ(hex(fnv1a64(traced_metrics(multi_as, options, false))),
+            "0x204a90f611c5655a");
+}
+
+TEST(ByteIdentity, MetricsWithTimingsParseAndKeepTheirKeyOrder) {
+  const std::string json =
+      traced_metrics(make_figure2(), figure2_traced_options(), true);
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  std::size_t previous = 0;
+  for (const char* key : {"\"schema\"", "\"deterministic\": false",
+                          "\"spans\"", "\"totals\"", "\"histograms\"",
+                          "\"timings\"", "\"pool\": {\"workers\": "}) {
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    EXPECT_GT(at, previous) << key;
+    previous = at;
+  }
+  EXPECT_NE(json.find("\"per_worker\": [", previous), std::string::npos);
+  EXPECT_EQ(json.substr(json.size() - 5), "]}\n}\n");
+}
+
+// Every line of a tagged trace, "dur_ns" values zeroed: the only field that
+// differs between two runs.
+TEST(ByteIdentity, TaggedTraceLines) {
+  std::ostringstream sink;
+  {
+    PipelineTrace::Options trace_options;
+    trace_options.trace_sink = &sink;
+    trace_options.tag = "t/job-1";
+    PipelineTrace trace(trace_options);
+    EXPECT_TRUE(
+        run_pipeline_guarded(make_figure2(), figure2_traced_options()).ok());
+  }
+  std::string masked = sink.str();
+  const std::string field = "\"dur_ns\": ";
+  for (std::size_t at = masked.find(field); at != std::string::npos;
+       at = masked.find(field, at)) {
+    at += field.size();
+    std::size_t digits = at;
+    while (digits < masked.size() && masked[digits] >= '0' &&
+           masked[digits] <= '9') {
+      ++digits;
+    }
+    masked.replace(at, digits - at, "0");
+  }
+  const std::string first =
+      "{\"job\": \"t/job-1\", \"schema\": \"confmask.trace/1\", "
+      "\"type\": \"trace_begin\", \"seq\": 0}\n";
+  EXPECT_EQ(masked.substr(0, first.size()), first);
+  EXPECT_EQ(hex(fnv1a64(masked)), "0x0594e108d62366e3");
+}
+
+PipelineDiagnostics hand_built_diagnostics(bool ok) {
+  PipelineDiagnostics diag;
+  diag.ok = ok;
+  diag.attempts = ok ? 1 : 3;
+  if (ok) return diag;
+  diag.stage = PipelineStage::kVerification;
+  diag.category = ErrorCategory::kNonConvergent;
+  diag.message = "data planes differ on 1 flow \"h1\"\n-> h2";
+  diag.fallbacks = {
+      {FallbackKind::kReseed, 1, "seed 1 -> 2"},
+      {FallbackKind::kRelaxKr, 2, "k_r 6 -> 5\t(floor 2)"},
+  };
+  diag.divergence = {{"h1", "h2", "r3", {"r4", "r5"}, {"r6"}}};
+  SpanMetrics preprocess;
+  preprocess.path = "preprocess";
+  preprocess.count = 3;
+  preprocess.total_ns = 1500;
+  preprocess.counters = {{"flows", 12}, {"routers", 4}};
+  SpanMetrics iteration;
+  iteration.path = "route_equivalence/iteration";
+  iteration.count = 2;
+  iteration.total_ns = 700;
+  iteration.counters = {{"filters_added", 5}};
+  diag.span_metrics = {preprocess, iteration};
+  return diag;
+}
+
+TEST(ByteIdentity, DiagnosticsText) {
+  EXPECT_EQ(diagnostics_to_json(hand_built_diagnostics(false)), R"json({
+  "ok": false,
+  "stage": "Verification",
+  "category": "NonConvergent",
+  "exit_code": 12,
+  "message": "data planes differ on 1 flow \"h1\"\n-> h2",
+  "attempts": 3,
+  "fallbacks": [
+    {"kind": "Reseed", "attempt": 1, "detail": "seed 1 -> 2"},
+    {"kind": "RelaxKr", "attempt": 2, "detail": "k_r 6 -> 5\t(floor 2)"}
+  ],
+  "divergence": [
+    {"source": "h1", "destination": "h2", "router": "r3", "expected_next_hops": ["r4", "r5"], "actual_next_hops": ["r6"]}
+  ],
+  "phases": [
+    {"path": "preprocess", "count": 3, "total_ns": 1500, "counters": {"flows": 12, "routers": 4}},
+    {"path": "route_equivalence/iteration", "count": 2, "total_ns": 700, "counters": {"filters_added": 5}}
+  ]
+}
+)json");
+  EXPECT_EQ(diagnostics_to_json(hand_built_diagnostics(true)), R"json({
+  "ok": true,
+  "stage": null,
+  "category": null,
+  "exit_code": 0,
+  "message": "",
+  "attempts": 1,
+  "fallbacks": [],
+  "divergence": [],
+  "phases": []
+}
+)json");
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ fs::path fresh_cache_dir(const std::string& tag) {
 
 // Blocks until the daemon answers a stats roundtrip (or ~5s elapse).
 bool await_up(const std::string& endpoint) {
-  const std::string stats_line = JsonLineWriter{}.string("op", "stats").str();
+  const std::string stats_line = JsonWriter{}.string("op", "stats").str();
   for (int i = 0; i < 250; ++i) {
     if (client_roundtrip(endpoint, stats_line)) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -79,7 +79,7 @@ int raw_connect(const std::string& path) {
 }
 
 std::string submit_line(std::uint64_t seed) {
-  return JsonLineWriter{}
+  return JsonWriter{}
       .string("op", "submit")
       .string("configs", canonical_config_set_text(make_figure2()))
       .number("k_r", 2)
@@ -93,7 +93,7 @@ std::string submit_line(std::uint64_t seed) {
 std::optional<std::string> wait_terminal(const std::string& endpoint,
                                          std::uint64_t job) {
   const std::string status_line =
-      JsonLineWriter{}.string("op", "status").number_u64("job", job).str();
+      JsonWriter{}.string("op", "status").number_u64("job", job).str();
   for (int i = 0; i < 2'000; ++i) {
     const auto response = client_roundtrip(endpoint, status_line);
     if (!response) return std::nullopt;
@@ -149,7 +149,7 @@ TEST(DaemonConcurrency, IdleClientDoesNotBlockConcurrentSubmit) {
 
   const auto result = client_roundtrip(
       socket_path,
-      JsonLineWriter{}.string("op", "result").number_u64("job", *job).str(),
+      JsonWriter{}.string("op", "result").number_u64("job", *job).str(),
       static_cast<std::string*>(nullptr), /*receive_timeout_ms=*/10'000);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(get_bool(*parse_json_line(*result), "ok"), true);
@@ -201,7 +201,7 @@ TEST(DaemonConcurrency, ManyConcurrentClientsInterleave) {
         return;
       }
       const auto result = client_roundtrip(
-          socket_path, JsonLineWriter{}
+          socket_path, JsonWriter{}
                            .string("op", "result")
                            .number_u64("job", *job)
                            .str());
@@ -238,7 +238,7 @@ TEST(DaemonConcurrency, SubscribeStreamsPhaseEventsInOrder) {
   // Occupy the single pipeline slot with a slower network, then queue the
   // job we subscribe to.
   const std::string blocker_line =
-      JsonLineWriter{}
+      JsonWriter{}
           .string("op", "submit")
           .string("configs", canonical_config_set_text(make_enterprise()))
           .number("k_r", 2)
@@ -258,7 +258,7 @@ TEST(DaemonConcurrency, SubscribeStreamsPhaseEventsInOrder) {
   std::vector<std::string> lines;
   const bool streamed = client_stream(
       socket_path,
-      JsonLineWriter{}.string("op", "subscribe").number_u64("job", *job).str(),
+      JsonWriter{}.string("op", "subscribe").number_u64("job", *job).str(),
       [&lines](const std::string& line) {
         lines.push_back(line);
         return true;  // consume until the server closes the stream

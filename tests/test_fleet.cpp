@@ -44,7 +44,7 @@ fs::path fresh_cache_dir(const std::string& tag) {
 }
 
 bool await_up(const std::string& endpoint) {
-  const std::string stats_line = JsonLineWriter{}.string("op", "stats").str();
+  const std::string stats_line = JsonWriter{}.string("op", "stats").str();
   for (int i = 0; i < 250; ++i) {
     if (client_roundtrip(endpoint, stats_line)) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -53,7 +53,7 @@ bool await_up(const std::string& endpoint) {
 }
 
 std::string submit_line(std::uint64_t seed, const std::string& tenant = "") {
-  JsonLineWriter out;
+  JsonWriter out;
   out.string("op", "submit")
       .string("configs", canonical_config_set_text(make_figure2()))
       .number("k_r", 2)
@@ -66,7 +66,7 @@ std::string submit_line(std::uint64_t seed, const std::string& tenant = "") {
 std::optional<std::string> wait_terminal(const std::string& endpoint,
                                          std::uint64_t job) {
   const std::string status_line =
-      JsonLineWriter{}.string("op", "status").number_u64("job", job).str();
+      JsonWriter{}.string("op", "status").number_u64("job", job).str();
   for (int i = 0; i < 2'000; ++i) {
     const auto response = client_roundtrip(endpoint, status_line);
     if (!response) return std::nullopt;
@@ -105,7 +105,7 @@ std::pair<std::uint64_t, std::string> submit_ok(const std::string& endpoint,
 
 std::uint64_t stat_u64(const std::string& endpoint, const std::string& key) {
   const auto response =
-      client_roundtrip(endpoint, JsonLineWriter{}.string("op", "stats").str());
+      client_roundtrip(endpoint, JsonWriter{}.string("op", "stats").str());
   EXPECT_TRUE(response.has_value());
   if (!response) return 0;
   const auto parsed = parse_json_line(*response);
@@ -117,7 +117,7 @@ std::uint64_t stat_u64(const std::string& endpoint, const std::string& key) {
 std::string result_configs(const std::string& endpoint, std::uint64_t job) {
   const auto response = client_roundtrip(
       endpoint,
-      JsonLineWriter{}.string("op", "result").number_u64("job", job).str());
+      JsonWriter{}.string("op", "result").number_u64("job", job).str());
   EXPECT_TRUE(response.has_value());
   if (!response) return "";
   const auto parsed = parse_json_line(*response);
@@ -273,7 +273,7 @@ TEST(Fleet, QuotaRejectsWithRetryHintAndReloadLiftsTheCap) {
 
   // Occupy the single worker with a slower network so submissions queue.
   const std::string blocker_line =
-      JsonLineWriter{}
+      JsonWriter{}
           .string("op", "submit")
           .string("configs", canonical_config_set_text(make_enterprise()))
           .number("k_r", 2)
@@ -285,7 +285,7 @@ TEST(Fleet, QuotaRejectsWithRetryHintAndReloadLiftsTheCap) {
   // Wait until the blocker occupies the worker — while it is merely queued
   // it would itself fill the tenant's pending slot.
   const std::string blocker_status =
-      JsonLineWriter{}.string("op", "status").number_u64("job", blocker).str();
+      JsonWriter{}.string("op", "status").number_u64("job", blocker).str();
   for (int i = 0; i < 250; ++i) {
     const auto response = client_roundtrip(sock, blocker_status);
     ASSERT_TRUE(response.has_value());

@@ -4,7 +4,6 @@
 // counts and byte-stable across repeated same-seed runs.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -17,8 +16,10 @@
 #include "src/netgen/networks.hpp"
 #include "src/netgen/scale_families.hpp"
 #include "src/testing/differential.hpp"
+#include "src/util/json_writer.hpp"
 #include "src/util/observability.hpp"
 #include "src/util/thread_pool.hpp"
+#include "tests/json_checker.hpp"
 
 namespace confmask {
 namespace {
@@ -62,12 +63,22 @@ TEST(Observability, HistogramBucketsByBitWidth) {
 }
 
 TEST(Observability, JsonEscapeHandlesControlCharacters) {
-  EXPECT_EQ(obs::json_escape("plain"), "plain");
-  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(obs::json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(obs::json_escape(std::string("\x01", 1)), "\\u0001");
-  EXPECT_EQ(obs::json_quote("a\"b\n"), "\"a\\\"b\\n\"");
-  EXPECT_EQ(obs::json_quote(""), "\"\"");
+  // `text` as the writer quotes it, cut from a one-member line, and the
+  // escaped bytes between its quotes.
+  const auto quoted = [](std::string_view text) {
+    const std::string line = JsonWriter{}.string("v", text).str();
+    return line.substr(6, line.size() - 7);
+  };
+  const auto escaped = [&quoted](std::string_view text) {
+    const std::string value = quoted(text);
+    return value.substr(1, value.size() - 2);
+  };
+  EXPECT_EQ(escaped("plain"), "plain");
+  EXPECT_EQ(escaped("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(escaped("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(escaped(std::string("\x01", 1)), "\\u0001");
+  EXPECT_EQ(quoted("a\"b\n"), "\"a\\\"b\\n\"");
+  EXPECT_EQ(quoted(""), "\"\"");
 }
 
 // ---------------------------------------------------------------------------
@@ -159,105 +170,6 @@ TEST(PipelineTraceTest, HistogramsRecordViaStatic) {
 
 // ---------------------------------------------------------------------------
 // NDJSON stream
-
-// Minimal recursive-descent JSON validator — the repo has no JSON
-// dependency, and "every line the sink emits parses" is exactly the
-// contract external tooling relies on.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool valid() {
-    pos_ = 0;
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing '"'
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* word) {
-    const std::string w(word);
-    if (text_.compare(pos_, w.size(), w) != 0) return false;
-    pos_ += w.size();
-    return true;
-  }
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
 
 TEST(PipelineTraceTest, NdjsonStreamIsValidAndOrdered) {
   std::ostringstream sink;

@@ -29,7 +29,7 @@ namespace {
 namespace fs = std::filesystem;
 
 TEST(JsonLine, WriterOutputParsesBackExactly) {
-  const std::string line = JsonLineWriter{}
+  const std::string line = JsonWriter{}
                                .string("op", "submit")
                                .number("k_r", 6)
                                .real("noise_p", 0.1)
@@ -49,7 +49,7 @@ TEST(JsonLine, U64SeedsSurviveAboveDoublePrecision) {
   // 2^53 + 1 is the first integer a double cannot represent; a seed up
   // there must still round-trip exactly through the wire format.
   const std::uint64_t seed = (1ULL << 53) + 1;
-  const std::string line = JsonLineWriter{}.number_u64("seed", seed).str();
+  const std::string line = JsonWriter{}.number_u64("seed", seed).str();
   const auto parsed = parse_json_line(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(get_u64(*parsed, "seed"), seed);
@@ -58,7 +58,7 @@ TEST(JsonLine, U64SeedsSurviveAboveDoublePrecision) {
 
   const std::uint64_t max = 0xFFFFFFFFFFFFFFFFULL;
   const auto parsed_max =
-      parse_json_line(JsonLineWriter{}.number_u64("seed", max).str());
+      parse_json_line(JsonWriter{}.number_u64("seed", max).str());
   ASSERT_TRUE(parsed_max.has_value());
   EXPECT_EQ(get_u64(*parsed_max, "seed"), max);
 }
@@ -179,7 +179,7 @@ class ProtocolTest : public testing::Test {
   }
 
   std::string submit_line(std::uint64_t seed) {
-    return JsonLineWriter{}
+    return JsonWriter{}
         .string("op", "submit")
         .string("configs", canonical_config_set_text(make_figure2()))
         .number("k_r", 2)
@@ -202,13 +202,13 @@ TEST_F(ProtocolTest, SubmitStatusResultLifecycle) {
 
   ASSERT_TRUE(scheduler_.wait(*job));
   const JsonObject status = handle(
-      JsonLineWriter{}.string("op", "status").number_u64("job", *job).str());
+      JsonWriter{}.string("op", "status").number_u64("job", *job).str());
   EXPECT_EQ(get_bool(status, "ok"), true);
   EXPECT_EQ(get_string(status, "state"), "done");
   EXPECT_EQ(get_bool(status, "cache_hit"), false);
 
   const JsonObject result = handle(
-      JsonLineWriter{}.string("op", "result").number_u64("job", *job).str());
+      JsonWriter{}.string("op", "result").number_u64("job", *job).str());
   EXPECT_EQ(get_bool(result, "ok"), true);
   const auto bundle = get_string(result, "configs");
   ASSERT_TRUE(bundle.has_value());
@@ -225,14 +225,14 @@ TEST_F(ProtocolTest, SubmitStatusResultLifecycle) {
   EXPECT_EQ(get_string(resubmitted, "cache_key"),
             get_string(submitted, "cache_key"));
   ASSERT_TRUE(scheduler_.wait(*second));
-  const JsonObject second_status = handle(JsonLineWriter{}
+  const JsonObject second_status = handle(JsonWriter{}
                                               .string("op", "status")
                                               .number_u64("job", *second)
                                               .str());
   EXPECT_EQ(get_bool(second_status, "cache_hit"), true);
 
   const JsonObject stats =
-      handle(JsonLineWriter{}.string("op", "stats").str());
+      handle(JsonWriter{}.string("op", "stats").str());
   EXPECT_EQ(get_u64(stats, "submitted"), 2u);
   EXPECT_EQ(get_u64(stats, "completed"), 2u);
   EXPECT_EQ(get_u64(stats, "cache_hits"), 1u);
@@ -246,7 +246,7 @@ TEST_F(ProtocolTest, ErrorsAreLoudAndTyped) {
   EXPECT_EQ(get_bool(handle("{\"op\": \"frobnicate\"}"), "ok"), false);
   // submit without configs / with unparsable configs.
   EXPECT_EQ(get_bool(handle("{\"op\": \"submit\"}"), "ok"), false);
-  const JsonObject bad_configs = handle(JsonLineWriter{}
+  const JsonObject bad_configs = handle(JsonWriter{}
                                             .string("op", "submit")
                                             .string("configs", "garbage")
                                             .str());
@@ -275,7 +275,7 @@ TEST_F(ProtocolTest, MalformedLinesGetNamedParseErrors) {
             std::string::npos)
       << *get_string(duplicate, "error");
 
-  const JsonObject deadline = handle(JsonLineWriter{}
+  const JsonObject deadline = handle(JsonWriter{}
                                          .string("op", "submit")
                                          .string("configs", "x")
                                          .string("deadline_ms", "soon")
@@ -285,7 +285,7 @@ TEST_F(ProtocolTest, MalformedLinesGetNamedParseErrors) {
 
 TEST_F(ProtocolTest, DeadlineMsMustBeAnUnsignedInteger) {
   const JsonObject response =
-      handle(JsonLineWriter{}
+      handle(JsonWriter{}
                  .string("op", "submit")
                  .string("configs", canonical_config_set_text(make_figure2()))
                  .string("deadline_ms", "soon")
@@ -293,6 +293,23 @@ TEST_F(ProtocolTest, DeadlineMsMustBeAnUnsignedInteger) {
   EXPECT_EQ(get_bool(response, "ok"), false);
   EXPECT_NE(get_string(response, "error")->find("deadline_ms"),
             std::string::npos);
+}
+
+// Integer fields are read from the raw token: a value past int, a fraction
+// and one past every integer type are refused by name, not wrapped,
+// truncated or cast out of range.
+TEST_F(ProtocolTest, KrMustBeAnIntegerThatFitsInt) {
+  const std::string configs = canonical_config_set_text(make_figure2());
+  for (const std::string token : {"4294967302", "2.5", "1e300"}) {
+    std::string line =
+        JsonWriter{}.string("op", "submit").string("configs", configs).str();
+    line.insert(line.size() - 1, ", \"k_r\": " + token);
+    const JsonObject response = handle(line);
+    EXPECT_EQ(get_bool(response, "ok"), false) << token;
+    EXPECT_NE(get_string(response, "error").value_or("").find("k_r"),
+              std::string::npos)
+        << token;
+  }
 }
 
 TEST_F(ProtocolTest, PingReportsHealthAndVitals) {
@@ -320,7 +337,7 @@ TEST(Protocol, QueueFullSubmitRejectionCarriesRetryAfterMs) {
   JobScheduler scheduler(&cache, options);
   ProtocolHandler handler(&scheduler, &cache);
   const auto response = parse_json_line(handler.handle(
-      JsonLineWriter{}
+      JsonWriter{}
           .string("op", "submit")
           .string("configs", canonical_config_set_text(make_figure2()))
           .str(),
@@ -347,7 +364,7 @@ TEST(Protocol, PingWithJournalAttachedReportsJournalVitals) {
   ProtocolHandler handler(&scheduler, &cache, &journal);
 
   const auto submitted = parse_json_line(handler.handle(
-      JsonLineWriter{}
+      JsonWriter{}
           .string("op", "submit")
           .string("configs", canonical_config_set_text(make_figure2()))
           .number("k_r", 2)
@@ -388,7 +405,7 @@ TEST_F(ProtocolTest, SubscribeAcksKnownJobsAndRefusesWithoutStreaming) {
 
   SubscribeCommand subscribe;
   const auto ack = parse_json_line(handler_.handle(
-      JsonLineWriter{}.string("op", "subscribe").number_u64("job", *job).str(),
+      JsonWriter{}.string("op", "subscribe").number_u64("job", *job).str(),
       nullptr, &subscribe));
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(get_bool(*ack, "ok"), true);
@@ -409,7 +426,7 @@ TEST_F(ProtocolTest, SubscribeAcksKnownJobsAndRefusesWithoutStreaming) {
   // A transport that cannot stream (no SubscribeCommand out-param) must
   // refuse rather than ack a stream it will never deliver.
   const JsonObject refused = handle(
-      JsonLineWriter{}.string("op", "subscribe").number_u64("job", *job).str());
+      JsonWriter{}.string("op", "subscribe").number_u64("job", *job).str());
   EXPECT_EQ(get_bool(refused, "ok"), false);
 
   scheduler_.wait(*job);
@@ -428,7 +445,7 @@ TEST(DaemonE2E, RetryBudgetExhaustionIsTypedAndDeadlineCapped) {
   options.max_pending = 0;  // every submit is load-shed with a retry hint
   Daemon daemon(options);
   std::thread server([&daemon] { EXPECT_EQ(daemon.run(), 0); });
-  const std::string stats_line = JsonLineWriter{}.string("op", "stats").str();
+  const std::string stats_line = JsonWriter{}.string("op", "stats").str();
   std::optional<std::string> up;
   for (int i = 0; i < 250 && !up; ++i) {
     up = client_roundtrip(socket_path, stats_line);
@@ -448,7 +465,7 @@ TEST(DaemonE2E, RetryBudgetExhaustionIsTypedAndDeadlineCapped) {
   TransportError error;
   const auto response = client_submit_with_retry(
       socket_path,
-      JsonLineWriter{}.string("op", "submit").string("configs", configs).str(),
+      JsonWriter{}.string("op", "submit").string("configs", configs).str(),
       config, &error);
   ASSERT_TRUE(response.has_value());  // the rejection line, not a timeout
   const auto parsed = parse_json_line(*response);
@@ -464,7 +481,7 @@ TEST(DaemonE2E, RetryBudgetExhaustionIsTypedAndDeadlineCapped) {
   TransportError capped;
   const auto capped_response = client_submit_with_retry(
       socket_path,
-      JsonLineWriter{}
+      JsonWriter{}
           .string("op", "submit")
           .string("configs", configs)
           .number_u64("deadline_ms", 1)
@@ -478,7 +495,7 @@ TEST(DaemonE2E, RetryBudgetExhaustionIsTypedAndDeadlineCapped) {
             std::chrono::milliseconds(150));
 
   const auto bye = client_roundtrip(
-      socket_path, JsonLineWriter{}.string("op", "shutdown").str());
+      socket_path, JsonWriter{}.string("op", "shutdown").str());
   ASSERT_TRUE(bye.has_value());
   server.join();
   fs::remove_all(cache_dir);
@@ -500,7 +517,7 @@ TEST(DaemonE2E, SubmitTwiceOverUnixSocketSecondIsCacheHit) {
   std::thread server([&daemon] { EXPECT_EQ(daemon.run(), 0); });
 
   // Wait for the daemon to come up (bind + listen happen inside run()).
-  const std::string stats_line = JsonLineWriter{}.string("op", "stats").str();
+  const std::string stats_line = JsonWriter{}.string("op", "stats").str();
   std::optional<std::string> up;
   for (int i = 0; i < 250 && !up; ++i) {
     up = client_roundtrip(socket_path, stats_line);
@@ -508,7 +525,7 @@ TEST(DaemonE2E, SubmitTwiceOverUnixSocketSecondIsCacheHit) {
   }
   ASSERT_TRUE(up.has_value()) << "daemon never came up";
 
-  const std::string submit = JsonLineWriter{}
+  const std::string submit = JsonWriter{}
                                  .string("op", "submit")
                                  .string("configs",
                                          canonical_config_set_text(
@@ -528,7 +545,7 @@ TEST(DaemonE2E, SubmitTwiceOverUnixSocketSecondIsCacheHit) {
     ASSERT_TRUE(job.has_value());
 
     // Poll status until terminal.
-    const std::string status_line = JsonLineWriter{}
+    const std::string status_line = JsonWriter{}
                                         .string("op", "status")
                                         .number_u64("job", *job)
                                         .str();
@@ -548,7 +565,7 @@ TEST(DaemonE2E, SubmitTwiceOverUnixSocketSecondIsCacheHit) {
     ASSERT_EQ(state, "done");
 
     const auto result = client_roundtrip(
-        socket_path, JsonLineWriter{}
+        socket_path, JsonWriter{}
                          .string("op", "result")
                          .number_u64("job", *job)
                          .str());
@@ -577,7 +594,7 @@ TEST(DaemonE2E, SubmitTwiceOverUnixSocketSecondIsCacheHit) {
 
   // Clean shutdown over the protocol; run() returns and removes the socket.
   const auto bye = client_roundtrip(
-      socket_path, JsonLineWriter{}.string("op", "shutdown").str());
+      socket_path, JsonWriter{}.string("op", "shutdown").str());
   ASSERT_TRUE(bye.has_value());
   server.join();
   EXPECT_FALSE(fs::exists(socket_path));

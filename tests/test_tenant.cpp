@@ -83,6 +83,9 @@ TEST(TenantTable, ErrorsNameTheLine) {
   EXPECT_FALSE(
       parse_tenant_table("{\"tenant\": \"a\", \"weight\": -2}\n", &error));
   EXPECT_NE(error.find("non-negative"), std::string::npos) << error;
+  EXPECT_FALSE(parse_tenant_table(
+      "{\"tenant\": \"a\", \"max_concurrent\": 4294967297}\n", &error));
+  EXPECT_NE(error.find("non-negative"), std::string::npos) << error;
 
   EXPECT_FALSE(parse_tenant_table(
       "{\"tenant\": \"a\"}\n{\"tenant\": \"a\"}\n", &error));

@@ -27,7 +27,6 @@
 #include "src/service/json_line.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/io_shim.hpp"
-#include "src/util/observability.hpp"
 
 namespace confmask {
 namespace {
@@ -205,11 +204,10 @@ std::string reference_quote(const std::string& text) {
 }
 
 void expect_quotes_like_reference(const std::string& text) {
-  const std::string quoted = obs::json_quote(text);
-  ASSERT_EQ(quoted, reference_quote(text));
-  EXPECT_EQ(obs::json_escape(text), quoted.substr(1, quoted.size() - 2));
-  const std::string line = JsonLineWriter{}.string("v", text).str();
-  EXPECT_EQ(line, "{\"v\": " + quoted + "}");
+  const std::string quoted = reference_quote(text);
+  const std::string line = JsonWriter{}.string("v", text).str();
+  ASSERT_EQ(line, "{\"v\": " + quoted + "}");
+  EXPECT_EQ(JsonWriter{}.boolean(text, true).str(), "{" + quoted + ": true}");
   const auto parsed = parse_json_line(line);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(get_string(*parsed, "v"), text);

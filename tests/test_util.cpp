@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/util/json_writer.hpp"
 #include "src/util/prefix_allocator.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/strings.hpp"
@@ -244,6 +249,103 @@ TEST(PrefixAllocator, IndexedInUseMatchesLinearDefinition) {
       occupied.push_back(got);
     }
   }
+}
+
+using Layout = JsonWriter::Layout;
+
+TEST(JsonWriter, InlineNestingEmptyContainersAndNull) {
+  JsonWriter out;
+  out.string("name", "x")
+      .array("items")
+      .object()
+      .number("a", -1)
+      .end()
+      .array()
+      .number_u64(2)
+      .number_u64(std::numeric_limits<std::uint64_t>::max())
+      .end()
+      .string("s")
+      .end()
+      .object("empty")
+      .end()
+      .array("none")
+      .end()
+      .null("gone")
+      .boolean("yes", true);
+  EXPECT_EQ(out.str(),
+            "{\"name\": \"x\", \"items\": [{\"a\": -1}, "
+            "[2, 18446744073709551615], \"s\"], \"empty\": {}, "
+            "\"none\": [], \"gone\": null, \"yes\": true}");
+  EXPECT_EQ(JsonWriter{}.str(), "{}");
+}
+
+TEST(JsonWriter, LinesLayoutIndentsTwoSpacesPerLevel) {
+  JsonWriter out(Layout::kLines);
+  out.number("a", 1)
+      .array("rows", Layout::kLines)
+      .object()
+      .string("k", "v")
+      .end()
+      .object(Layout::kLines)
+      .boolean("deep", false)
+      .array("none", Layout::kLines)
+      .end()
+      .end()
+      .end()
+      .array("empty", Layout::kLines)
+      .end()
+      .object("inline")
+      .number("b", 2)
+      .end();
+  EXPECT_EQ(std::move(out).str(),
+            "{\n"
+            "  \"a\": 1,\n"
+            "  \"rows\": [\n"
+            "    {\"k\": \"v\"},\n"
+            "    {\n"
+            "      \"deep\": false,\n"
+            "      \"none\": []\n"
+            "    }\n"
+            "  ],\n"
+            "  \"empty\": [],\n"
+            "  \"inline\": {\"b\": 2}\n"
+            "}\n");
+  // A document ends with a newline even when it is empty.
+  EXPECT_EQ(JsonWriter(Layout::kLines).str(), "{}\n");
+}
+
+TEST(JsonWriter, EscapesKeysAndValues) {
+  EXPECT_EQ(JsonWriter{}
+                .string("a\"b\n", std::string("c\\d\x01\t", 5))
+                .array("k\x1f")
+                .string("\r")
+                .str(),
+            "{\"a\\\"b\\n\": \"c\\\\d\\u0001\\t\", "
+            "\"k\\u001f\": [\"\\r\"]}");
+}
+
+TEST(JsonWriter, WireAndBenchDoubleForms) {
+  const std::string line =
+      JsonWriter{}.real("wire", 0.1).fixed("bench", 0.1).real("big", 1e300)
+          .fixed("ms", 1234.5678901).str();
+  EXPECT_EQ(line,
+            "{\"wire\": 0.10000000000000001, \"bench\": 0.100000, "
+            "\"big\": 1.0000000000000001e+300, \"ms\": 1234.567890}");
+  // %.17g round-trips: the wire text parses back to the same double.
+  EXPECT_EQ(std::strtod("0.10000000000000001", nullptr), 0.1);
+  EXPECT_EQ(std::strtod("1.0000000000000001e+300", nullptr), 1e300);
+}
+
+TEST(JsonWriter, BothStrOverloadsReturnTheSameBytes) {
+  JsonWriter out(Layout::kLines);
+  out.string("configs", std::string(1000, 'x'))
+      .array("open", Layout::kLines)
+      .number_u64(1);
+  const std::string copied = out.str();
+  EXPECT_EQ(copied, "{\n  \"configs\": \"" + std::string(1000, 'x') +
+                        "\",\n  \"open\": [\n    1\n  ]\n}\n");
+  EXPECT_EQ(out.str(), copied);  // the writer is unchanged by a copy
+  EXPECT_EQ(std::move(out).str(), copied);
 }
 
 }  // namespace
