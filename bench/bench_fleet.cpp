@@ -23,6 +23,11 @@
 // peer-fetch hit rate (summed over every daemon's counters), and the
 // starvation check. Writes BENCH_fleet.json (confmask.bench-fleet/1);
 // exits 1 on any failed op or a failed starvation check.
+//
+// The fleet's sockets and caches live in one private run directory, which
+// the process works from. The shard ring hashes each member's endpoint
+// string, so the sockets go by fixed relative names there: which daemon
+// owns which key does not change from run to run.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -82,16 +87,23 @@ int main(int argc, char** argv) {
     return usage();
   }
 
+  std::string run_template =
+      (fs::temp_directory_path() / "bench_fleet_XXXXXX").string();
+  if (::mkdtemp(run_template.data()) == nullptr) {
+    std::perror("bench_fleet: mkdtemp");
+    return 1;
+  }
+  const fs::path run_dir = run_template;
+  const fs::path start_dir = fs::current_path();
+  out_path = fs::absolute(out_path).string();
+  fs::current_path(run_dir);
+
   // One ring, every member lists every socket.
   std::vector<std::string> sockets;
   std::vector<fs::path> cache_dirs;
   for (int d = 0; d < daemons; ++d) {
-    sockets.push_back("/tmp/bench_fleet_" + std::to_string(::getpid()) + "_" +
-                      std::to_string(d) + ".sock");
-    cache_dirs.push_back(fs::temp_directory_path() /
-                         ("bench_fleet_cache_" + std::to_string(::getpid()) +
-                          "_" + std::to_string(d)));
-    fs::remove_all(cache_dirs.back());
+    sockets.push_back("daemon-" + std::to_string(d) + ".sock");
+    cache_dirs.push_back(run_dir / ("cache-" + std::to_string(d)));
   }
 
   std::vector<std::unique_ptr<Daemon>> fleet;
@@ -203,7 +215,8 @@ int main(int argc, char** argv) {
                                        .str());
   }
   for (auto& t : servers) t.join();
-  for (const fs::path& dir : cache_dirs) fs::remove_all(dir);
+  fs::current_path(start_dir);
+  fs::remove_all(run_dir);
 
   std::vector<double> noisy;
   for (const auto& samples : noisy_samples) {

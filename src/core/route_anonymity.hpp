@@ -66,9 +66,11 @@ struct AnonymityLog {
 /// and with `incremental` (the default) the rollback rounds re-simulate
 /// through the SimulationDelta dirty-set path — the topology is frozen
 /// once the fake hosts exist. When `incremental` and `final_simulation`
-/// are both set, the simulation matching the RETURNED config state is
-/// handed back so the caller (pipeline verification) need not rebuild it;
-/// in non-incremental mode it is left null. The stage holds `entry` only
+/// are both set, the stage's last build is handed back so the caller
+/// (pipeline verification) need not rebuild: its real-destination columns
+/// match the RETURNED config state, since every edit of the stage is an
+/// exact deny of a fake-host LAN, disjoint from every real host prefix. In
+/// non-incremental mode it is left null. The stage holds `entry` only
 /// until its first rollback round replaces it. `log`, when non-null,
 /// receives the stage's decisions (watch-mode capture).
 RouteAnonymityOutcome anonymize_routes(
@@ -82,9 +84,10 @@ RouteAnonymityOutcome anonymize_routes(
 /// Applies `log`'s edits to `configs` in order through one FilterEditor —
 /// so list creation order, bindings and the permit-all-only lists
 /// rolled-back filters leave come out as a run would leave them — and
-/// hands back as `final_simulation` one incremental rebuild of `entry`
-/// over the edited prefixes. `entry` must be the stage's entry simulation
-/// over `configs`, on the topology `log` was recorded on. The caller must
+/// hands back `entry` itself as `final_simulation`: the edits deny
+/// fake-host LANs only, so its real-destination columns are final.
+/// `entry` must be the stage's entry simulation over `configs`, on the
+/// topology `log` was recorded on. The caller must
 /// have proven that the stage would decide exactly `log` now
 /// (patch_mode.hpp, anonymity_replayable). Throws std::logic_error if an
 /// edit does not take effect, which that proof rules out.
