@@ -106,13 +106,6 @@ PipelineResult run_pipeline(const ConfigSet& original,
                             const PatchContext* patch_base,
                             PatchCapture* patch_capture) {
   const auto start = std::chrono::steady_clock::now();
-  // Watch mode rides on the incremental engine; the serial baseline must
-  // keep the seed's exact from-scratch build sequence, so both directions
-  // of patch state are disabled with it.
-  if (!options.incremental_simulation) {
-    patch_base = nullptr;
-    patch_capture = nullptr;
-  }
   if (patch_capture != nullptr) {
     patch_capture->reset();
     patch_capture->context.options = options;
@@ -140,11 +133,6 @@ PipelineResult run_pipeline(const ConfigSet& original,
   };
 
   const OriginalIndex& index = *preprocessed.index;
-  // Algorithm 1's entry build carries OSPF distance vectors over from the
-  // preprocess simulation where they provably still hold; the serial
-  // baseline computes everything itself.
-  const Simulation* carry =
-      options.incremental_simulation ? preprocessed.sim.get() : nullptr;
   if (patch_base != nullptr) tally(preprocessed.seeded);
   if (patch_capture != nullptr) {
     PatchContext& captured = patch_capture->context;
@@ -322,12 +310,12 @@ PipelineResult run_pipeline(const ConfigSet& original,
             return replayed;
           }
         }
-        return enforce_route_equivalence(result.anonymized, index,
-                                         options.max_equivalence_iterations,
-                                         options.incremental_simulation,
-                                         patch_equivalence ? &equivalence_seed
-                                                           : nullptr,
-                                         carry);
+        // The entry build carries OSPF distance vectors over from the
+        // preprocess simulation where they provably still hold.
+        return enforce_route_equivalence(
+            result.anonymized, index, options.max_equivalence_iterations,
+            patch_equivalence ? &equivalence_seed : nullptr,
+            preprocessed.sim.get());
       });
   if (patch_capture != nullptr) {
     patch_capture->context.equivalence =
@@ -345,8 +333,8 @@ PipelineResult run_pipeline(const ConfigSet& original,
   equivalence_span.end();
 
   // Step 2.2: route anonymity (Algorithm 2), from Algorithm 1's final
-  // simulation. In incremental mode it hands back a simulation exact on
-  // every real destination, sparing verification a from-scratch rebuild.
+  // simulation. It hands back a simulation exact on every real
+  // destination, sparing verification a from-scratch rebuild.
   // Replayed from the patch base's edit log when anonymity_replayable
   // proves the stage would decide the same edits.
   std::shared_ptr<Simulation> final_simulation;
@@ -374,10 +362,10 @@ PipelineResult run_pipeline(const ConfigSet& original,
                                         equivalence_seed.record.filters,
                                         *entry);
     }
-    // The strawmen (and a from-scratch Algorithm 1 that stopped
-    // unconverged) hand over no simulation: build the entry here. A
-    // capture keeps it alive as the next run's donor, also when Algorithm
-    // 2 does not run; without one the rollback rounds release it.
+    // The strawmen (and a zero iteration budget) hand over no simulation:
+    // build the entry here. A capture keeps it alive as the next run's
+    // donor, also when Algorithm 2 does not run; without one the rollback
+    // rounds release it.
     if (runs) {
       const bool handed_over = entry != nullptr;
       if (!handed_over) entry = std::make_shared<Simulation>(result.anonymized);
@@ -396,7 +384,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
     } else {
       anonymity = anonymize_routes(
           result.anonymized, result.fake_hosts, options.noise_p, rng,
-          std::move(entry), options.incremental_simulation, &final_simulation,
+          std::move(entry), &final_simulation,
           patch_capture != nullptr ? &anonymity_replay.log : nullptr);
     }
     result.stats.anonymity_filters = anonymity.filters_added;

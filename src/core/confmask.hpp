@@ -28,6 +28,8 @@
 
 namespace confmask {
 
+/// A run's parameters. The worker-thread count is process-global, not one
+/// of them: see ThreadPool::configure and the CONFMASK_JOBS variable.
 struct ConfMaskOptions {
   int k_r = 6;          ///< topology k-degree anonymity parameter
   int k_h = 2;          ///< fake hosts per real host (k_H)
@@ -44,13 +46,6 @@ struct ConfMaskOptions {
   /// on ResourceExhausted instead of failing the run.
   std::optional<Ipv4Prefix> link_pool;
   std::optional<Ipv4Prefix> host_pool;
-  /// Incremental re-simulation (SimulationDelta dirty-set reuse) between
-  /// Algorithm-1 iterations and Algorithm-2 rollback rounds. Bit-identical
-  /// results either way; OFF reproduces the seed's from-scratch rebuild
-  /// sequence (the serial baseline `bench_perf_pipeline` measures).
-  /// Worker-thread count is process-global, not per-run: see
-  /// ThreadPool::configure / the CONFMASK_JOBS environment variable.
-  bool incremental_simulation = true;
 
   /// Watch mode replays a prior run's topology-stage output only when every
   /// decision input is provably identical, which includes every knob above.
@@ -138,8 +133,7 @@ struct Preprocessed {
                                       const PatchContext* patch_base);
 
 /// One pipeline attempt over `preprocessed`, which must come from
-/// preprocess(original, patch_base), with a null base whenever
-/// options.incremental_simulation is off. Watch mode (patch_mode.hpp,
+/// preprocess(original, patch_base). Watch mode (patch_mode.hpp,
 /// DESIGN.md §14): `patch_base`, when non-null, offers a prior run's stage
 /// state: preprocess, Step 1, Algorithm 1 and Algorithm 2 each reuse it
 /// iff the proof for that stage holds on the preprocess diff, and fall
@@ -148,8 +142,7 @@ struct Preprocessed {
 /// per-stage reuse counters move. `patch_capture`, when non-null, collects
 /// this run's stage state, sharing the preprocess simulation and index;
 /// pass it to finish_capture AFTER this returns to obtain the context for
-/// the next cycle. Both are ignored (and the capture reset) unless
-/// options.incremental_simulation is set.
+/// the next cycle.
 PipelineResult run_pipeline(const ConfigSet& original,
                             const Preprocessed& preprocessed,
                             const ConfMaskOptions& options,

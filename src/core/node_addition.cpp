@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <numeric>
 
 #include "src/core/topology_anonymization.hpp"
 #include "src/routing/simulation.hpp"
@@ -46,86 +47,85 @@ NodeAdditionOutcome add_fake_routers(ConfigSet& configs,
   NodeAdditionOutcome outcome;
   if (options.fake_routers <= 0 || configs.routers.empty()) return outcome;
 
+  // An original router's node id is its index in configs.routers: the fake
+  // routers are appended after the originals.
   const Topology& topo = original.topology();
-  std::vector<std::string> originals;  // name-sorted: the RNG picks by index
-  for (int r = 0; r < topo.router_count(); ++r) {
-    originals.push_back(topo.node(r).name);
-  }
-  std::sort(originals.begin(), originals.end());
+  std::vector<int> originals(static_cast<std::size_t>(topo.router_count()));
+  std::iota(originals.begin(), originals.end(), 0);
+  // Name-sorted: the RNG picks by index.
+  std::sort(originals.begin(), originals.end(), [&topo](int a, int b) {
+    return topo.node(a).name < topo.node(b).name;
+  });
+  const auto router = [&configs](int id) -> RouterConfig& {
+    return configs.routers[static_cast<std::size_t>(id)];
+  };
 
   for (int i = 0; i < options.fake_routers; ++i) {
     // Template: a random existing ORIGINAL router; the fake router joins
-    // its AS and copies its protocol/boilerplate shape. Capture what we
-    // need BEFORE push_back below invalidates references into the vector.
-    const std::string template_name = rng.pick(originals);
-    const bool tmpl_has_bgp =
-        configs.find_router(template_name)->bgp.has_value();
-    const int tmpl_as =
-        tmpl_has_bgp ? configs.find_router(template_name)->bgp->local_as : -1;
+    // its AS and copies its protocol/boilerplate shape.
+    const RouterConfig& tmpl = router(rng.pick(originals));
+    const bool tmpl_has_bgp = tmpl.bgp.has_value();
+    const int tmpl_as = tmpl_has_bgp ? tmpl.bgp->local_as : -1;
 
     RouterConfig fake;
     fake.hostname = fresh_router_name(configs);
-    {
-      const auto& tmpl = *configs.find_router(template_name);
-      fake.extra_lines = tmpl.extra_lines;
-      if (tmpl.ospf) {
-        fake.ospf = OspfConfig{};
-        fake.ospf->process_id = tmpl.ospf->process_id;
-      }
-      if (tmpl.rip) {
-        fake.rip = RipConfig{};
-        fake.rip->version = tmpl.rip->version;
-      }
-      if (tmpl.bgp) {
-        fake.bgp = BgpConfig{};
-        fake.bgp->local_as = tmpl.bgp->local_as;
-      }
+    fake.extra_lines = tmpl.extra_lines;
+    if (tmpl.ospf) {
+      fake.ospf = OspfConfig{};
+      fake.ospf->process_id = tmpl.ospf->process_id;
+    }
+    if (tmpl.rip) {
+      fake.rip = RipConfig{};
+      fake.rip->version = tmpl.rip->version;
+    }
+    if (tmpl.bgp) {
+      fake.bgp = BgpConfig{};
+      fake.bgp->local_as = tmpl.bgp->local_as;
     }
     const std::string fake_name = fake.hostname;
     outcome.fake_routers.push_back(fake_name);
+    // Invalidates `tmpl`.
     configs.routers.push_back(std::move(fake));
+    const int fake_id = static_cast<int>(configs.routers.size()) - 1;
 
-    // Attachment targets: distinct routers of the template's AS.
-    std::vector<std::string> candidates;
-    for (const auto& router : configs.routers) {
-      if (router.hostname == fake_name) continue;
+    // Attachment targets: distinct original routers of the template's AS,
+    // in id order.
+    std::vector<int> candidates;
+    for (int r = 0; r < topo.router_count(); ++r) {
+      const RouterConfig& config = router(r);
       const bool same_as =
-          (!tmpl_has_bgp && !router.bgp) ||
-          (tmpl_has_bgp && router.bgp && router.bgp->local_as == tmpl_as);
-      if (same_as && std::binary_search(originals.begin(), originals.end(),
-                                        router.hostname)) {
-        candidates.push_back(router.hostname);
-      }
+          (!tmpl_has_bgp && !config.bgp) ||
+          (tmpl_has_bgp && config.bgp && config.bgp->local_as == tmpl_as);
+      if (same_as) candidates.push_back(r);
     }
     rng.shuffle(candidates);
     const int attach = std::min<int>(options.links_per_fake,
                                      static_cast<int>(candidates.size()));
-    std::vector<std::string> neighbors(candidates.begin(),
-                                       candidates.begin() + attach);
+    const std::vector<int> neighbors(candidates.begin(),
+                                     candidates.begin() + attach);
 
     // Link cost: no path through the fake router may be strictly shorter
     // than an original path between its neighbors, in either direction
     // (OSPF costs are per outgoing interface, so D(a→b) may differ from
     // D(b→a)).
     long max_pair = 0;
-    for (const auto& from : neighbors) {
+    for (const int from : neighbors) {
       std::vector<int> targets;
-      for (const auto& to : neighbors) {
-        if (from != to) targets.push_back(topo.find_node(to));
+      for (const int to : neighbors) {
+        if (from != to) targets.push_back(to);
       }
-      for (const long d :
-           original.igp_distances(topo.find_node(from), targets)) {
+      for (const long d : original.igp_distances(from, targets)) {
         max_pair = std::max(max_pair, d);
       }
     }
     const int cost = std::max<long>(1, (max_pair + 1) / 2);
 
-    const auto igp_cost = [&](const RouterConfig& router) {
-      return router.ospf || router.rip ? static_cast<long>(cost) : -1L;
+    const auto igp_cost = [&](const RouterConfig& config) {
+      return config.ospf || config.rip ? static_cast<long>(cost) : -1L;
     };
-    for (const auto& neighbor_name : neighbors) {
-      auto& fake_router = *configs.find_router(fake_name);
-      auto& neighbor = *configs.find_router(neighbor_name);
+    RouterConfig& fake_router = router(fake_id);
+    for (const int neighbor_id : neighbors) {
+      RouterConfig& neighbor = router(neighbor_id);
       const bool bare = fake_router.interfaces.empty();
       materialize_fake_link(fake_router, neighbor, FakeLinkCostPolicy::kMinCost,
                             igp_cost(fake_router), igp_cost(neighbor),
@@ -135,13 +135,12 @@ NodeAdditionOutcome add_fake_routers(ConfigSet& configs,
         fake_router.interfaces.back().extra_lines =
             neighbor.interfaces.front().extra_lines;
       }
-      outcome.links.emplace_back(fake_name, neighbor_name);
+      outcome.links.emplace_back(fake_name, neighbor.hostname);
     }
 
     // A terminating fake host keeps the fake router out of the
     // zero-traffic attack's net.
     if (options.attach_fake_host) {
-      auto& fake_router = *configs.find_router(fake_name);
       const Ipv4Prefix lan = allocator.allocate_host_lan();
       fake_router.add_lookalike_interface(lan.host(1), 24,
                                           "to-" + fake_name + "h");

@@ -223,7 +223,7 @@ bool equivalence_replayable(const PatchContext& context,
                             const ConfigSetDiff& original_diff,
                             const Simulation& entry) {
   if (context.anonymity == nullptr || !context.original.valid() ||
-      !original_diff.filter_only() || !options.incremental_simulation ||
+      !original_diff.filter_only() ||
       context.options.max_equivalence_iterations !=
           options.max_equivalence_iterations ||
       &entry.topology() != &context.anonymity->topology()) {

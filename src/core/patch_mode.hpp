@@ -77,11 +77,8 @@
 // either replayed on the current configs or replayed from a state proven
 // equal, so patched output is byte-identical to a cold run by
 // construction; only the per-stage span counters (simulations,
-// destinations_reused etc.) may differ, mirroring the existing
-// `incremental_simulation` precedent (cache_key.hpp keys neither).
-//
-// Patch mode is active only when options.incremental_simulation is set:
-// the serial baseline keeps the seed's exact build sequence.
+// destinations_reused etc.) may differ, and cache_key.hpp does not key the
+// patch base.
 #pragma once
 
 #include <memory>
@@ -290,8 +287,8 @@ struct OriginalReusePlan {
 /// `original_diff` are this run's originals and the preprocess diff,
 /// `options` its options. True iff the context holds an anonymity donor on
 /// `entry`'s topology object (the entry configs matched the capture, so
-/// the record's ids mean the same), the diff is filter-only, the run is
-/// incremental and max_equivalence_iterations equals the context's, and
+/// the record's ids mean the same), the diff is filter-only,
+/// max_equivalence_iterations equals the context's, and
 ///  * no dirty prefix of the diff overlaps a real host's prefix, so every
 ///    real destination's entry column is the donor's object and every
 ///    router decides its prefix alike in both versions;

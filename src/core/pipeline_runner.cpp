@@ -189,8 +189,7 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
     PipelineResult result;
     try {
       if (!preprocessed) {
-        preprocessed = preprocess(
-            original, options.incremental_simulation ? patch_base : nullptr);
+        preprocessed = preprocess(original, patch_base);
       }
       result = run_pipeline(original, *preprocessed, opts, strategy,
                             patch_base, patch_capture);

@@ -104,16 +104,13 @@ struct NoiseFilters {
 RouteAnonymityOutcome anonymize_routes(
     ConfigSet& configs, const std::vector<std::string>& fake_hosts,
     double noise_p, Rng& rng, std::shared_ptr<Simulation> entry,
-    bool incremental, std::shared_ptr<Simulation>* final_simulation,
-    AnonymityLog* log) {
+    std::shared_ptr<Simulation>* final_simulation, AnonymityLog* log) {
   RouteAnonymityOutcome outcome;
   if (final_simulation != nullptr) final_simulation->reset();
   if (log != nullptr) *log = {};
   if (fake_hosts.empty() || noise_p <= 0.0) {
     // Nothing to do: the entry already simulates the final configs.
-    if (final_simulation != nullptr && incremental) {
-      *final_simulation = std::move(entry);
-    }
+    if (final_simulation != nullptr) *final_simulation = std::move(entry);
     return outcome;
   }
 
@@ -128,10 +125,8 @@ RouteAnonymityOutcome anonymize_routes(
   // the simulation jobs (§5.4's dominant cost).
   std::shared_ptr<Simulation> current = std::move(entry);
   if (current == nullptr) current = std::make_shared<Simulation>(configs);
-  // Shared ownership: the rollback rounds replace `current`, and a fresh
-  // (non-incremental) rebuild constructs its own Topology — node ids are
-  // identical since the node set is frozen, but the original object would
-  // be freed under us without this handle.
+  // Shared ownership: the rollback rounds replace `current`, so this
+  // handle keeps the frozen topology alive across the swaps.
   const std::shared_ptr<const Topology> topo_ref = current->topology_ptr();
   const Topology& topo = *topo_ref;
 
@@ -201,9 +196,7 @@ RouteAnonymityOutcome anonymize_routes(
     // within one round instead of riding out all sixteen.
     poll_cancellation();
     auto round_span = PipelineTrace::begin("rollback_round");
-    current = incremental
-                  ? std::make_shared<Simulation>(configs, *current, delta)
-                  : std::make_shared<Simulation>(configs);
+    current = std::make_shared<Simulation>(configs, *current, delta);
     if (round_span) {
       const IncrementalStats& inc = current->incremental_stats();
       round_span.add("destinations_reused",
@@ -267,11 +260,7 @@ RouteAnonymityOutcome anonymize_routes(
   // but every edit of the stage is an exact deny of a fake-host LAN, which
   // the allocator keeps disjoint from every real host prefix: the
   // real-destination columns, all that verification reads, are final.
-  // Only in incremental mode — the serial baseline verifies on a
-  // from-scratch build.
-  if (final_simulation != nullptr && incremental) {
-    *final_simulation = std::move(current);
-  }
+  if (final_simulation != nullptr) *final_simulation = std::move(current);
   return outcome;
 }
 

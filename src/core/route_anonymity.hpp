@@ -63,20 +63,18 @@ struct AnonymityLog {
 /// Algorithm 1's final one — or null, and then the stage builds it. The
 /// reachability checks batch into one reverse sweep per fake host
 /// (`Simulation::routers_reaching`) instead of R × |fake_hosts| DFS walks,
-/// and with `incremental` (the default) the rollback rounds re-simulate
-/// through the SimulationDelta dirty-set path — the topology is frozen
-/// once the fake hosts exist. When `incremental` and `final_simulation`
-/// are both set, the stage's last build is handed back so the caller
-/// (pipeline verification) need not rebuild: its real-destination columns
-/// match the RETURNED config state, since every edit of the stage is an
-/// exact deny of a fake-host LAN, disjoint from every real host prefix. In
-/// non-incremental mode it is left null. The stage holds `entry` only
-/// until its first rollback round replaces it. `log`, when non-null,
-/// receives the stage's decisions (watch-mode capture).
+/// and the rollback rounds re-simulate through the SimulationDelta
+/// dirty-set path — the topology is frozen once the fake hosts exist. When
+/// `final_simulation` is set, the stage's last build is handed back so the
+/// caller (pipeline verification) need not rebuild: its real-destination
+/// columns match the RETURNED config state, since every edit of the stage
+/// is an exact deny of a fake-host LAN, disjoint from every real host
+/// prefix. The stage holds `entry` only until its first rollback round
+/// replaces it. `log`, when non-null, receives the stage's decisions
+/// (watch-mode capture).
 RouteAnonymityOutcome anonymize_routes(
     ConfigSet& configs, const std::vector<std::string>& fake_hosts,
     double noise_p, Rng& rng, std::shared_ptr<Simulation> entry = nullptr,
-    bool incremental = true,
     std::shared_ptr<Simulation>* final_simulation = nullptr,
     AnonymityLog* log = nullptr);
 

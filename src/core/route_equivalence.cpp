@@ -55,14 +55,13 @@ void inject_nonconvergence(RouteEquivalenceOutcome& outcome) {
 RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
                                                   const OriginalIndex& index,
                                                   int max_iterations,
-                                                  bool incremental,
                                                   StageSeed* seed,
                                                   const Simulation* carry) {
   RouteEquivalenceOutcome outcome;
   // Step 1 froze the topology (all fake edges exist already); Algorithm 1
-  // only edits route filters. So after the first full build, each
-  // iteration re-simulates incrementally through the dirty set of filters
-  // it just added.
+  // only edits route filters. So after the entry build, each iteration
+  // re-simulates incrementally through the dirty set of filters it just
+  // added.
   std::shared_ptr<Simulation>& simulation = outcome.simulation;
   // Names resolve once per stage: the node set is frozen.
   std::shared_ptr<const Topology> topology;
@@ -76,20 +75,17 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
     poll_cancellation();
     // One child span per Algorithm 1 iteration (aggregated under
     // "route_equivalence/iteration"): FIB entries scanned, filters added,
-    // and what the stage-entry build (or, from scratch, each build) reused.
+    // and what the stage-entry build reused.
     auto iteration_span = PipelineTrace::begin("iteration");
-    if (simulation == nullptr) {
+    if (iteration == 0) {
       if (seed != nullptr && seed->initial != nullptr) {
         simulation = std::move(seed->initial);
       } else {
         simulation = std::make_shared<Simulation>(configs, carry);
       }
-      if (seed != nullptr && iteration == 0) seed->entry_sim = simulation;
+      if (seed != nullptr) seed->entry_sim = simulation;
       if (iteration_span) add_build_counters(iteration_span, *simulation);
-    }
-    const Simulation& sim = *simulation;
-    if (iteration == 0) {
-      topology = sim.topology_ptr();
+      topology = simulation->topology_ptr();
       original = index.original_ids(*topology);
       editor.emplace(configs, *topology);
       for (const int host : topology->host_ids()) {
@@ -100,13 +96,14 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
         }
       }
     }
+    const Simulation& sim = *simulation;
     ++outcome.iterations;
 
     // The first scan covers every real destination (a seeded entry aliases
-    // columns its filters were never checked against); after an
-    // incremental rebuild, only the ones it recomputed.
+    // columns its filters were never checked against); after a rebuild,
+    // only the ones it recomputed.
     std::vector<int> scan;
-    if (iteration == 0 || !incremental) {
+    if (iteration == 0) {
       scan = real_hosts;
     } else {
       for (const int host : sim.recomputed_hosts()) {
@@ -178,13 +175,9 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
     // Rebuild over the filters just added — also after the last allowed
     // iteration, so an unconverged stage still hands Algorithm 2 a
     // simulation of its final configs.
-    if (incremental) {
-      auto rebuild_span = PipelineTrace::begin("rebuild");
-      simulation = std::make_shared<Simulation>(configs, sim, delta);
-      if (rebuild_span) add_build_counters(rebuild_span, *simulation);
-    } else {
-      simulation.reset();
-    }
+    auto rebuild_span = PipelineTrace::begin("rebuild");
+    simulation = std::make_shared<Simulation>(configs, sim, delta);
+    if (rebuild_span) add_build_counters(rebuild_span, *simulation);
   }
   if (seed != nullptr) {
     seed->record.iterations = outcome.iterations;

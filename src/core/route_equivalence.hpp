@@ -28,20 +28,19 @@ struct RouteEquivalenceOutcome {
   int filters_added = 0;  ///< deny entries written
   bool converged = false;
   /// The simulation of the configs as the stage left them — Algorithm 2's
-  /// entry. Null when none was built: the strawmen, and a from-scratch run
-  /// that stopped unconverged.
+  /// entry. Null when none was built: the strawmen, and a zero iteration
+  /// budget.
   std::shared_ptr<Simulation> simulation;
 };
 
-/// With `incremental` (the default), iterations after the first re-simulate
-/// through the SimulationDelta dirty-set path — the topology is frozen
-/// after Step 1, so only destinations whose prefix a new filter matches are
-/// recomputed — and rescan only the destinations that rebuild recomputed:
-/// a filter the stage accepted records its prefix, so an aliased column
-/// holds no violation a filter could fix. Results are bit-identical to
-/// `incremental = false`. The scan runs per destination over the pool;
-/// filters are then placed serially, and each router's prefix lists get
-/// their entries in (destination, next hop) order either way.
+/// Iterations after the first re-simulate through the SimulationDelta
+/// dirty-set path — the topology is frozen after Step 1, so only
+/// destinations whose prefix a new filter matches are recomputed — and
+/// rescan only the destinations that rebuild recomputed: a filter the
+/// stage accepted records its prefix, so an aliased column holds no
+/// violation a filter could fix. The scan runs per destination over the
+/// pool; filters are then placed serially, so each router's prefix lists
+/// get their entries in (destination, next hop) order.
 ///
 /// The configs may already hold the fake hosts: the stage reads and
 /// filters real destinations only, and a fake host's LAN is a stub link
@@ -56,8 +55,7 @@ struct RouteEquivalenceOutcome {
 /// the stage scans the same FIBs either way.
 RouteEquivalenceOutcome enforce_route_equivalence(
     ConfigSet& configs, const OriginalIndex& index, int max_iterations = 64,
-    bool incremental = true, StageSeed* seed = nullptr,
-    const Simulation* carry = nullptr);
+    StageSeed* seed = nullptr, const Simulation* carry = nullptr);
 
 /// Watch mode: applies a captured run's Algorithm 1 decisions `record` to
 /// `configs` in order through one FilterEditor, so lists, seqs and

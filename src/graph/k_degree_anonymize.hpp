@@ -45,11 +45,6 @@ class KDegreeError : public std::runtime_error {
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int k() const { return k_; }
   [[nodiscard]] int probe_rounds() const { return probe_rounds_; }
-  /// Randomized tie-breaking means a fresh seed may succeed; a truly
-  /// infeasible parameter set will not.
-  [[nodiscard]] bool retry_may_help() const {
-    return kind_ == Kind::kNonConvergent;
-  }
 
  private:
   Kind kind_;

@@ -69,11 +69,12 @@ FlatTopology FlatTopology::build(const Topology& topo,
   // it runs once per topology because none of these inputs are editable by
   // the anonymizer's incremental filter rounds).
   const std::size_t link_count = links.size();
-  flat.l_flags_.assign(link_count, 0);
+  // Flags and per-side costs feed only the half-edges built below.
+  std::vector<std::uint8_t> link_flags(link_count, 0);
+  std::vector<std::int32_t> cost_ab(link_count, 0);
+  std::vector<std::int32_t> cost_ba(link_count, 0);
   flat.l_node_a_.resize(link_count);
   flat.l_node_b_.resize(link_count);
-  flat.l_cost_ab_.assign(link_count, 0);
-  flat.l_cost_ba_.assign(link_count, 0);
   flat.l_iface_a_.assign(link_count, -1);
   flat.l_iface_b_.assign(link_count, -1);
   for (std::size_t l = 0; l < link_count; ++l) {
@@ -112,8 +113,8 @@ FlatTopology FlatTopology::build(const Topology& topo,
                               link.b.node)];
     if (intra_as) flags |= kIntraAs;
     if (ia != nullptr && ib != nullptr) {
-      flat.l_cost_ab_[l] = ia->ospf_cost.value_or(kDefaultOspfCost);
-      flat.l_cost_ba_[l] = ib->ospf_cost.value_or(kDefaultOspfCost);
+      cost_ab[l] = ia->ospf_cost.value_or(kDefaultOspfCost);
+      cost_ba[l] = ib->ospf_cost.value_or(kDefaultOspfCost);
       if (intra_as && ra.ospf && rb.ospf && ra.ospf->covers(*ia->address) &&
           rb.ospf->covers(*ib->address)) {
         flags |= kOspf;
@@ -123,7 +124,7 @@ FlatTopology FlatTopology::build(const Topology& topo,
         flags |= kRip;
       }
     }
-    flat.l_flags_[l] = flags;
+    link_flags[l] = flags;
     // eBGP session discovery: reciprocal neighbor statements across an
     // inter-AS link.
     if (!intra_as && ra.bgp && rb.bgp && ia != nullptr && ib != nullptr) {
@@ -183,11 +184,9 @@ FlatTopology FlatTopology::build(const Topology& topo,
       const bool at_a = flat.l_node_a_[l] == u;
       flat.e_link_[cursor] = link_id;
       flat.e_target_[cursor] = at_a ? flat.l_node_b_[l] : flat.l_node_a_[l];
-      flat.e_cost_out_[cursor] = at_a ? flat.l_cost_ab_[l]
-                                      : flat.l_cost_ba_[l];
-      flat.e_cost_in_[cursor] = at_a ? flat.l_cost_ba_[l]
-                                     : flat.l_cost_ab_[l];
-      flat.e_flags_[cursor] = flat.l_flags_[l];
+      flat.e_cost_out_[cursor] = at_a ? cost_ab[l] : cost_ba[l];
+      flat.e_cost_in_[cursor] = at_a ? cost_ba[l] : cost_ab[l];
+      flat.e_flags_[cursor] = link_flags[l];
       flat.e_iface_[cursor] = at_a ? flat.l_iface_a_[l] : flat.l_iface_b_[l];
       flat.e_peer_iface_[cursor] = at_a ? flat.l_iface_b_[l]
                                         : flat.l_iface_a_[l];

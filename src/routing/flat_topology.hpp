@@ -21,8 +21,9 @@
 //    (the per-Simulation filter tables indexed by these slots live in
 //    Simulation — they must be rebuilt per config generation, the slots
 //    never change);
-//  * per-link SoA (flags, directional costs, endpoint nodes / interface
-//    slots) subsuming the old per-Simulation LinkState vector;
+//  * per-link SoA (endpoint nodes / interface slots; flags and
+//    directional costs live on the half-edges) subsuming the old
+//    per-Simulation LinkState vector;
 //  * per-host routing facts (connected prefix, gateway, gateway link,
 //    IGP coverage, BGP advertisement) hoisted out of the per-destination
 //    loop;
@@ -103,26 +104,13 @@ class FlatTopology {
   [[nodiscard]] std::int32_t edge_peer_iface(std::int32_t e) const {
     return e_peer_iface_[static_cast<std::size_t>(e)];
   }
-  [[nodiscard]] std::int32_t half_edge_count() const {
-    return static_cast<std::int32_t>(e_link_.size());
-  }
 
   // --- per-link SoA (indexed by topology link id) ---
-  [[nodiscard]] std::uint8_t link_flags(int link) const {
-    return l_flags_[static_cast<std::size_t>(link)];
-  }
   [[nodiscard]] std::int32_t link_node_a(int link) const {
     return l_node_a_[static_cast<std::size_t>(link)];
   }
   [[nodiscard]] std::int32_t link_node_b(int link) const {
     return l_node_b_[static_cast<std::size_t>(link)];
-  }
-  /// OSPF cost leaving end a towards b / end b towards a.
-  [[nodiscard]] std::int32_t link_cost_ab(int link) const {
-    return l_cost_ab_[static_cast<std::size_t>(link)];
-  }
-  [[nodiscard]] std::int32_t link_cost_ba(int link) const {
-    return l_cost_ba_[static_cast<std::size_t>(link)];
   }
   /// Interface slot at `node`'s end of `link` (-1 for host ends).
   [[nodiscard]] std::int32_t link_iface_at(int link, int node) const {
@@ -204,11 +192,8 @@ class FlatTopology {
   std::vector<std::int32_t> e_iface_;
   std::vector<std::int32_t> e_peer_iface_;
 
-  std::vector<std::uint8_t> l_flags_;
   std::vector<std::int32_t> l_node_a_;
   std::vector<std::int32_t> l_node_b_;
-  std::vector<std::int32_t> l_cost_ab_;
-  std::vector<std::int32_t> l_cost_ba_;
   std::vector<std::int32_t> l_iface_a_;
   std::vector<std::int32_t> l_iface_b_;
 

@@ -1456,12 +1456,4 @@ std::vector<char> Simulation::routers_reaching(int host) const {
   return reach;
 }
 
-std::vector<int> Simulation::reachable_hosts_from(int router) const {
-  std::vector<int> reachable;
-  for (int host : topology_->host_ids()) {
-    if (reaches(router, host)) reachable.push_back(host);
-  }
-  return reachable;
-}
-
 }  // namespace confmask

@@ -316,9 +316,6 @@ class Simulation {
   /// toward it).
   [[nodiscard]] const Ipv4Prefix& host_prefix(int host) const;
 
-  /// Hosts to which forwarding starting AT `router` completes.
-  [[nodiscard]] std::vector<int> reachable_hosts_from(int router) const;
-
   /// True if forwarding from `router` to `host` completes.
   [[nodiscard]] bool reaches(int router, int host) const;
 

@@ -67,10 +67,6 @@ Topology Topology::build(const ConfigSet& configs) {
     topo.by_name_.emplace(topo.nodes_[id].name, static_cast<int>(id));
   }
 
-  topo.router_ids_.resize(static_cast<std::size_t>(topo.router_count_));
-  for (int i = 0; i < topo.router_count_; ++i) {
-    topo.router_ids_[static_cast<std::size_t>(i)] = i;
-  }
   topo.host_ids_.reserve(configs.hosts.size());
   for (int i = topo.router_count_; i < topo.node_count(); ++i) {
     topo.host_ids_.push_back(i);

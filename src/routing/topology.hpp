@@ -82,11 +82,9 @@ class Topology {
     return incident_[static_cast<std::size_t>(node)];
   }
 
-  /// Router / host node id lists, computed once at build() time (they
-  /// appear in hot loops; callers should bind them by const reference).
-  [[nodiscard]] const std::vector<int>& router_ids() const {
-    return router_ids_;
-  }
+  /// Host node ids (routers are 0..router_count-1), computed once at
+  /// build() time: they appear in hot loops, so callers should bind them
+  /// by const reference.
   [[nodiscard]] const std::vector<int>& host_ids() const { return host_ids_; }
   [[nodiscard]] int router_count() const { return router_count_; }
   [[nodiscard]] int host_count() const {
@@ -108,7 +106,6 @@ class Topology {
   std::unordered_map<std::string, int> by_name_;
   std::vector<Link> links_;
   std::vector<std::vector<int>> incident_;
-  std::vector<int> router_ids_;
   std::vector<int> host_ids_;
   int router_count_ = 0;
 };

@@ -7,12 +7,10 @@
 //  * the network, as canonical_config_set_text() — device order normalized,
 //    so the same network submitted from differently-ordered directories
 //    keys (and executes) identically;
-//  * every ConfMaskOptions field that can change output bytes (k_r, k_h,
-//    noise_p, seed, cost policy, iteration budget, fake routers, pool
-//    overrides). `incremental_simulation` is deliberately EXCLUDED: the
-//    incremental engine is verified bit-identical to from-scratch
-//    re-simulation (test_incremental_sim + the differential harness), so
-//    keying on it would only split the cache;
+//  * every ConfMaskOptions field (k_r, k_h, noise_p, seed, cost policy,
+//    iteration budget, fake routers, pool overrides). Engine choices that
+//    never change output bytes are not options and are not keyed: the
+//    worker count, and the patch base a watch-mode run reuses;
 //  * the RetryPolicy, because the fallback ladder changes the effective
 //    parameters of the final attempt (a reseed or k_r relaxation is
 //    visible in the artifact bytes);

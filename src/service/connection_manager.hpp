@@ -108,12 +108,6 @@ class ConnectionServer {
   /// event. Cheap when nobody subscribes (one relaxed load).
   void publish(std::uint64_t job, std::string line, bool end_of_stream);
 
-  /// Connections currently open (loop thread only; exposed for tests via
-  /// the daemon's counters rather than called cross-thread).
-  [[nodiscard]] std::size_t connection_count() const {
-    return connections_.size();
-  }
-
  private:
   struct Connection {
     std::string in_buf;

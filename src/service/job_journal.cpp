@@ -129,12 +129,11 @@ std::optional<JobRequest> decode_submit(const JsonObject& record) {
   const auto max_iter = get_int(record, "max_equivalence_iterations");
   const auto fake_routers = get_int(record, "fake_routers");
   const auto links_per = get_int(record, "links_per_fake_router");
-  const auto incremental = get_bool(record, "incremental");
   const auto cost_policy = get_string(record, "cost_policy");
   const auto strategy = get_string(record, "strategy");
   const auto deadline = get_u64(record, "deadline_ms");
   if (!k_r || !k_h || !noise_p || !seed || !max_iter || !fake_routers ||
-      !links_per || !incremental || !cost_policy || !strategy || !deadline) {
+      !links_per || !cost_policy || !strategy || !deadline) {
     return std::nullopt;
   }
   request.options.k_r = static_cast<int>(*k_r);
@@ -144,8 +143,9 @@ std::optional<JobRequest> decode_submit(const JsonObject& record) {
   request.options.max_equivalence_iterations = static_cast<int>(*max_iter);
   request.options.fake_routers = static_cast<int>(*fake_routers);
   request.options.links_per_fake_router = static_cast<int>(*links_per);
-  request.options.incremental_simulation = *incremental;
   request.deadline_ms = *deadline;
+  // Older records also carry an `incremental` flag, which no output byte
+  // depended on; it is ignored.
   // Pre-fleet journals carry no tenant field; their jobs belong to the
   // default namespace, same as a request that names none.
   request.tenant = get_string(record, "tenant").value_or("default");
@@ -288,7 +288,6 @@ std::string JobJournal::encode_submit(std::uint64_t id,
       .number("fake_routers", request.options.fake_routers)
       .number("links_per_fake_router",
               request.options.links_per_fake_router)
-      .boolean("incremental", request.options.incremental_simulation)
       .string("strategy", strategy_name(request.strategy))
       .number_u64("deadline_ms", request.deadline_ms);
   if (request.options.link_pool) {

@@ -288,10 +288,6 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
   return out;
 }
 
-std::optional<std::uint64_t> JobScheduler::submit(JobRequest request) {
-  return submit_ex(std::move(request)).id;
-}
-
 std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);

@@ -296,9 +296,6 @@ class JobScheduler {
   /// enqueue. See SubmitOutcome for the rejection contract.
   [[nodiscard]] SubmitOutcome submit_ex(JobRequest request);
 
-  /// Legacy admission: nullopt = rejected, whatever the reason.
-  [[nodiscard]] std::optional<std::uint64_t> submit(JobRequest request);
-
   /// Watch-mode admission: reconstructs the full bundle from a cached base
   /// entry plus a confmask-diff/1 script, then admits it exactly like
   /// submit_ex. Rejections are permanent (retry_after_ms == 0) when the

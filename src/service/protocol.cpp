@@ -36,13 +36,18 @@ std::optional<FakeLinkCostPolicy> parse_cost_policy(const std::string& name) {
 }
 
 /// Reads an optional int field into `out`; returns false (and fills
-/// `error`) when the field is present but not an integer that fits `int`.
-bool read_int(const JsonObject& request, std::string_view key, int& out,
-              std::string& error) {
+/// `error`) when the field is present but not an integer that fits `int`,
+/// or is below `min`.
+bool read_int(const JsonObject& request, std::string_view key, int min,
+              int& out, std::string& error) {
   if (request.find(std::string(key)) == request.end()) return true;
   const auto value = get_int(request, key);
   if (!value || !std::in_range<int>(*value)) {
     error = std::string(key) + " must be an integer";
+    return false;
+  }
+  if (*value < min) {
+    error = std::string(key) + " must be at least " + std::to_string(min);
     return false;
   }
   out = static_cast<int>(*value);
@@ -52,23 +57,24 @@ bool read_int(const JsonObject& request, std::string_view key, int& out,
 /// The tuning surface shared by submit and resubmit — both ops accept the
 /// identical parameter set (a resubmit is a submit whose bundle arrives as
 /// base+diff). Fills `options`/`strategy`/`deadline_ms` from the request;
-/// on a malformed field returns false with `error` naming it.
+/// on a malformed field, or one no run can use, returns false with `error`
+/// naming it.
 bool read_job_params(const JsonObject& request, ConfMaskOptions& options,
                      EquivalenceStrategy& strategy,
                      std::uint64_t& deadline_ms, std::string& error) {
-  if (!read_int(request, "k_r", options.k_r, error) ||
-      !read_int(request, "k_h", options.k_h, error) ||
-      !read_int(request, "max_equivalence_iterations",
+  if (!read_int(request, "k_r", 1, options.k_r, error) ||
+      !read_int(request, "k_h", 1, options.k_h, error) ||
+      !read_int(request, "max_equivalence_iterations", 0,
                 options.max_equivalence_iterations, error) ||
-      !read_int(request, "fake_routers", options.fake_routers, error) ||
-      !read_int(request, "links_per_fake_router",
+      !read_int(request, "fake_routers", 0, options.fake_routers, error) ||
+      !read_int(request, "links_per_fake_router", 0,
                 options.links_per_fake_router, error)) {
     return false;
   }
   if (request.find("noise_p") != request.end()) {
     const auto noise = get_double(request, "noise_p");
-    if (!noise) {
-      error = "noise_p must be a number";
+    if (!noise || !(*noise >= 0.0 && *noise <= 1.0)) {
+      error = "noise_p must be a number in [0, 1]";
       return false;
     }
     options.noise_p = *noise;
@@ -81,14 +87,6 @@ bool read_job_params(const JsonObject& request, ConfMaskOptions& options,
       return false;
     }
     options.seed = *seed;
-  }
-  if (request.find("incremental") != request.end()) {
-    const auto incremental = get_bool(request, "incremental");
-    if (!incremental) {
-      error = "incremental must be a boolean";
-      return false;
-    }
-    options.incremental_simulation = *incremental;
   }
   if (const auto name = get_string(request, "strategy")) {
     const auto parsed = parse_strategy(*name);

@@ -8,9 +8,10 @@
 //
 // Operations (the "op" field):
 //   submit   configs (required, canonical bundle text) + optional
-//            parameters: k_r, k_h, noise_p, seed, strategy, cost_policy,
-//            max_equivalence_iterations, fake_routers,
-//            links_per_fake_router, incremental, deadline_ms, tenant
+//            parameters: k_r, k_h (each at least 1), noise_p (in [0, 1]),
+//            seed, strategy, cost_policy, max_equivalence_iterations,
+//            fake_routers, links_per_fake_router (each at least 0),
+//            deadline_ms, tenant; unknown fields are ignored
 //            → {ok, op, job, cache_key, tenant}. A load-shed rejection is
 //            {ok: false, op, error, retry_after_ms} — the hint is the
 //            server-computed backoff the client should honor. `tenant`

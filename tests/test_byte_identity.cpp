@@ -4,12 +4,12 @@
 // the anonymized bundle (canonical text) and the diagnostics JSON. This
 // table holds the fnv1a64 digests of both for the eight evaluation
 // networks and the four scale families at 316 routers (seed 1, default
-// options) and for one patched watch-mode chain, whose every step must
-// also equal its cold run. The JSON documents a traced run writes are
-// pinned too: metrics.json's deterministic half, the NDJSON trace of a
-// tagged run with its durations masked, and diagnostics with every section
-// filled. A change that alters the bytes on purpose updates the table in
-// the same change and says why.
+// options), for node addition on two networks, and for one patched
+// watch-mode chain, whose every step must also equal its cold run. The
+// JSON documents a traced run writes are pinned too: metrics.json's
+// deterministic half, the NDJSON trace of a tagged run with its durations
+// masked, and diagnostics with every section filled. A change that alters
+// the bytes on purpose updates the table in the same change and says why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -78,6 +78,23 @@ TEST(ByteIdentity, EvaluationNetworks) {
                    run_pipeline_guarded(networks[i].configs, options),
                    expected[i]);
   }
+}
+
+// The §9 extension: three fake routers before Step 1, on a BGP+OSPF network
+// and a RIP one.
+TEST(ByteIdentity, NodeAddition) {
+  ConfMaskOptions options;
+  options.seed = 1;
+  options.fake_routers = 3;
+  expect_digests("A fake routers",
+                 run_pipeline_guarded(evaluation_networks().front().configs,
+                                      options),
+                 {0xf0e2c1ac018f81c1, 0x5e88bb4a6b68c5ea});
+  expect_digests(
+      "waxman-rip 60 fake routers",
+      run_pipeline_guarded(make_scale_network(ScaleFamily::kWaxmanRip, 60, 1),
+                           options),
+      {0xbac48768afd0bb71, 0x5e88bb4a6b68c5ea});
 }
 
 // Default-cost fake links undercut Bics' routes: the run reseeds twice and

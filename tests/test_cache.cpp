@@ -70,7 +70,7 @@ TEST(CacheKey, DeterministicAndSensitiveToEveryParameter) {
                                    EquivalenceStrategy::kStrawman1));
 }
 
-TEST(CacheKey, DeviceOrderCanonicalizedAndIncrementalFlagExcluded) {
+TEST(CacheKey, DeviceOrderCanonicalized) {
   ConfigSet forward = make_figure2();
   ConfigSet reversed = forward;
   std::reverse(reversed.routers.begin(), reversed.routers.end());
@@ -80,15 +80,6 @@ TEST(CacheKey, DeviceOrderCanonicalizedAndIncrementalFlagExcluded) {
   EXPECT_EQ(compute_cache_key(forward, options, policy,
                               EquivalenceStrategy::kConfMask),
             compute_cache_key(reversed, options, policy,
-                              EquivalenceStrategy::kConfMask));
-
-  // incremental_simulation is verified bit-identical either way, so it
-  // must NOT split the cache.
-  ConfMaskOptions incremental_off = options;
-  incremental_off.incremental_simulation = false;
-  EXPECT_EQ(compute_cache_key(forward, options, policy,
-                              EquivalenceStrategy::kConfMask),
-            compute_cache_key(forward, incremental_off, policy,
                               EquivalenceStrategy::kConfMask));
 }
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/confmask.hpp"
@@ -16,11 +17,14 @@
 #include "src/core/patch_mode.hpp"
 #include "src/core/pipeline_runner.hpp"
 #include "src/core/pipeline_trace.hpp"
+#include "src/core/route_anonymity.hpp"
+#include "src/core/route_equivalence.hpp"
 #include "src/core/topology_anonymization.hpp"
 #include "src/netgen/builder.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/netgen/scale_families.hpp"
 #include "src/routing/simulation.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/ipv4.hpp"
 #include "src/util/prefix_allocator.hpp"
 #include "src/util/rng.hpp"
@@ -30,16 +34,20 @@ namespace {
 
 // FIB-level equality over every (router, destination) pair — stricter than
 // comparing extracted data planes (it also covers black-holed entries).
-void expect_same_fibs(const Simulation& actual, const Simulation& expected) {
+// With `only`, just those destinations' columns are compared.
+void expect_same_fibs(const Simulation& actual, const Simulation& expected,
+                      const std::vector<int>* only = nullptr) {
   const auto& topo = expected.topology();
   for (int router = 0; router < topo.router_count(); ++router) {
-    for (const int host : topo.host_ids()) {
+    for (const int host : only != nullptr ? *only : topo.host_ids()) {
       EXPECT_EQ(actual.fib(router, host), expected.fib(router, host))
           << "router " << topo.node(router).name << " -> host "
           << topo.node(host).name;
     }
   }
-  EXPECT_TRUE(actual.extract_data_plane() == expected.extract_data_plane());
+  if (only == nullptr) {
+    EXPECT_TRUE(actual.extract_data_plane() == expected.extract_data_plane());
+  }
 }
 
 // Denies `host`'s prefix on the first router/next-hop where a filter
@@ -281,16 +289,19 @@ std::uint64_t counter(const PipelineTrace& trace, const std::string& path,
   return 0;
 }
 
-ConfMaskOptions paper_options(FakeLinkCostPolicy policy,
-                              bool incremental = true) {
+ConfMaskOptions paper_options(FakeLinkCostPolicy policy) {
   ConfMaskOptions options;
   options.k_r = 6;
   options.k_h = 2;
   options.noise_p = 0.1;
   options.seed = 3;
   options.cost_policy = policy;
-  options.incremental_simulation = incremental;
   return options;
+}
+
+/// fnv1a64 of a bundle's canonical text, as 16 hex digits.
+std::string bundle_digest(const ConfigSet& configs) {
+  return hex64(fnv1a64(canonical_config_set_text(configs)));
 }
 
 // Min-cost pricing never shortens a distance (DESIGN §5), so both route
@@ -313,8 +324,9 @@ TEST(CarriedVectors, MinCostPipelineComputesEachVectorOnce) {
 }
 
 // Default-cost fake links undercut routes on Bics, so some vectors fail
-// the relaxation check and are computed; the bundle is still exactly the
-// from-scratch reference's.
+// the relaxation check and are computed; the bundle and its (failing)
+// verdict are still exactly those of a from-scratch rebuild sequence,
+// pinned by digest.
 TEST(CarriedVectors, DefaultCostPipelineRejectsSomeAndMatchesReference) {
   const ConfigSet configs = make_bics();
   PipelineTrace trace;
@@ -322,12 +334,8 @@ TEST(CarriedVectors, DefaultCostPipelineRejectsSomeAndMatchesReference) {
       run_confmask(configs, paper_options(FakeLinkCostPolicy::kDefault));
   EXPECT_GT(counter(trace, "route_equivalence/iteration", "vectors_computed"),
             0u);
-  const PipelineResult reference = run_confmask(
-      configs, paper_options(FakeLinkCostPolicy::kDefault, false));
-  EXPECT_EQ(canonical_config_set_text(carried.anonymized),
-            canonical_config_set_text(reference.anonymized));
-  EXPECT_EQ(carried.functionally_equivalent,
-            reference.functionally_equivalent);
+  EXPECT_EQ(bundle_digest(carried.anonymized), "19fa75fcbd9d540d");
+  EXPECT_FALSE(carried.functionally_equivalent);
 }
 
 // An OSPF network for the column patch: static routes (host prefixes and
@@ -468,8 +476,14 @@ TEST(IncrementalSim, RandomDeltasMatchFreshBuildsColumnForColumn) {
 // After each incremental rebuild Algorithm 1 rescans only the
 // destinations it recomputed. RIP networks need three and more
 // iterations (a filter reshapes distances downstream), and every run must
-// decide exactly as the from-scratch mode, which rescans everything.
+// decide exactly as a full scan after from-scratch rebuilds did: the same
+// iteration count and bundle digest, and a verified run.
 TEST(IncrementalSim, RescanningRecomputedColumnsDecidesAsAFullScan) {
+  const std::pair<int, std::string> full_scan[] = {
+      {3, "d3f11ef4301f40fd"},
+      {3, "633d7b25cf664186"},
+      {4, "8ffb41b7fcbbf3f3"},
+      {4, "e544b0dbb34c626f"}};
   int longest = 0;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const ConfigSet configs =
@@ -477,13 +491,12 @@ TEST(IncrementalSim, RescanningRecomputedColumnsDecidesAsAFullScan) {
     ConfMaskOptions options;
     options.seed = seed;
     const PipelineResult incremental = run_confmask(configs, options);
-    options.incremental_simulation = false;
-    const PipelineResult full = run_confmask(configs, options);
-    EXPECT_EQ(incremental.stats.equivalence_iterations,
-              full.stats.equivalence_iterations);
-    EXPECT_EQ(canonical_config_set_text(incremental.anonymized),
-              canonical_config_set_text(full.anonymized))
+    const auto& [iterations, bundle] = full_scan[seed - 1];
+    EXPECT_EQ(incremental.stats.equivalence_iterations, iterations)
         << "seed " << seed;
+    EXPECT_EQ(bundle_digest(incremental.anonymized), bundle)
+        << "seed " << seed;
+    EXPECT_TRUE(incremental.functionally_equivalent) << "seed " << seed;
     longest = std::max(longest, incremental.stats.equivalence_iterations);
   }
   EXPECT_GE(longest, 4);
@@ -641,27 +654,83 @@ TEST(StageHandover, ColdRunBuildsNoAnonymityEntry) {
 
 // Stopped unconverged, Algorithm 1 still hands over a simulation of its
 // final configs (an incremental rebuild over its last filters), so the
-// route-anonymity stage again builds no entry; the run equals the
-// from-scratch one byte for byte.
+// route-anonymity stage again builds no entry; the run equals, byte for
+// byte and in its verdict, the one a from-scratch rebuild sequence made.
 TEST(StageHandover, UnconvergedEquivalenceHandsOverItsLastFilters) {
   ConfMaskOptions options;
   options.seed = 3;
   options.max_equivalence_iterations = 1;
-  const ConfigSet configs = make_bics();
-  PipelineResult handed;
-  {
-    PipelineTrace trace;
-    handed = run_confmask(configs, options);
-    EXPECT_EQ(counter(trace, "route_equivalence", "simulations"), 2u);
-    EXPECT_EQ(counter(trace, "route_anonymity", "simulations"),
-              span_count(trace, "route_anonymity/rollback_round"));
-  }
+  PipelineTrace trace;
+  const PipelineResult handed = run_confmask(make_bics(), options);
+  EXPECT_EQ(counter(trace, "route_equivalence", "simulations"), 2u);
+  EXPECT_EQ(counter(trace, "route_anonymity", "simulations"),
+            span_count(trace, "route_anonymity/rollback_round"));
   EXPECT_FALSE(handed.equivalence_converged);
-  options.incremental_simulation = false;
-  const PipelineResult reference = run_confmask(configs, options);
-  EXPECT_EQ(canonical_config_set_text(handed.anonymized),
-            canonical_config_set_text(reference.anonymized));
-  EXPECT_EQ(handed.functionally_equivalent, reference.functionally_equivalent);
+  EXPECT_EQ(bundle_digest(handed.anonymized), "5b0c839c0f95677a");
+  EXPECT_TRUE(handed.functionally_equivalent);
+}
+
+/// Runs Step 1, the fake hosts and Algorithm 1 on `original` as the
+/// pipeline does (default options), and checks the simulation Algorithm 1
+/// returns against a fresh build of its configs on every column, and the
+/// one Algorithm 2 hands back against a fresh build of the final configs on
+/// every real destination's column (its fake-host columns may predate the
+/// last rollbacks).
+void expect_stage_simulations_exact(const ConfigSet& original,
+                                    const std::string& label) {
+  SCOPED_TRACE(label);
+  const ConfMaskOptions options;
+  const Preprocessed preprocessed = preprocess(original, nullptr);
+  const OriginalIndex& index = *preprocessed.index;
+  ConfigSet configs = original;
+  PrefixAllocator allocator;
+  for (const Ipv4Prefix& prefix : original.used_prefixes()) {
+    allocator.reserve(prefix);
+  }
+  Rng rng(options.seed);
+  (void)anonymize_topology(configs, preprocessed.sim.get(), options.k_r,
+                           options.cost_policy, rng, allocator);
+  const std::vector<std::string> fake_hosts =
+      add_fake_hosts(configs, index, options.k_h, allocator);
+  RouteEquivalenceOutcome equivalence = enforce_route_equivalence(
+      configs, index, options.max_equivalence_iterations, nullptr,
+      preprocessed.sim.get());
+  ASSERT_NE(equivalence.simulation, nullptr);
+  expect_same_fibs(*equivalence.simulation, Simulation(configs));
+
+  std::shared_ptr<Simulation> final_simulation;
+  (void)anonymize_routes(configs, fake_hosts, options.noise_p, rng,
+                         std::move(equivalence.simulation),
+                         &final_simulation);
+  ASSERT_NE(final_simulation, nullptr);
+  const Simulation fresh(configs);
+  std::vector<int> real_destinations;
+  for (const int host : fresh.topology().host_ids()) {
+    if (index.real_hosts().count(fresh.topology().node(host).name) != 0) {
+      real_destinations.push_back(host);
+    }
+  }
+  ASSERT_FALSE(real_destinations.empty());
+  expect_same_fibs(*final_simulation, fresh, &real_destinations);
+}
+
+// The live reference for the two stages' hand-overs: what Algorithm 1
+// returns and what Algorithm 2 hands to verification are checked against
+// simulations built from the configs alone.
+TEST(StageHandover, StageSimulationsMatchFreshBuildsOnEvaluationNetworks) {
+  for (const EvalNetwork& network : evaluation_networks()) {
+    expect_stage_simulations_exact(network.configs, "network " + network.id);
+  }
+}
+
+TEST(StageHandover, StageSimulationsMatchFreshBuildsOnScaleFamilies) {
+  for (const ScaleFamily family :
+       {ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs,
+        ScaleFamily::kPreferentialAttachment}) {
+    expect_stage_simulations_exact(make_scale_network(family, 316, 1),
+                                   std::string(scale_family_name(family)) +
+                                       " 316");
+  }
 }
 
 TEST(IncrementalSim, ChainedIncrementalStepsStayExact) {

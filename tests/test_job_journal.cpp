@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,60 @@ TEST(JobJournal, AcknowledgedSubmitSurvivesReopenWithFullRequest) {
   EXPECT_EQ(job.request.deadline_ms, 30'000u);
   EXPECT_EQ(job.request.policy.equivalence_iteration_ladder,
             (std::vector<int>{32, 64}));
+}
+
+/// `record` as submit records were written while they carried the
+/// `incremental` flag: the field ahead of `strategy`, and the crc
+/// recomputed over the longer line.
+std::string with_incremental_field(const std::string& record, bool value) {
+  std::string body = record.substr(0, record.rfind(", \"crc\": \"")) + "}";
+  body.insert(body.find("\"strategy\": "),
+              std::string("\"incremental\": ") + (value ? "true" : "false") +
+                  ", ");
+  const std::string crc = hex64(fnv1a64(body));
+  body.pop_back();
+  return body + ", \"crc\": \"" + crc + "\"}";
+}
+
+// Submit records once carried an `incremental` flag, which no output byte
+// depended on. Records with either value still decode, recover and re-key
+// to the keys they were written with; the record digests pin them to the
+// bytes the older writer produced.
+TEST(JobJournal, RecordsCarryingTheRetiredIncrementalFlagRecover) {
+  const fs::path path = fresh_journal("retired_incremental");
+  { JobJournal journal(path); }  // writes the header
+  struct Written {
+    bool incremental;
+    std::string record_digest;
+    std::string key;
+  };
+  const Written written[] = {{true, "ee147c447db9d2f3", "d6154694971dc3fd"},
+                             {false, "c2f784e703842596", "f2f941c8f7bc3b9e"}};
+  {
+    std::ofstream out(path, std::ios::app);
+    for (std::size_t i = 0; i < std::size(written); ++i) {
+      const JobRequest request = sample_request(21 + i);
+      const std::string record = with_incremental_field(
+          submit_record(4 + i, request, key_of(request)),
+          written[i].incremental);
+      EXPECT_TRUE(JobJournal::crc_ok(record));
+      EXPECT_EQ(hex64(fnv1a64(record)), written[i].record_digest);
+      out << record << '\n';
+    }
+  }
+  JobJournal reopened(path);
+  const JournalRecovery& recovery = reopened.recovery();
+  EXPECT_TRUE(recovery.terminal.empty());
+  EXPECT_EQ(recovery.dropped_records, 0u);
+  ASSERT_EQ(recovery.pending.size(), std::size(written));
+  for (std::size_t i = 0; i < std::size(written); ++i) {
+    const RecoveredJob& job = recovery.pending[i];
+    EXPECT_EQ(job.id, 4 + i);
+    EXPECT_EQ(job.key.hex(), written[i].key);
+    EXPECT_EQ(job.key, key_of(sample_request(21 + i)));
+    EXPECT_EQ(job.request.options.seed, 21 + i);
+    EXPECT_EQ(job.request.options.noise_p, 0.125);
+  }
 }
 
 TEST(JobJournal, TerminalJobsCompactToTombstones) {

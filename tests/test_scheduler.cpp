@@ -48,7 +48,7 @@ TEST(JobScheduler, ConcurrentDistinctJobsAllCompleteWithOwnDiagnostics) {
 
   std::vector<std::uint64_t> ids;
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const auto id = scheduler.submit(figure2_request(seed));
+    const auto id = scheduler.submit_ex(figure2_request(seed)).id;
     ASSERT_TRUE(id.has_value());
     ids.push_back(*id);
   }
@@ -96,7 +96,7 @@ TEST(JobScheduler, ResubmitOfCompletedJobIsByteIdenticalCacheHit) {
   ArtifactCache cache(fresh_dir("sched_resubmit"));
   JobScheduler scheduler(&cache, {});
 
-  const auto first = scheduler.submit(figure2_request(7));
+  const auto first = scheduler.submit_ex(figure2_request(7)).id;
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(scheduler.wait(*first));
   const auto first_status = scheduler.status(*first);
@@ -108,7 +108,7 @@ TEST(JobScheduler, ResubmitOfCompletedJobIsByteIdenticalCacheHit) {
   const std::uint64_t sims_after_first = scheduler.stats().simulations;
   EXPECT_GT(sims_after_first, 0u);
 
-  const auto second = scheduler.submit(figure2_request(7));
+  const auto second = scheduler.submit_ex(figure2_request(7)).id;
   ASSERT_TRUE(second.has_value());
   ASSERT_TRUE(scheduler.wait(*second));
   const auto second_status = scheduler.status(*second);
@@ -134,14 +134,14 @@ TEST(JobScheduler, ResubmitOfCompletedJobIsByteIdenticalCacheHit) {
 TEST(JobScheduler, DeviceOrderDoesNotDefeatTheCache) {
   ArtifactCache cache(fresh_dir("sched_order"));
   JobScheduler scheduler(&cache, {});
-  const auto first = scheduler.submit(figure2_request(5));
+  const auto first = scheduler.submit_ex(figure2_request(5)).id;
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(scheduler.wait(*first));
 
   JobRequest reordered = figure2_request(5);
   std::reverse(reordered.configs.routers.begin(),
                reordered.configs.routers.end());
-  const auto second = scheduler.submit(std::move(reordered));
+  const auto second = scheduler.submit_ex(std::move(reordered)).id;
   ASSERT_TRUE(second.has_value());
   ASSERT_TRUE(scheduler.wait(*second));
   const auto status = scheduler.status(*second);
@@ -160,7 +160,7 @@ TEST(JobScheduler, FailedJobsReportTaxonomyAndAreNeverCached) {
   doomed.options.max_equivalence_iterations = 1;
   doomed.policy.equivalence_iteration_ladder = {};
   doomed.policy.max_attempts = 1;
-  const auto id = scheduler.submit(std::move(doomed));
+  const auto id = scheduler.submit_ex(std::move(doomed)).id;
   ASSERT_TRUE(id.has_value());
   ASSERT_TRUE(scheduler.wait(*id));
   const auto status = scheduler.status(*id);
@@ -183,7 +183,7 @@ TEST(JobScheduler, AdmissionControlRejectsBeyondMaxPending) {
   JobScheduler::Options options;
   options.max_pending = 0;  // every submission exceeds the pending budget
   JobScheduler scheduler(&cache, options);
-  EXPECT_FALSE(scheduler.submit(figure2_request(1)).has_value());
+  EXPECT_FALSE(scheduler.submit_ex(figure2_request(1)).accepted());
   EXPECT_EQ(scheduler.stats().rejected, 1u);
   EXPECT_EQ(scheduler.stats().submitted, 0u);
 }
@@ -196,7 +196,7 @@ TEST(JobScheduler, ShutdownMidQueueCancelsPendingAndLeavesNoPartialEntries) {
   JobScheduler scheduler(&cache, options);
   std::vector<std::uint64_t> ids;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const auto id = scheduler.submit(figure2_request(seed));
+    const auto id = scheduler.submit_ex(figure2_request(seed)).id;
     ASSERT_TRUE(id.has_value());
     ids.push_back(*id);
   }
@@ -230,7 +230,7 @@ TEST(JobScheduler, ShutdownMidQueueCancelsPendingAndLeavesNoPartialEntries) {
   }
 
   // Post-shutdown submissions are rejected, not silently dropped.
-  EXPECT_FALSE(scheduler.submit(figure2_request(9)).has_value());
+  EXPECT_FALSE(scheduler.submit_ex(figure2_request(9)).accepted());
 }
 
 TEST(JobScheduler, DrainShutdownFinishesQueuedJobs) {
@@ -240,7 +240,7 @@ TEST(JobScheduler, DrainShutdownFinishesQueuedJobs) {
   JobScheduler scheduler(&cache, options);
   std::vector<std::uint64_t> ids;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const auto id = scheduler.submit(figure2_request(seed));
+    const auto id = scheduler.submit_ex(figure2_request(seed)).id;
     ASSERT_TRUE(id.has_value());
     ids.push_back(*id);
   }
@@ -258,9 +258,9 @@ TEST(JobScheduler, CancelDequeuesAQueuedJob) {
   JobScheduler::Options options;
   options.max_concurrent_jobs = 1;
   JobScheduler scheduler(&cache, options);
-  const auto first = scheduler.submit(figure2_request(1));
-  const auto second = scheduler.submit(figure2_request(2));
-  const auto third = scheduler.submit(figure2_request(3));
+  const auto first = scheduler.submit_ex(figure2_request(1)).id;
+  const auto second = scheduler.submit_ex(figure2_request(2)).id;
+  const auto third = scheduler.submit_ex(figure2_request(3)).id;
   ASSERT_TRUE(first && second && third);
   // With one worker, at least the LAST submission is still queued right
   // now — but any of them may have started; accept either outcome and
@@ -289,7 +289,7 @@ TEST(JobScheduler, ExpiredDeadlineIsDeadlineExceededAndNeverCached) {
   // Occupy the single worker, then submit a job whose 1ms budget is
   // certain to expire while it waits in the queue: the deterministic
   // "already expired at dequeue" path.
-  const auto busy = scheduler.submit(figure2_request(1));
+  const auto busy = scheduler.submit_ex(figure2_request(1)).id;
   ASSERT_TRUE(busy.has_value());
   JobRequest doomed = figure2_request(2);
   doomed.deadline_ms = 1;
@@ -312,7 +312,7 @@ TEST(JobScheduler, ExpiredDeadlineIsDeadlineExceededAndNeverCached) {
   EXPECT_EQ(cache.entry_count(), 1u);  // only the healthy job published
 
   // The daemon keeps serving: the next submission completes normally.
-  const auto after = scheduler.submit(figure2_request(3));
+  const auto after = scheduler.submit_ex(figure2_request(3)).id;
   ASSERT_TRUE(after.has_value());
   ASSERT_TRUE(scheduler.wait(*after));
   EXPECT_EQ(scheduler.status(*after)->state, JobState::kDone);
@@ -347,7 +347,7 @@ TEST(JobScheduler, MidRunDeadlineExpiryStopsAtAPhaseBoundary) {
 TEST(JobScheduler, CancelOfARunningJobStopsCooperatively) {
   ArtifactCache cache(fresh_dir("sched_cancel_running"));
   JobScheduler scheduler(&cache, {});
-  const auto id = scheduler.submit(figure2_request(5));
+  const auto id = scheduler.submit_ex(figure2_request(5)).id;
   ASSERT_TRUE(id.has_value());
   // Wait until the job is actually RUNNING, then fire its token.
   for (int i = 0; i < 2000; ++i) {

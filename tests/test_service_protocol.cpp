@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/config/emit.hpp"
 #include "src/config/parse.hpp"
@@ -310,6 +312,69 @@ TEST_F(ProtocolTest, KrMustBeAnIntegerThatFitsInt) {
               std::string::npos)
         << token;
   }
+}
+
+// Parameters no run can use are refused at admission, by name. A
+// negative links_per_fake_router used to reach node addition and fail the
+// job as Internal.
+TEST_F(ProtocolTest, JobParamsOutsideTheirRangeAreRefusedByName) {
+  const std::string configs = canonical_config_set_text(make_figure2());
+  const std::pair<std::string, std::string> refused[] = {
+      {"k_r", "0"},
+      {"k_h", "0"},
+      {"fake_routers", "-1"},
+      {"links_per_fake_router", "-1"},
+      {"max_equivalence_iterations", "-1"},
+      {"noise_p", "-0.5"},
+      {"noise_p", "1.5"}};
+  for (const auto& [key, token] : refused) {
+    std::string line =
+        JsonWriter{}.string("op", "submit").string("configs", configs).str();
+    if (key != "fake_routers") {
+      line.insert(line.size() - 1, ", \"fake_routers\": 1");
+    }
+    line.insert(line.size() - 1, ", \"" + key + "\": " + token);
+    const JsonObject response = handle(line);
+    EXPECT_EQ(get_bool(response, "ok"), false) << key << " " << token;
+    EXPECT_NE(get_string(response, "error").value_or("").find(key),
+              std::string::npos)
+        << key << " " << token;
+  }
+  // The bounds themselves are usable.
+  const JsonObject bounds = handle(JsonWriter{}
+                                       .string("op", "submit")
+                                       .string("configs", configs)
+                                       .number("k_r", 1)
+                                       .number("k_h", 1)
+                                       .real("noise_p", 1.0)
+                                       .number("links_per_fake_router", 0)
+                                       .str());
+  EXPECT_EQ(get_bool(bounds, "ok"), true)
+      << get_string(bounds, "error").value_or("");
+}
+
+// `incremental` is no longer a parameter: a submit that still carries it
+// keys like one without it and is served the same bytes.
+TEST_F(ProtocolTest, RetiredIncrementalFieldIsIgnored) {
+  std::string flagged_line = submit_line(3);
+  flagged_line.insert(flagged_line.size() - 1, ", \"incremental\": false");
+  const JsonObject flagged = handle(flagged_line);
+  ASSERT_EQ(get_bool(flagged, "ok"), true);
+  const JsonObject plain = handle(submit_line(3));
+  ASSERT_EQ(get_bool(plain, "ok"), true);
+  EXPECT_EQ(get_string(flagged, "cache_key"), get_string(plain, "cache_key"));
+  std::vector<std::string> bundles;
+  for (const JsonObject* submitted : {&flagged, &plain}) {
+    const auto job = get_u64(*submitted, "job");
+    ASSERT_TRUE(job.has_value());
+    ASSERT_TRUE(scheduler_.wait(*job));
+    const JsonObject result = handle(
+        JsonWriter{}.string("op", "result").number_u64("job", *job).str());
+    ASSERT_EQ(get_string(result, "state"), "done");
+    bundles.push_back(get_string(result, "configs").value_or(""));
+  }
+  EXPECT_FALSE(bundles.front().empty());
+  EXPECT_EQ(bundles.front(), bundles.back());
 }
 
 TEST_F(ProtocolTest, PingReportsHealthAndVitals) {

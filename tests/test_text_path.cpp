@@ -158,7 +158,7 @@ TEST(TextPath, JournalRecordsAreGolden) {
                         request.strategy, request.tenant);
   const std::string submit = JobJournal::encode_submit(42, request, key, text);
   EXPECT_TRUE(JobJournal::crc_ok(submit));
-  EXPECT_EQ(hex64(fnv1a64(submit)), "4405ec18283cd7cc");
+  EXPECT_EQ(hex64(fnv1a64(submit)), "bc756975dfd375d2");
 
   JobStatus status;
   status.id = 42;
