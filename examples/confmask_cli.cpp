@@ -7,6 +7,10 @@
 //                       [--cache-dir DIR]
 //          confmask_cli --version
 //
+// --kr, --kh, --p, --seed and --fake-routers each take one whole number
+// within option_error's bounds; any other value is a usage error (exit 2)
+// that names the flag, before anything is read or written.
+//
 // --version prints the build stamp (the same string the artifact cache
 // embeds in entry metadata for stale-binary invalidation).
 //
@@ -47,12 +51,14 @@
 // input set with `confmask_cli --demo <dir>` which writes the paper's
 // Figure 2 network; `--demo <dir> <ID>` (ID in A..H) writes one of the
 // Table 2 evaluation networks instead.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #include "src/config/emit.hpp"
@@ -83,6 +89,15 @@ int usage() {
                "network: paper Fig 2, or evaluation network A..H)\n"
                "       confmask_cli --version             (build stamp)\n");
   return 2;
+}
+
+/// Reads `text` into `out` iff it is one whole number of out's type: no
+/// sign on an unsigned type, nothing before or after it.
+template <typename T>
+bool read_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && stop == end;
 }
 
 void write_config_set(const ConfigSet& configs, const fs::path& dir) {
@@ -149,16 +164,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "missing value for %s\n", argv[i]);
       return usage();
     }
+    bool numeric = true;
     if (std::strcmp(argv[i], "--kr") == 0) {
-      options.k_r = std::atoi(argv[i + 1]);
+      numeric = read_number(argv[i + 1], options.k_r);
     } else if (std::strcmp(argv[i], "--kh") == 0) {
-      options.k_h = std::atoi(argv[i + 1]);
+      numeric = read_number(argv[i + 1], options.k_h);
     } else if (std::strcmp(argv[i], "--p") == 0) {
-      options.noise_p = std::atof(argv[i + 1]);
+      numeric = read_number(argv[i + 1], options.noise_p);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = std::strtoull(argv[i + 1], nullptr, 10);
+      numeric = read_number(argv[i + 1], options.seed);
     } else if (std::strcmp(argv[i], "--fake-routers") == 0) {
-      options.fake_routers = std::atoi(argv[i + 1]);
+      numeric = read_number(argv[i + 1], options.fake_routers);
     } else if (std::strcmp(argv[i], "--pii") == 0) {
       apply_pii = std::atoi(argv[i + 1]) != 0;
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
@@ -177,6 +193,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
       cache_dir = argv[i + 1];
     } else {
+      return usage();
+    }
+    // The options held before this flag passed, so a bound broken now is
+    // this flag's.
+    const auto bound = option_error(options);
+    if (!numeric || bound) {
+      std::fprintf(stderr, "invalid %s '%s': %s\n", argv[i], argv[i + 1],
+                   numeric ? bound->c_str() : "not a number");
       return usage();
     }
   }

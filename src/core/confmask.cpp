@@ -47,6 +47,39 @@ void count_entry_vectors(const Simulation& entry, bool handed_over) {
 
 }  // namespace
 
+std::optional<std::string> option_error(const ConfMaskOptions& options) {
+  if (options.k_r < 1) return "k_r must be at least 1";
+  if (options.k_h < 1) return "k_h must be at least 1";
+  if (options.fake_routers < 0) return "fake_routers must be at least 0";
+  if (options.links_per_fake_router < 0) {
+    return "links_per_fake_router must be at least 0";
+  }
+  // Written so that NaN fails it.
+  if (!(options.noise_p >= 0.0 && options.noise_p <= 1.0)) {
+    return "noise_p must be a number in [0, 1]";
+  }
+  return std::nullopt;
+}
+
+const char* to_string(EquivalenceStrategy strategy) {
+  switch (strategy) {
+    case EquivalenceStrategy::kConfMask: return "confmask";
+    case EquivalenceStrategy::kStrawman1: return "strawman1";
+    case EquivalenceStrategy::kStrawman2: return "strawman2";
+  }
+  return "unknown";
+}
+
+std::optional<EquivalenceStrategy> parse_equivalence_strategy(
+    std::string_view name) {
+  for (const EquivalenceStrategy strategy :
+       {EquivalenceStrategy::kConfMask, EquivalenceStrategy::kStrawman1,
+        EquivalenceStrategy::kStrawman2}) {
+    if (name == to_string(strategy)) return strategy;
+  }
+  return std::nullopt;
+}
+
 PipelineResult run_pipeline(const ConfigSet& original,
                             const ConfMaskOptions& options,
                             EquivalenceStrategy strategy) {
@@ -290,7 +323,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
           }
           tally(equivalence_seed.initial != nullptr);
           if (equivalence_seed.initial != nullptr &&
-              equivalence_replayable(*patch_base, options, original,
+              equivalence_replayable(*patch_base, original,
                                      preprocessed.diff,
                                      *equivalence_seed.initial)) {
             // With the filters placed, the stage's final simulation is the
@@ -313,7 +346,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
         // The entry build carries OSPF distance vectors over from the
         // preprocess simulation where they provably still hold.
         return enforce_route_equivalence(
-            result.anonymized, index, options.max_equivalence_iterations,
+            result.anonymized, index,
             patch_equivalence ? &equivalence_seed : nullptr,
             preprocessed.sim.get());
       });
@@ -362,10 +395,9 @@ PipelineResult run_pipeline(const ConfigSet& original,
                                         equivalence_seed.record.filters,
                                         *entry);
     }
-    // The strawmen (and a zero iteration budget) hand over no simulation:
-    // build the entry here. A capture keeps it alive as the next run's
-    // donor, also when Algorithm 2 does not run; without one the rollback
-    // rounds release it.
+    // The strawmen hand over no simulation: build the entry here. A
+    // capture keeps it alive as the next run's donor, also when Algorithm
+    // 2 does not run; without one the rollback rounds release it.
     if (runs) {
       const bool handed_over = entry != nullptr;
       if (!handed_over) entry = std::make_shared<Simulation>(result.anonymized);

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/config/diff.hpp"
@@ -36,7 +37,6 @@ struct ConfMaskOptions {
   double noise_p = 0.1; ///< Algorithm 2 noise coefficient (paper uses 0.1)
   std::uint64_t seed = 1;
   FakeLinkCostPolicy cost_policy = FakeLinkCostPolicy::kMinCost;
-  int max_equivalence_iterations = 64;
   /// §9 network-scale obfuscation extension: number of fake ROUTERS to
   /// add before topology anonymization (0 = paper's base system).
   int fake_routers = 0;
@@ -53,8 +53,22 @@ struct ConfMaskOptions {
                          const ConfMaskOptions&) = default;
 };
 
+/// The bounds every run's parameters must meet: k_r and k_h at least 1,
+/// fake_routers and links_per_fake_router at least 0, noise_p in [0, 1]
+/// (NaN refused). Returns the first bound broken, as a message naming its
+/// field ("k_r must be at least 1"), or nullopt when all hold.
+[[nodiscard]] std::optional<std::string> option_error(
+    const ConfMaskOptions& options);
+
 /// Which Step-2.1 implementation the pipeline uses.
 enum class EquivalenceStrategy { kConfMask, kStrawman1, kStrawman2 };
+
+/// The strategy's wire name: "confmask", "strawman1" or "strawman2".
+[[nodiscard]] const char* to_string(EquivalenceStrategy strategy);
+
+/// The strategy a wire name names; nullopt for any other text.
+[[nodiscard]] std::optional<EquivalenceStrategy> parse_equivalence_strategy(
+    std::string_view name);
 
 struct PipelineStats {
   std::size_t fake_intra_links = 0;
@@ -110,8 +124,8 @@ class Simulation;
 /// The preprocessing stage's output (paper Fig 3): the original network
 /// simulated once and snapshotted. It depends only on the originals and
 /// the patch base, never on what the guarded runner's retry ladder changes
-/// (seed, k_R, prefix pools, iteration budget), so one Preprocessed serves
-/// every attempt of a run. Every attempt's PipelineStats include its cost.
+/// (seed, k_R, prefix pools), so one Preprocessed serves every attempt of
+/// a run. Every attempt's PipelineStats include its cost.
 struct Preprocessed {
   std::shared_ptr<const Simulation> sim;
   std::shared_ptr<const OriginalIndex> index;

@@ -4,7 +4,7 @@
 // so the pipeline must fail closed, and a failure must say precisely where
 // and why it happened so the guarded runner (pipeline_runner.hpp) can pick
 // the right fallback rung: reseed a randomized stage, relax k_r, widen a
-// prefix pool, escalate the fixpoint iteration budget, or refuse to publish.
+// prefix pool, or refuse to publish.
 //
 // Deep layers (util/graph/config) throw their own typed errors with local
 // context (PrefixPoolExhausted, KDegreeError, ConfigParseError); the
@@ -39,8 +39,8 @@ enum class ErrorCategory {
   kInfeasibleParams,   ///< no solution exists for these parameters (k_r too
                        ///< large, graph saturated) — relax parameters
   kResourceExhausted,  ///< a finite substrate ran dry (prefix pools) — widen
-  kNonConvergent,      ///< a fixpoint/probing loop hit its budget — reseed
-                       ///< or escalate the budget
+  kNonConvergent,      ///< a randomized search, fixpoint or verification
+                       ///< did not settle — reseed, else fail closed
   kParseError,         ///< malformed input configuration — not retryable
   kInternal,           ///< invariant violation; a bug, never retryable
   kDeadlineExceeded,   ///< the job's deadline passed or it was cancelled

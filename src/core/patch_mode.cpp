@@ -218,14 +218,11 @@ std::shared_ptr<Simulation> seed_simulation(const ConfigSet& configs,
 }
 
 bool equivalence_replayable(const PatchContext& context,
-                            const ConfMaskOptions& options,
                             const ConfigSet& original,
                             const ConfigSetDiff& original_diff,
                             const Simulation& entry) {
   if (context.anonymity == nullptr || !context.original.valid() ||
       !original_diff.filter_only() ||
-      context.options.max_equivalence_iterations !=
-          options.max_equivalence_iterations ||
       &entry.topology() != &context.anonymity->topology()) {
     return false;
   }

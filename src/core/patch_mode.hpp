@@ -17,8 +17,8 @@
 //    neighbors appended, with the RNG and prefix-allocator state Step 1
 //    left behind;
 //  * the fake hosts as (name, LAN, gateway) records;
-//  * Algorithm 1's decisions: its filters in order, its iteration count
-//    and whether it converged;
+//  * Algorithm 1's decisions: its filters in order and its iteration
+//    count;
 //  * Algorithm 2's decisions: its effective filter edits in order, with the
 //    RNG state at stage entry;
 //  * whether the run's verification gate passed.
@@ -49,9 +49,8 @@
 //  * a seeded Algorithm 1 is replayed from the record
 //    (replay_route_equivalence) and its final simulation seeded from the
 //    anonymity donor with the diff's dirty set iff no dirty prefix
-//    overlaps a real host's prefix, no router the diff changed holds a
-//    list named like one Algorithm 1 wrote on it, and
-//    max_equivalence_iterations is unchanged (equivalence_replayable).
+//    overlaps a real host's prefix and no router the diff changed holds a
+//    list named like one Algorithm 1 wrote on it (equivalence_replayable).
 //    Every real destination's FIB column then equals the captured run's at
 //    every iteration, so the stage decides alike, and each of those
 //    columns in the final simulation is the donor's own object;
@@ -284,11 +283,10 @@ struct OriginalReusePlan {
 
 /// Algorithm 1's replay decision, for a stage whose entry simulation
 /// `entry` was seeded from the context's equivalence donor. `original` and
-/// `original_diff` are this run's originals and the preprocess diff,
-/// `options` its options. True iff the context holds an anonymity donor on
-/// `entry`'s topology object (the entry configs matched the capture, so
-/// the record's ids mean the same), the diff is filter-only,
-/// max_equivalence_iterations equals the context's, and
+/// `original_diff` are this run's originals and the preprocess diff. True
+/// iff the context holds an anonymity donor on `entry`'s topology object
+/// (the entry configs matched the capture, so the record's ids mean the
+/// same), the diff is filter-only, and
 ///  * no dirty prefix of the diff overlaps a real host's prefix, so every
 ///    real destination's entry column is the donor's object and every
 ///    router decides its prefix alike in both versions;
@@ -303,7 +301,6 @@ struct OriginalReusePlan {
 /// the captured final simulation seeded with the diff is exact for the
 /// stage's final configs.
 [[nodiscard]] bool equivalence_replayable(const PatchContext& context,
-                                          const ConfMaskOptions& options,
                                           const ConfigSet& original,
                                           const ConfigSetDiff& original_diff,
                                           const Simulation& entry);

@@ -27,17 +27,6 @@ Ipv4Prefix widen(const Ipv4Prefix& pool, int bits) {
   return Ipv4Prefix(pool.network(), length);
 }
 
-/// First ladder value strictly above the current budget (nullopt = ladder
-/// exhausted).
-std::optional<int> next_iteration_budget(const RetryPolicy& policy,
-                                         int current) {
-  std::optional<int> best;
-  for (const int value : policy.equivalence_iteration_ladder) {
-    if (value > current && (!best || value < *best)) best = value;
-  }
-  return best;
-}
-
 /// The divergence between the original data plane and the anonymized one,
 /// restricted to the hosts the original knows (fake-host flows are not
 /// divergences — they are the anonymization). Failure path only: the gate
@@ -60,7 +49,6 @@ const char* to_string(FallbackKind kind) {
     case FallbackKind::kReseed: return "Reseed";
     case FallbackKind::kRelaxKr: return "RelaxKr";
     case FallbackKind::kExpandPrefixPool: return "ExpandPrefixPool";
-    case FallbackKind::kEscalateIterations: return "EscalateIterations";
   }
   return "Unknown";
 }
@@ -141,18 +129,6 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
     return true;
   };
 
-  const auto try_escalate_iterations = [&] {
-    const auto budget =
-        next_iteration_budget(policy, opts.max_equivalence_iterations);
-    if (!budget) return false;
-    record(FallbackKind::kEscalateIterations,
-           "max_equivalence_iterations " +
-               std::to_string(opts.max_equivalence_iterations) + " -> " +
-               std::to_string(*budget));
-    opts.max_equivalence_iterations = *budget;
-    return true;
-  };
-
   const auto fail_with = [&](PipelineStage stage, ErrorCategory category,
                              std::string message, ErrorContext context = {}) {
     diag.ok = false;
@@ -228,14 +204,13 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
     }
 
     if (!result.equivalence_converged) {
-      if (try_escalate_iterations()) continue;
       ErrorContext context;
       context.iterations = result.stats.equivalence_iterations;
       auto failed = fail_with(
           PipelineStage::kRouteEquivalence, ErrorCategory::kNonConvergent,
-          "route equivalence fixpoint not reached within " +
-              std::to_string(opts.max_equivalence_iterations) +
-              " iterations (escalation ladder exhausted)",
+          "route equivalence fixpoint not reached after " +
+              std::to_string(result.stats.equivalence_iterations) +
+              " iterations; refusing to return configs",
           std::move(context));
       failed.diagnostics.divergence =
           divergence_of(result, *preprocessed->index, policy.diff_limit);

@@ -14,8 +14,9 @@
 //       → then relax k_r stepwise down to RetryPolicy::k_r_floor
 //   ResourceExhausted (prefix pools)
 //       → widen both pools by pool_widen_bits and retry
-//   Route-equivalence fixpoint not converged (returned, not thrown)
-//       → escalate max_equivalence_iterations up the ladder (64 → 128 → 256)
+//   Route-equivalence fixpoint not reached (returned, not thrown; only
+//   Strawman 2 or the injected fault can report it)
+//       → FAIL CLOSED at once
 //   Verification failed (anonymized ≠ original over real hosts)
 //       → reseed and retry; after all retries: FAIL CLOSED
 //
@@ -42,10 +43,9 @@ namespace confmask {
 
 /// Which rung of the fallback ladder fired.
 enum class FallbackKind {
-  kReseed,              ///< fresh seed for the randomized stages
-  kRelaxKr,             ///< lowered the topology anonymity parameter
-  kExpandPrefixPool,    ///< widened the fake link/host prefix pools
-  kEscalateIterations,  ///< raised the route-equivalence iteration budget
+  kReseed,            ///< fresh seed for the randomized stages
+  kRelaxKr,           ///< lowered the topology anonymity parameter
+  kExpandPrefixPool,  ///< widened the fake link/host prefix pools
 };
 
 [[nodiscard]] const char* to_string(FallbackKind kind);
@@ -69,9 +69,6 @@ struct RetryPolicy {
   /// ResourceExhausted failure, at most `max_pool_expansions` times.
   int max_pool_expansions = 2;
   int pool_widen_bits = 2;
-  /// Escalation ladder for max_equivalence_iterations; values at or below
-  /// the current budget are skipped.
-  std::vector<int> equivalence_iteration_ladder{64, 128, 256};
   /// Cap on divergence triples reported by the fail-closed gate.
   std::size_t diff_limit = 16;
   /// Hard backstop on total pipeline attempts.
@@ -105,7 +102,7 @@ struct GuardedPipelineResult {
   /// configs.
   std::optional<PipelineResult> result;
   /// The options of the final attempt (reseeded seed, relaxed k_r, widened
-  /// pools, escalated iteration budget) — what it actually took.
+  /// pools) — what it actually took.
   ConfMaskOptions effective_options;
   PipelineDiagnostics diagnostics;
 

@@ -40,21 +40,17 @@ void add_build_counters(PipelineTrace::Span& span, const Simulation& sim) {
            static_cast<std::uint64_t>(inc.distance_vectors_recomputed));
 }
 
-/// Injected non-convergence: reports the fixpoint as not reached so the
-/// guarded runner's iteration-escalation rung can be exercised on
-/// networks that in reality converge quickly.
-void inject_nonconvergence(RouteEquivalenceOutcome& outcome) {
-  if (outcome.converged &&
-      faults::fire(faults::kRouteEquivalenceNonConvergent)) {
-    outcome.converged = false;
-  }
+/// Whether the stage reports its fixpoint reached: always, unless the
+/// injected non-convergence fault fires, which exercises the guarded
+/// runner's fail-closed path on networks that converge.
+bool reports_converged() {
+  return !faults::fire(faults::kRouteEquivalenceNonConvergent);
 }
 
 }  // namespace
 
 RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
                                                   const OriginalIndex& index,
-                                                  int max_iterations,
                                                   StageSeed* seed,
                                                   const Simulation* carry) {
   RouteEquivalenceOutcome outcome;
@@ -68,7 +64,7 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
   std::vector<int> original;  // current node id -> original node id
   std::vector<int> real_hosts;
   std::optional<FilterEditor> editor;
-  for (int iteration = 0; iteration < max_iterations; ++iteration) {
+  for (int iteration = 0;; ++iteration) {
     // Fixpoint iterations dominate the pipeline's wall clock, so each one
     // is a cancellation safe point (deadline/cancel lands here, not only
     // at the stage boundary).
@@ -168,22 +164,15 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
       PipelineTrace::record("equivalence_dirty_set", delta.changes.size());
     }
     iteration_span.end();
-    if (added == 0) {
-      outcome.converged = true;
-      break;
-    }
-    // Rebuild over the filters just added — also after the last allowed
-    // iteration, so an unconverged stage still hands Algorithm 2 a
-    // simulation of its final configs.
+    if (added == 0) break;
+    // Rebuild over the filters just added; the next iteration scans the
+    // destinations it recomputed.
     auto rebuild_span = PipelineTrace::begin("rebuild");
     simulation = std::make_shared<Simulation>(configs, sim, delta);
     if (rebuild_span) add_build_counters(rebuild_span, *simulation);
   }
-  if (seed != nullptr) {
-    seed->record.iterations = outcome.iterations;
-    seed->record.converged = outcome.converged;
-  }
-  inject_nonconvergence(outcome);
+  if (seed != nullptr) seed->record.iterations = outcome.iterations;
+  outcome.converged = reports_converged();
   return outcome;
 }
 
@@ -201,8 +190,7 @@ RouteEquivalenceOutcome replay_route_equivalence(
   RouteEquivalenceOutcome outcome;
   outcome.iterations = record.iterations;
   outcome.filters_added = static_cast<int>(record.filters.size());
-  outcome.converged = record.converged;
-  inject_nonconvergence(outcome);
+  outcome.converged = reports_converged();
   return outcome;
 }
 

@@ -10,7 +10,8 @@
 // Convergence needs multiple iterations because routers have no global
 // view: denying one wrong next hop can surface another one downstream in
 // the next converged state. The iteration count is bounded by the number
-// of fake links (paper §5.4); `max_iterations` is a defensive backstop.
+// of fake links plus one (paper §5.4), and the loop needs no cap: every
+// iteration but the last adds a deny entry, and none is ever removed.
 #pragma once
 
 #include <memory>
@@ -26,10 +27,10 @@ class Simulation;
 struct RouteEquivalenceOutcome {
   int iterations = 0;     ///< simulations performed (including the clean one)
   int filters_added = 0;  ///< deny entries written
-  bool converged = false;
+  bool converged = false;  ///< false only from Strawman 2 or a fault point
   /// The simulation of the configs as the stage left them — Algorithm 2's
-  /// entry. Null when none was built: the strawmen, and a zero iteration
-  /// budget.
+  /// entry. Null when none was built: the strawmen, and a replay until
+  /// its caller seeds one.
   std::shared_ptr<Simulation> simulation;
 };
 
@@ -46,22 +47,23 @@ struct RouteEquivalenceOutcome {
 /// filters real destinations only, and a fake host's LAN is a stub link
 /// that changes no real destination's column.
 ///
+/// Runs until a scan adds no filter, polling cancellation each iteration.
 /// `seed` (watch mode) optionally supplies the stage's first simulation
 /// and receives a handle to it and the stage's decisions (the filters it
-/// added, its iteration count and whether it converged) — see
-/// stage_seed.hpp. `carry` (optional) is an earlier stage's simulation
+/// added and its iteration count) — see stage_seed.hpp. `carry`
+/// (optional) is an earlier stage's simulation
 /// whose OSPF distance vectors a fresh first build may adopt
 /// (Simulation's carrying constructor). Filter decisions are unaffected:
 /// the stage scans the same FIBs either way.
 RouteEquivalenceOutcome enforce_route_equivalence(
-    ConfigSet& configs, const OriginalIndex& index, int max_iterations = 64,
+    ConfigSet& configs, const OriginalIndex& index,
     StageSeed* seed = nullptr, const Simulation* carry = nullptr);
 
 /// Watch mode: applies a captured run's Algorithm 1 decisions `record` to
 /// `configs` in order through one FilterEditor, so lists, seqs and
 /// bindings come out as that run left them, and returns that run's
-/// iteration count, filter count and convergence. Scans no FIB entry and
-/// builds no simulation: the outcome's simulation is left null for the
+/// iteration count and filter count. Scans no FIB entry and builds no
+/// simulation: the outcome's simulation is left null for the
 /// caller to seed once the filters are in place (patch_mode.hpp). `entry`
 /// is the stage's entry simulation, on the topology `record` was recorded
 /// on. The caller must have proven that the stage would decide exactly

@@ -38,12 +38,10 @@ struct EquivalenceFilter {
 };
 
 /// Algorithm 1's decisions in one run: every filter it added, in order,
-/// its iteration count, and whether it converged (before any injected
-/// fault).
+/// and its iteration count.
 struct EquivalenceRecord {
   std::vector<EquivalenceFilter> filters;
   int iterations = 0;
-  bool converged = false;
 };
 
 struct StageSeed {

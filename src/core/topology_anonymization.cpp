@@ -13,6 +13,24 @@
 
 namespace confmask {
 
+const char* to_string(FakeLinkCostPolicy policy) {
+  switch (policy) {
+    case FakeLinkCostPolicy::kMinCost: return "min_cost";
+    case FakeLinkCostPolicy::kDefault: return "default";
+    case FakeLinkCostPolicy::kLarge: return "large";
+  }
+  return "unknown";
+}
+
+std::optional<FakeLinkCostPolicy> parse_cost_policy(std::string_view name) {
+  for (const FakeLinkCostPolicy policy :
+       {FakeLinkCostPolicy::kMinCost, FakeLinkCostPolicy::kDefault,
+        FakeLinkCostPolicy::kLarge}) {
+    if (name == to_string(policy)) return policy;
+  }
+  return std::nullopt;
+}
+
 /// Materializes a fake router-router link in the configurations: an
 /// interface pair with a description and protocol coverage, which the
 /// topology layer cannot tell from a real link. Its prefix (from the

@@ -18,7 +18,9 @@
 // strawman cost choices for ablation.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,13 @@ enum class FakeLinkCostPolicy {
   kDefault,  ///< no cost line (strawman §3.2 option i / NetHide-like)
   kLarge,    ///< cost = 60000 (strawman §3.2 option ii)
 };
+
+/// The policy's wire name: "min_cost", "default" or "large".
+[[nodiscard]] const char* to_string(FakeLinkCostPolicy policy);
+
+/// The policy a wire name names; nullopt for any other text.
+[[nodiscard]] std::optional<FakeLinkCostPolicy> parse_cost_policy(
+    std::string_view name);
 
 struct TopologyAnonymizationOutcome {
   /// Fake intra-AS links, by router hostnames.

@@ -10,24 +10,6 @@ namespace confmask {
 
 namespace {
 
-const char* strategy_name(EquivalenceStrategy strategy) {
-  switch (strategy) {
-    case EquivalenceStrategy::kConfMask: return "confmask";
-    case EquivalenceStrategy::kStrawman1: return "strawman1";
-    case EquivalenceStrategy::kStrawman2: return "strawman2";
-  }
-  return "unknown";
-}
-
-const char* cost_policy_name(FakeLinkCostPolicy policy) {
-  switch (policy) {
-    case FakeLinkCostPolicy::kMinCost: return "min_cost";
-    case FakeLinkCostPolicy::kDefault: return "default";
-    case FakeLinkCostPolicy::kLarge: return "large";
-  }
-  return "unknown";
-}
-
 // An alternate odd basis (FNV prime xor'd into the offset basis) for the
 // secondary digest; any fixed constant distinct from kOffsetBasis gives an
 // independent 64-bit check against accidental primary collisions.
@@ -66,15 +48,15 @@ std::string canonical_parameter_text(const ConfMaskOptions& options,
     out += value;
     out += '\n';
   };
-  field("strategy", strategy_name(strategy));
+  field("strategy", to_string(strategy));
   field("k_r", std::to_string(options.k_r));
   field("k_h", std::to_string(options.k_h));
   field("noise_p_bits",
         hex64(std::bit_cast<std::uint64_t>(options.noise_p)));
   field("seed", std::to_string(options.seed));
-  field("cost_policy", cost_policy_name(options.cost_policy));
-  field("max_equivalence_iterations",
-        std::to_string(options.max_equivalence_iterations));
+  field("cost_policy", to_string(options.cost_policy));
+  // Retired iteration budgets, at their old defaults: journaled keys hold.
+  field("max_equivalence_iterations", "64");
   field("fake_routers", std::to_string(options.fake_routers));
   field("links_per_fake_router",
         std::to_string(options.links_per_fake_router));
@@ -86,12 +68,7 @@ std::string canonical_parameter_text(const ConfMaskOptions& options,
   field("retry.max_pool_expansions",
         std::to_string(policy.max_pool_expansions));
   field("retry.pool_widen_bits", std::to_string(policy.pool_widen_bits));
-  std::string ladder;
-  for (const int value : policy.equivalence_iteration_ladder) {
-    if (!ladder.empty()) ladder += ',';
-    ladder += std::to_string(value);
-  }
-  field("retry.equivalence_iteration_ladder", ladder);
+  field("retry.equivalence_iteration_ladder", "64,128,256");
   field("retry.diff_limit", std::to_string(policy.diff_limit));
   field("retry.max_attempts", std::to_string(policy.max_attempts));
   return out;

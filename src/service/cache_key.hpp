@@ -8,7 +8,7 @@
 //    so the same network submitted from differently-ordered directories
 //    keys (and executes) identically;
 //  * every ConfMaskOptions field (k_r, k_h, noise_p, seed, cost policy,
-//    iteration budget, fake routers, pool overrides). Engine choices that
+//    fake routers, pool overrides). Engine choices that
 //    never change output bytes are not options and are not keyed: the
 //    worker count, and the patch base a watch-mode run reuses;
 //  * the RetryPolicy, because the fallback ladder changes the effective

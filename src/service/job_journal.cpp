@@ -16,7 +16,6 @@
 #include "src/util/build_info.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/io_shim.hpp"
-#include "src/util/strings.hpp"
 
 namespace confmask {
 
@@ -42,38 +41,6 @@ std::string with_crc(JsonWriter& writer) {
   return line;
 }
 
-const char* strategy_name(EquivalenceStrategy strategy) {
-  switch (strategy) {
-    case EquivalenceStrategy::kConfMask: return "confmask";
-    case EquivalenceStrategy::kStrawman1: return "strawman1";
-    case EquivalenceStrategy::kStrawman2: return "strawman2";
-  }
-  return "confmask";
-}
-
-std::optional<EquivalenceStrategy> parse_strategy(const std::string& name) {
-  if (name == "confmask") return EquivalenceStrategy::kConfMask;
-  if (name == "strawman1") return EquivalenceStrategy::kStrawman1;
-  if (name == "strawman2") return EquivalenceStrategy::kStrawman2;
-  return std::nullopt;
-}
-
-const char* cost_policy_name(FakeLinkCostPolicy policy) {
-  switch (policy) {
-    case FakeLinkCostPolicy::kMinCost: return "min_cost";
-    case FakeLinkCostPolicy::kDefault: return "default";
-    case FakeLinkCostPolicy::kLarge: return "large";
-  }
-  return "min_cost";
-}
-
-std::optional<FakeLinkCostPolicy> parse_cost_policy(const std::string& name) {
-  if (name == "min_cost") return FakeLinkCostPolicy::kMinCost;
-  if (name == "default") return FakeLinkCostPolicy::kDefault;
-  if (name == "large") return FakeLinkCostPolicy::kLarge;
-  return std::nullopt;
-}
-
 std::optional<JobState> parse_job_state(const std::string& name) {
   if (name == "queued") return JobState::kQueued;
   if (name == "running") return JobState::kRunning;
@@ -86,28 +53,6 @@ std::optional<JobState> parse_job_state(const std::string& name) {
 bool is_terminal(JobState state) {
   return state == JobState::kDone || state == JobState::kFailed ||
          state == JobState::kCancelled;
-}
-
-std::string ladder_text(const std::vector<int>& ladder) {
-  std::vector<std::string> pieces;
-  pieces.reserve(ladder.size());
-  for (const int rung : ladder) pieces.push_back(std::to_string(rung));
-  return join(pieces, ",");
-}
-
-std::optional<std::vector<int>> parse_ladder(const std::string& text) {
-  std::vector<int> out;
-  if (text.empty()) return out;
-  for (const std::string_view piece : split(text, ',')) {
-    int value = 0;
-    try {
-      value = std::stoi(std::string(piece));
-    } catch (const std::exception&) {
-      return std::nullopt;
-    }
-    out.push_back(value);
-  }
-  return out;
 }
 
 /// Decodes a CRC-valid submit record back into the JobRequest it encoded.
@@ -126,32 +71,33 @@ std::optional<JobRequest> decode_submit(const JsonObject& record) {
   const auto k_h = get_int(record, "k_h");
   const auto noise_p = get_double(record, "noise_p");
   const auto seed = get_u64(record, "seed");
-  const auto max_iter = get_int(record, "max_equivalence_iterations");
   const auto fake_routers = get_int(record, "fake_routers");
   const auto links_per = get_int(record, "links_per_fake_router");
   const auto cost_policy = get_string(record, "cost_policy");
   const auto strategy = get_string(record, "strategy");
   const auto deadline = get_u64(record, "deadline_ms");
-  if (!k_r || !k_h || !noise_p || !seed || !max_iter || !fake_routers ||
-      !links_per || !cost_policy || !strategy || !deadline) {
+  if (!k_r || !k_h || !noise_p || !seed || !fake_routers || !links_per ||
+      !cost_policy || !strategy || !deadline) {
     return std::nullopt;
   }
   request.options.k_r = static_cast<int>(*k_r);
   request.options.k_h = static_cast<int>(*k_h);
   request.options.noise_p = *noise_p;
   request.options.seed = *seed;
-  request.options.max_equivalence_iterations = static_cast<int>(*max_iter);
   request.options.fake_routers = static_cast<int>(*fake_routers);
   request.options.links_per_fake_router = static_cast<int>(*links_per);
   request.deadline_ms = *deadline;
   // Older records also carry an `incremental` flag, which no output byte
-  // depended on; it is ignored.
+  // depended on, and the retired `max_equivalence_iterations` and retry
+  // policy (the `rp_*` fields); all are ignored. Their keys covered the
+  // last two, so a record whose values were not the defaults fails
+  // recovery's key check and is tombstoned.
   // Pre-fleet journals carry no tenant field; their jobs belong to the
   // default namespace, same as a request that names none.
   request.tenant = get_string(record, "tenant").value_or("default");
 
   const auto parsed_policy = parse_cost_policy(*cost_policy);
-  const auto parsed_strategy = parse_strategy(*strategy);
+  const auto parsed_strategy = parse_equivalence_strategy(*strategy);
   if (!parsed_policy || !parsed_strategy) return std::nullopt;
   request.options.cost_policy = *parsed_policy;
   request.strategy = *parsed_strategy;
@@ -166,29 +112,6 @@ std::optional<JobRequest> decode_submit(const JsonObject& record) {
     if (!prefix) return std::nullopt;
     request.options.host_pool = *prefix;
   }
-
-  const auto reseeds = get_int(record, "rp_max_reseeds");
-  const auto floor = get_int(record, "rp_k_r_floor");
-  const auto step = get_int(record, "rp_k_r_step");
-  const auto expansions = get_int(record, "rp_max_pool_expansions");
-  const auto widen = get_int(record, "rp_pool_widen_bits");
-  const auto ladder = get_string(record, "rp_ladder");
-  const auto diff_limit = get_u64(record, "rp_diff_limit");
-  const auto attempts = get_int(record, "rp_max_attempts");
-  if (!reseeds || !floor || !step || !expansions || !widen || !ladder ||
-      !diff_limit || !attempts) {
-    return std::nullopt;
-  }
-  const auto parsed_ladder = parse_ladder(*ladder);
-  if (!parsed_ladder) return std::nullopt;
-  request.policy.max_reseeds = static_cast<int>(*reseeds);
-  request.policy.k_r_floor = static_cast<int>(*floor);
-  request.policy.k_r_step = static_cast<int>(*step);
-  request.policy.max_pool_expansions = static_cast<int>(*expansions);
-  request.policy.pool_widen_bits = static_cast<int>(*widen);
-  request.policy.equivalence_iteration_ladder = *parsed_ladder;
-  request.policy.diff_limit = static_cast<std::size_t>(*diff_limit);
-  request.policy.max_attempts = static_cast<int>(*attempts);
   return request;
 }
 
@@ -282,13 +205,11 @@ std::string JobJournal::encode_submit(std::uint64_t id,
       .number("k_h", request.options.k_h)
       .real("noise_p", request.options.noise_p)
       .number_u64("seed", request.options.seed)
-      .string("cost_policy", cost_policy_name(request.options.cost_policy))
-      .number("max_equivalence_iterations",
-              request.options.max_equivalence_iterations)
+      .string("cost_policy", to_string(request.options.cost_policy))
       .number("fake_routers", request.options.fake_routers)
       .number("links_per_fake_router",
               request.options.links_per_fake_router)
-      .string("strategy", strategy_name(request.strategy))
+      .string("strategy", to_string(request.strategy))
       .number_u64("deadline_ms", request.deadline_ms);
   if (request.options.link_pool) {
     writer.string("link_pool", request.options.link_pool->str());
@@ -296,16 +217,6 @@ std::string JobJournal::encode_submit(std::uint64_t id,
   if (request.options.host_pool) {
     writer.string("host_pool", request.options.host_pool->str());
   }
-  writer.number("rp_max_reseeds", request.policy.max_reseeds)
-      .number("rp_k_r_floor", request.policy.k_r_floor)
-      .number("rp_k_r_step", request.policy.k_r_step)
-      .number("rp_max_pool_expansions", request.policy.max_pool_expansions)
-      .number("rp_pool_widen_bits", request.policy.pool_widen_bits)
-      .string("rp_ladder",
-              ladder_text(request.policy.equivalence_iteration_ladder))
-      .number_u64("rp_diff_limit",
-                  static_cast<std::uint64_t>(request.policy.diff_limit))
-      .number("rp_max_attempts", request.policy.max_attempts);
   return with_crc(writer);
 }
 
@@ -421,7 +332,7 @@ void JobJournal::recover_and_compact(std::size_t max_tombstones) {
     RecoveredJob recovered;
     recovered.id = id;
     recovered.key = compute_cache_key(request->configs, request->options,
-                                      request->policy, request->strategy);
+                                      RetryPolicy{}, request->strategy);
     // The recomputed key must match what submit-time keying produced; a
     // mismatch means decode(encode(request)) != request — executing it
     // would silently anonymize a DIFFERENT job under this id.

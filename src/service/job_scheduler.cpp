@@ -159,7 +159,6 @@ SubmitOutcome JobScheduler::resubmit(ResubmitRequest request) {
     return out;
   }
   full.options = request.options;
-  full.policy = request.policy;
   full.strategy = request.strategy;
   full.deadline_ms = request.deadline_ms;
   full.tenant = request.tenant;
@@ -184,7 +183,7 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
   std::string canonical_text = canonical_config_set_text(canonical);
   std::vector<DeviceDigest> devices = compute_device_digests(canonical_text);
   const CacheKey key =
-      compute_cache_key(devices, request.options, request.policy,
+      compute_cache_key(devices, request.options, RetryPolicy{},
                         request.strategy, request.tenant);
 
   SubmitOutcome out;
@@ -742,7 +741,7 @@ void JobScheduler::execute(std::uint64_t id) {
 
   const std::uint64_t sims_before = Simulation::runs_on_this_thread();
   GuardedPipelineResult run = run_pipeline_guarded(
-      *job->canonical, job->request.options, job->request.policy,
+      *job->canonical, job->request.options, RetryPolicy{},
       job->request.strategy, token, patch_base_context.get(), &capture);
   const std::uint64_t sims_delta =
       Simulation::runs_on_this_thread() - sims_before;

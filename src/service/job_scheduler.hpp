@@ -94,7 +94,6 @@ struct PatchContext;
 struct JobRequest {
   ConfigSet configs;
   ConfMaskOptions options;
-  RetryPolicy policy;
   EquivalenceStrategy strategy = EquivalenceStrategy::kConfMask;
   /// End-to-end deadline in milliseconds, measured from admission (queue
   /// wait counts). 0 = none. After a crash recovery the budget restarts —
@@ -118,7 +117,6 @@ struct ResubmitRequest {
   std::string base_key_hex;  ///< primary digest of the base cache entry
   std::string diff_text;     ///< confmask-diff/1 bundle diff vs. the base
   ConfMaskOptions options;
-  RetryPolicy policy;
   EquivalenceStrategy strategy = EquivalenceStrategy::kConfMask;
   std::uint64_t deadline_ms = 0;  ///< same semantics as JobRequest
   /// Namespace of the resubmit. The base entry must belong to the SAME

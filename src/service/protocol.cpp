@@ -21,33 +21,14 @@ std::string error_response(std::string_view op, std::string_view message) {
       .str();
 }
 
-std::optional<EquivalenceStrategy> parse_strategy(const std::string& name) {
-  if (name == "confmask") return EquivalenceStrategy::kConfMask;
-  if (name == "strawman1") return EquivalenceStrategy::kStrawman1;
-  if (name == "strawman2") return EquivalenceStrategy::kStrawman2;
-  return std::nullopt;
-}
-
-std::optional<FakeLinkCostPolicy> parse_cost_policy(const std::string& name) {
-  if (name == "min_cost") return FakeLinkCostPolicy::kMinCost;
-  if (name == "default") return FakeLinkCostPolicy::kDefault;
-  if (name == "large") return FakeLinkCostPolicy::kLarge;
-  return std::nullopt;
-}
-
 /// Reads an optional int field into `out`; returns false (and fills
-/// `error`) when the field is present but not an integer that fits `int`,
-/// or is below `min`.
-bool read_int(const JsonObject& request, std::string_view key, int min,
-              int& out, std::string& error) {
+/// `error`) when the field is present but not an integer that fits `int`.
+bool read_int(const JsonObject& request, std::string_view key, int& out,
+              std::string& error) {
   if (request.find(std::string(key)) == request.end()) return true;
   const auto value = get_int(request, key);
   if (!value || !std::in_range<int>(*value)) {
     error = std::string(key) + " must be an integer";
-    return false;
-  }
-  if (*value < min) {
-    error = std::string(key) + " must be at least " + std::to_string(min);
     return false;
   }
   out = static_cast<int>(*value);
@@ -57,23 +38,21 @@ bool read_int(const JsonObject& request, std::string_view key, int min,
 /// The tuning surface shared by submit and resubmit — both ops accept the
 /// identical parameter set (a resubmit is a submit whose bundle arrives as
 /// base+diff). Fills `options`/`strategy`/`deadline_ms` from the request;
-/// on a malformed field, or one no run can use, returns false with `error`
-/// naming it.
+/// on a malformed field, or one no run can use (option_error), returns
+/// false with `error` naming it.
 bool read_job_params(const JsonObject& request, ConfMaskOptions& options,
                      EquivalenceStrategy& strategy,
                      std::uint64_t& deadline_ms, std::string& error) {
-  if (!read_int(request, "k_r", 1, options.k_r, error) ||
-      !read_int(request, "k_h", 1, options.k_h, error) ||
-      !read_int(request, "max_equivalence_iterations", 0,
-                options.max_equivalence_iterations, error) ||
-      !read_int(request, "fake_routers", 0, options.fake_routers, error) ||
-      !read_int(request, "links_per_fake_router", 0,
+  if (!read_int(request, "k_r", options.k_r, error) ||
+      !read_int(request, "k_h", options.k_h, error) ||
+      !read_int(request, "fake_routers", options.fake_routers, error) ||
+      !read_int(request, "links_per_fake_router",
                 options.links_per_fake_router, error)) {
     return false;
   }
   if (request.find("noise_p") != request.end()) {
     const auto noise = get_double(request, "noise_p");
-    if (!noise || !(*noise >= 0.0 && *noise <= 1.0)) {
+    if (!noise) {
       error = "noise_p must be a number in [0, 1]";
       return false;
     }
@@ -89,7 +68,7 @@ bool read_job_params(const JsonObject& request, ConfMaskOptions& options,
     options.seed = *seed;
   }
   if (const auto name = get_string(request, "strategy")) {
-    const auto parsed = parse_strategy(*name);
+    const auto parsed = parse_equivalence_strategy(*name);
     if (!parsed) {
       error = "unknown strategy";
       return false;
@@ -111,6 +90,10 @@ bool read_job_params(const JsonObject& request, ConfMaskOptions& options,
       return false;
     }
     deadline_ms = *deadline;
+  }
+  if (auto bound = option_error(options)) {
+    error = std::move(*bound);
+    return false;
   }
   return true;
 }

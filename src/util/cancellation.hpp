@@ -43,12 +43,18 @@ class CancelToken {
     cancelled_.store(true, std::memory_order_release);
   }
 
-  /// Arms a deadline `budget_ms` milliseconds from now (0 = no deadline).
-  /// The token fires once steady_clock passes it.
+  /// Arms a deadline `budget_ms` milliseconds from now. The token fires
+  /// once steady_clock passes it. 0, or a budget past the latest time
+  /// steady_clock can represent, means no deadline.
   void set_deadline_after(std::uint64_t budget_ms) noexcept {
-    if (budget_ms == 0) return;
-    const auto when = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(budget_ms);
+    using namespace std::chrono;
+    const steady_clock::time_point now = steady_clock::now();
+    const auto headroom =
+        floor<milliseconds>(steady_clock::time_point::max() - now).count();
+    if (budget_ms == 0 || budget_ms > static_cast<std::uint64_t>(headroom)) {
+      return;
+    }
+    const auto when = now + milliseconds(static_cast<std::int64_t>(budget_ms));
     deadline_ns_.store(when.time_since_epoch().count(),
                        std::memory_order_release);
   }

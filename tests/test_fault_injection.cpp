@@ -6,7 +6,8 @@
 //   (b) prefix-pool expansion recovers from injected allocator exhaustion;
 //   (c) injected verification divergence makes run_pipeline_guarded fail
 //       CLOSED — an error with non-empty DataPlane::diff diagnostics and no
-//       anonymized configs.
+//       anonymized configs; injected equivalence non-convergence fails
+//       closed on its first attempt.
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -187,17 +188,20 @@ TEST(FaultLadder, FailsClosedWhenPoolExpansionBudgetSpent) {
   EXPECT_EQ(guarded.diagnostics.attempts, 3);  // initial + 2 expansions
 }
 
-// Injected route-equivalence non-convergence is recovered by escalating
-// the iteration budget up the 64 → 128 → 256 ladder.
-TEST(FaultLadder, EscalatesIterationsOnInjectedNonConvergence) {
+// Injected route-equivalence non-convergence fails closed at once: the
+// ladder has no rung for it, so there is no second attempt, no fallback
+// and no configs, and the report names the equivalence stage.
+TEST(FaultLadder, InjectedNonConvergenceFailsClosedAtOnce) {
   const ScopedFault fault(faults::kRouteEquivalenceNonConvergent, 1);
   const auto guarded =
       run_pipeline_guarded(make_figure2(), figure2_options());
-  ASSERT_TRUE(guarded.ok());
-  EXPECT_EQ(guarded.diagnostics.attempts, 2);
-  EXPECT_EQ(kinds_of(guarded.diagnostics),
-            std::vector<FallbackKind>{FallbackKind::kEscalateIterations});
-  EXPECT_EQ(guarded.effective_options.max_equivalence_iterations, 128);
+  EXPECT_FALSE(guarded.ok());
+  EXPECT_FALSE(guarded.result.has_value());
+  EXPECT_EQ(guarded.diagnostics.stage, PipelineStage::kRouteEquivalence);
+  EXPECT_EQ(guarded.diagnostics.category, ErrorCategory::kNonConvergent);
+  EXPECT_EQ(guarded.diagnostics.attempts, 1);
+  EXPECT_TRUE(guarded.diagnostics.fallbacks.empty());
+  EXPECT_GT(guarded.diagnostics.context.iterations, 0);
 }
 
 // (c) THE fail-closed gate: verification divergence that survives every

@@ -652,24 +652,6 @@ TEST(StageHandover, ColdRunBuildsNoAnonymityEntry) {
             span_count(trace, "route_anonymity/rollback_round"));
 }
 
-// Stopped unconverged, Algorithm 1 still hands over a simulation of its
-// final configs (an incremental rebuild over its last filters), so the
-// route-anonymity stage again builds no entry; the run equals, byte for
-// byte and in its verdict, the one a from-scratch rebuild sequence made.
-TEST(StageHandover, UnconvergedEquivalenceHandsOverItsLastFilters) {
-  ConfMaskOptions options;
-  options.seed = 3;
-  options.max_equivalence_iterations = 1;
-  PipelineTrace trace;
-  const PipelineResult handed = run_confmask(make_bics(), options);
-  EXPECT_EQ(counter(trace, "route_equivalence", "simulations"), 2u);
-  EXPECT_EQ(counter(trace, "route_anonymity", "simulations"),
-            span_count(trace, "route_anonymity/rollback_round"));
-  EXPECT_FALSE(handed.equivalence_converged);
-  EXPECT_EQ(bundle_digest(handed.anonymized), "5b0c839c0f95677a");
-  EXPECT_TRUE(handed.functionally_equivalent);
-}
-
 /// Runs Step 1, the fake hosts and Algorithm 1 on `original` as the
 /// pipeline does (default options), and checks the simulation Algorithm 1
 /// returns against a fresh build of its configs on every column, and the
@@ -693,8 +675,7 @@ void expect_stage_simulations_exact(const ConfigSet& original,
   const std::vector<std::string> fake_hosts =
       add_fake_hosts(configs, index, options.k_h, allocator);
   RouteEquivalenceOutcome equivalence = enforce_route_equivalence(
-      configs, index, options.max_equivalence_iterations, nullptr,
-      preprocessed.sim.get());
+      configs, index, nullptr, preprocessed.sim.get());
   ASSERT_NE(equivalence.simulation, nullptr);
   expect_same_fibs(*equivalence.simulation, Simulation(configs));
 

@@ -45,7 +45,6 @@ JobRequest sample_request(std::uint64_t seed) {
   request.options.seed = seed;
   request.options.noise_p = 0.125;
   request.deadline_ms = 30'000;
-  request.policy.equivalence_iteration_ladder = {32, 64};
   return request;
 }
 
@@ -57,7 +56,7 @@ std::string submit_record(std::uint64_t id, const JobRequest& request,
 }
 
 CacheKey key_of(const JobRequest& request) {
-  return compute_cache_key(request.configs, request.options, request.policy,
+  return compute_cache_key(request.configs, request.options, RetryPolicy{},
                            request.strategy);
 }
 
@@ -104,7 +103,7 @@ TEST(JobJournal, AdmissionRecordMatchesARenderedOne) {
   std::reverse(request.configs.hosts.begin(), request.configs.hosts.end());
   const std::string text = canonical_config_set_text(request.configs);
   const CacheKey key = compute_cache_key(text, request.options,
-                                         request.policy, request.strategy);
+                                         RetryPolicy{}, request.strategy);
   const std::string rendered = JobJournal::encode_submit(1, request, key, text);
   {
     JobJournal journal(path);
@@ -167,21 +166,46 @@ TEST(JobJournal, AcknowledgedSubmitSurvivesReopenWithFullRequest) {
   EXPECT_EQ(job.request.options.seed, 42u);
   EXPECT_EQ(job.request.options.noise_p, 0.125);
   EXPECT_EQ(job.request.deadline_ms, 30'000u);
-  EXPECT_EQ(job.request.policy.equivalence_iteration_ladder,
-            (std::vector<int>{32, 64}));
 }
 
-/// `record` as submit records were written while they carried the
-/// `incremental` flag: the field ahead of `strategy`, and the crc
-/// recomputed over the longer line.
-std::string with_incremental_field(const std::string& record, bool value) {
-  std::string body = record.substr(0, record.rfind(", \"crc\": \"")) + "}";
-  body.insert(body.find("\"strategy\": "),
-              std::string("\"incremental\": ") + (value ? "true" : "false") +
-                  ", ");
+/// `record` without its crc field.
+std::string unsealed(const std::string& record) {
+  return record.substr(0, record.rfind(", \"crc\": \"")) + "}";
+}
+
+/// The record `body` (a line without its crc field) with the crc field
+/// the journal appends.
+std::string sealed(std::string body) {
   const std::string crc = hex64(fnv1a64(body));
   body.pop_back();
   return body + ", \"crc\": \"" + crc + "\"}";
+}
+
+/// `record` as submit records were written while they carried the
+/// `incremental` flag: the field ahead of `strategy`.
+std::string with_incremental_field(const std::string& record, bool value) {
+  std::string body = unsealed(record);
+  body.insert(body.find("\"strategy\": "),
+              std::string("\"incremental\": ") + (value ? "true" : "false") +
+                  ", ");
+  return sealed(std::move(body));
+}
+
+/// `record` as submit records were written while they carried the retired
+/// iteration budget and the default retry policy: the budget ahead of
+/// `fake_routers`, and the policy's `rp_*` fields last.
+std::string with_budget_fields(const std::string& record, int budget = 64) {
+  std::string body = unsealed(record);
+  body.insert(body.find("\"fake_routers\": "),
+              "\"max_equivalence_iterations\": " + std::to_string(budget) +
+                  ", ");
+  body.pop_back();
+  body +=
+      ", \"rp_max_reseeds\": 2, \"rp_k_r_floor\": 2, \"rp_k_r_step\": 1, "
+      "\"rp_max_pool_expansions\": 2, \"rp_pool_widen_bits\": 2, "
+      "\"rp_ladder\": \"64,128,256\", \"rp_diff_limit\": 16, "
+      "\"rp_max_attempts\": 16}";
+  return sealed(std::move(body));
 }
 
 // Submit records once carried an `incremental` flag, which no output byte
@@ -196,14 +220,14 @@ TEST(JobJournal, RecordsCarryingTheRetiredIncrementalFlagRecover) {
     std::string record_digest;
     std::string key;
   };
-  const Written written[] = {{true, "ee147c447db9d2f3", "d6154694971dc3fd"},
-                             {false, "c2f784e703842596", "f2f941c8f7bc3b9e"}};
+  const Written written[] = {{true, "6a59a1205b9d13fb", "780d8e604938dca9"},
+                             {false, "2037a68d17d4650a", "54724135b097ff50"}};
   {
     std::ofstream out(path, std::ios::app);
     for (std::size_t i = 0; i < std::size(written); ++i) {
       const JobRequest request = sample_request(21 + i);
       const std::string record = with_incremental_field(
-          submit_record(4 + i, request, key_of(request)),
+          with_budget_fields(submit_record(4 + i, request, key_of(request))),
           written[i].incremental);
       EXPECT_TRUE(JobJournal::crc_ok(record));
       EXPECT_EQ(hex64(fnv1a64(record)), written[i].record_digest);
@@ -223,6 +247,56 @@ TEST(JobJournal, RecordsCarryingTheRetiredIncrementalFlagRecover) {
     EXPECT_EQ(job.request.options.seed, 21 + i);
     EXPECT_EQ(job.request.options.noise_p, 0.125);
   }
+}
+
+// Submit records once carried the iteration budget and the retry policy,
+// both keyed. At their defaults, which no request could change, a record
+// recovers and re-keys to the key it was written with; the digest pins it
+// to the bytes the older writer produced.
+TEST(JobJournal, RecordsCarryingTheRetiredBudgetRecover) {
+  const fs::path path = fresh_journal("retired_budget");
+  { JobJournal journal(path); }  // writes the header
+  const JobRequest request = sample_request(31);
+  const std::string record =
+      with_budget_fields(submit_record(7, request, key_of(request)));
+  EXPECT_TRUE(JobJournal::crc_ok(record));
+  EXPECT_EQ(hex64(fnv1a64(record)), "dbb93ae118bbeedb");
+  { std::ofstream(path, std::ios::app) << record << '\n'; }
+  JobJournal reopened(path);
+  const JournalRecovery& recovery = reopened.recovery();
+  EXPECT_TRUE(recovery.terminal.empty());
+  ASSERT_EQ(recovery.pending.size(), 1u);
+  const RecoveredJob& job = recovery.pending.front();
+  EXPECT_EQ(job.id, 7u);
+  EXPECT_EQ(job.key.hex(), "e18c0590c8a62700");
+  EXPECT_EQ(job.key, key_of(request));
+  EXPECT_EQ(job.request.options.seed, 31u);
+}
+
+// A record written with a budget other than the default was keyed on it.
+// Recovery cannot run that job any more, so the key check tombstones it
+// instead of running a different job under its id.
+TEST(JobJournal, RecordWithANonDefaultRetiredBudgetIsTombstoned) {
+  const fs::path path = fresh_journal("retired_budget_128");
+  { JobJournal journal(path); }  // writes the header
+  const JobRequest request = sample_request(32);
+  // The key the older writer derived for this request at budget 128.
+  const CacheKey written{0x90a2fab3c7d61047ULL, 0x4eaceb40818ea87eULL};
+  const std::string record =
+      with_budget_fields(submit_record(8, request, written), 128);
+  EXPECT_TRUE(JobJournal::crc_ok(record));
+  EXPECT_EQ(hex64(fnv1a64(record)), "a4d12a0a660a43ef");
+  { std::ofstream(path, std::ios::app) << record << '\n'; }
+  JobJournal reopened(path);
+  const JournalRecovery& recovery = reopened.recovery();
+  EXPECT_TRUE(recovery.pending.empty());
+  ASSERT_EQ(recovery.terminal.size(), 1u);
+  const JobStatus& status = recovery.terminal.front().status;
+  EXPECT_EQ(status.id, 8u);
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_EQ(status.cache_key, written.hex());
+  EXPECT_NE(status.error_message.find("key mismatch"), std::string::npos)
+      << status.error_message;
 }
 
 TEST(JobJournal, TerminalJobsCompactToTombstones) {

@@ -1,6 +1,8 @@
 // Pipeline corpus: every scale family at 316 routers anonymizes and
-// verifies on the first attempt at paper defaults, and every artifact
-// passes both guarantees as checked by code that did not produce it:
+// verifies on the first attempt at paper defaults, within the paper's
+// bound on Algorithm 1's iterations (fake links plus one, §5.4; the loop
+// has no cap of its own), and every artifact passes both guarantees as
+// checked by code that did not produce it:
 //  * functional equivalence — the independent ReferenceSimulation's data
 //    plane of the anonymized configs equals that of the originals over the
 //    real hosts;
@@ -106,6 +108,10 @@ TEST_P(PipelineCorpus, VerifiesFirstAttemptAndPassesIndependentChecks) {
   ASSERT_TRUE(run.ok()) << run.diagnostics.message;
   EXPECT_EQ(run.diagnostics.attempts, 1);
   EXPECT_TRUE(run.diagnostics.fallbacks.empty());
+  const PipelineStats& stats = run.result->stats;
+  EXPECT_LE(stats.equivalence_iterations,
+            static_cast<int>(stats.fake_intra_links + stats.fake_inter_links) +
+                1);
   const ConfigSet& anonymized = run.result->anonymized;
 
   const ReferenceSimulation original_sim(original);

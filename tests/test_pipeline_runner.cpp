@@ -1,7 +1,6 @@
-// The guarded pipeline runner without fault injection: clean-run behavior,
-// genuine route-equivalence non-convergence (iteration budget of 1 on a
-// network that needs more), the iteration-escalation rung, the fail-closed
-// gate, the error taxonomy, and DataPlane::diff divergence reporting.
+// The guarded pipeline runner: clean-run behavior, one preprocess shared
+// by a retried run's attempts, the error taxonomy, DataPlane::diff
+// divergence reporting, and cancel tokens and their deadlines.
 #include "src/core/pipeline_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -13,12 +12,15 @@
 #include "src/config/parse.hpp"
 #include "src/core/confmask.hpp"
 #include "src/core/errors.hpp"
-#include "src/core/route_equivalence.hpp"
 #include "src/graph/k_degree_anonymize.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/routing/dataplane.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/util/prefix_allocator.hpp"
+
+#if defined(CONFMASK_FAULT_INJECTION)
+#include "tests/fault_injection.hpp"
+#endif
 
 namespace confmask {
 namespace {
@@ -34,13 +36,6 @@ ConfMaskOptions figure2_options() {
   return options;
 }
 
-bool has_fallback(const PipelineDiagnostics& diag, FallbackKind kind) {
-  for (const auto& event : diag.fallbacks) {
-    if (event.kind == kind) return true;
-  }
-  return false;
-}
-
 TEST(PipelineRunner, CleanRunSucceedsFirstAttempt) {
   const auto guarded =
       run_pipeline_guarded(make_figure2(), figure2_options());
@@ -53,63 +48,27 @@ TEST(PipelineRunner, CleanRunSucceedsFirstAttempt) {
   EXPECT_FALSE(guarded.result->anonymized.routers.empty());
 }
 
-// The satellite contract: max_equivalence_iterations = 1 on a network that
-// needs more iterations is genuinely non-convergent...
-TEST(PipelineRunner, SingleIterationBudgetIsGenuinelyNonConvergent) {
-  const auto original = make_figure2();
-  const Simulation sim(original);
-  OriginalIndex index(sim);
-  ConfigSet configs = original;
-  PrefixAllocator allocator;
-  for (const auto& prefix : original.used_prefixes()) {
-    allocator.reserve(prefix);
-  }
-  Rng rng(3);
-  const auto topo = anonymize_topology(configs, &sim, 4,
-                                       FakeLinkCostPolicy::kMinCost, rng,
-                                       allocator);
-  ASSERT_GT(topo.total_links(), 0u);
-
-  const auto outcome = enforce_route_equivalence(configs, index,
-                                                 /*max_iterations=*/1);
-  EXPECT_FALSE(outcome.converged);
-  EXPECT_GT(outcome.filters_added, 0);
-}
-
-// ... the guarded driver recovers by escalating the iteration budget ...
-TEST(PipelineRunner, EscalatesIterationBudgetOnNonConvergence) {
-  auto options = figure2_options();
-  options.max_equivalence_iterations = 1;
-  RetryPolicy policy;
-  policy.equivalence_iteration_ladder = {64};
-
-  const auto guarded =
-      run_pipeline_guarded(make_figure2(), options, policy);
-  ASSERT_TRUE(guarded.ok());
-  EXPECT_EQ(guarded.diagnostics.attempts, 2);
-  EXPECT_TRUE(has_fallback(guarded.diagnostics,
-                           FallbackKind::kEscalateIterations));
-  EXPECT_EQ(guarded.effective_options.max_equivalence_iterations, 64);
-  EXPECT_TRUE(guarded.result->equivalence_converged);
-  EXPECT_TRUE(guarded.result->functionally_equivalent);
-}
-
-// ... sharing one preprocess across its attempts: the originals are
-// simulated once per guarded run, and the output equals a single shot at
-// the options the ladder settled on.
+#if defined(CONFMASK_FAULT_INJECTION)
+// A retried run shares one preprocess across its attempts: the originals
+// are simulated once per guarded run, and the output equals a single shot
+// at the options the ladder settled on.
 TEST(PipelineRunner, AttemptsShareOnePreprocess) {
   const ConfigSet original = make_figure2();
-  auto options = figure2_options();
-  options.max_equivalence_iterations = 1;
-  RetryPolicy policy;
-  policy.equivalence_iteration_ladder = {64};
+  const auto options = figure2_options();
 
-  const std::uint64_t guarded_before = Simulation::runs_on_this_thread();
-  const auto guarded = run_pipeline_guarded(original, options, policy);
-  const std::uint64_t guarded_runs =
-      Simulation::runs_on_this_thread() - guarded_before;
+  std::uint64_t guarded_runs = 0;
+  GuardedPipelineResult guarded;
+  {
+    // The first attempt fails its gate, so the second runs reseeded.
+    const ScopedFault diverge(faults::kVerificationDiverge, 1);
+    const std::uint64_t before = Simulation::runs_on_this_thread();
+    guarded = run_pipeline_guarded(original, options);
+    guarded_runs = Simulation::runs_on_this_thread() - before;
+  }
   ASSERT_TRUE(guarded.ok());
   ASSERT_EQ(guarded.diagnostics.attempts, 2);
+  ASSERT_EQ(guarded.diagnostics.fallbacks.size(), 1u);
+  EXPECT_EQ(guarded.diagnostics.fallbacks.front().kind, FallbackKind::kReseed);
 
   const std::uint64_t single_before = Simulation::runs_on_this_thread();
   (void)run_confmask(original, options);
@@ -121,24 +80,7 @@ TEST(PipelineRunner, AttemptsShareOnePreprocess) {
   EXPECT_EQ(canonical_config_set_text(guarded.result->anonymized),
             canonical_config_set_text(single.anonymized));
 }
-
-// ... and with no escalation left it fails CLOSED: no configs, diagnostics
-// populated.
-TEST(PipelineRunner, FailsClosedWhenEscalationLadderExhausted) {
-  auto options = figure2_options();
-  options.max_equivalence_iterations = 1;
-  RetryPolicy policy;
-  policy.equivalence_iteration_ladder = {};  // no rungs left
-
-  const auto guarded =
-      run_pipeline_guarded(make_figure2(), options, policy);
-  EXPECT_FALSE(guarded.ok());
-  EXPECT_FALSE(guarded.result.has_value());
-  EXPECT_EQ(guarded.diagnostics.stage, PipelineStage::kRouteEquivalence);
-  EXPECT_EQ(guarded.diagnostics.category, ErrorCategory::kNonConvergent);
-  EXPECT_FALSE(guarded.diagnostics.message.empty());
-  EXPECT_EQ(guarded.diagnostics.attempts, 1);
-}
+#endif
 
 TEST(ErrorTaxonomy, ExitCodesAreDistinctAndStable) {
   EXPECT_EQ(exit_code_for(ErrorCategory::kInfeasibleParams), 10);
@@ -303,6 +245,17 @@ TEST(PipelineRunner, ExplicitCancellationIsDistinguishableFromDeadline) {
   EXPECT_NE(guarded.diagnostics.context.detail.find("cancelled"),
             std::string::npos)
       << guarded.diagnostics.context.detail;
+}
+
+// A deadline past what steady_clock can represent is no deadline: the
+// token never fires. Converting such a budget to clock ticks overflows.
+TEST(PipelineRunner, DeadlinePastTheClockRangeNeverFires) {
+  for (const std::uint64_t budget_ms :
+       {std::uint64_t{10'000'000'000'000}, ~std::uint64_t{0}}) {
+    CancelToken token;
+    token.set_deadline_after(budget_ms);
+    EXPECT_EQ(token.fired(), CancelToken::Reason::kNone) << budget_ms;
+  }
 }
 
 TEST(PipelineRunner, UnfiredTokenDoesNotPerturbACleanRun) {

@@ -17,6 +17,10 @@
 #include "src/service/job_journal.hpp"
 #include "src/service/job_scheduler.hpp"
 
+#if defined(CONFMASK_FAULT_INJECTION)
+#include "tests/fault_injection.hpp"
+#endif
+
 namespace confmask {
 namespace {
 
@@ -150,33 +154,36 @@ TEST(JobScheduler, DeviceOrderDoesNotDefeatTheCache) {
   EXPECT_TRUE(status->cache_hit);
 }
 
+#if defined(CONFMASK_FAULT_INJECTION)
 TEST(JobScheduler, FailedJobsReportTaxonomyAndAreNeverCached) {
   ArtifactCache cache(fresh_dir("sched_failed"));
   JobScheduler scheduler(&cache, {});
-  JobRequest doomed = figure2_request(1);
-  // One equivalence iteration is never enough for Figure 2, and an empty
-  // escalation ladder leaves the guarded driver no rung to climb: the run
-  // fails closed with a deterministic NonConvergent verdict.
-  doomed.options.max_equivalence_iterations = 1;
-  doomed.policy.equivalence_iteration_ladder = {};
-  doomed.policy.max_attempts = 1;
-  const auto id = scheduler.submit_ex(std::move(doomed)).id;
+  // An unconverged Algorithm 1 has no fallback rung: the run fails closed
+  // on its first attempt with a deterministic NonConvergent verdict.
+  const ScopedFault fault(faults::kRouteEquivalenceNonConvergent, 1);
+  const auto id = scheduler.submit_ex(figure2_request(1)).id;
   ASSERT_TRUE(id.has_value());
   ASSERT_TRUE(scheduler.wait(*id));
   const auto status = scheduler.status(*id);
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(status->state, JobState::kFailed);
-  EXPECT_FALSE(status->error_category.empty());
-  EXPECT_GE(status->exit_code, 10);  // taxonomy band, not a generic 1
+  EXPECT_EQ(status->error_stage, "RouteEquivalence");
+  EXPECT_EQ(status->error_category, "NonConvergent");
+  EXPECT_EQ(status->exit_code, 12);  // taxonomy band, not a generic 1
   // Failure diagnostics are available; configs are not (fail closed).
   const auto result = scheduler.result(*id);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->artifacts.anonymized_configs.empty());
   EXPECT_NE(result->artifacts.diagnostics_json.find("\"ok\": false"),
             std::string::npos);
+  EXPECT_NE(result->artifacts.diagnostics_json.find("\"attempts\": 1,"),
+            std::string::npos);
+  EXPECT_NE(result->artifacts.diagnostics_json.find("\"fallbacks\": []"),
+            std::string::npos);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(scheduler.stats().failed, 1u);
 }
+#endif
 
 TEST(JobScheduler, AdmissionControlRejectsBeyondMaxPending) {
   ArtifactCache cache(fresh_dir("sched_admission"));
@@ -318,6 +325,22 @@ TEST(JobScheduler, ExpiredDeadlineIsDeadlineExceededAndNeverCached) {
   EXPECT_EQ(scheduler.status(*after)->state, JobState::kDone);
 }
 
+// A deadline too far out for steady_clock is no deadline: the job runs to
+// completion instead of failing at once as DeadlineExceeded.
+TEST(JobScheduler, DeadlinePastTheClockRangeFinishesDone) {
+  ArtifactCache cache(fresh_dir("sched_deadline_far"));
+  JobScheduler scheduler(&cache, {});
+  JobRequest far = figure2_request(6);
+  far.deadline_ms = ~std::uint64_t{0};
+  const SubmitOutcome outcome = scheduler.submit_ex(std::move(far));
+  ASSERT_TRUE(outcome.accepted());
+  ASSERT_TRUE(scheduler.wait(*outcome.id));
+  const auto status = scheduler.status(*outcome.id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kDone) << status->error_message;
+  EXPECT_EQ(scheduler.stats().deadline_exceeded, 0u);
+}
+
 TEST(JobScheduler, MidRunDeadlineExpiryStopsAtAPhaseBoundary) {
   ArtifactCache cache(fresh_dir("sched_deadline_midrun"));
   JobScheduler scheduler(&cache, {});
@@ -400,7 +423,7 @@ TEST(JobScheduler, JournalRecoveryReEnqueuesAcknowledgedJobs) {
   {
     JobJournal journal(journal_path);
     const CacheKey key =
-        compute_cache_key(request.configs, request.options, request.policy,
+        compute_cache_key(request.configs, request.options, RetryPolicy{},
                           request.strategy);
     ASSERT_TRUE(journal.append_submit(1, request, key));
   }

@@ -190,6 +190,33 @@ class ProtocolTest : public testing::Test {
         .str();
   }
 
+  /// A retired parameter is ignored like any unknown field: a submit that
+  /// still carries `retired` (a `"name": value` member) keys like one
+  /// without it and is served the same bytes.
+  void expect_retired_field_ignored(const std::string& retired) {
+    std::string flagged_line = submit_line(3);
+    flagged_line.insert(flagged_line.size() - 1, ", " + retired);
+    const JsonObject flagged = handle(flagged_line);
+    ASSERT_EQ(get_bool(flagged, "ok"), true)
+        << get_string(flagged, "error").value_or("");
+    const JsonObject plain = handle(submit_line(3));
+    ASSERT_EQ(get_bool(plain, "ok"), true);
+    EXPECT_EQ(get_string(flagged, "cache_key"),
+              get_string(plain, "cache_key"));
+    std::vector<std::string> bundles;
+    for (const JsonObject* submitted : {&flagged, &plain}) {
+      const auto job = get_u64(*submitted, "job");
+      ASSERT_TRUE(job.has_value());
+      ASSERT_TRUE(scheduler_.wait(*job));
+      const JsonObject result = handle(
+          JsonWriter{}.string("op", "result").number_u64("job", *job).str());
+      ASSERT_EQ(get_string(result, "state"), "done");
+      bundles.push_back(get_string(result, "configs").value_or(""));
+    }
+    EXPECT_FALSE(bundles.front().empty());
+    EXPECT_EQ(bundles.front(), bundles.back());
+  }
+
   ArtifactCache cache_;
   JobScheduler scheduler_;
   ProtocolHandler handler_;
@@ -324,7 +351,6 @@ TEST_F(ProtocolTest, JobParamsOutsideTheirRangeAreRefusedByName) {
       {"k_h", "0"},
       {"fake_routers", "-1"},
       {"links_per_fake_router", "-1"},
-      {"max_equivalence_iterations", "-1"},
       {"noise_p", "-0.5"},
       {"noise_p", "1.5"}};
   for (const auto& [key, token] : refused) {
@@ -353,28 +379,16 @@ TEST_F(ProtocolTest, JobParamsOutsideTheirRangeAreRefusedByName) {
       << get_string(bounds, "error").value_or("");
 }
 
-// `incremental` is no longer a parameter: a submit that still carries it
-// keys like one without it and is served the same bytes.
+// `incremental` is no longer a parameter.
 TEST_F(ProtocolTest, RetiredIncrementalFieldIsIgnored) {
-  std::string flagged_line = submit_line(3);
-  flagged_line.insert(flagged_line.size() - 1, ", \"incremental\": false");
-  const JsonObject flagged = handle(flagged_line);
-  ASSERT_EQ(get_bool(flagged, "ok"), true);
-  const JsonObject plain = handle(submit_line(3));
-  ASSERT_EQ(get_bool(plain, "ok"), true);
-  EXPECT_EQ(get_string(flagged, "cache_key"), get_string(plain, "cache_key"));
-  std::vector<std::string> bundles;
-  for (const JsonObject* submitted : {&flagged, &plain}) {
-    const auto job = get_u64(*submitted, "job");
-    ASSERT_TRUE(job.has_value());
-    ASSERT_TRUE(scheduler_.wait(*job));
-    const JsonObject result = handle(
-        JsonWriter{}.string("op", "result").number_u64("job", *job).str());
-    ASSERT_EQ(get_string(result, "state"), "done");
-    bundles.push_back(get_string(result, "configs").value_or(""));
-  }
-  EXPECT_FALSE(bundles.front().empty());
-  EXPECT_EQ(bundles.front(), bundles.back());
+  expect_retired_field_ignored("\"incremental\": false");
+}
+
+// Algorithm 1 runs to its fixpoint, so `max_equivalence_iterations` is no
+// longer a parameter: any value, in range or not, is ignored.
+TEST_F(ProtocolTest, RetiredIterationBudgetFieldIsIgnored) {
+  expect_retired_field_ignored("\"max_equivalence_iterations\": 1");
+  expect_retired_field_ignored("\"max_equivalence_iterations\": -1");
 }
 
 TEST_F(ProtocolTest, PingReportsHealthAndVitals) {
