@@ -10,7 +10,7 @@
 //   3. resubmitting an acknowledged request converges to a cache hit with
 //      identical bytes;
 //   4. the on-disk cache never contains a partial entry — every directory
-//      under entries/ has all four artifact files (staging+rename publish).
+//      under entries/ has all five entry files (staging+rename publish).
 //
 // Submissions whose ack was lost to the kill are EXPECTED and ignored: the
 // client contract for a lost ack is "resubmit and converge via the cache",
@@ -181,9 +181,9 @@ bool wait_and_fetch(const std::string& socket_path, std::uint64_t job,
 }
 
 /// Invariant 4: no partial cache entries, ever. Publish is staging+rename,
-/// so any directory under entries/ must already hold all four files.
+/// so any directory under entries/ must already hold all five files.
 bool cache_entries_complete(const fs::path& cache_dir) {
-  const char* kFiles[] = {"meta.json", "anonymized.cfgset",
+  const char* kFiles[] = {"meta.json", "anonymized.cfgset", "original.cfgset",
                           "diagnostics.json", "metrics.json"};
   std::error_code ec;
   for (fs::directory_iterator it(cache_dir / "entries", ec), end;

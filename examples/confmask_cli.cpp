@@ -7,9 +7,10 @@
 //                       [--cache-dir DIR]
 //          confmask_cli --version
 //
-// --kr, --kh, --p, --seed and --fake-routers each take one whole number
-// within option_error's bounds; any other value is a usage error (exit 2)
-// that names the flag, before anything is read or written.
+// Every numeric flag takes one number and nothing else (read_number): --kr,
+// --kh, --p, --seed and --fake-routers within option_error's bounds, --pii
+// 0 or 1, --jobs at least 1. Any other value is a usage error (exit 2) that
+// names the flag, before anything is read or written.
 //
 // --version prints the build stamp (the same string the artifact cache
 // embeds in entry metadata for stale-binary invalidation).
@@ -51,14 +52,12 @@
 // input set with `confmask_cli --demo <dir>` which writes the paper's
 // Figure 2 network; `--demo <dir> <ID>` (ID in A..H) writes one of the
 // Table 2 evaluation networks instead.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <system_error>
 
 #include "src/config/emit.hpp"
@@ -72,6 +71,7 @@
 #include "src/service/artifact_cache.hpp"
 #include "src/service/cache_key.hpp"
 #include "src/util/build_info.hpp"
+#include "src/util/strings.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace {
@@ -89,15 +89,6 @@ int usage() {
                "network: paper Fig 2, or evaluation network A..H)\n"
                "       confmask_cli --version             (build stamp)\n");
   return 2;
-}
-
-/// Reads `text` into `out` iff it is one whole number of out's type: no
-/// sign on an unsigned type, nothing before or after it.
-template <typename T>
-bool read_number(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, out);
-  return error == std::errc{} && stop == end;
 }
 
 void write_config_set(const ConfigSet& configs, const fs::path& dir) {
@@ -154,7 +145,8 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
 
   ConfMaskOptions options;
-  bool apply_pii = false;
+  int pii = 0;
+  unsigned jobs = 0;
   std::string diagnostics_json;
   std::string trace_file;
   std::string metrics_file;
@@ -165,6 +157,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     bool numeric = true;
+    const char* range = nullptr;  // set when the value is out of range
     if (std::strcmp(argv[i], "--kr") == 0) {
       numeric = read_number(argv[i + 1], options.k_r);
     } else if (std::strcmp(argv[i], "--kh") == 0) {
@@ -176,14 +169,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--fake-routers") == 0) {
       numeric = read_number(argv[i + 1], options.fake_routers);
     } else if (std::strcmp(argv[i], "--pii") == 0) {
-      apply_pii = std::atoi(argv[i + 1]) != 0;
+      numeric = read_number(argv[i + 1], pii);
+      if (pii != 0 && pii != 1) range = "must be 0 or 1";
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      const int jobs = std::atoi(argv[i + 1]);
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs must be >= 1\n");
-        return usage();
-      }
-      ThreadPool::configure(static_cast<unsigned>(jobs));
+      numeric = read_number(argv[i + 1], jobs);
+      if (jobs < 1) range = "must be at least 1";
     } else if (std::strcmp(argv[i], "--diagnostics-json") == 0) {
       diagnostics_json = argv[i + 1];
     } else if (std::strcmp(argv[i], "--trace") == 0) {
@@ -198,12 +188,18 @@ int main(int argc, char** argv) {
     // The options held before this flag passed, so a bound broken now is
     // this flag's.
     const auto bound = option_error(options);
-    if (!numeric || bound) {
+    const char* problem = !numeric ? "not a number"
+                          : range  ? range
+                          : bound  ? bound->c_str()
+                                   : nullptr;
+    if (problem != nullptr) {
       std::fprintf(stderr, "invalid %s '%s': %s\n", argv[i], argv[i + 1],
-                   numeric ? bound->c_str() : "not a number");
+                   problem);
       return usage();
     }
   }
+  const bool apply_pii = pii == 1;
+  if (jobs > 0) ThreadPool::configure(jobs);
 
   // Ingest. Parse errors name the failing file (ConfigParseError source).
   std::error_code io_error;

@@ -7,7 +7,9 @@
 //            [--fake-routers N] [--deadline-ms N] [--tenant NAME]
 //                                    submit every *.cfg under <config-dir>;
 //                                    load-shed rejections (retry_after_ms)
-//                                    are retried with backoff + jitter
+//                                    are retried with backoff + jitter;
+//                                    a numeric flag or <job> that is not
+//                                    exactly one number exits 2 unsent
 //     diff <base-dir> <edited-dir>   print a confmask-diff/1 document to
 //                                    stdout (local; no daemon needed)
 //     resubmit <base-key> <diff-file> [same flags as submit]
@@ -36,8 +38,8 @@
 // scripts can grep fields like "job" or "cache_hit") and exits 0 when the
 // response says ok, 1 on a protocol error, 2 on usage/transport problems.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -50,8 +52,10 @@
 #include "src/config/diff.hpp"
 #include "src/config/emit.hpp"
 #include "src/config/parse.hpp"
+#include "src/core/confmask.hpp"
 #include "src/service/client.hpp"
 #include "src/service/json_line.hpp"
+#include "src/util/strings.hpp"
 
 namespace {
 
@@ -106,30 +110,55 @@ int read_config_dir(const std::string& dir, ConfigSet& out) {
 
 /// Appends the submit/resubmit tuning flags to `request`. Both ops accept
 /// the identical parameter surface — a resubmit IS a submit whose bundle
-/// arrives as base + diff. Returns false on an unknown flag.
+/// arrives as base + diff. Returns false on an unknown or valueless flag,
+/// or after naming a flag whose value is not exactly one number within
+/// option_error's bounds (the daemon's own).
 bool append_job_flags(int argc, char** argv, int arg,
                       JsonWriter& request) {
-  for (; arg + 1 < argc; arg += 2) {
+  ConfMaskOptions options;
+  std::uint64_t deadline_ms = 0;
+  for (; arg < argc; arg += 2) {
+    if (arg + 1 == argc) return false;
+    const char* value = argv[arg + 1];
+    bool numeric = true;
+    const auto read = [&](auto& out) {
+      numeric = read_number(value, out);
+      return out;
+    };
     if (std::strcmp(argv[arg], "--kr") == 0) {
-      request.number("k_r", std::atoi(argv[arg + 1]));
+      request.number("k_r", read(options.k_r));
     } else if (std::strcmp(argv[arg], "--kh") == 0) {
-      request.number("k_h", std::atoi(argv[arg + 1]));
+      request.number("k_h", read(options.k_h));
     } else if (std::strcmp(argv[arg], "--p") == 0) {
-      request.real("noise_p", std::atof(argv[arg + 1]));
+      request.real("noise_p", read(options.noise_p));
     } else if (std::strcmp(argv[arg], "--seed") == 0) {
-      request.number_u64("seed", std::strtoull(argv[arg + 1], nullptr, 10));
+      request.number_u64("seed", read(options.seed));
     } else if (std::strcmp(argv[arg], "--fake-routers") == 0) {
-      request.number("fake_routers", std::atoi(argv[arg + 1]));
+      request.number("fake_routers", read(options.fake_routers));
     } else if (std::strcmp(argv[arg], "--deadline-ms") == 0) {
-      request.number_u64("deadline_ms",
-                         std::strtoull(argv[arg + 1], nullptr, 10));
+      request.number_u64("deadline_ms", read(deadline_ms));
     } else if (std::strcmp(argv[arg], "--tenant") == 0) {
-      request.string("tenant", argv[arg + 1]);
+      request.string("tenant", value);
     } else {
+      return false;
+    }
+    // The options held before this flag passed, so a bound broken now is
+    // this flag's.
+    const auto bound = option_error(options);
+    if (!numeric || bound) {
+      std::fprintf(stderr, "invalid %s '%s': %s\n", argv[arg], value,
+                   numeric ? bound->c_str() : "not a number");
       return false;
     }
   }
   return true;
+}
+
+/// Reads a job-id operand (one whole number), naming it when it is not.
+bool read_job_id(const char* text, std::uint64_t& job) {
+  if (read_number(text, job)) return true;
+  std::fprintf(stderr, "invalid job id '%s': not a number\n", text);
+  return false;
 }
 
 /// Sends an admission request through the retrying path — a daemon at its
@@ -251,7 +280,8 @@ int main(int argc, char** argv) {
   if (command == "status" || command == "wait" || command == "cancel" ||
       command == "subscribe") {
     if (arg >= argc) return usage();
-    const std::uint64_t job = std::strtoull(argv[arg], nullptr, 10);
+    std::uint64_t job = 0;
+    if (!read_job_id(argv[arg], job)) return usage();
     if (command == "status" || command == "cancel") {
       return roundtrip(socket_path, JsonWriter{}
                                         .string("op", command)
@@ -345,7 +375,8 @@ int main(int argc, char** argv) {
 
   if (command == "result") {
     if (arg >= argc) return usage();
-    const std::uint64_t job = std::strtoull(argv[arg++], nullptr, 10);
+    std::uint64_t job = 0;
+    if (!read_job_id(argv[arg++], job)) return usage();
     std::string out_dir;
     if (arg + 1 < argc && std::strcmp(argv[arg], "--out") == 0) {
       out_dir = argv[arg + 1];

@@ -40,17 +40,20 @@
 // this daemon's endpoint exactly as the peers list does — defaults to
 // --socket, right whenever the fleet shares a filesystem.
 //
+// Every numeric flag takes one whole number with no unit: a value such as
+// `--cache-budget 10GB` exits 2 naming its flag, before anything is bound.
+//
 // Stops on a protocol shutdown request: "drain" finishes queued jobs,
 // "cancel" abandons them; running jobs always complete (fail-closed — no
 // partial cache entries either way).
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 #include "src/service/daemon.hpp"
 #include "src/util/build_info.hpp"
+#include "src/util/strings.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace {
@@ -78,54 +81,46 @@ int main(int argc, char** argv) {
 
   confmask::Daemon::Options options;
   std::string trace_file;
+  unsigned jobs = 0;
   for (int i = 1; i < argc; i += 2) {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for %s\n", argv[i]);
       return usage();
     }
-    if (std::strcmp(argv[i], "--socket") == 0) {
-      options.socket_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
-      options.cache_dir = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--max-concurrent-jobs") == 0) {
-      options.max_concurrent_jobs = std::atoi(argv[i + 1]);
-      if (options.max_concurrent_jobs < 1) {
-        std::fprintf(stderr, "--max-concurrent-jobs must be >= 1\n");
-        return usage();
+    const char* flag = argv[i];
+    const char* value = argv[i + 1];
+    const char* want = nullptr;  // what a bad numeric value should be
+    const auto positive = [&](auto& out, const char* wanted) {
+      if (!confmask::read_number(value, out) || out < 1) want = wanted;
+    };
+    if (std::strcmp(flag, "--socket") == 0) {
+      options.socket_path = value;
+    } else if (std::strcmp(flag, "--cache-dir") == 0) {
+      options.cache_dir = value;
+    } else if (std::strcmp(flag, "--max-concurrent-jobs") == 0) {
+      positive(options.max_concurrent_jobs, "a whole number >= 1");
+    } else if (std::strcmp(flag, "--max-pending") == 0) {
+      positive(options.max_pending, "a whole number >= 1");
+    } else if (std::strcmp(flag, "--trace") == 0) {
+      trace_file = value;
+    } else if (std::strcmp(flag, "--journal") == 0) {
+      options.journal_path = value;
+    } else if (std::strcmp(flag, "--cache-budget") == 0) {
+      positive(options.cache_max_bytes, "a whole number of bytes > 0");
+    } else if (std::strcmp(flag, "--listen") == 0) {
+      options.listen_address = value;
+    } else if (std::strcmp(flag, "--idle-timeout-ms") == 0) {
+      if (!confmask::read_number(value, options.idle_timeout_ms)) {
+        want = "a whole number of milliseconds (0 disables)";
       }
-    } else if (std::strcmp(argv[i], "--max-pending") == 0) {
-      const int pending = std::atoi(argv[i + 1]);
-      if (pending < 1) {
-        std::fprintf(stderr, "--max-pending must be >= 1\n");
-        return usage();
-      }
-      options.max_pending = static_cast<std::size_t>(pending);
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace_file = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--journal") == 0) {
-      options.journal_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--cache-budget") == 0) {
-      options.cache_max_bytes = std::strtoull(argv[i + 1], nullptr, 10);
-      if (options.cache_max_bytes == 0) {
-        std::fprintf(stderr, "--cache-budget must be > 0 bytes\n");
-        return usage();
-      }
-    } else if (std::strcmp(argv[i], "--listen") == 0) {
-      options.listen_address = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0) {
-      options.idle_timeout_ms = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--max-line-bytes") == 0) {
-      options.max_line_bytes = std::strtoull(argv[i + 1], nullptr, 10);
-      if (options.max_line_bytes == 0) {
-        std::fprintf(stderr, "--max-line-bytes must be > 0\n");
-        return usage();
-      }
-    } else if (std::strcmp(argv[i], "--tenants") == 0) {
-      options.tenants_file = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--peers") == 0) {
+    } else if (std::strcmp(flag, "--max-line-bytes") == 0) {
+      positive(options.max_line_bytes, "a whole number of bytes > 0");
+    } else if (std::strcmp(flag, "--tenants") == 0) {
+      options.tenants_file = value;
+    } else if (std::strcmp(flag, "--peers") == 0) {
       // Comma-separated endpoints; self is added automatically when the
       // list omits it, so "the same --peers on every member" just works.
-      const std::string list = argv[i + 1];
+      const std::string list = value;
       std::size_t start = 0;
       while (start <= list.size()) {
         const std::size_t comma = list.find(',', start);
@@ -140,30 +135,28 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--peers needs at least one endpoint\n");
         return usage();
       }
-    } else if (std::strcmp(argv[i], "--self") == 0) {
-      options.self_endpoint = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--peer-timeout-ms") == 0) {
-      const unsigned long long timeout =
-          std::strtoull(argv[i + 1], nullptr, 10);
-      if (timeout == 0 || timeout > 600'000) {
-        std::fprintf(stderr, "--peer-timeout-ms must be in 1..600000\n");
-        return usage();
+    } else if (std::strcmp(flag, "--self") == 0) {
+      options.self_endpoint = value;
+    } else if (std::strcmp(flag, "--peer-timeout-ms") == 0) {
+      if (!confmask::read_number(value, options.peer_timeout_ms) ||
+          options.peer_timeout_ms < 1 || options.peer_timeout_ms > 600'000) {
+        want = "a whole number of milliseconds in 1..600000";
       }
-      options.peer_timeout_ms = static_cast<std::uint32_t>(timeout);
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      const int jobs = std::atoi(argv[i + 1]);
-      if (jobs < 1) {
-        std::fprintf(stderr, "--jobs must be >= 1\n");
-        return usage();
-      }
-      confmask::ThreadPool::configure(static_cast<unsigned>(jobs));
+    } else if (std::strcmp(flag, "--jobs") == 0) {
+      positive(jobs, "a whole number >= 1");
     } else {
+      return usage();
+    }
+    if (want != nullptr) {
+      std::fprintf(stderr, "invalid %s '%s': want %s\n", flag, value, want);
       return usage();
     }
   }
   if (options.socket_path.empty() || options.cache_dir.empty()) {
     return usage();
   }
+
+  if (jobs > 0) confmask::ThreadPool::configure(jobs);
 
   std::ofstream trace_out;
   if (!trace_file.empty()) {

@@ -14,9 +14,9 @@
 //    span (Span::add or PipelineTrace::count).
 //  * Span lifecycle runs on the orchestration thread ONLY (the pipeline's
 //    driver thread). ThreadPool workers never open spans or touch frame
-//    state; worker-side quantities are accumulated in obs::Counter /
-//    obs::Histogram atomics and folded in at merge points — this is how
-//    instrumentation stays deterministic under any worker count.
+//    state; worker-side quantities are recorded in obs::Histogram atomics
+//    and folded in at merge points — this is how instrumentation stays
+//    deterministic under any worker count.
 //
 // Determinism contract (DESIGN.md §9): the trace layer draws no
 // randomness, reads no wall clock (monotonic durations only), and never

@@ -21,62 +21,17 @@ constexpr const char* kMetaFormat = "confmask.cache-entry/3";
 constexpr const char* kMetaFile = "meta.json";
 constexpr const char* kConfigsFile = "anonymized.cfgset";
 constexpr const char* kOriginalFile = "original.cfgset";
-constexpr const char* kDevicesFile = "devices.tsv";
 constexpr const char* kDiagnosticsFile = "diagnostics.json";
 constexpr const char* kMetricsFile = "metrics.json";
 
-/// The six files every complete entry holds. v1/v2 entries carry an old
+/// The five files every complete entry holds. v1/v2 entries carry an old
 /// format string (and v2 records no tenant), so they fail the structural
-/// check and are purged by the opening scrub — invalidated by design.
-constexpr const char* kEntryFiles[] = {kMetaFile,        kConfigsFile,
-                                       kOriginalFile,    kDevicesFile,
-                                       kDiagnosticsFile, kMetricsFile};
-
-constexpr const char* kDevicesHeader = "confmask.devices/1";
-
-std::string render_device_table(const std::vector<DeviceDigest>& devices) {
-  std::string out = kDevicesHeader;
-  out += '\n';
-  for (const DeviceDigest& device : devices) {
-    out += device.name;
-    out += '\t';
-    out += hex64(device.primary);
-    out += '\t';
-    out += hex64(device.secondary);
-    out += '\n';
-  }
-  return out;
-}
-
-std::optional<std::vector<DeviceDigest>> parse_device_table(
-    const std::string& text) {
-  std::vector<DeviceDigest> devices;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string_view line(text.data() + pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kDevicesHeader) return std::nullopt;
-      saw_header = true;
-      continue;
-    }
-    const std::size_t tab1 = line.find('\t');
-    const std::size_t tab2 =
-        tab1 == std::string_view::npos ? tab1 : line.find('\t', tab1 + 1);
-    if (tab2 == std::string_view::npos) return std::nullopt;
-    const auto primary = parse_hex64(line.substr(tab1 + 1, tab2 - tab1 - 1));
-    const auto secondary = parse_hex64(line.substr(tab2 + 1));
-    if (!primary || !secondary) return std::nullopt;
-    devices.push_back(DeviceDigest{std::string(line.substr(0, tab1)),
-                                   *primary, *secondary});
-  }
-  if (!saw_header) return std::nullopt;
-  return devices;
-}
+/// check and are purged by the opening scrub — invalidated by design. Any
+/// other file in an entry (older builds' device table) is ignored, and
+/// goes with the entry when it is removed.
+constexpr const char* kEntryFiles[] = {kMetaFile, kConfigsFile,
+                                       kOriginalFile, kDiagnosticsFile,
+                                       kMetricsFile};
 
 std::uint64_t dir_bytes(const fs::path& dir) {
   std::uint64_t total = 0;
@@ -336,7 +291,7 @@ bool ArtifactCache::touch_entry(const std::string& key_hex,
   return true;
 }
 
-std::optional<CachedOriginal> ArtifactCache::lookup_original(
+std::optional<std::string> ArtifactCache::lookup_original(
     const std::string& key_hex, const std::string& tenant) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const fs::path dir = root_ / "entries" / key_hex;
@@ -369,25 +324,16 @@ std::optional<CachedOriginal> ArtifactCache::lookup_original(
     return std::nullopt;
   }
 
-  const auto original = io::read_file(dir / kOriginalFile);
-  const auto devices_text = io::read_file(dir / kDevicesFile);
-  if (!original || !devices_text) {
+  auto original = io::read_file(dir / kOriginalFile);
+  if (!original) {
     purge();
     return std::nullopt;
   }
-  auto devices = parse_device_table(*devices_text);
-  if (!devices) {
-    purge();
-    return std::nullopt;
-  }
-  CachedOriginal out;
-  out.original_configs = std::move(*original);
-  out.devices = std::move(*devices);
   ++stats_.hits;
   if (auto it = index_.find(key_hex); it != index_.end()) {
     it->second.last_used = ++use_counter_;  // refresh LRU recency
   }
-  return out;
+  return original;
 }
 
 std::optional<CachedEntry> ArtifactCache::lookup_by_hex(
@@ -435,19 +381,6 @@ StoreResult ArtifactCache::store(const CacheKey& key,
                                  const CacheArtifacts& artifacts,
                                  std::string* error,
                                  const std::string& tenant) {
-  // The device table is derived from the stored original bundle here, at
-  // the choke point every publish without admission's table goes through
-  // (peer fetches, the CLI), so it can never disagree with the bytes
-  // beside it.
-  return store(key, artifacts,
-               compute_device_digests(artifacts.original_configs), error,
-               tenant);
-}
-
-StoreResult ArtifactCache::store(
-    const CacheKey& key, const CacheArtifacts& artifacts,
-    const std::vector<DeviceDigest>& original_devices, std::string* error,
-    const std::string& tenant) {
   const fs::path dir = entry_dir(key);
   fs::path staging;
   {
@@ -482,7 +415,6 @@ StoreResult ArtifactCache::store(
                                .string("tenant", tenant)
                                .str() +
                            "\n";
-  const std::string devices = render_device_table(original_devices);
 
   // Every file fsync'd before the rename: after a crash the published
   // entry must hold its BYTES, not just its names.
@@ -493,7 +425,6 @@ StoreResult ArtifactCache::store(
                              artifacts.anonymized_configs, &write_error) &&
       io::write_file_durable(staging / kOriginalFile,
                              artifacts.original_configs, &write_error) &&
-      io::write_file_durable(staging / kDevicesFile, devices, &write_error) &&
       io::write_file_durable(staging / kDiagnosticsFile,
                              artifacts.diagnostics_json, &write_error) &&
       io::write_file_durable(staging / kMetricsFile, artifacts.metrics_json,
@@ -523,7 +454,7 @@ StoreResult ArtifactCache::store(
 
   IndexEntry indexed;
   indexed.bytes = meta.size() + artifacts.anonymized_configs.size() +
-                  artifacts.original_configs.size() + devices.size() +
+                  artifacts.original_configs.size() +
                   artifacts.diagnostics_json.size() +
                   artifacts.metrics_json.size();
   indexed.last_used = ++use_counter_;

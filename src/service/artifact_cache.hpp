@@ -8,13 +8,15 @@
 //   entries/<hex16>/original.cfgset    canonical SUBMITTED bundle — the
 //                                      server-side diff base for watch-mode
 //                                      resubmits (lookup_original)
-//   entries/<hex16>/devices.tsv        per-device content digests of the
-//                                      original bundle (confmask.devices/1)
 //   entries/<hex16>/diagnostics.json   diagnostics_to_json payload
 //   entries/<hex16>/metrics.json       confmask.metrics/1 summary (no
 //                                      timings — cached bytes must be
 //                                      deterministic)
 //   staging/<hex16>.<nonce>/           in-progress writes, never readable
+//
+// A publish writes exactly these five files. Entries written by older
+// builds also hold a sixth, a per-device digest table that nothing read;
+// it is ignored, and removed with its entry.
 //
 // Format version 3 (cache-key/3): meta.json additionally records the
 // TENANT the entry was published under. The tenant is already folded into
@@ -83,12 +85,6 @@ struct CacheArtifacts {
   std::string metrics_json;        ///< PipelineTrace metrics_json(false)
 };
 
-/// The diff base a watch-mode resubmit patches against.
-struct CachedOriginal {
-  std::string original_configs;       ///< canonical submitted bundle
-  std::vector<DeviceDigest> devices;  ///< its per-device content digests
-};
-
 /// A complete entry as served to a peer daemon (lookup_by_hex): the full
 /// key (secondary included, so the fetcher can store under the exact same
 /// address), the owning tenant, and every artifact byte.
@@ -136,8 +132,8 @@ class ArtifactCache {
   /// and misses otherwise.
   [[nodiscard]] std::optional<CacheArtifacts> lookup(const CacheKey& key);
 
-  /// Resolves a resubmit's base-artifact reference: the ORIGINAL bundle and
-  /// device-digest table of the entry named by `key_hex` (the 16-hex
+  /// Resolves a resubmit's base-artifact reference: the ORIGINAL bundle
+  /// (the diff base) of the entry named by `key_hex` (the 16-hex
   /// primary digest a client received as `cache_key`). Clients do not hold
   /// the secondary digest, so unlike lookup() this validates format, key
   /// and stamp only — an accidental primary collision (~2⁻⁶⁴ against the
@@ -146,7 +142,7 @@ class ArtifactCache {
   /// must belong to `tenant`: a base reference naming another namespace's
   /// entry is a miss, never a disclosure. Refreshes LRU recency on hit;
   /// purges structurally broken entries.
-  [[nodiscard]] std::optional<CachedOriginal> lookup_original(
+  [[nodiscard]] std::optional<std::string> lookup_original(
       const std::string& key_hex, const std::string& tenant = "default");
 
   /// True iff `key_hex` names an indexed entry published under `tenant`:
@@ -175,13 +171,6 @@ class ArtifactCache {
   /// directory fsync and the index: the files are written and fsync'd
   /// without it, under a staging name no other store uses.
   StoreResult store(const CacheKey& key, const CacheArtifacts& artifacts,
-                    std::string* error = nullptr,
-                    const std::string& tenant = "default");
-  /// The same, given the original bundle's device table
-  /// (compute_device_digests(artifacts.original_configs)), which
-  /// confmaskd's admission has computed for the key already.
-  StoreResult store(const CacheKey& key, const CacheArtifacts& artifacts,
-                    const std::vector<DeviceDigest>& original_devices,
                     std::string* error = nullptr,
                     const std::string& tenant = "default");
 

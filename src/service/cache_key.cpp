@@ -74,6 +74,10 @@ std::string canonical_parameter_text(const ConfMaskOptions& options,
   return out;
 }
 
+namespace {
+
+/// The key of a job whose network has the device table `devices`: the one
+/// key derivation, which the public overloads wrap.
 CacheKey compute_cache_key(const std::vector<DeviceDigest>& devices,
                            const ConfMaskOptions& options,
                            const RetryPolicy& policy,
@@ -94,9 +98,7 @@ CacheKey compute_cache_key(const std::vector<DeviceDigest>& devices,
     hasher.update(params);
     // The network as a device table: names in canonical order (order is
     // output-relevant — node ids follow config order) plus per-section
-    // content digests of the same basis. Hashing the digest rather than
-    // the section bytes keeps the key a pure function of exactly the
-    // values the artifact cache persists per device.
+    // content digests of the same basis.
     hasher.update_u64(devices.size());
     for (const DeviceDigest& device : devices) {
       hasher.update_u64(device.name.size());
@@ -107,6 +109,8 @@ CacheKey compute_cache_key(const std::vector<DeviceDigest>& devices,
   }
   return key;
 }
+
+}  // namespace
 
 CacheKey compute_cache_key(const std::string& canonical_text,
                            const ConfMaskOptions& options,

@@ -24,12 +24,10 @@
 // device TABLE — per-device name plus a digest of the device's canonical
 // section text — instead of one opaque bundle blob. The overall key is
 // unchanged in spirit (same inputs, same device order sensitivity: the
-// name sequence is hashed in canonical order), but the per-device digests
-// now exist as first-class values (compute_device_digests) that the
-// artifact cache persists alongside each entry, so watch mode can tell
-// WHICH devices of a prior artifact changed without re-parsing anything.
-// The version bump deliberately invalidates every v1 cache entry: v1
-// stored no device table, so a v1 hit could never serve a resubmit.
+// name sequence is hashed in canonical order). The per-device digests
+// (compute_device_digests) are only the key's input: nothing stores or
+// reads them. The version bump invalidated every v1 cache entry, which
+// stored no original bundle and so could never serve a resubmit.
 //
 // Encoding version 3 ("confmask.cache-key/3") folds the TENANT into the
 // digest, length-prefixed like every other field. Identical configs and
@@ -83,9 +81,8 @@ struct DeviceDigest {
   friend bool operator==(const DeviceDigest&, const DeviceDigest&) = default;
 };
 
-/// Per-device digests of a configuration set, in canonical device order.
-/// These are exactly the values the v2 key hashes, and what the artifact
-/// cache stores in each entry's device table (devices.tsv).
+/// Per-device digests of a configuration set, in canonical device order:
+/// exactly the values the key hashes for its network.
 [[nodiscard]] std::vector<DeviceDigest> compute_device_digests(
     const ConfigSet& configs);
 
@@ -94,19 +91,9 @@ struct DeviceDigest {
 [[nodiscard]] std::vector<DeviceDigest> compute_device_digests(
     std::string_view canonical_text);
 
-/// The key of a job whose network has the device table `devices`
-/// (compute_device_digests of its canonical bundle). The one key
-/// derivation: confmaskd's admission computes the table once and hands it
-/// on to the publish, and the overloads below wrap this. `tenant` is the
-/// namespace the job runs under (kDefaultTenant when the request named
-/// none).
-[[nodiscard]] CacheKey compute_cache_key(
-    const std::vector<DeviceDigest>& devices, const ConfMaskOptions& options,
-    const RetryPolicy& policy, EquivalenceStrategy strategy,
-    const std::string& tenant = "default");
-
 /// The key of a job. `configs` need not be in canonical order — the
-/// encoding canonicalizes.
+/// encoding canonicalizes. `tenant` is the namespace the job runs under
+/// (kDefaultTenant when the request named none).
 [[nodiscard]] CacheKey compute_cache_key(const ConfigSet& configs,
                                          const ConfMaskOptions& options,
                                          const RetryPolicy& policy,

@@ -81,7 +81,6 @@ void JobScheduler::restore_from_journal() {
     job.canonical = std::make_shared<const ConfigSet>(
         canonicalize(std::move(job.request.configs)));
     job.canonical_text = canonical_config_set_text(*job.canonical);
-    job.devices = compute_device_digests(job.canonical_text);
     job.key = recovered.key;
     job.status.id = recovered.id;
     job.status.state = JobState::kQueued;
@@ -128,7 +127,7 @@ SubmitOutcome JobScheduler::resubmit(ResubmitRequest request) {
   }
   // Tenant-scoped base lookup: another namespace's entry is as good as
   // absent, so a resubmit can never read across the tenant boundary.
-  std::optional<CachedOriginal> base;
+  std::optional<std::string> base;
   if (resident == nullptr) {
     base = cache_->lookup_original(request.base_key_hex, request.tenant);
   }
@@ -149,8 +148,7 @@ SubmitOutcome JobScheduler::resubmit(ResubmitRequest request) {
         resident != nullptr
             ? apply_bundle_diff(*resident->original.configs,
                                 request.diff_text)
-            : apply_bundle_diff(parse_config_set(base->original_configs),
-                                request.diff_text);
+            : apply_bundle_diff(parse_config_set(*base), request.diff_text);
   } catch (const ConfigParseError& err) {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.rejected;
@@ -177,13 +175,12 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
   if (request.tenant.empty()) request.tenant = std::string(kDefaultTenant);
   // Canonicalize and key OUTSIDE the lock: emitting a large network is the
   // expensive part of admission and must not stall status queries. The
-  // text is rendered once and its device table computed once; the key, the
-  // journal record and the publish all read these.
+  // text is rendered once; the key, the journal record and the publish all
+  // read it.
   ConfigSet canonical = canonicalize(std::move(request.configs));
   std::string canonical_text = canonical_config_set_text(canonical);
-  std::vector<DeviceDigest> devices = compute_device_digests(canonical_text);
   const CacheKey key =
-      compute_cache_key(devices, request.options, RetryPolicy{},
+      compute_cache_key(canonical_text, request.options, RetryPolicy{},
                         request.strategy, request.tenant);
 
   SubmitOutcome out;
@@ -257,7 +254,6 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
       job.request = std::move(request);
       job.canonical = std::make_shared<const ConfigSet>(std::move(canonical));
       job.canonical_text = std::move(canonical_text);
-      job.devices = std::move(devices);
       job.key = key;
       job.status.id = id;
       job.status.state = JobState::kQueued;
@@ -583,19 +579,16 @@ void JobScheduler::execute(std::uint64_t id) {
   // After submit, a job's request/canonical/key/token fields are immutable
   // and this worker is the only writer of its result — so they are safe to
   // read unlocked while the pipeline runs. Status transitions stay locked.
-  // The admission-time bundle text and its device table move out here,
-  // once, for the artifact.
+  // The admission-time bundle text moves out here, once, for the artifact.
   const Job* job = nullptr;
   JobStatus running_snapshot;
   std::string original_text;
-  std::vector<DeviceDigest> original_devices;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     Job& running = jobs_.at(id);
     job = &running;
     running_snapshot = job->status;
     original_text = std::move(running.canonical_text);
-    original_devices = std::move(running.devices);
   }
   journal_state(running_snapshot, job->key.secondary);
   const CancelToken* token = job->token.get();
@@ -756,9 +749,8 @@ void JobScheduler::execute(std::uint64_t id) {
     artifacts.diagnostics_json = std::move(diagnostics);
     artifacts.metrics_json = trace.metrics_json(/*include_timings=*/false);
     std::string store_error;
-    const StoreResult stored =
-        cache_->store(job->key, artifacts, original_devices, &store_error,
-                      job->request.tenant);
+    const StoreResult stored = cache_->store(job->key, artifacts,
+                                             &store_error, job->request.tenant);
 
     // Re-base the captured stage state into a resident context for future
     // resubmits against THIS job. Deliberately after sims_delta is

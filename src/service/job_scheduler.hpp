@@ -347,10 +347,6 @@ class JobScheduler {
     /// (or restore) for the cache key and the journal; the executing
     /// worker moves it into the published artifact.
     std::string canonical_text;
-    /// compute_device_digests(canonical_text), computed once at admission
-    /// (or restore): the key derives from it, and the executing worker
-    /// moves it into the publish's devices.tsv.
-    std::vector<DeviceDigest> devices;
     CacheKey key;
     JobStatus status;
     JobResult result;

@@ -1,5 +1,5 @@
-// Generic observability primitives: thread-safe counters and histograms, a
-// monotonic clock, JSON string escaping, and a serialized NDJSON line sink.
+// Generic observability primitives: thread-safe histograms, a monotonic
+// clock, JSON string escaping, and a serialized NDJSON line sink.
 //
 // These are the substrate under src/core/pipeline_trace.hpp (the
 // pipeline-aware span/metrics layer). Design constraints, in order:
@@ -7,9 +7,9 @@
 //    The only clock is monotonic_ns() (std::chrono::steady_clock), and its
 //    values are used for durations only — never as data the pipeline
 //    branches on, so instrumented runs stay bit-identical to bare runs.
-//  * Thread-safety without perturbation: Counter/Histogram writes are
-//    relaxed atomics, safe from ThreadPool workers; reads are meant for
-//    merge points (after parallel_for returns), where no writer races.
+//  * Thread-safety without perturbation: Histogram writes are relaxed
+//    atomics, safe from ThreadPool workers; reads are meant for merge
+//    points (after parallel_for returns), where no writer races.
 //  * No dependencies: plain C++ standard library. JSON text comes from
 //    src/util/json_writer.hpp, which escapes through append_json_escaped.
 #pragma once
@@ -33,23 +33,6 @@ namespace confmask::obs {
 /// `out`: the one escaping loop, behind every key and string JsonWriter
 /// writes. Runs of bytes that need no escape are copied in bulk.
 void append_json_escaped(std::string& out, std::string_view text);
-
-/// A monotonically increasing event/occurrence counter. Writes are relaxed
-/// atomic adds (safe from pool workers); value() is exact once writers have
-/// reached a merge point.
-class Counter {
- public:
-  void add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
 
 /// A log2-bucketed histogram of unsigned values (dirty-set sizes, filters
 /// per iteration, tasks per batch). Bucket i counts values of bit width i:

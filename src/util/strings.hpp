@@ -1,8 +1,11 @@
-// Small string helpers shared by the configuration parser/emitter.
+// Small string helpers shared by the configuration parser/emitter and
+// the command-line tools.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace confmask {
@@ -28,5 +31,15 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// Counts non-empty, non-comment ("!" separator) configuration lines; this
 /// is the line count the paper's U_C metric is computed over.
 std::size_t count_config_lines(std::string_view text);
+
+/// Reads `text` into `out` iff all of it is one number of out's type: no
+/// sign on an unsigned type, no unit, nothing before or after it. How the
+/// command-line tools read every numeric flag.
+template <typename T>
+bool read_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, out);
+  return error == std::errc{} && stop == end;
+}
 
 }  // namespace confmask

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 
 #include "src/config/emit.hpp"
@@ -183,15 +184,17 @@ TEST(ArtifactCache, PublishedEntriesAreAlwaysComplete) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     cache.store(CacheKey{i, i + 1}, sample_artifacts());
   }
-  // Every directory under entries/ holds all four files — the atomic
-  // rename-publish invariant.
+  // Every directory under entries/ holds exactly the five files — the
+  // atomic rename-publish invariant, and nothing beside them.
+  const std::set<std::string> expected = {
+      "meta.json", "anonymized.cfgset", "original.cfgset",
+      "diagnostics.json", "metrics.json"};
   for (const auto& entry : fs::directory_iterator(root / "entries")) {
-    EXPECT_TRUE(fs::exists(entry.path() / "meta.json")) << entry.path();
-    EXPECT_TRUE(fs::exists(entry.path() / "anonymized.cfgset"))
-        << entry.path();
-    EXPECT_TRUE(fs::exists(entry.path() / "diagnostics.json"))
-        << entry.path();
-    EXPECT_TRUE(fs::exists(entry.path() / "metrics.json")) << entry.path();
+    std::set<std::string> files;
+    for (const auto& file : fs::directory_iterator(entry.path())) {
+      files.insert(file.path().filename().string());
+    }
+    EXPECT_EQ(files, expected) << entry.path();
   }
   EXPECT_EQ(cache.entry_count(), 5u);
 }
@@ -341,7 +344,7 @@ TEST(CacheKey, RenameChangesKeyAndDigestReorderChangesNeither) {
   EXPECT_EQ(compute_device_digests(reordered), base_digests);
 }
 
-TEST(ArtifactCache, LookupOriginalReturnsBundleAndDeviceTable) {
+TEST(ArtifactCache, LookupOriginalReturnsTheSubmittedBundle) {
   ArtifactCache cache(fresh_dir("lookup_original"), "stamp-a");
   const CacheKey key{77, 78};
   CacheArtifacts artifacts = sample_artifacts();
@@ -350,19 +353,60 @@ TEST(ArtifactCache, LookupOriginalReturnsBundleAndDeviceTable) {
 
   const auto hit = cache.lookup_original(key.hex());
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->original_configs, artifacts.original_configs);
-  // The persisted device table round-trips the exact digests the v2 key
-  // hashes — what a resubmit diffs against.
-  EXPECT_EQ(hit->devices,
-            compute_device_digests(artifacts.original_configs));
+  EXPECT_EQ(*hit, artifacts.original_configs);
 
   EXPECT_FALSE(cache.lookup_original("ffffffffffffffff").has_value());
 }
 
+TEST(ArtifactCache, EntriesWithTheOlderDeviceTableKeepServing) {
+  // Older builds published a sixth file, devices.tsv, a per-device digest
+  // table nothing read. Their entries keep serving after an upgrade: the
+  // table is ignored, uncounted, and removed with the entry.
+  const fs::path root = fresh_dir("older_layout");
+  const CacheKey key{21, 22};
+  CacheArtifacts artifacts = sample_artifacts();
+  artifacts.original_configs = canonical_config_set_text(make_figure2());
+  std::uint64_t entry_bytes = 0;
+  {
+    ArtifactCache cache(root, "stamp-a");
+    ASSERT_EQ(cache.store(key, artifacts), StoreResult::kPublished);
+    entry_bytes = cache.total_bytes();
+  }
+  const fs::path entry = root / "entries" / key.hex();
+  std::string table = "confmask.devices/1\n";
+  for (const DeviceDigest& device :
+       compute_device_digests(artifacts.original_configs)) {
+    table += device.name + "\t" + hex64(device.primary) + "\t" +
+             hex64(device.secondary) + "\n";
+  }
+  std::ofstream(entry / "devices.tsv") << table;
+
+  // Budget for one and a half entries: the next publish evicts this one.
+  ArtifactCache reopened(root, "stamp-a", entry_bytes + entry_bytes / 2);
+  EXPECT_EQ(reopened.entry_count(), 1u);
+  EXPECT_EQ(reopened.stats().invalidations, 0u);
+  EXPECT_EQ(reopened.total_bytes(), entry_bytes);
+  const auto hit = reopened.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->anonymized_configs, artifacts.anonymized_configs);
+  EXPECT_EQ(hit->original_configs, artifacts.original_configs);
+  EXPECT_EQ(hit->diagnostics_json, artifacts.diagnostics_json);
+  EXPECT_EQ(hit->metrics_json, artifacts.metrics_json);
+  const auto original = reopened.lookup_original(key.hex());
+  ASSERT_TRUE(original.has_value());
+  EXPECT_EQ(*original, artifacts.original_configs);
+
+  ASSERT_EQ(reopened.store(CacheKey{23, 24}, artifacts),
+            StoreResult::kPublished);
+  EXPECT_EQ(reopened.stats().evictions, 1u);
+  EXPECT_FALSE(fs::exists(entry));
+  EXPECT_EQ(reopened.entry_count(), 1u);
+}
+
 TEST(ArtifactCache, MissingWatchFilesArePurgedAsV1Entries) {
-  // A version-1 entry is structurally an entry without original.cfgset /
-  // devices.tsv. The opening scrub must purge it: it can serve neither a
-  // v2 key nor a resubmit's base lookup.
+  // A version-1 entry is structurally an entry without original.cfgset.
+  // The opening scrub must purge it: it can serve neither a v2 key nor a
+  // resubmit's base lookup.
   const fs::path root = fresh_dir("v1_purge");
   const CacheKey key{11, 12};
   {
@@ -370,7 +414,6 @@ TEST(ArtifactCache, MissingWatchFilesArePurgedAsV1Entries) {
     cache.store(key, sample_artifacts());
   }
   fs::remove(root / "entries" / key.hex() / "original.cfgset");
-  fs::remove(root / "entries" / key.hex() / "devices.tsv");
   ArtifactCache reopened(root, "stamp-a");
   EXPECT_EQ(reopened.stats().invalidations, 1u);
   EXPECT_EQ(reopened.entry_count(), 0u);

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/confmask.hpp"
@@ -26,22 +25,6 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // obs primitives
-
-TEST(Observability, CounterAccumulatesAcrossThreads) {
-  obs::Counter counter;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (int i = 0; i < kPerThread; ++i) counter.add(1);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(counter.value(), kThreads * kPerThread);
-  counter.reset();
-  EXPECT_EQ(counter.value(), 0u);
-}
 
 TEST(Observability, HistogramBucketsByBitWidth) {
   obs::Histogram histogram;

@@ -1,13 +1,13 @@
 // The bundle text path of confmaskd, pinned byte for byte.
 //
 // Everything the daemon writes or sends is text derived from a bundle:
-// cache keys and the per-device table (devices.tsv), journal records, and
-// JSON lines with the bundle escaped inside. These tests pin those bytes
-// by digest on the evaluation networks and the scale families, pin JSON
-// quoting of every byte value against a per-byte reference, and pin the
-// parser's errors (message and line number) on malformed bundles. The
-// tables were read before the text path was rewritten for speed; a change
-// that alters any of these bytes on purpose updates the table and says why.
+// cache keys, journal records, and JSON lines with the bundle escaped
+// inside. These tests pin those bytes by digest on the evaluation networks
+// and the scale families, pin JSON quoting of every byte value against a
+// per-byte reference, and pin the parser's errors (message and line
+// number) on malformed bundles. The tables were read before the text path
+// was rewritten for speed; a change that alters any of these bytes on
+// purpose updates the table and says why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include "src/service/job_journal.hpp"
 #include "src/service/json_line.hpp"
 #include "src/util/hash.hpp"
-#include "src/util/io_shim.hpp"
 
 namespace confmask {
 namespace {
@@ -58,53 +57,49 @@ std::vector<std::pair<std::string, std::string>> pinned_bundles() {
   return out;
 }
 
-/// One bundle's keys under the default tenant and under "acme", and the
-/// fnv1a64 of the devices.tsv a store writes for it.
+/// One bundle's keys under the default tenant and under "acme".
 struct KeyRow {
   std::string name;
   std::string primary;
   std::string secondary;
   std::string acme_primary;
   std::string acme_secondary;
-  std::string devices_tsv;
 };
 
 std::string row_text(const KeyRow& row) {
   return "{\"" + row.name + "\", \"" + row.primary + "\", \"" +
          row.secondary + "\", \"" + row.acme_primary + "\", \"" +
-         row.acme_secondary + "\", \"" + row.devices_tsv + "\"},";
+         row.acme_secondary + "\"},";
 }
 
-TEST(TextPath, CacheKeysAndDeviceTablesAreGolden) {
-  // name, primary, secondary, acme primary, acme secondary, devices.tsv
+TEST(TextPath, CacheKeysAreGolden) {
+  // name, primary, secondary, acme primary, acme secondary
   const std::vector<KeyRow> expected = {
       {"A", "793c2ee8da360d27", "c963dd87bfa63a32",
-       "393fd7398b2a735b", "62f8acbdb2136c04", "0ca3bcd89ee5c69b"},
+       "393fd7398b2a735b", "62f8acbdb2136c04"},
       {"B", "d953338efe7cab0e", "b5fb7a93bedd0bc0",
-       "041154a972e14792", "35f6e7907f6e2bd2", "0f656d8bbf2d4c40"},
+       "041154a972e14792", "35f6e7907f6e2bd2"},
       {"C", "9d800d983468d013", "8253ebdd1c751006",
-       "070e44463e73e8f7", "2ce53ec4b8471a48", "59be8bce882acdda"},
+       "070e44463e73e8f7", "2ce53ec4b8471a48"},
       {"D", "4775c56b4abbf371", "1b2c8372b56b5ec5",
-       "080ec605b4ddcb6d", "0e51f4bf6351224f", "441e2c4b9ee8a669"},
+       "080ec605b4ddcb6d", "0e51f4bf6351224f"},
       {"E", "41e8169462dda90f", "45da67cc9600f287",
-       "96b3c3c2b521ef9b", "05ff8d168b76f921", "732171489c7a5aa5"},
+       "96b3c3c2b521ef9b", "05ff8d168b76f921"},
       {"F", "a14e2ca88b792d23", "1eca88abf66bfe73",
-       "76ca929c2d2ae5ef", "b18b35df3856e7a5", "cf4b0662d0f741b4"},
+       "76ca929c2d2ae5ef", "b18b35df3856e7a5"},
       {"G", "053561ae565c6aba", "39d2c1cb12736a3f",
-       "922b440bd6b1ce1e", "75f7b244e3a5274d", "caf6cf4cd57f67e7"},
+       "922b440bd6b1ce1e", "75f7b244e3a5274d"},
       {"H", "49294ce55de21dc7", "de2f7bf07b3235e2",
-       "32094aa9c7aab413", "d0f1c5af9ed4ce04", "2d5494f12849db2a"},
+       "32094aa9c7aab413", "d0f1c5af9ed4ce04"},
       {"waxman-ospf-316", "0ad78f35c2a501dc", "4789f04f14f2ea07",
-       "14e36ef7f65edf80", "b2eea574e7298cfd", "67a49651a456538f"},
+       "14e36ef7f65edf80", "b2eea574e7298cfd"},
       {"waxman-rip-316", "497493b57665e7fe", "ae313532f6d4f7c3",
-       "362baf7416b5ea22", "e0b0316e1d2dc3b1", "66f3d10c77278fa0"},
+       "362baf7416b5ea22", "e0b0316e1d2dc3b1"},
       {"multi-as-316", "af4eae74e264d9b6", "ed63b8af06fa1d95",
-       "a816c845b9c9f4ca", "ea9ff39c6a0ae0ff", "cd42428b9639aa73"},
+       "a816c845b9c9f4ca", "ea9ff39c6a0ae0ff"},
       {"pref-attach-316", "e16ad11fbcaeba69", "d50666dff4b653d6",
-       "aa284bed512cbac5", "c42696236824f0a8", "6a5d4bce51cf257d"},
+       "aa284bed512cbac5", "c42696236824f0a8"},
   };
-  const fs::path root = fresh_dir("text_path_keys");
-  ArtifactCache cache(root, "stamp-text-path");
   const ConfMaskOptions options;
   const RetryPolicy policy;
   std::size_t row = 0;
@@ -113,19 +108,8 @@ TEST(TextPath, CacheKeysAndDeviceTablesAreGolden) {
         text, options, policy, EquivalenceStrategy::kConfMask);
     const CacheKey acme = compute_cache_key(
         text, options, policy, EquivalenceStrategy::kConfMask, "acme");
-    CacheArtifacts artifacts;
-    artifacts.anonymized_configs = text;
-    artifacts.original_configs = text;
-    ASSERT_EQ(cache.store(key, artifacts), StoreResult::kPublished) << name;
-    const auto tsv =
-        io::read_file(root / "entries" / key.hex() / "devices.tsv");
-    ASSERT_TRUE(tsv.has_value()) << name;
-    const KeyRow actual{name,
-                        key.hex(),
-                        hex64(key.secondary),
-                        acme.hex(),
-                        hex64(acme.secondary),
-                        hex64(fnv1a64(*tsv))};
+    const KeyRow actual{name, key.hex(), hex64(key.secondary), acme.hex(),
+                        hex64(acme.secondary)};
     if (row < expected.size()) {
       EXPECT_EQ(row_text(actual), row_text(expected[row]));
     } else {
@@ -306,32 +290,6 @@ TEST(TextPath, MalformedBundlesNameTheirLine) {
             "r1: line 4: bad address: 10.0.0.256");
   EXPECT_EQ(parse_error("!\n! comment only\n"),
             "line 1: no device markers in configuration bundle");
-}
-
-TEST(TextPath, StoreGivenAdmissionsTableWritesTheSameDeviceTable) {
-  const std::string text = canonical_config_set_text(make_uscarrier());
-  CacheArtifacts artifacts;
-  artifacts.original_configs = text;
-  artifacts.anonymized_configs = text;
-  const fs::path computed_root = fresh_dir("text_path_computed");
-  const fs::path handed_root = fresh_dir("text_path_handed");
-  ArtifactCache computed(computed_root, "stamp-text-path");
-  ArtifactCache handed(handed_root, "stamp-text-path");
-  const std::vector<DeviceDigest> devices = compute_device_digests(text);
-  const CacheKey key =
-      compute_cache_key(devices, ConfMaskOptions{}, RetryPolicy{},
-                        EquivalenceStrategy::kConfMask);
-  EXPECT_EQ(key, compute_cache_key(text, ConfMaskOptions{}, RetryPolicy{},
-                                   EquivalenceStrategy::kConfMask));
-  ASSERT_EQ(computed.store(key, artifacts), StoreResult::kPublished);
-  ASSERT_EQ(handed.store(key, artifacts, devices), StoreResult::kPublished);
-  for (const char* file : {"devices.tsv", "meta.json", "original.cfgset"}) {
-    const auto a = io::read_file(computed_root / "entries" / key.hex() / file);
-    const auto b = io::read_file(handed_root / "entries" / key.hex() / file);
-    ASSERT_TRUE(a.has_value() && b.has_value()) << file;
-    EXPECT_EQ(*a, *b) << file;
-  }
-  EXPECT_EQ(computed.total_bytes(), handed.total_bytes());
 }
 
 TEST(TextPath, ConcurrentIdenticalStoresPublishOnceAndLeaveNoLitter) {

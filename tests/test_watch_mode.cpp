@@ -1217,10 +1217,8 @@ TEST(WatchMode, ResidentBaseMatchesTheCachedBaseAlongEditChains) {
           resident_cache.lookup_original(resident_key);
       const auto cached_original = cached_cache.lookup_original(cached_key);
       ASSERT_TRUE(resident_original && cached_original);
-      EXPECT_EQ(resident_original->original_configs,
-                cached_original->original_configs);
-      EXPECT_EQ(resident_original->original_configs,
-                canonical_config_set_text(next));
+      EXPECT_EQ(*resident_original, *cached_original);
+      EXPECT_EQ(*resident_original, canonical_config_set_text(next));
       EXPECT_EQ(published(resident_cache, resident_key),
                 published(cached_cache, cached_key))
           << name << " edit " << edit;
