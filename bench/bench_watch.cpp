@@ -210,9 +210,8 @@ int main(int argc, char** argv) {
 
       // Publish path: one cold run with capture, context for the cycle.
       const auto start = std::chrono::steady_clock::now();
-      const auto run = run_pipeline_guarded(candidate, options, policy,
-                                            EquivalenceStrategy::kConfMask,
-                                            nullptr, nullptr, &capture);
+      const auto run = run_pipeline_guarded(candidate, options, policy, nullptr,
+                                            nullptr, &capture);
       base_s = seconds_since(start);
       if (!run.ok() || run.diagnostics.attempts != 1) continue;
 
@@ -220,8 +219,7 @@ int main(int argc, char** argv) {
       if (!apply_single_device_edit(candidate_edited)) continue;
       candidate_edited = canonicalize(std::move(candidate_edited));
       const auto probe_cold = run_pipeline_guarded(
-          candidate_edited, options, policy, EquivalenceStrategy::kConfMask,
-          nullptr, nullptr, nullptr);
+          candidate_edited, options, policy, nullptr, nullptr, nullptr);
       if (!probe_cold.ok() || probe_cold.diagnostics.attempts != 1) continue;
 
       base = std::move(candidate);
@@ -243,14 +241,12 @@ int main(int argc, char** argv) {
     const int repetitions = 3;
     GuardedPipelineResult cold;
     const double cold_s = min_time(repetitions, [&] {
-      cold = run_pipeline_guarded(edited, options, policy,
-                                  EquivalenceStrategy::kConfMask, nullptr,
-                                  nullptr, nullptr);
+      cold = run_pipeline_guarded(edited, options, policy, nullptr, nullptr,
+                                  nullptr);
     });
     GuardedPipelineResult patched;
     const double patched_s = min_time(repetitions, [&] {
-      patched = run_pipeline_guarded(edited, options, policy,
-                                     EquivalenceStrategy::kConfMask, nullptr,
+      patched = run_pipeline_guarded(edited, options, policy, nullptr,
                                      context.get(), nullptr);
     });
     // The daemon's watch cycle: the job's bundle is shared with the
@@ -261,8 +257,7 @@ int main(int argc, char** argv) {
       PatchCapture cycle;
       cycle.shared_original = shared_edited;
       const auto run = run_pipeline_guarded(
-          *shared_edited, options, policy, EquivalenceStrategy::kConfMask,
-          nullptr, context.get(), &cycle);
+          *shared_edited, options, policy, nullptr, context.get(), &cycle);
       cycle_ok = cycle_ok && run.ok() && finish_capture(cycle) != nullptr;
     });
     // One traced run of each flavour for the per-phase breakdown, and the
@@ -270,9 +265,8 @@ int main(int argc, char** argv) {
     std::uint64_t walked = 0;
     const auto traced_spans = [&](const PatchContext* base_ctx) {
       PipelineTrace trace;
-      (void)run_pipeline_guarded(edited, options, policy,
-                                 EquivalenceStrategy::kConfMask, nullptr,
-                                 base_ctx, nullptr);
+      (void)run_pipeline_guarded(edited, options, policy, nullptr, base_ctx,
+                                 nullptr);
       std::vector<SpanMetrics> spans = trace.metrics();
       for (const SpanMetrics& span : spans) {
         if (span.path == "verification") {

@@ -7,6 +7,8 @@
 //      (the write-ahead journal replays interrupted jobs);
 //   2. replayed results are byte-identical to a golden run that was never
 //      interrupted (content-addressed determinism survives crashes);
+//      half the job variants run under a named tenant, whose key and
+//      recovery must hold as the default tenant's do;
 //   3. resubmitting an acknowledged request converges to a cache hit with
 //      identical bytes;
 //   4. the on-disk cache never contains a partial entry — every directory
@@ -66,11 +68,30 @@ std::uint64_t next_random(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// One job variant: a seed, under the default tenant (empty) or a named
+/// one.
+struct Variant {
+  std::uint64_t seed;
+  const char* tenant;
+};
+
 /// The job variants the harness cycles through. All share one topology so
-/// parse cost stays negligible; distinct seeds give distinct cache keys.
-constexpr std::uint64_t kVariantSeeds[] = {11, 22, 33, 44};
-constexpr std::size_t kVariantCount =
-    sizeof(kVariantSeeds) / sizeof(kVariantSeeds[0]);
+/// parse cost stays negligible; distinct seeds give distinct cache keys,
+/// and half of them run under a named tenant.
+constexpr Variant kVariants[] = {
+    {11, ""}, {22, "acme"}, {33, ""}, {44, "acme"}};
+constexpr std::size_t kVariantCount = sizeof(kVariants) / sizeof(kVariants[0]);
+
+std::string submit_variant(const std::string& configs, std::size_t variant) {
+  return bench::submit_line(configs, kVariants[variant].seed,
+                            kVariants[variant].tenant);
+}
+
+std::string variant_name(std::size_t variant) {
+  const std::string tenant = kVariants[variant].tenant;
+  return "seed " + std::to_string(kVariants[variant].seed) + " tenant " +
+         (tenant.empty() ? "default" : tenant);
+}
 
 struct DaemonProcess {
   pid_t pid = -1;
@@ -233,23 +254,23 @@ int main(int argc, char** argv) {
 
   // Golden run: an uninterrupted daemon computes every variant once. All
   // later iterations must reproduce these bytes exactly.
-  std::map<std::uint64_t, JobArtifacts> golden;
+  std::map<std::size_t, JobArtifacts> golden;
   {
     const DaemonProcess daemon = start_daemon(options);
     if (!wait_ready(daemon)) {
       std::fprintf(stderr, "chaos: golden daemon failed to start\n");
       return 1;
     }
-    for (const std::uint64_t variant : kVariantSeeds) {
+    for (std::size_t variant = 0; variant < kVariantCount; ++variant) {
       const auto response = client_roundtrip(
-          daemon.socket_path, bench::submit_line(configs_text, variant));
+          daemon.socket_path, submit_variant(configs_text, variant));
       const auto parsed =
           response ? parse_json_line(*response) : std::nullopt;
       const auto job = parsed ? get_u64(*parsed, "job") : std::nullopt;
       if (!job || !wait_and_fetch(daemon.socket_path, *job,
                                   &golden[variant])) {
-        std::fprintf(stderr, "chaos: golden run failed for seed %llu\n",
-                     static_cast<unsigned long long>(variant));
+        std::fprintf(stderr, "chaos: golden run failed for %s\n",
+                     variant_name(variant).c_str());
         return 1;
       }
     }
@@ -275,12 +296,11 @@ int main(int argc, char** argv) {
     // Submit two jobs; record only the ACKNOWLEDGED ones. A kill can land
     // between our write and the daemon's ack — those submissions carry no
     // durability promise and are dropped from the assertion set.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> acked;  // job, seed
+    std::vector<std::pair<std::uint64_t, std::size_t>> acked;  // job, variant
     for (int j = 0; j < 2; ++j) {
-      const std::uint64_t variant =
-          kVariantSeeds[next_random(rng) % kVariantCount];
+      const std::size_t variant = next_random(rng) % kVariantCount;
       const auto response = client_roundtrip(
-          daemon.socket_path, bench::submit_line(configs_text, variant));
+          daemon.socket_path, submit_variant(configs_text, variant));
       const auto parsed =
           response ? parse_json_line(*response) : std::nullopt;
       const auto job = parsed ? get_u64(*parsed, "job") : std::nullopt;
@@ -309,10 +329,10 @@ int main(int argc, char** argv) {
       JobArtifacts artifacts;
       if (!wait_and_fetch(daemon.socket_path, job, &artifacts)) {
         std::fprintf(stderr,
-                     "chaos: iteration %d: acked job %llu (seed %llu) was "
-                     "LOST across the kill\n",
+                     "chaos: iteration %d: acked job %llu (%s) was LOST "
+                     "across the kill\n",
                      iteration, static_cast<unsigned long long>(job),
-                     static_cast<unsigned long long>(variant));
+                     variant_name(variant).c_str());
         return 1;
       }
       if (artifacts.configs != golden[variant].configs ||
@@ -330,10 +350,9 @@ int main(int argc, char** argv) {
     // Lost-ack convergence: resubmitting a variant must be served from the
     // cache, byte-identical. (This is the client's recovery path when a
     // kill ate the ack.)
-    const std::uint64_t variant =
-        acked.empty() ? kVariantSeeds[0] : acked.front().second;
+    const std::size_t variant = acked.empty() ? 0 : acked.front().second;
     const auto response = client_roundtrip(
-        daemon.socket_path, bench::submit_line(configs_text, variant));
+        daemon.socket_path, submit_variant(configs_text, variant));
     const auto parsed = response ? parse_json_line(*response) : std::nullopt;
     const auto job = parsed ? get_u64(*parsed, "job") : std::nullopt;
     JobArtifacts artifacts;

@@ -70,16 +70,6 @@ const char* to_string(EquivalenceStrategy strategy) {
   return "unknown";
 }
 
-std::optional<EquivalenceStrategy> parse_equivalence_strategy(
-    std::string_view name) {
-  for (const EquivalenceStrategy strategy :
-       {EquivalenceStrategy::kConfMask, EquivalenceStrategy::kStrawman1,
-        EquivalenceStrategy::kStrawman2}) {
-    if (name == to_string(strategy)) return strategy;
-  }
-  return std::nullopt;
-}
-
 PipelineResult run_pipeline(const ConfigSet& original,
                             const ConfMaskOptions& options,
                             EquivalenceStrategy strategy) {

@@ -17,7 +17,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/config/diff.hpp"
@@ -63,12 +62,9 @@ struct ConfMaskOptions {
 /// Which Step-2.1 implementation the pipeline uses.
 enum class EquivalenceStrategy { kConfMask, kStrawman1, kStrawman2 };
 
-/// The strategy's wire name: "confmask", "strawman1" or "strawman2".
+/// The strategy's name in the cache key: "confmask", "strawman1" or
+/// "strawman2".
 [[nodiscard]] const char* to_string(EquivalenceStrategy strategy);
-
-/// The strategy a wire name names; nullopt for any other text.
-[[nodiscard]] std::optional<EquivalenceStrategy> parse_equivalence_strategy(
-    std::string_view name);
 
 struct PipelineStats {
   std::size_t fake_intra_links = 0;

@@ -56,16 +56,14 @@ const char* to_string(FallbackKind kind) {
 GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
                                            const ConfMaskOptions& options,
                                            const RetryPolicy& policy,
-                                           EquivalenceStrategy strategy,
                                            const CancelToken* cancel) {
-  return run_pipeline_guarded(original, options, policy, strategy, cancel,
-                              nullptr, nullptr);
+  return run_pipeline_guarded(original, options, policy, cancel, nullptr,
+                              nullptr);
 }
 
 GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
                                            const ConfMaskOptions& options,
                                            const RetryPolicy& policy,
-                                           EquivalenceStrategy strategy,
                                            const CancelToken* cancel,
                                            const PatchContext* patch_base,
                                            PatchCapture* patch_capture) {
@@ -167,8 +165,9 @@ GuardedPipelineResult run_pipeline_guarded(const ConfigSet& original,
       if (!preprocessed) {
         preprocessed = preprocess(original, patch_base);
       }
-      result = run_pipeline(original, *preprocessed, opts, strategy,
-                            patch_base, patch_capture);
+      result = run_pipeline(original, *preprocessed, opts,
+                            EquivalenceStrategy::kConfMask, patch_base,
+                            patch_capture);
     } catch (const PipelineError& error) {
       if (!error.retryable()) {
         return fail_with(error.stage(), error.category(), error.message(),

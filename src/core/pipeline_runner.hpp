@@ -14,8 +14,9 @@
 //       → then relax k_r stepwise down to RetryPolicy::k_r_floor
 //   ResourceExhausted (prefix pools)
 //       → widen both pools by pool_widen_bits and retry
-//   Route-equivalence fixpoint not reached (returned, not thrown; only
-//   Strawman 2 or the injected fault can report it)
+//   Route-equivalence fixpoint not reached (returned, not thrown; a
+//   guarded run always uses ConfMask's Step 2.1, which runs to its
+//   fixpoint, so only the injected fault can report it)
 //       → FAIL CLOSED at once
 //   Verification failed (anonymized ≠ original over real hosts)
 //       → reseed and retry; after all retries: FAIL CLOSED
@@ -109,9 +110,10 @@ struct GuardedPipelineResult {
   [[nodiscard]] bool ok() const { return result.has_value(); }
 };
 
-/// Runs the pipeline under the retry/fallback ladder. Never throws for
-/// pipeline-level failures (they land in diagnostics); never returns
-/// configs that were not verified functionally equivalent.
+/// Runs the pipeline (ConfMask's Step 2.1; the strawmen run only through
+/// the single-shot run_pipeline) under the retry/fallback ladder. Never
+/// throws for pipeline-level failures (they land in diagnostics); never
+/// returns configs that were not verified functionally equivalent.
 ///
 /// `cancel`, when non-null, is installed as the ambient cancellation token
 /// (CancelScope) for the duration of the call: an expired deadline or a
@@ -121,9 +123,7 @@ struct GuardedPipelineResult {
 /// does not run for it.
 [[nodiscard]] GuardedPipelineResult run_pipeline_guarded(
     const ConfigSet& original, const ConfMaskOptions& options,
-    const RetryPolicy& policy = {},
-    EquivalenceStrategy strategy = EquivalenceStrategy::kConfMask,
-    const CancelToken* cancel = nullptr);
+    const RetryPolicy& policy = {}, const CancelToken* cancel = nullptr);
 
 struct PatchContext;
 struct PatchCapture;
@@ -135,9 +135,8 @@ struct PatchCapture;
 /// FINAL attempt (run_pipeline resets it on entry).
 [[nodiscard]] GuardedPipelineResult run_pipeline_guarded(
     const ConfigSet& original, const ConfMaskOptions& options,
-    const RetryPolicy& policy, EquivalenceStrategy strategy,
-    const CancelToken* cancel, const PatchContext* patch_base,
-    PatchCapture* patch_capture);
+    const RetryPolicy& policy, const CancelToken* cancel,
+    const PatchContext* patch_base, PatchCapture* patch_capture);
 
 /// Machine-readable rendering of the diagnostics: status, terminal error,
 /// every fallback-ladder event, the fail-closed gate's divergence triples,

@@ -64,13 +64,14 @@ class PipelineTrace {
     /// Not owned; must outlive the trace.
     std::ostream* trace_sink = nullptr;
     /// Alternative to `trace_sink`: an externally owned NdjsonSink, so
-    /// several traces (the serving layer's per-job traces) can interleave
-    /// whole lines onto ONE stream without tearing. Takes precedence over
-    /// trace_sink. Not owned; must outlive the trace.
+    /// several traces can interleave whole lines onto ONE stream without
+    /// tearing, or a subclass can take the lines (the serving layer's
+    /// per-job traces). Takes precedence over trace_sink. Not owned; must
+    /// outlive the trace.
     obs::NdjsonSink* shared_sink = nullptr;
     /// When non-empty, every NDJSON line this trace emits carries a leading
-    /// "job": "<tag>" field — how confmaskd attributes interleaved span
-    /// lines to jobs on a shared stream.
+    /// "job": "<tag>" field — how a reader of confmaskd's --trace stream
+    /// attributes interleaved span lines to jobs.
     std::string tag;
     /// Installation scope. kProcess (the default, and the only pre-serving
     /// behavior): the trace is what PipelineTrace::active() resolves to on

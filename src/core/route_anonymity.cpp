@@ -189,11 +189,12 @@ RouteAnonymityOutcome anonymize_routes(
   // until nothing more needs rolling back. The topology is frozen (fake
   // hosts already exist), so re-simulation goes through the incremental
   // dirty-set path: only destinations the round's filter edits can affect
-  // are recomputed.
-  constexpr int kMaxRollbackRounds = 16;
-  for (int round = 0; round < kMaxRollbackRounds && !added.empty(); ++round) {
+  // are recomputed. The loop runs to its fixpoint: every round either
+  // rolls back at least one noise record or ends the loop, so it ends
+  // after at most one round per record.
+  while (!added.empty()) {
     // Each rollback round re-simulates — poll so a deadline/cancel stops
-    // within one round instead of riding out all sixteen.
+    // within one round instead of riding out the rest.
     poll_cancellation();
     auto round_span = PipelineTrace::begin("rollback_round");
     current = std::make_shared<Simulation>(configs, *current, delta);
@@ -256,8 +257,7 @@ RouteAnonymityOutcome anonymize_routes(
 
   // Hand the last build to the caller so verification need not rebuild
   // from scratch. The last round may have rolled filters back after its
-  // build (the rounds ran out, or it rolled back every remaining record),
-  // but every edit of the stage is an exact deny of a fake-host LAN, which
+  // build (when it rolled back every remaining record), but every edit of the stage is an exact deny of a fake-host LAN, which
   // the allocator keeps disjoint from every real host prefix: the
   // real-destination columns, all that verification reads, are final.
   if (final_simulation != nullptr) *final_simulation = std::move(current);

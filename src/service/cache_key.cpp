@@ -112,7 +112,7 @@ CacheKey compute_cache_key(const std::vector<DeviceDigest>& devices,
 
 }  // namespace
 
-CacheKey compute_cache_key(const std::string& canonical_text,
+CacheKey compute_cache_key(std::string_view canonical_text,
                            const ConfMaskOptions& options,
                            const RetryPolicy& policy,
                            EquivalenceStrategy strategy,
@@ -147,10 +147,6 @@ std::vector<DeviceDigest> compute_device_digests(std::string_view text) {
     digests.push_back(digest_section(name, text.substr(begin)));
   }
   return digests;
-}
-
-std::vector<DeviceDigest> compute_device_digests(const ConfigSet& configs) {
-  return compute_device_digests(canonical_config_set_text(configs));
 }
 
 CacheKey compute_cache_key(const ConfigSet& configs,

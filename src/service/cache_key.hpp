@@ -14,7 +14,9 @@
 //  * the RetryPolicy, because the fallback ladder changes the effective
 //    parameters of the final attempt (a reseed or k_r relaxation is
 //    visible in the artifact bytes);
-//  * the equivalence strategy.
+//  * the equivalence strategy. confmaskd runs every job with ConfMask's
+//    own and keys it so (job_key, job_scheduler.hpp); the strawmen are
+//    in-process baselines.
 //
 // The build stamp is NOT part of the key — it lives in the entry metadata
 // and is checked at lookup (ArtifactCache), so a stale-binary entry is
@@ -81,12 +83,8 @@ struct DeviceDigest {
   friend bool operator==(const DeviceDigest&, const DeviceDigest&) = default;
 };
 
-/// Per-device digests of a configuration set, in canonical device order:
-/// exactly the values the key hashes for its network.
-[[nodiscard]] std::vector<DeviceDigest> compute_device_digests(
-    const ConfigSet& configs);
-
-/// Same, over a pre-rendered canonical bundle: one pass over each
+/// Per-device digests of a canonical bundle, in its device order: exactly
+/// the values the key hashes for its network. One pass over each
 /// section's bytes computes both digests, with no copy of the section.
 [[nodiscard]] std::vector<DeviceDigest> compute_device_digests(
     std::string_view canonical_text);
@@ -102,7 +100,7 @@ struct DeviceDigest {
 
 /// Key over a pre-rendered canonical bundle (avoids re-emitting when the
 /// caller already holds the canonical text).
-[[nodiscard]] CacheKey compute_cache_key(const std::string& canonical_text,
+[[nodiscard]] CacheKey compute_cache_key(std::string_view canonical_text,
                                          const ConfMaskOptions& options,
                                          const RetryPolicy& policy,
                                          EquivalenceStrategy strategy,

@@ -42,34 +42,6 @@ namespace {
 /// is not hostage to a wedged one (which still means the socket is TAKEN).
 constexpr std::uint32_t kProbeTimeoutMs = 1'000;
 
-/// Extracts N from a trace line tagged `{"job": "job-N", ...` or — for a
-/// job in a non-default tenant — `{"job": "<tenant>/job-N", ...`: the
-/// formats the scheduler's per-job PipelineTrace tags carry. Lines
-/// without the tag (untagged traces, span_end counters never start with
-/// the tag either-which-way) simply aren't broadcast.
-std::optional<std::uint64_t> parse_job_tag(std::string_view line) {
-  constexpr std::string_view kPrefix = "{\"job\": \"";
-  if (line.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
-  const std::size_t close = line.find('"', kPrefix.size());
-  if (close == std::string_view::npos) return std::nullopt;
-  const std::string_view tag =
-      line.substr(kPrefix.size(), close - kPrefix.size());
-  const std::size_t mark = tag.rfind("job-");
-  // "job-N" exactly, or a tenant prefix ending in '/': tenant names never
-  // contain '/' or '"', so the tag grammar stays unambiguous.
-  if (mark == std::string_view::npos) return std::nullopt;
-  if (mark != 0 && tag[mark - 1] != '/') return std::nullopt;
-  std::uint64_t id = 0;
-  bool any = false;
-  for (std::size_t i = mark + 4; i < tag.size(); ++i) {
-    const char c = tag[i];
-    if (c < '0' || c > '9') return std::nullopt;
-    id = id * 10 + static_cast<std::uint64_t>(c - '0');
-    any = true;
-  }
-  return any ? std::optional<std::uint64_t>(id) : std::nullopt;
-}
-
 /// The NDJSON state-transition event pushed to subscribers, plus whether
 /// it is terminal (ends the stream).
 std::pair<std::string, bool> make_state_event(const JobStatus& status) {
@@ -95,30 +67,6 @@ std::pair<std::string, bool> make_state_event(const JobStatus& status) {
   }
   return {out.str(), terminal};
 }
-
-/// The scheduler's trace sink: fans every job-tagged trace line out to
-/// that job's subscribers, teeing to the operator's --trace stream when
-/// one is configured. Subclasses the stream-less NdjsonSink base, so the
-/// scheduler needs no new seam — it just writes lines.
-class BroadcastSink final : public obs::NdjsonSink {
- public:
-  BroadcastSink(ConnectionServer* server, std::ostream* tee)
-      : server_(server) {
-    if (tee != nullptr) tee_ = std::make_unique<obs::NdjsonSink>(*tee);
-  }
-
-  void write_line(std::string_view json_object) override {
-    if (tee_ != nullptr) tee_->write_line(json_object);
-    if (const auto job = parse_job_tag(json_object)) {
-      server_->publish(*job, std::string(json_object),
-                       /*end_of_stream=*/false);
-    }
-  }
-
- private:
-  ConnectionServer* server_;
-  std::unique_ptr<obs::NdjsonSink> tee_;
-};
 
 /// SIGHUP ticket: the handler only bumps the counter (async-signal-safe);
 /// each running daemon compares against the value it last consumed on its
@@ -339,7 +287,12 @@ int Daemon::run() {
   server_options.max_line_bytes = options_.max_line_bytes;
   ConnectionServer server(std::move(listen_fds), server_options);
 
-  BroadcastSink trace_sink(&server, options_.trace_stream);
+  // The operator's --trace stream, when configured: every job's lines,
+  // whole, in the order their workers write them.
+  std::unique_ptr<obs::NdjsonSink> trace_tee;
+  if (options_.trace_stream != nullptr) {
+    trace_tee = std::make_unique<obs::NdjsonSink>(*options_.trace_stream);
+  }
 
   // Declared before the scheduler: Options::ring is a borrowed pointer.
   std::optional<RendezvousRing> ring;
@@ -356,7 +309,14 @@ int Daemon::run() {
   JobScheduler::Options scheduler_options;
   scheduler_options.max_concurrent_jobs = options_.max_concurrent_jobs;
   scheduler_options.max_pending = options_.max_pending;
-  scheduler_options.trace_sink = &trace_sink;
+  // Each job's trace lines go to the --trace tee and to that job's
+  // subscribers.
+  scheduler_options.trace_listener = [&server, tee = trace_tee.get()](
+                                         std::uint64_t job,
+                                         std::string_view line) {
+    if (tee != nullptr) tee->write_line(line);
+    server.publish(job, std::string(line), /*end_of_stream=*/false);
+  };
   scheduler_options.journal = journal.get();
   scheduler_options.tenants = tenants;
   scheduler_options.state_listener = [&server](const JobStatus& status) {

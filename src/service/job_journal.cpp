@@ -74,10 +74,9 @@ std::optional<JobRequest> decode_submit(const JsonObject& record) {
   const auto fake_routers = get_int(record, "fake_routers");
   const auto links_per = get_int(record, "links_per_fake_router");
   const auto cost_policy = get_string(record, "cost_policy");
-  const auto strategy = get_string(record, "strategy");
   const auto deadline = get_u64(record, "deadline_ms");
   if (!k_r || !k_h || !noise_p || !seed || !fake_routers || !links_per ||
-      !cost_policy || !strategy || !deadline) {
+      !cost_policy || !deadline) {
     return std::nullopt;
   }
   request.options.k_r = static_cast<int>(*k_r);
@@ -89,18 +88,17 @@ std::optional<JobRequest> decode_submit(const JsonObject& record) {
   request.deadline_ms = *deadline;
   // Older records also carry an `incremental` flag, which no output byte
   // depended on, and the retired `max_equivalence_iterations` and retry
-  // policy (the `rp_*` fields); all are ignored. Their keys covered the
-  // last two, so a record whose values were not the defaults fails
-  // recovery's key check and is tombstoned.
+  // policy (the `rp_*` fields). All are ignored, as is the Step 2.1 name
+  // every record carries (encode_submit). The keys covered all but the
+  // flag, so a record whose values were not the defaults (a strawman
+  // among them) fails recovery's key check and is tombstoned.
   // Pre-fleet journals carry no tenant field; their jobs belong to the
   // default namespace, same as a request that names none.
   request.tenant = get_string(record, "tenant").value_or("default");
 
   const auto parsed_policy = parse_cost_policy(*cost_policy);
-  const auto parsed_strategy = parse_equivalence_strategy(*strategy);
-  if (!parsed_policy || !parsed_strategy) return std::nullopt;
+  if (!parsed_policy) return std::nullopt;
   request.options.cost_policy = *parsed_policy;
-  request.strategy = *parsed_strategy;
 
   if (const auto pool = get_string(record, "link_pool")) {
     const auto prefix = Ipv4Prefix::parse(*pool);
@@ -209,7 +207,9 @@ std::string JobJournal::encode_submit(std::uint64_t id,
       .number("fake_routers", request.options.fake_routers)
       .number("links_per_fake_router",
               request.options.links_per_fake_router)
-      .string("strategy", to_string(request.strategy))
+      // Every job runs ConfMask's Step 2.1. The literal keeps records
+      // byte-identical, and readable by daemons that still require it.
+      .string("strategy", "confmask")
       .number_u64("deadline_ms", request.deadline_ms);
   if (request.options.link_pool) {
     writer.string("link_pool", request.options.link_pool->str());
@@ -331,8 +331,8 @@ void JobJournal::recover_and_compact(std::size_t max_tombstones) {
     }
     RecoveredJob recovered;
     recovered.id = id;
-    recovered.key = compute_cache_key(request->configs, request->options,
-                                      RetryPolicy{}, request->strategy);
+    recovered.canonical_text = canonical_config_set_text(request->configs);
+    recovered.key = job_key(*request, recovered.canonical_text);
     // The recomputed key must match what submit-time keying produced; a
     // mismatch means decode(encode(request)) != request — executing it
     // would silently anonymize a DIFFERENT job under this id.
@@ -370,8 +370,8 @@ void JobJournal::recover_and_compact(std::size_t max_tombstones) {
     compacted += "\n";
   }
   for (const RecoveredJob& job : recovery_.pending) {
-    compacted += encode_submit(job.id, job.request, job.key,
-                               canonical_config_set_text(job.request.configs));
+    compacted +=
+        encode_submit(job.id, job.request, job.key, job.canonical_text);
     compacted += "\n";
   }
   const fs::path tmp = path_.string() + ".compact";

@@ -51,10 +51,13 @@ namespace confmask {
 struct RecoveredJob {
   std::uint64_t id = 0;
   JobRequest request;
-  /// The key recomputed from the decoded request. Recovery verifies it
-  /// against the recorded key; a mismatch means the record decoded into a
-  /// different request than was journaled, and the job is failed instead
-  /// of silently executing the wrong thing.
+  /// canonical_config_set_text(request.configs), rendered once by
+  /// recovery for the key check, the compacted record and the job.
+  std::string canonical_text;
+  /// job_key of the decoded request. Recovery verifies it against the
+  /// recorded key; a mismatch means the record decoded into a different
+  /// request than was journaled, and the job is failed instead of
+  /// silently executing the wrong thing.
   CacheKey key;
 };
 

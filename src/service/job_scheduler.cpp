@@ -17,6 +17,33 @@
 
 namespace confmask {
 
+namespace {
+
+/// Hands each line of one job's trace to the scheduler's trace listener
+/// with the job's id.
+class JobTraceSink final : public obs::NdjsonSink {
+ public:
+  JobTraceSink(
+      const std::function<void(std::uint64_t, std::string_view)>& listener,
+      std::uint64_t job)
+      : listener_(listener), job_(job) {}
+
+  void write_line(std::string_view json_object) override {
+    listener_(job_, json_object);
+  }
+
+ private:
+  const std::function<void(std::uint64_t, std::string_view)>& listener_;
+  std::uint64_t job_;
+};
+
+}  // namespace
+
+CacheKey job_key(const JobRequest& request, std::string_view canonical_text) {
+  return compute_cache_key(canonical_text, request.options, RetryPolicy{},
+                           EquivalenceStrategy::kConfMask, request.tenant);
+}
+
 const char* to_string(JobState state) {
   switch (state) {
     case JobState::kQueued: return "queued";
@@ -49,6 +76,7 @@ JobScheduler::~JobScheduler() { shutdown(ShutdownMode::kCancelPending); }
 
 void JobScheduler::restore_from_journal() {
   const JournalRecovery& recovery = options_.journal->recovery();
+  const std::lock_guard<std::mutex> lock(mutex_);
   for (const JournalTombstone& tomb : recovery.terminal) {
     Job job;
     job.status = tomb.status;
@@ -76,25 +104,12 @@ void JobScheduler::restore_from_journal() {
     ++stats_.recovered;
   }
   for (const RecoveredJob& recovered : recovery.pending) {
-    Job job;
-    job.request = recovered.request;
-    job.canonical = std::make_shared<const ConfigSet>(
-        canonicalize(std::move(job.request.configs)));
-    job.canonical_text = canonical_config_set_text(*job.canonical);
-    job.key = recovered.key;
-    job.status.id = recovered.id;
-    job.status.state = JobState::kQueued;
-    job.status.tenant = recovered.request.tenant;
-    job.status.cache_key = recovered.key.hex();
-    job.token = std::make_shared<CancelToken>();
-    job.token->set_deadline_after(recovered.request.deadline_ms);
-    TenantState& tenant = tenants_[recovered.request.tenant];
-    tenant.queue.push_back(recovered.id);
-    ++tenant.counters.submitted;
-    ++queued_total_;
-    jobs_.emplace(recovered.id, std::move(job));
+    JobRequest request = recovered.request;
+    ConfigSet canonical = canonicalize(std::move(request.configs));
+    enqueue_locked(recovered.id, std::move(request), std::move(canonical),
+                   recovered.canonical_text, recovered.key,
+                   /*patch_base=*/{});
     ++stats_.recovered;
-    ++stats_.submitted;
   }
   next_id_ = std::max(next_id_, recovery.next_id);
 }
@@ -157,7 +172,6 @@ SubmitOutcome JobScheduler::resubmit(ResubmitRequest request) {
     return out;
   }
   full.options = request.options;
-  full.strategy = request.strategy;
   full.deadline_ms = request.deadline_ms;
   full.tenant = request.tenant;
 
@@ -179,9 +193,7 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
   // read it.
   ConfigSet canonical = canonicalize(std::move(request.configs));
   std::string canonical_text = canonical_config_set_text(canonical);
-  const CacheKey key =
-      compute_cache_key(canonical_text, request.options, RetryPolicy{},
-                        request.strategy, request.tenant);
+  const CacheKey key = job_key(request, canonical_text);
 
   SubmitOutcome out;
   std::uint64_t id = 0;
@@ -237,9 +249,6 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
     }
   }
 
-  auto token = std::make_shared<CancelToken>();
-  token->set_deadline_after(request.deadline_ms);
-
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (shut_down_) {
@@ -249,25 +258,8 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
       ++stats_.rejected;
       out.error = "shutting down";
     } else {
-      const std::string tenant_name = request.tenant;
-      Job job;
-      job.request = std::move(request);
-      job.canonical = std::make_shared<const ConfigSet>(std::move(canonical));
-      job.canonical_text = std::move(canonical_text);
-      job.key = key;
-      job.status.id = id;
-      job.status.state = JobState::kQueued;
-      job.status.tenant = tenant_name;
-      job.status.cache_key = key.hex();
-      job.token = std::move(token);
-      job.patch_base = std::move(patch_base);
-      jobs_.emplace(id, std::move(job));
-      TenantState& tenant = tenants_[tenant_name];
-      tenant.queue.push_back(id);
-      ++tenant.counters.submitted;
-      ++queued_total_;
-      ++stats_.submitted;
-      work_cv_.notify_one();
+      enqueue_locked(id, std::move(request), std::move(canonical),
+                     std::move(canonical_text), key, std::move(patch_base));
       out.id = id;
     }
   }
@@ -281,6 +273,31 @@ SubmitOutcome JobScheduler::admit(JobRequest request,
     journal_state(tombstone, key.secondary);
   }
   return out;
+}
+
+void JobScheduler::enqueue_locked(std::uint64_t id, JobRequest request,
+                                  ConfigSet canonical,
+                                  std::string canonical_text,
+                                  const CacheKey& key,
+                                  std::string patch_base) {
+  Job job;
+  job.canonical = std::make_shared<const ConfigSet>(std::move(canonical));
+  job.canonical_text = std::move(canonical_text);
+  job.key = key;
+  job.status.id = id;
+  job.status.tenant = request.tenant;
+  job.status.cache_key = key.hex();
+  job.token = std::make_shared<CancelToken>();
+  job.token->set_deadline_after(request.deadline_ms);
+  job.patch_base = std::move(patch_base);
+  TenantState& tenant = tenants_[request.tenant];
+  job.request = std::move(request);
+  jobs_.emplace(id, std::move(job));
+  tenant.queue.push_back(id);
+  ++tenant.counters.submitted;
+  ++queued_total_;
+  ++stats_.submitted;
+  work_cv_.notify_one();
 }
 
 std::optional<JobStatus> JobScheduler::status(std::uint64_t id) const {
@@ -319,38 +336,28 @@ std::optional<JobResult> JobScheduler::result(std::uint64_t id) const {
 }
 
 bool JobScheduler::cancel(std::uint64_t id) {
-  JobStatus snapshot;
-  std::uint64_t secondary = 0;
-  std::shared_ptr<const ConfigSet> canonical;  // freed after the notification
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) return false;
-    Job& job = it->second;
-    if (job.status.state == JobState::kRunning) {
-      // Cooperative: the pipeline observes the token at its next poll
-      // point and lands in kCancelled via the DeadlineExceeded taxonomy.
-      if (job.token) job.token->request_cancel();
-      return true;
-    }
-    if (job.status.state != JobState::kQueued) return false;
-    auto& queue = tenants_[job.request.tenant].queue;
-    for (auto queue_it = queue.begin(); queue_it != queue.end(); ++queue_it) {
-      if (*queue_it == id) {
-        queue.erase(queue_it);
-        --queued_total_;
-        break;
-      }
-    }
-    canonical = std::move(job.canonical);
-    job.status.state = JobState::kCancelled;
-    job.status.error_message = "cancelled while queued";
-    ++stats_.cancelled;
-    done_cv_.notify_all();
-    snapshot = job.status;
-    secondary = job.key.secondary;
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return false;
+  Job& job = it->second;
+  if (job.status.state == JobState::kRunning) {
+    // Cooperative: the pipeline observes the token at its next poll
+    // point and lands in kCancelled via the DeadlineExceeded taxonomy.
+    if (job.token) job.token->request_cancel();
+    return true;
   }
-  journal_state(snapshot, secondary);
+  if (job.status.state != JobState::kQueued) return false;
+  // Absent only when shutdown has taken it off the queue to cancel it.
+  auto& queue = tenants_[job.request.tenant].queue;
+  const auto queued = std::find(queue.begin(), queue.end(), id);
+  if (queued != queue.end()) {
+    queue.erase(queued);
+    --queued_total_;
+  }
+  Ending ending;
+  ending.state = JobState::kCancelled;
+  ending.message = "cancelled while queued";
+  finish(lock, id, std::move(ending));
   return true;
 }
 
@@ -421,20 +428,15 @@ JobScheduler::prime_context_locked(
 
 void JobScheduler::shutdown(ShutdownMode mode) {
   std::vector<std::thread> workers;
-  std::vector<std::pair<JobStatus, std::uint64_t>> cancelled;
+  std::vector<std::uint64_t> cancelled;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (shut_down_) return;
     shut_down_ = true;  // no further admissions
     if (mode == ShutdownMode::kCancelPending) {
       for (auto& [name, tenant] : tenants_) {
-        for (const std::uint64_t id : tenant.queue) {
-          Job& job = jobs_.at(id);
-          job.status.state = JobState::kCancelled;
-          job.status.error_message = "cancelled at shutdown";
-          ++stats_.cancelled;
-          cancelled.emplace_back(job.status, job.key.secondary);
-        }
+        cancelled.insert(cancelled.end(), tenant.queue.begin(),
+                         tenant.queue.end());
         tenant.queue.clear();
       }
       queued_total_ = 0;
@@ -444,10 +446,15 @@ void JobScheduler::shutdown(ShutdownMode mode) {
     }
     workers.swap(workers_);
     work_cv_.notify_all();
-    done_cv_.notify_all();
   }
-  for (const auto& [status, secondary] : cancelled) {
-    journal_state(status, secondary);
+  for (const std::uint64_t id : cancelled) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    // A cancel() may have finished it since it left its queue.
+    if (jobs_.at(id).status.state != JobState::kQueued) continue;
+    Ending ending;
+    ending.state = JobState::kCancelled;
+    ending.message = "cancelled at shutdown";
+    finish(lock, id, std::move(ending));
   }
   for (std::thread& worker : workers) worker.join();
 }
@@ -549,29 +556,53 @@ void JobScheduler::worker_loop() {
   }
 }
 
-void JobScheduler::complete_with_artifacts(std::uint64_t id,
-                                           CacheArtifacts artifacts,
-                                           bool cache_hit) {
-  JobStatus snapshot;
-  std::uint64_t secondary = 0;
-  // What result() never returns leaves the job table, and is freed after
-  // the done notification.
-  const std::string original = std::move(artifacts.original_configs);
-  std::shared_ptr<const ConfigSet> canonical;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Job& done = jobs_.at(id);
-    canonical = std::move(done.canonical);
-    done.result.artifacts = std::move(artifacts);
-    done.result.cache_hit = cache_hit;
-    done.status.state = JobState::kDone;
-    done.status.cache_hit = cache_hit;
+void JobScheduler::finish(std::unique_lock<std::mutex>& lock,
+                          std::uint64_t id, Ending ending) {
+  Job& job = jobs_.at(id);
+  // What result() never returns leaves the job table here and is freed
+  // when this returns, after the notification: the job's inputs, the
+  // published original (the cache keeps it for resubmits) and the watch
+  // contexts that installing this job's context replaced or evicted.
+  const std::shared_ptr<const ConfigSet> inputs = std::move(job.canonical);
+  const std::string original = std::move(ending.artifacts.original_configs);
+  std::vector<std::shared_ptr<const PatchContext>> released;
+  JobStatus& status = job.status;
+  status.state = ending.state;
+  if (ending.state == JobState::kDone) {
+    released = prime_context_locked(job.key.hex(), job.request.tenant,
+                                    std::move(ending.context));
+    job.result.artifacts = std::move(ending.artifacts);
+    job.result.cache_hit = ending.cache_hit;
+    status.cache_hit = ending.cache_hit;
+    status.patched = ending.patched;
     ++stats_.completed;
-    ++tenants_[done.request.tenant].counters.completed;
-    done_cv_.notify_all();
-    snapshot = done.status;
-    secondary = done.key.secondary;
+    ++tenants_[job.request.tenant].counters.completed;
+  } else {
+    if (ending.diagnostics) {
+      const PipelineDiagnostics& diag = *ending.diagnostics;
+      job.failure_diagnostics = diagnostics_to_json(diag);
+      status.error_stage = to_string(diag.stage);
+      status.error_category = to_string(diag.category);
+      status.error_message = diag.message;
+      status.exit_code = exit_code_for(diag.category);
+    } else {
+      status.error_message = std::move(ending.message);
+    }
+    if (ending.state == JobState::kCancelled) {
+      ++stats_.cancelled;
+    } else {
+      ++stats_.failed;
+      if (ending.diagnostics &&
+          ending.diagnostics->category == ErrorCategory::kDeadlineExceeded) {
+        ++stats_.deadline_exceeded;
+      }
+    }
   }
+  stats_.simulations += ending.simulations;
+  done_cv_.notify_all();
+  const JobStatus snapshot = status;
+  const std::uint64_t secondary = job.key.secondary;
+  lock.unlock();
   journal_state(snapshot, secondary);
 }
 
@@ -592,6 +623,7 @@ void JobScheduler::execute(std::uint64_t id) {
   }
   journal_state(running_snapshot, job->key.secondary);
   const CancelToken* token = job->token.get();
+  Ending ending;
 
   // An expired-in-queue deadline (or a pre-dequeue cancel) terminates the
   // job before ANY work — including the cache probe: the deadline contract
@@ -599,7 +631,7 @@ void JobScheduler::execute(std::uint64_t id) {
   const CancelToken::Reason early =
       token != nullptr ? token->fired() : CancelToken::Reason::kNone;
   if (early != CancelToken::Reason::kNone) {
-    PipelineDiagnostics diag;
+    PipelineDiagnostics& diag = ending.diagnostics.emplace();
     diag.ok = false;
     diag.stage = PipelineStage::kPreprocess;
     diag.category = ErrorCategory::kDeadlineExceeded;
@@ -607,31 +639,11 @@ void JobScheduler::execute(std::uint64_t id) {
                        ? "deadline expired before the job started"
                        : "cancelled before the job started";
     diag.context.detail = std::string("reason=") + to_string(early);
-    JobStatus snapshot;
-    std::uint64_t secondary = 0;
-    std::shared_ptr<const ConfigSet> canonical;  // freed after the notification
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      Job& dead = jobs_.at(id);
-      canonical = std::move(dead.canonical);
-      dead.failure_diagnostics = diagnostics_to_json(diag);
-      dead.status.error_stage = to_string(diag.stage);
-      dead.status.error_category = to_string(diag.category);
-      dead.status.error_message = diag.message;
-      dead.status.exit_code = exit_code_for(diag.category);
-      if (early == CancelToken::Reason::kCancelled) {
-        dead.status.state = JobState::kCancelled;
-        ++stats_.cancelled;
-      } else {
-        dead.status.state = JobState::kFailed;
-        ++stats_.failed;
-        ++stats_.deadline_exceeded;
-      }
-      done_cv_.notify_all();
-      snapshot = dead.status;
-      secondary = dead.key.secondary;
-    }
-    journal_state(snapshot, secondary);
+    ending.state = early == CancelToken::Reason::kCancelled
+                       ? JobState::kCancelled
+                       : JobState::kFailed;
+    std::unique_lock<std::mutex> lock(mutex_);
+    finish(lock, id, std::move(ending));
     return;
   }
 
@@ -659,11 +671,11 @@ void JobScheduler::execute(std::uint64_t id) {
   } release{this, job->key.primary};
 
   if (auto cached = cache_->lookup(job->key)) {
-    if (waited_behind_leader) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.coalesced_jobs;
-    }
-    complete_with_artifacts(id, std::move(*cached), /*cache_hit=*/true);
+    ending.artifacts = std::move(*cached);
+    ending.cache_hit = true;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (waited_behind_leader) ++stats_.coalesced_jobs;
+    finish(lock, id, std::move(ending));
     return;
   }
 
@@ -677,23 +689,19 @@ void JobScheduler::execute(std::uint64_t id) {
     if (owner != options_.ring->self()) {
       auto fetched =
           options_.peer_fetch(owner, job->key, job->request.tenant);
-      bool published = false;
-      if (fetched) {
-        std::string store_error;
-        published = cache_->store(job->key, *fetched, &store_error,
-                                  job->request.tenant) !=
-                    StoreResult::kIoError;
-        // An unpublishable fetch degrades to compute too: completing from
-        // bytes the local cache never accepted would let a flaky disk
-        // desynchronize acks from content addressing.
-      }
-      if (published) {
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.peer_hits;
-          ++tenants_[job->request.tenant].counters.peer_hits;
-        }
-        complete_with_artifacts(id, std::move(*fetched), /*cache_hit=*/true);
+      // An unpublishable fetch degrades to compute too: completing from
+      // bytes the local cache never accepted would let a flaky disk
+      // desynchronize acks from content addressing.
+      std::string store_error;
+      if (fetched && cache_->store(job->key, *fetched, &store_error,
+                                   job->request.tenant) !=
+                         StoreResult::kIoError) {
+        ending.artifacts = std::move(*fetched);
+        ending.cache_hit = true;
+        std::unique_lock<std::mutex> lock(mutex_);
+        ++stats_.peer_hits;
+        ++tenants_[job->request.tenant].counters.peer_hits;
+        finish(lock, id, std::move(ending));
         return;
       }
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -704,10 +712,11 @@ void JobScheduler::execute(std::uint64_t id) {
   // Thread-scoped trace: this worker is the orchestration thread of its
   // pipeline, so the trace captures exactly this job's spans even while
   // sibling workers run their own traced pipelines. Non-default tenants
-  // prefix the tag, so interleaved NDJSON streams stay attributable to
-  // their namespace as well as their job.
+  // prefix the tag, so the --trace stream stays attributable to their
+  // namespace as well as their job.
+  JobTraceSink trace_sink(options_.trace_listener, id);
   PipelineTrace::Options trace_options;
-  trace_options.shared_sink = options_.trace_sink;
+  if (options_.trace_listener) trace_options.shared_sink = &trace_sink;
   trace_options.tag = job->request.tenant == kDefaultTenant
                           ? "job-" + std::to_string(id)
                           : job->request.tenant + "/job-" + std::to_string(id);
@@ -734,135 +743,68 @@ void JobScheduler::execute(std::uint64_t id) {
 
   const std::uint64_t sims_before = Simulation::runs_on_this_thread();
   GuardedPipelineResult run = run_pipeline_guarded(
-      *job->canonical, job->request.options, RetryPolicy{},
-      job->request.strategy, token, patch_base_context.get(), &capture);
-  const std::uint64_t sims_delta =
-      Simulation::runs_on_this_thread() - sims_before;
-  std::string diagnostics = diagnostics_to_json(run.diagnostics);
+      *job->canonical, job->request.options, RetryPolicy{}, token,
+      patch_base_context.get(), &capture);
+  ending.simulations = Simulation::runs_on_this_thread() - sims_before;
 
-  if (run.ok()) {
-    const bool patched = run.result->stats.patched_stages > 0;
-    CacheArtifacts artifacts;
-    artifacts.anonymized_configs =
-        canonical_config_set_text(run.result->anonymized);
-    artifacts.original_configs = std::move(original_text);
-    artifacts.diagnostics_json = std::move(diagnostics);
-    artifacts.metrics_json = trace.metrics_json(/*include_timings=*/false);
-    std::string store_error;
-    const StoreResult stored = cache_->store(job->key, artifacts,
-                                             &store_error, job->request.tenant);
-
-    // Re-base the captured stage state into a resident context for future
-    // resubmits against THIS job. Deliberately after sims_delta is
-    // measured (the re-basing simulations are bookkeeping, not job work)
-    // and only for durably published artifacts — a context keyed by an
-    // unpublished entry could never be named by a resubmit.
-    std::shared_ptr<const PatchContext> primed;
-    if (stored != StoreResult::kIoError &&
-        options_.watch_context_capacity > 0) {
-      primed = finish_capture(capture);
-    }
-
-    JobStatus snapshot;
-    std::uint64_t secondary = 0;
-    // Freed when this returns, after the done notification: the replaced
-    // or evicted contexts, and the job's inputs, which result() never
-    // returns (the cache keeps the original for resubmits).
-    std::vector<std::shared_ptr<const PatchContext>> released;
-    const std::string original = std::move(artifacts.original_configs);
-    std::shared_ptr<const ConfigSet> canonical;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      Job& done = jobs_.at(id);
-      canonical = std::move(done.canonical);
-      if (primed != nullptr) {
-        released = prime_context_locked(done.key.hex(), done.request.tenant,
-                                        std::move(primed));
-      }
-      if (!job->patch_base.empty() && stored != StoreResult::kIoError) {
-        if (patch_base_context == nullptr) {
-          ++stats_.watch_context_misses;
-        } else if (patched) {
-          ++stats_.patched_jobs;
-        } else {
-          ++stats_.patch_fallbacks;
-        }
-      }
-      if (stored == StoreResult::kIoError) {
-        // The pipeline succeeded but the artifacts could not be durably
-        // published (ENOSPC, torn write, fsync failure). The JOB fails —
-        // returning unpublishable results would desynchronize the cache
-        // from the acks — but the daemon itself keeps serving.
-        done.failure_diagnostics =
-            JsonWriter{}
-                .boolean("ok", false)
-                .string("stage", "Verification")
-                .string("category", "ResourceExhausted")
-                .string("message",
-                        "artifact publish failed: " + store_error)
-                .number("exit_code", 11)
-                .str() +
-            "\n";
-        done.status.state = JobState::kFailed;
-        done.status.error_stage = to_string(PipelineStage::kVerification);
-        done.status.error_category =
-            to_string(ErrorCategory::kResourceExhausted);
-        done.status.error_message = "artifact publish failed: " + store_error;
-        done.status.exit_code =
-            exit_code_for(ErrorCategory::kResourceExhausted);
-        ++stats_.failed;
-      } else {
-        done.result.artifacts = std::move(artifacts);
-        done.result.cache_hit = false;
-        done.status.state = JobState::kDone;
-        done.status.patched = patched;
-        ++stats_.completed;
-        ++tenants_[done.request.tenant].counters.completed;
-      }
-      stats_.simulations += sims_delta;
-      done_cv_.notify_all();
-      snapshot = done.status;
-      secondary = done.key.secondary;
-    }
-    journal_state(snapshot, secondary);
+  if (!run.ok()) {
+    // A DeadlineExceeded diagnostic means OUR token fired; the token's
+    // reason distinguishes an operator cancel (kCancelled, by request) from
+    // a deadline expiry (kFailed — the job ran out of time on its own).
+    const bool was_cancel =
+        run.diagnostics.category == ErrorCategory::kDeadlineExceeded &&
+        token != nullptr && token->fired() == CancelToken::Reason::kCancelled;
+    ending.state = was_cancel ? JobState::kCancelled : JobState::kFailed;
+    ending.diagnostics = std::move(run.diagnostics);
+    std::unique_lock<std::mutex> lock(mutex_);
+    finish(lock, id, std::move(ending));
     return;
   }
 
-  // A DeadlineExceeded diagnostic means OUR token fired; the token's
-  // reason distinguishes an operator cancel (kCancelled, by request) from
-  // a deadline expiry (kFailed — the job ran out of time on its own).
-  const bool was_cancel =
-      run.diagnostics.category == ErrorCategory::kDeadlineExceeded &&
-      token != nullptr && token->fired() == CancelToken::Reason::kCancelled;
-
-  JobStatus snapshot;
-  std::uint64_t secondary = 0;
-  std::shared_ptr<const ConfigSet> canonical;  // freed after the notification
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Job& failed = jobs_.at(id);
-    canonical = std::move(failed.canonical);
-    failed.failure_diagnostics = std::move(diagnostics);
-    failed.status.error_stage = to_string(run.diagnostics.stage);
-    failed.status.error_category = to_string(run.diagnostics.category);
-    failed.status.error_message = run.diagnostics.message;
-    failed.status.exit_code = exit_code_for(run.diagnostics.category);
-    if (was_cancel) {
-      failed.status.state = JobState::kCancelled;
-      ++stats_.cancelled;
-    } else {
-      failed.status.state = JobState::kFailed;
-      ++stats_.failed;
-      if (run.diagnostics.category == ErrorCategory::kDeadlineExceeded) {
-        ++stats_.deadline_exceeded;
-      }
-    }
-    stats_.simulations += sims_delta;
-    done_cv_.notify_all();
-    snapshot = failed.status;
-    secondary = failed.key.secondary;
+  ending.patched = run.result->stats.patched_stages > 0;
+  CacheArtifacts& artifacts = ending.artifacts;
+  artifacts.anonymized_configs =
+      canonical_config_set_text(run.result->anonymized);
+  artifacts.original_configs = std::move(original_text);
+  artifacts.diagnostics_json = diagnostics_to_json(run.diagnostics);
+  artifacts.metrics_json = trace.metrics_json(/*include_timings=*/false);
+  std::string store_error;
+  const bool published = cache_->store(job->key, artifacts, &store_error,
+                                       job->request.tenant) !=
+                         StoreResult::kIoError;
+  if (!published) {
+    // The pipeline succeeded but the artifacts could not be durably
+    // published (ENOSPC, torn write, fsync failure). The JOB fails —
+    // returning unpublishable results would desynchronize the cache from
+    // the acks — but the daemon itself keeps serving. Its diagnostics are
+    // the run's own (attempts, fallbacks, phases), marked failed.
+    ending.state = JobState::kFailed;
+    PipelineDiagnostics& diag = ending.diagnostics.emplace(
+        std::move(run.diagnostics));
+    diag.ok = false;
+    diag.stage = PipelineStage::kVerification;
+    diag.category = ErrorCategory::kResourceExhausted;
+    diag.message = "artifact publish failed: " + store_error;
+  } else if (options_.watch_context_capacity > 0) {
+    // Re-base the captured stage state into a resident context for future
+    // resubmits against THIS job. Deliberately after the simulations are
+    // counted (the re-basing simulations are bookkeeping, not job work)
+    // and only for durably published artifacts — a context keyed by an
+    // unpublished entry could never be named by a resubmit.
+    ending.context = finish_capture(capture);
   }
-  journal_state(snapshot, secondary);
+
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (published && !job->patch_base.empty()) {
+    if (patch_base_context == nullptr) {
+      ++stats_.watch_context_misses;
+    } else if (ending.patched) {
+      ++stats_.patched_jobs;
+    } else {
+      ++stats_.patch_fallbacks;
+    }
+  }
+  finish(lock, id, std::move(ending));
 }
 
 }  // namespace confmask

@@ -52,10 +52,11 @@
 // freshly published local entry.
 //
 // Per-job observability: each worker installs a thread-scoped PipelineTrace
-// tagged "job-<id>" writing to the scheduler's shared NDJSON sink, so
-// concurrent jobs' span streams interleave whole-line-atomically and remain
-// attributable. The deterministic half of that trace (metrics_json without
-// timings) is the job's metrics artifact.
+// tagged "job-<id>" (or "<tenant>/job-<id>") and hands every line of it to
+// Options::trace_listener together with the job's id, so concurrent jobs'
+// span streams stay attributable without reading the tag back. The
+// deterministic half of that trace (metrics_json without timings) is the
+// job's metrics artifact.
 //
 // Shutdown is fail-closed and graceful: running jobs always run to
 // completion (a cancelled half-published entry is exactly what the staging
@@ -72,6 +73,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -83,7 +85,6 @@
 #include "src/service/shard_ring.hpp"
 #include "src/service/tenant.hpp"
 #include "src/util/cancellation.hpp"
-#include "src/util/observability.hpp"
 
 namespace confmask {
 
@@ -94,7 +95,6 @@ struct PatchContext;
 struct JobRequest {
   ConfigSet configs;
   ConfMaskOptions options;
-  EquivalenceStrategy strategy = EquivalenceStrategy::kConfMask;
   /// End-to-end deadline in milliseconds, measured from admission (queue
   /// wait counts). 0 = none. After a crash recovery the budget restarts —
   /// wall-clock deadlines cannot survive a reboot meaningfully.
@@ -103,6 +103,13 @@ struct JobRequest {
   /// (valid_tenant_name); folded into the cache key at admission.
   std::string tenant = std::string(kDefaultTenant);
 };
+
+/// The cache key of `request`, whose bundle renders as `canonical_text`
+/// (canonical_config_set_text of its canonical order): the one key
+/// derivation, shared by admission and journal recovery. Every job runs
+/// under RetryPolicy{} and ConfMask's Step 2.1, in the request's tenant.
+[[nodiscard]] CacheKey job_key(const JobRequest& request,
+                               std::string_view canonical_text);
 
 /// A watch-mode re-anonymization request: instead of shipping the whole
 /// bundle again, the client names a previously published artifact (the
@@ -117,7 +124,6 @@ struct ResubmitRequest {
   std::string base_key_hex;  ///< primary digest of the base cache entry
   std::string diff_text;     ///< confmask-diff/1 bundle diff vs. the base
   ConfMaskOptions options;
-  EquivalenceStrategy strategy = EquivalenceStrategy::kConfMask;
   std::uint64_t deadline_ms = 0;  ///< same semantics as JobRequest
   /// Namespace of the resubmit. The base entry must belong to the SAME
   /// tenant (lookup_original is tenant-scoped) — a resubmit can never use
@@ -235,10 +241,12 @@ class JobScheduler {
     /// Admission control: submissions beyond this many queued (not yet
     /// running) jobs are rejected, keeping the daemon's memory bounded.
     std::size_t max_pending = 64;
-    /// Shared NDJSON sink for the per-job trace streams. nullptr = jobs
-    /// run untraced (metrics artifact still produced via a sinkless
-    /// trace). Not owned; must outlive the scheduler.
-    obs::NdjsonSink* trace_sink = nullptr;
+    /// Receives every line of every job's trace stream with the job's id,
+    /// from the job's worker (concurrent jobs call it concurrently).
+    /// nullptr = jobs run untraced (metrics artifact still produced via a
+    /// sinkless trace).
+    std::function<void(std::uint64_t job, std::string_view line)>
+        trace_listener;
     /// Write-ahead journal. nullptr = no durability (tests, ephemeral
     /// runs). Not owned; must outlive the scheduler. Its recovery() is
     /// consumed by the constructor: pending jobs re-enter the queue,
@@ -375,6 +383,13 @@ class JobScheduler {
   /// journal, enqueue. `patch_base` (may be empty) rides into the Job.
   [[nodiscard]] SubmitOutcome admit(JobRequest request,
                                     std::string patch_base);
+  /// Queues job `id`, admitted or recovered from the journal: fills its
+  /// Job entry (`request` with its configs moved into `canonical`), arms
+  /// its deadline, appends it to its tenant's queue and counts the
+  /// submission. Caller holds mutex_.
+  void enqueue_locked(std::uint64_t id, JobRequest request,
+                      ConfigSet canonical, std::string canonical_text,
+                      const CacheKey& key, std::string patch_base);
   /// Installs `context` under `key_hex` for `tenant`, evicting
   /// least-recently-used contexts beyond watch_context_capacity. Caller
   /// holds mutex_ and drops the returned contexts (replaced or evicted)
@@ -400,12 +415,38 @@ class JobScheduler {
   /// lexicographic cycle order. Caller holds mutex_.
   [[nodiscard]] std::optional<std::uint64_t> pick_job_locked();
 
+  /// How a job ends: the input of finish().
+  struct Ending {
+    JobState state = JobState::kDone;
+    /// kDone: what result() returns (the original bundle is dropped: the
+    /// cache keeps it for resubmits), whether it was served without
+    /// running the pipeline here, and whether the run reused a watch
+    /// context.
+    CacheArtifacts artifacts;
+    bool cache_hit = false;
+    bool patched = false;
+    /// kDone: captured state to keep resident for resubmits against this
+    /// job (may be null).
+    std::shared_ptr<const PatchContext> context;
+    /// kFailed/kCancelled: the run's diagnostics, which fill the status's
+    /// error taxonomy and, rendered, are what result() returns. Absent for
+    /// a job cancelled before it ran, which has only `message`.
+    std::optional<PipelineDiagnostics> diagnostics;
+    std::string message;
+    /// Simulations the job's worker ran.
+    std::uint64_t simulations = 0;
+  };
+
   void worker_loop();
   void execute(std::uint64_t id);
-  /// Completes `id` as kDone with `artifacts`. `cache_hit` mirrors the
-  /// protocol's "served without running the pipeline here" signal.
-  void complete_with_artifacts(std::uint64_t id, CacheArtifacts artifacts,
-                               bool cache_hit);
+  /// The one terminal transition: writes `ending` into job `id` (state,
+  /// artifacts or error taxonomy, counters), installs its watch context,
+  /// wakes the waiters and releases `lock`, which the caller holds on
+  /// mutex_. The snapshot then goes to journal_state, outside the lock,
+  /// and only after that are the job's inputs and the displaced watch
+  /// contexts freed.
+  void finish(std::unique_lock<std::mutex>& lock, std::uint64_t id,
+              Ending ending);
   /// Publishes a state transition: invokes Options::state_listener with the
   /// snapshot, then appends a state record when a journal is attached.
   /// Called OUTSIDE mutex_ — neither the listener nor the fsync may stall

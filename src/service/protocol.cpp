@@ -37,11 +37,10 @@ bool read_int(const JsonObject& request, std::string_view key, int& out,
 
 /// The tuning surface shared by submit and resubmit — both ops accept the
 /// identical parameter set (a resubmit is a submit whose bundle arrives as
-/// base+diff). Fills `options`/`strategy`/`deadline_ms` from the request;
-/// on a malformed field, or one no run can use (option_error), returns
-/// false with `error` naming it.
+/// base+diff). Fills `options`/`deadline_ms` from the request; on a
+/// malformed field, or one no run can use (option_error), returns false
+/// with `error` naming it.
 bool read_job_params(const JsonObject& request, ConfMaskOptions& options,
-                     EquivalenceStrategy& strategy,
                      std::uint64_t& deadline_ms, std::string& error) {
   if (!read_int(request, "k_r", options.k_r, error) ||
       !read_int(request, "k_h", options.k_h, error) ||
@@ -67,13 +66,13 @@ bool read_job_params(const JsonObject& request, ConfMaskOptions& options,
     }
     options.seed = *seed;
   }
-  if (const auto name = get_string(request, "strategy")) {
-    const auto parsed = parse_equivalence_strategy(*name);
-    if (!parsed) {
-      error = "unknown strategy";
-      return false;
-    }
-    strategy = *parsed;
+  // Every job runs ConfMask's own Step 2.1; the strawmen are in-process
+  // baselines. Ignoring another name would run a different algorithm than
+  // the client asked for.
+  if (request.find("strategy") != request.end() &&
+      get_string(request, "strategy") != "confmask") {
+    error = "strategy must be \"confmask\"";
+    return false;
   }
   if (const auto name = get_string(request, "cost_policy")) {
     const auto policy = parse_cost_policy(*name);
@@ -156,7 +155,7 @@ std::string ProtocolHandler::handle(std::string_view line,
       return error_response(*op, error.what());
     }
     std::string field_error;
-    if (!read_job_params(*request, job.options, job.strategy, job.deadline_ms,
+    if (!read_job_params(*request, job.options, job.deadline_ms,
                          field_error) ||
         !read_tenant(*request, job.tenant, field_error)) {
       return error_response(*op, field_error);
@@ -183,7 +182,7 @@ std::string ProtocolHandler::handle(std::string_view line,
     job.base_key_hex = *base;
     job.diff_text = *diff;
     std::string field_error;
-    if (!read_job_params(*request, job.options, job.strategy, job.deadline_ms,
+    if (!read_job_params(*request, job.options, job.deadline_ms,
                          field_error) ||
         !read_tenant(*request, job.tenant, field_error)) {
       return error_response(*op, field_error);

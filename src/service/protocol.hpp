@@ -9,10 +9,11 @@
 // Operations (the "op" field):
 //   submit   configs (required, canonical bundle text) + optional
 //            parameters: k_r, k_h (each at least 1), noise_p (in [0, 1]),
-//            seed, strategy, cost_policy, fake_routers,
-//            links_per_fake_router (each at least 0; the bounds are
-//            option_error's), deadline_ms, tenant; unknown fields are
-//            ignored, the retired `incremental` and
+//            seed, cost_policy, fake_routers, links_per_fake_router (each
+//            at least 0; the bounds are option_error's), deadline_ms,
+//            tenant; `strategy`, when present, must be "confmask" (the
+//            strawmen run only in process) and keys like its absence;
+//            unknown fields are ignored, the retired `incremental` and
 //            `max_equivalence_iterations` among them
 //            → {ok, op, job, cache_key, tenant}. A load-shed rejection is
 //            {ok: false, op, error, retry_after_ms} — the hint is the

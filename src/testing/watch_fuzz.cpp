@@ -328,8 +328,7 @@ WatchFuzzResult run_watch_fuzz_case(std::uint64_t seed,
   // captured stage state into the resident context.
   PatchCapture capture;
   const GuardedPipelineResult base_run = run_pipeline_guarded(
-      base, pipeline, RetryPolicy{}, EquivalenceStrategy::kConfMask,
-      nullptr, nullptr, &capture);
+      base, pipeline, RetryPolicy{}, nullptr, nullptr, &capture);
   if (!base_run.ok()) {
     result.base_skip = true;
     return result;
@@ -381,8 +380,7 @@ WatchFuzzResult run_watch_fuzz_case(std::uint64_t seed,
   const GuardedPipelineResult cold =
       run_pipeline_guarded(edited, pipeline);
   const GuardedPipelineResult patched = run_pipeline_guarded(
-      edited, pipeline, RetryPolicy{}, EquivalenceStrategy::kConfMask,
-      nullptr, context.get(), nullptr);
+      edited, pipeline, RetryPolicy{}, nullptr, context.get(), nullptr);
   if (patched.ok()) {
     result.patched_stages = patched.result->stats.patched_stages;
     result.replayed = patched.result->stats.anonymity_replayed;

@@ -66,12 +66,12 @@ class Histogram {
 /// serialized under a mutex so concurrent emitters never interleave bytes.
 /// Does not own the stream; the caller keeps it alive and flushes/closes.
 ///
-/// write_line is virtual so transports can interpose: confmaskd's event
-/// broadcast sink (src/service/daemon.cpp) subclasses this to fan trace
-/// lines out to `subscribe`d connections while still teeing them to the
-/// operator's --trace stream. The stream-less protected constructor exists
-/// for exactly those subclasses; the base write_line is then a no-op they
-/// may or may not chain to.
+/// write_line is virtual so a consumer can take the lines instead of a
+/// stream: confmaskd's job scheduler (src/service/job_scheduler.cpp)
+/// subclasses this once per job to hand each line of the job's trace to
+/// its trace listener with the job's id. The stream-less protected
+/// constructor exists for exactly those subclasses; the base write_line
+/// is then a no-op they may or may not chain to.
 class NdjsonSink {
  public:
   explicit NdjsonSink(std::ostream& out) : out_(&out) {}

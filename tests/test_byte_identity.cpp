@@ -159,8 +159,7 @@ TEST(ByteIdentity, PatchedWatchChain) {
   ConfigSet current = canonicalize(make_uscarrier());
   PatchCapture capture;
   const GuardedPipelineResult base = run_pipeline_guarded(
-      current, options, {}, EquivalenceStrategy::kConfMask, nullptr, nullptr,
-      &capture);
+      current, options, {}, nullptr, nullptr, &capture);
   expect_digests("base", base, expected[0]);
   std::shared_ptr<const PatchContext> context = finish_capture(capture);
   const Ipv4Prefix unrelated{Ipv4Address{10, 200, 200, 0}, 24};
@@ -179,8 +178,7 @@ TEST(ByteIdentity, PatchedWatchChain) {
     edited = canonicalize(std::move(edited));
     PatchCapture next;
     const GuardedPipelineResult patched = run_pipeline_guarded(
-        edited, options, {}, EquivalenceStrategy::kConfMask, nullptr,
-        context.get(), &next);
+        edited, options, {}, nullptr, context.get(), &next);
     ASSERT_TRUE(patched.ok()) << "step " << step;
     EXPECT_GT(patched.result->stats.patched_stages, 0) << "step " << step;
     const std::string name = "edit " + std::to_string(step);

@@ -324,7 +324,8 @@ TEST(CacheKey, RenameChangesKeyAndDigestReorderChangesNeither) {
   const RetryPolicy policy;
   const auto base_key = compute_cache_key(base, options, policy,
                                           EquivalenceStrategy::kConfMask);
-  const auto base_digests = compute_device_digests(base);
+  const auto base_digests =
+      compute_device_digests(canonical_config_set_text(base));
 
   // Rename without a content edit: the section text carries its own
   // `hostname` line, so both the name AND the digest move with it — and
@@ -333,7 +334,8 @@ TEST(CacheKey, RenameChangesKeyAndDigestReorderChangesNeither) {
   renamed.routers.back().hostname = "zz-renamed";
   EXPECT_NE(base_key, compute_cache_key(renamed, options, policy,
                                         EquivalenceStrategy::kConfMask));
-  const auto renamed_digests = compute_device_digests(renamed);
+  const auto renamed_digests =
+      compute_device_digests(canonical_config_set_text(renamed));
   ASSERT_EQ(renamed_digests.size(), base_digests.size());
 
   // Device reorder is pure canonicalization: same key, same device table.
@@ -341,7 +343,8 @@ TEST(CacheKey, RenameChangesKeyAndDigestReorderChangesNeither) {
   std::reverse(reordered.routers.begin(), reordered.routers.end());
   EXPECT_EQ(base_key, compute_cache_key(reordered, options, policy,
                                         EquivalenceStrategy::kConfMask));
-  EXPECT_EQ(compute_device_digests(reordered), base_digests);
+  EXPECT_EQ(compute_device_digests(canonical_config_set_text(reordered)),
+            base_digests);
 }
 
 TEST(ArtifactCache, LookupOriginalReturnsTheSubmittedBundle) {

@@ -555,8 +555,7 @@ void deny_on_interfaces(ConfigSet& configs, const std::string& router,
 std::shared_ptr<const PatchContext> captured_context(
     const ConfigSet& base, const ConfMaskOptions& options) {
   PatchCapture capture;
-  EXPECT_TRUE(run_pipeline_guarded(base, options, RetryPolicy{},
-                                   EquivalenceStrategy::kConfMask, nullptr,
+  EXPECT_TRUE(run_pipeline_guarded(base, options, RetryPolicy{}, nullptr,
                                    nullptr, &capture)
                   .ok());
   return finish_capture(capture);

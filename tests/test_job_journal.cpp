@@ -56,8 +56,7 @@ std::string submit_record(std::uint64_t id, const JobRequest& request,
 }
 
 CacheKey key_of(const JobRequest& request) {
-  return compute_cache_key(request.configs, request.options, RetryPolicy{},
-                           request.strategy);
+  return job_key(request, canonical_config_set_text(request.configs));
 }
 
 JobStatus done_status(std::uint64_t id, const CacheKey& key) {
@@ -102,8 +101,7 @@ TEST(JobJournal, AdmissionRecordMatchesARenderedOne) {
   std::reverse(request.configs.routers.begin(), request.configs.routers.end());
   std::reverse(request.configs.hosts.begin(), request.configs.hosts.end());
   const std::string text = canonical_config_set_text(request.configs);
-  const CacheKey key = compute_cache_key(text, request.options,
-                                         RetryPolicy{}, request.strategy);
+  const CacheKey key = job_key(request, text);
   const std::string rendered = JobJournal::encode_submit(1, request, key, text);
   {
     JobJournal journal(path);
@@ -297,6 +295,66 @@ TEST(JobJournal, RecordWithANonDefaultRetiredBudgetIsTombstoned) {
   EXPECT_EQ(status.cache_key, written.hex());
   EXPECT_NE(status.error_message.find("key mismatch"), std::string::npos)
       << status.error_message;
+}
+
+// Records once named the job's Step 2.1, and the key covered it. Every
+// job now runs ConfMask's: a record naming a strawman decodes as ConfMask,
+// fails the key check and is tombstoned instead of running another job
+// under its id.
+TEST(JobJournal, RecordNamingAStrawmanIsTombstoned) {
+  const fs::path path = fresh_journal("strawman_record");
+  { JobJournal journal(path); }  // writes the header
+  const JobRequest request = sample_request(33);
+  const std::string text = canonical_config_set_text(request.configs);
+  // The key the older writer derived for this request under Strawman 1.
+  const CacheKey written =
+      compute_cache_key(text, request.options, RetryPolicy{},
+                        EquivalenceStrategy::kStrawman1);
+  ASSERT_NE(written, job_key(request, text));
+  std::string body =
+      unsealed(JobJournal::encode_submit(6, request, written, text));
+  const std::string field = "\"strategy\": \"confmask\"";
+  const std::size_t at = body.find(field);
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, field.size(), "\"strategy\": \"strawman1\"");
+  const std::string record = sealed(std::move(body));
+  ASSERT_TRUE(JobJournal::crc_ok(record));
+  { std::ofstream(path, std::ios::app) << record << '\n'; }
+  JobJournal reopened(path);
+  const JournalRecovery& recovery = reopened.recovery();
+  EXPECT_TRUE(recovery.pending.empty());
+  ASSERT_EQ(recovery.terminal.size(), 1u);
+  const JobStatus& status = recovery.terminal.front().status;
+  EXPECT_EQ(status.id, 6u);
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_EQ(status.cache_key, written.hex());
+  EXPECT_NE(status.error_message.find("key mismatch"), std::string::npos)
+      << status.error_message;
+}
+
+// Admission keys a job under its tenant; recovery re-keys the decoded
+// request the same way, so a pending submit of a named tenant recovers
+// instead of failing the key check.
+TEST(JobJournal, PendingSubmitUnderANamedTenantRecovers) {
+  const fs::path path = fresh_journal("named_tenant");
+  JobRequest request = sample_request(34);
+  request.tenant = "acme";
+  const CacheKey key = key_of(request);
+  ASSERT_NE(key, key_of(sample_request(34)));  // the tenant is keyed
+  {
+    JobJournal journal(path);
+    ASSERT_TRUE(journal.append_submit(5, request, key));
+  }
+  JobJournal reopened(path);
+  const JournalRecovery& recovery = reopened.recovery();
+  EXPECT_TRUE(recovery.terminal.empty());
+  ASSERT_EQ(recovery.pending.size(), 1u);
+  const RecoveredJob& job = recovery.pending.front();
+  EXPECT_EQ(job.id, 5u);
+  EXPECT_EQ(job.key, key);
+  EXPECT_EQ(job.request.tenant, "acme");
+  EXPECT_EQ(job.canonical_text,
+            canonical_config_set_text(request.configs));
 }
 
 TEST(JobJournal, TerminalJobsCompactToTombstones) {

@@ -221,8 +221,7 @@ TEST(PipelineRunner, PreFiredCancelTokenFailsClosedAsDeadlineExceeded) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ASSERT_EQ(token.fired(), CancelToken::Reason::kDeadline);
   const auto guarded = run_pipeline_guarded(make_figure2(), figure2_options(),
-                                            {}, EquivalenceStrategy::kConfMask,
-                                            &token);
+                                            {}, &token);
   EXPECT_FALSE(guarded.ok());
   EXPECT_FALSE(guarded.result.has_value());  // fail closed: no configs
   EXPECT_EQ(guarded.diagnostics.category, ErrorCategory::kDeadlineExceeded);
@@ -236,8 +235,7 @@ TEST(PipelineRunner, ExplicitCancellationIsDistinguishableFromDeadline) {
   CancelToken token;
   token.request_cancel();
   const auto guarded = run_pipeline_guarded(make_figure2(), figure2_options(),
-                                            {}, EquivalenceStrategy::kConfMask,
-                                            &token);
+                                            {}, &token);
   EXPECT_FALSE(guarded.ok());
   EXPECT_EQ(guarded.diagnostics.category, ErrorCategory::kDeadlineExceeded);
   // The reason travels in the error context so the scheduler can tell a
@@ -262,8 +260,7 @@ TEST(PipelineRunner, UnfiredTokenDoesNotPerturbACleanRun) {
   CancelToken token;
   token.set_deadline_after(60'000);
   const auto guarded = run_pipeline_guarded(make_figure2(), figure2_options(),
-                                            {}, EquivalenceStrategy::kConfMask,
-                                            &token);
+                                            {}, &token);
   ASSERT_TRUE(guarded.ok());
   EXPECT_TRUE(guarded.result->functionally_equivalent);
   // Byte-identical to an uncancelled run: the token is observed, never

@@ -8,17 +8,21 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <sstream>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/config/emit.hpp"
 #include "src/netgen/networks.hpp"
 #include "src/service/job_journal.hpp"
 #include "src/service/job_scheduler.hpp"
 
 #if defined(CONFMASK_FAULT_INJECTION)
+#include "src/util/io_shim.hpp"
 #include "tests/fault_injection.hpp"
+#include "tests/json_checker.hpp"
 #endif
 
 namespace confmask {
@@ -45,9 +49,12 @@ TEST(JobScheduler, ConcurrentDistinctJobsAllCompleteWithOwnDiagnostics) {
   ArtifactCache cache(fresh_dir("sched_concurrent"));
   JobScheduler::Options options;
   options.max_concurrent_jobs = 3;
-  std::ostringstream trace_stream;
-  obs::NdjsonSink sink(trace_stream);
-  options.trace_sink = &sink;
+  std::mutex traced_mutex;
+  std::vector<std::pair<std::uint64_t, std::string>> traced;
+  options.trace_listener = [&](std::uint64_t job, std::string_view line) {
+    const std::lock_guard<std::mutex> lock(traced_mutex);
+    traced.emplace_back(job, std::string(line));
+  };
   JobScheduler scheduler(&cache, options);
 
   std::vector<std::uint64_t> ids;
@@ -85,15 +92,14 @@ TEST(JobScheduler, ConcurrentDistinctJobsAllCompleteWithOwnDiagnostics) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_GT(stats.simulations, 0u);
 
-  // Every trace line on the shared stream is attributed to some job.
-  std::string line;
-  std::istringstream lines(trace_stream.str());
-  std::size_t traced = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_EQ(line.rfind("{\"job\": \"job-", 0), 0u) << line;
-    ++traced;
+  // Every trace line reaches the listener with the id of the job its tag
+  // names.
+  const std::lock_guard<std::mutex> lock(traced_mutex);
+  EXPECT_FALSE(traced.empty());
+  for (const auto& [job, line] : traced) {
+    const std::string tag = "{\"job\": \"job-" + std::to_string(job) + "\"";
+    EXPECT_EQ(line.rfind(tag, 0), 0u) << line;
   }
-  EXPECT_GT(traced, 0u);
 }
 
 TEST(JobScheduler, ResubmitOfCompletedJobIsByteIdenticalCacheHit) {
@@ -182,6 +188,55 @@ TEST(JobScheduler, FailedJobsReportTaxonomyAndAreNeverCached) {
             std::string::npos);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(scheduler.stats().failed, 1u);
+}
+
+// A run that verifies but cannot be published fails the job. Its status
+// reads as publish failures always have, and result() returns the run's
+// own diagnostics marked failed: its attempts and phases, with the
+// publish error at the Verification stage.
+TEST(JobScheduler, PublishFailureKeepsTheRunsDiagnostics) {
+  ArtifactCache cache(fresh_dir("sched_publish_failure"));
+  JobScheduler scheduler(&cache, {});
+  std::uint64_t id = 0;
+  {
+    // No journal is attached, so the first write after admission is the
+    // publish's.
+    const ScopedFault fault(io::kFaultEnospc, 1);
+    const auto submitted = scheduler.submit_ex(figure2_request(41)).id;
+    ASSERT_TRUE(submitted.has_value());
+    id = *submitted;
+    ASSERT_TRUE(scheduler.wait(id));
+  }
+  const auto status = scheduler.status(id);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kFailed);
+  EXPECT_EQ(status->error_stage, "Verification");
+  EXPECT_EQ(status->error_category, "ResourceExhausted");
+  EXPECT_EQ(status->error_message.rfind("artifact publish failed: ", 0), 0u)
+      << status->error_message;
+  EXPECT_EQ(status->exit_code, 11);
+  EXPECT_FALSE(status->patched);
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(scheduler.stats().failed, 1u);
+  EXPECT_EQ(scheduler.stats().completed, 0u);
+
+  const auto result = scheduler.result(id);
+  ASSERT_TRUE(result.has_value());
+  const std::string& diagnostics = result->artifacts.diagnostics_json;
+  EXPECT_TRUE(JsonChecker(diagnostics).valid()) << diagnostics;
+  const std::vector<std::string> fields = {
+      "\"ok\": false", "\"stage\": \"Verification\"",
+      "\"category\": \"ResourceExhausted\"", "\"exit_code\": 11",
+      "\"message\": \"" + status->error_message + "\"",
+      "\"path\": \"route_equivalence\""};
+  for (const std::string& field : fields) {
+    EXPECT_NE(diagnostics.find(field), std::string::npos)
+        << field << "\n" << diagnostics;
+  }
+  const std::string attempts = "\"attempts\": ";
+  const std::size_t at = diagnostics.find(attempts);
+  ASSERT_NE(at, std::string::npos) << diagnostics;
+  EXPECT_GE(std::stoi(diagnostics.substr(at + attempts.size())), 1);
 }
 #endif
 
@@ -423,8 +478,7 @@ TEST(JobScheduler, JournalRecoveryReEnqueuesAcknowledgedJobs) {
   {
     JobJournal journal(journal_path);
     const CacheKey key =
-        compute_cache_key(request.configs, request.options, RetryPolicy{},
-                          request.strategy);
+        job_key(request, canonical_config_set_text(request.configs));
     ASSERT_TRUE(journal.append_submit(1, request, key));
   }
 
@@ -459,6 +513,39 @@ TEST(JobScheduler, JournalRecoveryReEnqueuesAcknowledgedJobs) {
   EXPECT_EQ(again->artifacts.anonymized_configs,
             replayed->artifacts.anonymized_configs);
   EXPECT_EQ(again->artifacts.metrics_json, replayed->artifacts.metrics_json);
+}
+
+// Admission keys a job under its tenant, and so does recovery: a submit
+// journaled under a named tenant runs to done after a restart, under its
+// recorded key and tenant.
+TEST(JobScheduler, JournaledSubmitUnderANamedTenantRunsAfterRestart) {
+  const fs::path journal_path =
+      fresh_dir("sched_tenant_recover_journal") / "jobs.wal";
+  const fs::path cache_dir = fresh_dir("sched_tenant_recover_cache");
+  JobRequest request = figure2_request(23);
+  request.tenant = "acme";
+  const CacheKey key =
+      job_key(request, canonical_config_set_text(request.configs));
+  {
+    JobJournal journal(journal_path);
+    ASSERT_TRUE(journal.append_submit(1, request, key));
+  }
+
+  JobJournal journal(journal_path);
+  ArtifactCache cache(cache_dir);
+  JobScheduler::Options options;
+  options.journal = &journal;
+  JobScheduler scheduler(&cache, options);
+  ASSERT_TRUE(scheduler.wait(1));
+  const auto status = scheduler.status(1);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, JobState::kDone) << status->error_message;
+  EXPECT_EQ(status->tenant, "acme");
+  EXPECT_EQ(status->cache_key, key.hex());
+  EXPECT_TRUE(cache.lookup(key).has_value());
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.recovered, 1u);
+  EXPECT_EQ(stats.tenants.at("acme").completed, 1u);
 }
 
 TEST(JobScheduler, JournalTombstonesKeepAnsweringAfterRestart) {

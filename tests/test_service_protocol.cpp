@@ -391,6 +391,31 @@ TEST_F(ProtocolTest, RetiredIterationBudgetFieldIsIgnored) {
   expect_retired_field_ignored("\"max_equivalence_iterations\": -1");
 }
 
+// Every job runs ConfMask's own Step 2.1. Any other `strategy` is refused
+// by name on both submit paths, since ignoring it would run another
+// algorithm than the client asked for; "confmask" keys and runs like a
+// request without the field.
+TEST_F(ProtocolTest, StrategyOtherThanConfmaskIsRefused) {
+  for (const std::string token : {"\"strawman1\"", "\"strawman2\"", "1"}) {
+    std::string submit = submit_line(3);
+    submit.insert(submit.size() - 1, ", \"strategy\": " + token);
+    std::string resubmit = JsonWriter{}
+                               .string("op", "resubmit")
+                               .string("base", "0123456789abcdef")
+                               .string("diff", "")
+                               .str();
+    resubmit.insert(resubmit.size() - 1, ", \"strategy\": " + token);
+    for (const std::string& line : {submit, resubmit}) {
+      const JsonObject response = handle(line);
+      EXPECT_EQ(get_bool(response, "ok"), false) << line;
+      EXPECT_NE(get_string(response, "error").value_or("").find("strategy"),
+                std::string::npos)
+          << line;
+    }
+  }
+  expect_retired_field_ignored("\"strategy\": \"confmask\"");
+}
+
 TEST_F(ProtocolTest, PingReportsHealthAndVitals) {
   const JsonObject pong = handle("{\"op\": \"ping\"}");
   EXPECT_EQ(get_bool(pong, "ok"), true);

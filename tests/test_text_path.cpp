@@ -136,9 +136,7 @@ JobRequest pinned_request() {
 TEST(TextPath, JournalRecordsAreGolden) {
   const JobRequest request = pinned_request();
   const std::string text = canonical_config_set_text(request.configs);
-  const CacheKey key =
-      compute_cache_key(text, request.options, RetryPolicy{},
-                        request.strategy, request.tenant);
+  const CacheKey key = job_key(request, text);
   const std::string submit = JobJournal::encode_submit(42, request, key, text);
   EXPECT_TRUE(JobJournal::crc_ok(submit));
   EXPECT_EQ(hex64(fnv1a64(submit)), "ee7e694de6d1c340");

@@ -75,8 +75,7 @@ std::shared_ptr<const PatchContext> capture_context(
     const ConfigSet& base, const ConfMaskOptions& options) {
   PatchCapture capture;
   const auto run =
-      run_pipeline_guarded(base, options, RetryPolicy{},
-                           EquivalenceStrategy::kConfMask, nullptr, nullptr,
+      run_pipeline_guarded(base, options, RetryPolicy{}, nullptr, nullptr,
                            &capture);
   EXPECT_TRUE(run.ok());
   return finish_capture(capture);
@@ -99,17 +98,15 @@ TracedPatch expect_patched_matches_cold(const ConfigSet& edited,
                                         const ConfMaskOptions& options,
                                         const PatchContext* context) {
   const auto cold =
-      run_pipeline_guarded(edited, options, RetryPolicy{},
-                           EquivalenceStrategy::kConfMask, nullptr, nullptr,
+      run_pipeline_guarded(edited, options, RetryPolicy{}, nullptr, nullptr,
                            nullptr);
   TracedPatch out;
   PatchCapture capture;
   {
     PipelineTrace trace;
     const auto patched =
-        run_pipeline_guarded(edited, options, RetryPolicy{},
-                             EquivalenceStrategy::kConfMask, nullptr,
-                             context, &capture);
+        run_pipeline_guarded(edited, options, RetryPolicy{}, nullptr, context,
+                             &capture);
     EXPECT_TRUE(cold.ok());
     EXPECT_TRUE(patched.ok());
     if (!cold.ok() || !patched.ok()) return out;
@@ -528,8 +525,7 @@ TEST(WatchReplay, UserListAlgorithm1WritesIntoStaysByteIdentical) {
   const ConfMaskOptions options = noisy_options(7);
   PatchCapture capture;
   const auto captured =
-      run_pipeline_guarded(base, options, RetryPolicy{},
-                           EquivalenceStrategy::kConfMask, nullptr, nullptr,
+      run_pipeline_guarded(base, options, RetryPolicy{}, nullptr, nullptr,
                            &capture);
   ASSERT_TRUE(captured.ok());
   const auto context = finish_capture(capture);
@@ -608,8 +604,7 @@ TEST(WatchReplay, Algorithm1FiltersMovedOnAnUneditedRouterRefuseTheReplay) {
   const ConfMaskOptions options = noisy_options(7);
   PatchCapture capture;
   const auto captured =
-      run_pipeline_guarded(base, options, RetryPolicy{},
-                           EquivalenceStrategy::kConfMask, nullptr, nullptr,
+      run_pipeline_guarded(base, options, RetryPolicy{}, nullptr, nullptr,
                            &capture);
   ASSERT_TRUE(captured.ok());
   const auto context = finish_capture(capture);
@@ -810,8 +805,7 @@ TEST(WatchMode, FinishedContextHoldsOnlyItsOriginal) {
   const ConfMaskOptions options = noisy_options(7);
   PatchCapture capture;
   capture.shared_original = base;
-  ASSERT_TRUE(run_pipeline_guarded(*base, options, RetryPolicy{},
-                                   EquivalenceStrategy::kConfMask, nullptr,
+  ASSERT_TRUE(run_pipeline_guarded(*base, options, RetryPolicy{}, nullptr,
                                    nullptr, &capture)
                   .ok());
   const auto context = finish_capture(capture);
@@ -932,8 +926,7 @@ TEST(WatchMode, RetriedPatchedRunStaysPatchedAndByteIdentical) {
 
   const auto run = [&](const PatchContext* patch_base) {
     const ScopedFault diverge(faults::kVerificationDiverge, 1);
-    return run_pipeline_guarded(edited, options, RetryPolicy{},
-                                EquivalenceStrategy::kConfMask, nullptr,
+    return run_pipeline_guarded(edited, options, RetryPolicy{}, nullptr,
                                 patch_base, nullptr);
   };
   const auto cold = run(nullptr);
@@ -965,8 +958,7 @@ TEST(WatchReplay, InjectedDivergenceStillFailsClosedWhenPatched) {
   edited = canonicalize(std::move(edited));
   const ScopedFault diverge(faults::kVerificationDiverge, 99);
   const auto patched =
-      run_pipeline_guarded(edited, options, RetryPolicy{},
-                           EquivalenceStrategy::kConfMask, nullptr,
+      run_pipeline_guarded(edited, options, RetryPolicy{}, nullptr,
                            context.get(), nullptr);
   EXPECT_FALSE(patched.ok());
   EXPECT_EQ(patched.diagnostics.stage, PipelineStage::kVerification);
